@@ -61,8 +61,9 @@ from .eigensolver import (
     compute_pair_table,
     converge_truncation,
     eigenvalues,
-    lexicographic_sort,
+    lexicographic_order,
     localization_report,
+    mark_converged,
     pair_eigenvalues,
     localization_radius,
 )

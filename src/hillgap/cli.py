@@ -22,19 +22,20 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__, asymptotics, riesz
 from .eigensolver import (
-    EigenPairTable,
+    K_CAP,
     GammaRadius,
     PairingConfigError,
     SolverError,
     compute_pair_table,
     converge_truncation,
     localization_report,
+    mark_converged,
     pair_eigenvalues,
     eigenvalues as solve_eigenvalues,
 )
@@ -291,21 +292,11 @@ def _spectrum_table(cfg: RunConfig, v: FourierSequence):
         return table
     table = compute_pair_table(v, cfg.m, cfg.K, GammaRadius(), n_max=cfg.n_max)
     # one confirming solve at the doubled window sets the converged flags
-    if 2 * cfg.K <= 1024:
+    if 2 * cfg.K <= K_CAP:
         confirm = compute_pair_table(
             v, cfg.m, 2 * cfg.K, GammaRadius(), n_max=cfg.n_max, validate=False
         )
-        rows = []
-        for r in table.rows:
-            try:
-                p = confirm.row(r.n)
-            except KeyError:
-                rows.append(r)
-                continue
-            direct = max(abs(r.lambda_lo - p.lambda_lo), abs(r.lambda_hi - p.lambda_hi))
-            crossed = max(abs(r.lambda_lo - p.lambda_hi), abs(r.lambda_hi - p.lambda_lo))
-            rows.append(replace(r, converged=bool(min(direct, crossed) < 1e-9)))
-        table = EigenPairTable(table.m, table.K, tuple(rows), dict(table.flagged))
+        table = mark_converged(table, confirm)
     return table
 
 

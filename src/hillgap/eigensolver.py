@@ -1,11 +1,14 @@
 """Dense spectra of the truncated operators and eigenvalue-pair extraction.
 
-Eigenvalues come from LAPACK (balancing, Hessenberg reduction, implicitly
-shifted QR) through numpy; exactly Hermitian matrices take the symmetric
-path so real potentials yield exactly real spectra.  Pairs are collected by
-disc membership around the unperturbed centers and then sharpened by a
-center-shifted two-dimensional subspace refinement, which decouples the
-pair-splitting accuracy from the global matrix scale.
+Each window takes one LAPACK eigendecomposition with eigenvectors through
+numpy (balancing, Hessenberg reduction, implicitly shifted QR); matrices that
+are Hermitian up to the scale of B(v) take the symmetric path, so real
+potentials yield exactly real spectra.  The eigenvectors serve twice: their
+column residuals ||T v - lambda v|| certify every eigenvalue, and each pair,
+collected by disc membership around its unperturbed center, is sharpened by
+Rayleigh-Ritz of the center-shifted matrix on the span of its two
+eigenvectors, which decouples the pair-splitting accuracy from the global
+matrix scale.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ __all__ = [
     "EigenList",
     "EigenPairRow",
     "EigenPairTable",
-    "lexicographic_sort",
+    "lexicographic_order",
     "eigenvalues",
     "LocalizationRadius",
     "FixedRadius",
     "GammaRadius",
     "pair_eigenvalues",
     "compute_pair_table",
+    "mark_converged",
     "converge_truncation",
     "LocalizationReport",
     "localization_report",
@@ -40,7 +44,10 @@ __all__ = [
 ORDER_TOL_SCALE = 1e-9
 RESIDUAL_TOL = 1e-8
 HERMITIAN_REL_TOL = 1e-12
+SPAN_REL_TOL = 1e-6
+CONVERGENCE_TOL = 1e-9
 K_CAP = 1024
+BLOCK = 16  # rows or columns per slab in the passes that avoid dense temporaries
 
 
 class SolverError(RuntimeError):
@@ -55,38 +62,43 @@ class PairingConfigError(ValueError):
     """Pairing discs overlap or the window is too small for the request."""
 
 
-def lexicographic_sort(values, tol_scale: float = ORDER_TOL_SCALE) -> np.ndarray:
-    """Ascending real part; ties (within tol_scale*(1+|lambda|)) by imag."""
+def lexicographic_order(values, tol_scale: float = ORDER_TOL_SCALE) -> np.ndarray:
+    """Permutation that sorts values by ascending real part; ties (within
+    tol_scale*(1+|lambda|)) are ordered by imaginary part."""
     vals = np.asarray(values, dtype=complex)
-    vals = vals[np.lexsort((vals.imag, vals.real))]
-    out = vals.copy()
-    i = 0
-    n = len(vals)
+    order = np.lexsort((vals.imag, vals.real))
+    vals = vals[order]
+    i, n = 0, len(vals)
     while i < n:
         j = i + 1
         while j < n and (
-            out[j].real - out[j - 1].real <= tol_scale * (1.0 + abs(out[j]))
+            vals[j].real - vals[j - 1].real <= tol_scale * (1.0 + abs(vals[j]))
         ):
             j += 1
         if j - i > 1:
-            grp = out[i:j]
-            out[i:j] = grp[np.argsort(grp.imag, kind="stable")]
+            order[i:j] = order[i:j][np.argsort(vals[i:j].imag, kind="stable")]
         i = j
-    return out
+    return order
 
 
 @dataclass(frozen=True)
 class EigenList:
-    """All eigenvalues of a truncated operator, lexicographically ordered."""
+    """All eigenvalues of a truncated operator, lexicographically ordered.
+    Column order[i] of vectors is the unit eigenvector of values[i]; the
+    columns stay in solver order, as sorting them would copy the largest
+    array of the solve."""
 
     values: np.ndarray
     m: int
     K: int
     trace_defect: float
     residual_max: float | None
+    vectors: np.ndarray
+    order: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        for arr in (self.values, self.vectors, self.order):
+            arr.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -94,72 +106,60 @@ class EigenList:
 
 
 def _is_hermitian(mat: np.ndarray) -> bool:
-    scale = np.max(np.abs(mat)) or 1.0
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_REL_TOL * scale)
+    """Asymmetry against the off-diagonal scale, that of B(v): the diagonal
+    of A^m grows like (4K)^{2m} and would hide a non-Hermitian potential."""
+    scale = asym = 0.0
+    for i in range(0, len(mat), BLOCK):
+        rows = mat[i : i + BLOCK]
+        mag = np.abs(rows)
+        np.fill_diagonal(mag[:, i:], 0.0)
+        scale = max(scale, float(np.max(mag)))
+        asym = max(asym, float(np.max(np.abs(rows - mat[:, i : i + BLOCK].conj().T))))
+    return asym <= HERMITIAN_REL_TOL * (scale or 1.0)
 
 
-def _inverse_iteration(mat: np.ndarray, lam: complex, b: np.ndarray) -> np.ndarray:
-    dim = mat.shape[0]
-    shifted = mat - lam * np.eye(dim)
-    try:
-        x = np.linalg.solve(shifted, b)
-    except np.linalg.LinAlgError:
-        bump = 1e-13 * (1.0 + abs(lam))
-        x = np.linalg.solve(mat - (lam + bump) * np.eye(dim), b)
-    nx = np.linalg.norm(x)
-    if nx == 0.0 or not np.isfinite(nx):
-        return b / np.linalg.norm(b)
-    return x / nx
-
-
-def _validate_values(mat: np.ndarray, values: np.ndarray, rng) -> float:
-    """One inverse-iteration step per eigenvalue from a random start; returns
-    the largest residual ||(T - lambda) x|| / ||T||_F."""
-    dim = mat.shape[0]
-    scale = np.linalg.norm(mat, "fro") or 1.0
+def _residual_max(mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
+    """Largest ||T v_j - lambda_j v_j|| / ||v_j||."""
     worst = 0.0
-    for lam in values:
-        b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        x = _inverse_iteration(mat, lam, b)
-        res = np.linalg.norm(mat @ x - lam * x) / scale
-        worst = max(worst, float(res))
+    for j in range(0, len(values), BLOCK):
+        v = vectors[:, j : j + BLOCK]
+        res = np.linalg.norm(mat @ v - v * values[j : j + BLOCK], axis=0)
+        worst = max(worst, float(np.max(res / np.linalg.norm(v, axis=0))))
     return worst
 
 
 def eigenvalues(op: TruncatedOperator, validate: bool = True) -> EigenList:
-    """All 2K eigenvalues of the truncated operator, with multiplicity.
+    """All 2K eigenvalues of the truncated operator, with multiplicity, and
+    their eigenvectors, from one eigendecomposition.
 
-    Exactly (or near-exactly) Hermitian matrices are routed to the symmetric
-    solver after symmetrization.  Each eigenvalue of a validated solve gets a
-    residual certificate from one inverse-iteration step.
+    Matrices that are Hermitian up to the scale of B(v) are routed to the
+    symmetric solver after symmetrization.  A validated solve certifies every
+    eigenvalue by the residual of its eigenvector relative to ||T||_F and
+    raises SolverError if the largest exceeds RESIDUAL_TOL.
     """
     mat = op.matrix
-    if not np.all(np.isfinite(mat)):
+    scale = np.linalg.norm(mat, "fro")
+    if not np.isfinite(scale):
         raise ValueError("operator matrix carries non-finite entries")
+    scale = scale or 1.0
     try:
         if _is_hermitian(mat):
-            herm = (mat + mat.conj().T) / 2.0
-            vals = np.linalg.eigvalsh(herm).astype(complex)
+            vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
         else:
-            vals = np.linalg.eigvals(mat)
+            vals, vecs = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:  # QR non-convergence
         raise SolverError(f"eigen decomposition failed: {exc}", partial=None) from exc
 
-    vals = lexicographic_sort(vals)
-    tr = np.trace(mat)
-    scale = np.linalg.norm(mat, "fro") or 1.0
-    trace_defect = float(abs(vals.sum() - tr) / scale)
-
-    residual_max = None
-    if validate:
-        rng = np.random.default_rng([0x5E1F, op.m, op.K])
-        residual_max = _validate_values(mat, vals, rng)
-        if residual_max > RESIDUAL_TOL:
-            raise SolverError(
-                f"eigenvalue residual {residual_max:.3e} exceeds {RESIDUAL_TOL}",
-                partial=vals,
-            )
-    return EigenList(vals, op.m, op.K, trace_defect, residual_max)
+    residual_max = _residual_max(mat, vals, vecs) / scale if validate else None
+    order = lexicographic_order(vals)
+    vals = vals[order].astype(complex)
+    if validate and residual_max > RESIDUAL_TOL:
+        raise SolverError(
+            f"eigenvalue residual {residual_max:.3e} exceeds {RESIDUAL_TOL}",
+            partial=vals,
+        )
+    trace_defect = float(abs(vals.sum() - np.trace(mat)) / scale)
+    return EigenList(vals, op.m, op.K, trace_defect, residual_max, vecs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -247,30 +247,39 @@ def _check_disc_overlap(m: int, radius_rule, n_max: int):
 
 
 def _refine_pair(
-    mat: np.ndarray, center: float, pair: np.ndarray, radius: float, rng
+    mat: np.ndarray,
+    center: float,
+    resonant: list[int],
+    cols: np.ndarray,
+    pair: np.ndarray,
+    radius: float,
 ) -> tuple[complex, complex] | None:
-    """Center-shifted Rayleigh-Ritz on the two-dimensional subspace spanned by
-    inverse-iteration vectors of the pair.
+    """Center-shifted Rayleigh-Ritz on the span of the pair's two eigenvectors.
 
-    Returns the refined pair RELATIVE to the center, ordered
-    lexicographically; working in the shifted frame keeps the pair splitting
-    meaningful far below one ulp of the center itself.  Returns None (keep
-    the raw pair) if the refinement wanders outside a quarter of the disc.
+    (T - center) w is T w - center w except in the two resonant rows, where
+    the diagonal cancels: those use a copy of the rows with center taken off
+    the diagonal, bit for bit rows of T - center*I.  Elsewhere w is small, so
+    no shifted copy of the whole matrix is needed.  Returns the refined pair
+    RELATIVE to the center, ordered lexicographically, which keeps the
+    splitting meaningful far below one ulp of the center.  Returns None
+    (keep the raw pair) if the two vectors do not span a plane, as for a
+    Jordan pair, or if the refinement wanders outside a quarter of the disc.
     """
-    dim = mat.shape[0]
-    vecs = []
-    for lam in pair:
-        b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vecs.append(_inverse_iteration(mat, lam, b))
-    w = np.linalg.qr(np.column_stack(vecs))[0]
-    shifted = mat - center * np.eye(dim)
-    h = w.conj().T @ (shifted @ w)
+    w, r = np.linalg.qr(cols)
+    if abs(r[1, 1]) <= SPAN_REL_TOL * abs(r[0, 0]):
+        return None
+    tw = mat @ w - center * w
+    shifted = mat[resonant]
+    shifted[[0, 1], resonant] -= center
+    tw[resonant] = shifted @ w
+    h = w.conj().T @ tw
     h_scale = np.max(np.abs(h)) or 1.0
     if np.max(np.abs(h - h.conj().T)) <= 1e-13 * h_scale:
         # Hermitian block: keep the refined pair exactly real
         local = np.linalg.eigvalsh((h + h.conj().T) / 2.0).astype(complex)
     else:
-        local = lexicographic_sort(np.linalg.eigvals(h))
+        local = np.linalg.eigvals(h)
+        local = local[lexicographic_order(local)]
     if np.max(np.abs((center + local) - pair)) > 0.25 * radius:
         return None
     return complex(local[0]), complex(local[1])
@@ -290,7 +299,7 @@ def pair_eigenvalues(
     the eigenvalues within radius_rule.radius(m, n) of (2n-1)^{2m} pi^{2m}
     are gathered; exactly-two hits become a paired row, anything else is
     flagged with its hit count.  Passing the operator matrix enables the
-    subspace refinement of each pair.
+    refinement of each pair on the span of its two eigenvectors.
     """
     if n_max is None:
         n_max = eigs.K // 4
@@ -303,20 +312,20 @@ def pair_eigenvalues(
     vals = eigs.values
     rows = []
     flagged: dict[int, int] = {}
-    rng = np.random.default_rng([0xA11CE, m, eigs.K])
     for n in range(1, n_max + 1):
         c = float(2 * n - 1) ** (2 * m) * math.pi ** (2 * m)
         r = radius_rule.radius(m, n)
-        hits = vals[np.abs(vals - c) < r]
-        if len(hits) != 2:
-            flagged[n] = len(hits)
+        idx = np.flatnonzero(np.abs(vals - c) < r)
+        if len(idx) != 2:
+            flagged[n] = len(idx)
             continue
-        pair = lexicographic_sort(hits)
+        idx = idx[lexicographic_order(vals[idx])]
+        pair = vals[idx]
         local = None
-        if refine and matrix is not None and pair[0] != pair[1]:
-            # an exactly coincident raw pair is already a perfect double
-            # eigenvalue; refinement could only add rounding noise
-            local = _refine_pair(matrix, c, pair, r, rng)
+        if refine and matrix is not None:
+            cols = eigs.vectors[:, eigs.order[idx]]
+            # rows of the modes -(2n-1) and 2n-1 in the window
+            local = _refine_pair(matrix, c, [eigs.K - n, eigs.K + n - 1], cols, pair, r)
         if local is None:
             lo, hi = complex(pair[0]), complex(pair[1])
             tau, gamma = (lo + hi) / 2.0, hi - lo
@@ -361,11 +370,32 @@ def compute_pair_table(
     return table.shifted(c)
 
 
+def mark_converged(
+    table: EigenPairTable, reference: EigenPairTable, tol: float = CONVERGENCE_TOL
+) -> EigenPairTable:
+    """Flag each row of table converged when the same pair in reference (the
+    table at another window) lies within tol.  Rows missing from reference
+    are unconverged.  Pairs are compared as sets: the lexicographic label
+    assignment of a near-degenerate pair may flip between windows without
+    the values themselves moving."""
+    rows = []
+    for r in table.rows:
+        try:
+            p = reference.row(r.n)
+        except KeyError:
+            rows.append(replace(r, converged=False))
+            continue
+        direct = max(abs(r.lambda_lo - p.lambda_lo), abs(r.lambda_hi - p.lambda_hi))
+        crossed = max(abs(r.lambda_lo - p.lambda_hi), abs(r.lambda_hi - p.lambda_lo))
+        rows.append(replace(r, converged=bool(min(direct, crossed) < tol)))
+    return EigenPairTable(table.m, table.K, tuple(rows), dict(table.flagged))
+
+
 def converge_truncation(
     v: FourierSequence,
     m: int,
     n_max: int,
-    tol: float = 1e-9,
+    tol: float = CONVERGENCE_TOL,
     radius_rule=None,
     K_start: int | None = None,
     K_cap: int = K_CAP,
@@ -373,7 +403,8 @@ def converge_truncation(
 ) -> tuple[int, EigenPairTable]:
     """Double the window until every paired eigenvalue with n <= n_max moves
     less than tol between consecutive windows; rows still moving when the
-    window cap is reached stay flagged unconverged."""
+    window cap is reached stay flagged unconverged.  With validate, every
+    window's eigenvalues carry the residual certificate of eigenvalues()."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if radius_rule is None:
@@ -382,46 +413,13 @@ def converge_truncation(
     if K < 4 * n_max:
         raise PairingConfigError(f"K_start = {K} too small for n_max = {n_max}")
 
-    v0, c = normalize_zero_mode(v)
-
-    def solve(KK: int):
-        op = build_T(v0, m, KK)
-        eigs = eigenvalues(op, validate=False)
-        table = pair_eigenvalues(
-            eigs, m, radius_rule, n_max=n_max, matrix=op.matrix, refine=True
-        )
-        return table.shifted(c), op, eigs
-
-    table, op, eigs = solve(K)
+    table = compute_pair_table(v, m, K, radius_rule, n_max=n_max, validate=validate)
     while 2 * K <= K_cap:
-        cur, cur_op, cur_eigs = solve(2 * K)
-        rows = []
-        for r in cur.rows:
-            try:
-                p = table.row(r.n)
-            except KeyError:
-                rows.append(replace(r, converged=False))
-                continue
-            # pair movement as a set: the lexicographic label assignment of a
-            # near-degenerate pair may flip between windows without the
-            # values themselves moving
-            direct = max(abs(r.lambda_lo - p.lambda_lo), abs(r.lambda_hi - p.lambda_hi))
-            crossed = max(abs(r.lambda_lo - p.lambda_hi), abs(r.lambda_hi - p.lambda_lo))
-            rows.append(replace(r, converged=min(direct, crossed) < tol))
         K = 2 * K
-        table = EigenPairTable(cur.m, cur.K, tuple(rows), dict(cur.flagged))
-        op, eigs = cur_op, cur_eigs
-        if rows and all(r.converged for r in rows):
+        finer = compute_pair_table(v, m, K, radius_rule, n_max=n_max, validate=validate)
+        table = mark_converged(finer, table, tol)
+        if table.rows and all(r.converged for r in table.rows):
             break
-
-    if validate:
-        rng = np.random.default_rng([0x5E1F, m, K])
-        worst = _validate_values(op.matrix, eigs.values, rng)
-        if worst > RESIDUAL_TOL:
-            raise SolverError(
-                f"eigenvalue residual {worst:.3e} exceeds {RESIDUAL_TOL}",
-                partial=table,
-            )
     return K, table
 
 

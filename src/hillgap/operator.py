@@ -123,23 +123,31 @@ def build_A(m: int, K: int) -> TruncatedOperator:
     )
 
 
+def _toeplitz(table: np.ndarray, K: int) -> np.ndarray:
+    """Dense matrix with entry (i, j) = table[i - j + 2K - 1]: each row is a
+    window of the reversed coefficient table, gathered without index arrays."""
+    windows = np.lib.stride_tricks.sliding_window_view(table[::-1], 2 * K)
+    return windows[::-1].copy()
+
+
 def build_B(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
     """The convolution operator B(v), Toeplitz along the odd lattice:
     entry (2k-1, 2j-1) = v(2k-2j)."""
     _check_build_args(m, K)
     _check_even_potential(v)
-    p = modes(K)
-    table = _coeff_lookup(v, K)
-    span = 4 * K - 2
-    idx = (p[:, None] - p[None, :] + span) // 2
-    return TruncatedOperator(m, K, OperatorKind.BV, table[idx])
+    return TruncatedOperator(m, K, OperatorKind.BV, _toeplitz(_coeff_lookup(v, K), K))
 
 
 def build_T(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
-    """T = A^m + B(v), entrywise."""
-    a = build_A(m, K)
-    b = build_B(v, m, K)
-    return TruncatedOperator(m, K, OperatorKind.T, a.matrix + b.matrix)
+    """T = A^m + B(v), with the diagonal of A^m added onto B(v) in place.
+
+    Adding +0.0 to the coefficient table turns -0.0 into +0.0 the way the
+    zeros of A^m do, so the matrix is bit for bit the sum A^m + B(v)."""
+    _check_build_args(m, K)
+    _check_even_potential(v)
+    mat = _toeplitz(_coeff_lookup(v, K) + 0.0, K)
+    mat.flat[:: 2 * K + 1] += unperturbed_eigenvalues(m, K)
+    return TruncatedOperator(m, K, OperatorKind.T, mat)
 
 
 def _check_build_args(m: int, K: int):

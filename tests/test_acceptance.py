@@ -42,24 +42,7 @@ def table_with_flags(v, m, K, n_max, rule=None):
     rule = rule or hg.GammaRadius()
     base = hg.compute_pair_table(v, m, K, rule, n_max=n_max, validate=False)
     confirm = hg.compute_pair_table(v, m, 2 * K, rule, n_max=n_max, validate=False)
-    rows = []
-    for r in base.rows:
-        try:
-            p = confirm.row(r.n)
-        except KeyError:
-            rows.append(r)
-            continue
-        direct = max(abs(r.lambda_lo - p.lambda_lo), abs(r.lambda_hi - p.lambda_hi))
-        crossed = max(abs(r.lambda_lo - p.lambda_hi), abs(r.lambda_hi - p.lambda_lo))
-        rows.append(
-            hg.EigenPairRow(
-                n=r.n, lambda_lo=r.lambda_lo, lambda_hi=r.lambda_hi,
-                tau=r.tau, gamma=r.gamma,
-                disc_radius_used=r.disc_radius_used,
-                converged=min(direct, crossed) < 1e-9,
-            )
-        )
-    return hg.EigenPairTable(base.m, base.K, tuple(rows), dict(base.flagged))
+    return hg.mark_converged(base, confirm, 1e-9)
 
 
 def test_criterion_01_unperturbed_spectrum():
@@ -94,7 +77,7 @@ def test_criterion_02_exact_identities():
             shifted = hg.eigenvalues(
                 hg.build_T(v.with_entry(0, v(0) + c), m, 64), validate=False
             )
-            moved = hg.lexicographic_sort(eigs.values + c)
+            moved = eigs.values + c
             scale = float(np.max(np.abs(eigs.values)))
             ok = ok and np.max(
                 np.abs(np.sort_complex(shifted.values) - np.sort_complex(moved))

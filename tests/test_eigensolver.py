@@ -12,7 +12,7 @@ from hillgap.eigensolver import (
     compute_pair_table,
     converge_truncation,
     eigenvalues,
-    lexicographic_sort,
+    lexicographic_order,
     localization_report,
     pair_eigenvalues,
     localization_radius,
@@ -49,19 +49,19 @@ def random_potential(seed, window=32, m=1, alpha=0.0, radius=1.0, hermitian=Fals
 class TestLexicographicSort:
     def test_total_order(self):
         vals = [3 + 1j, 1 - 1j, 1 + 1j, 2 + 0j]
-        out = lexicographic_sort(vals)
+        out = np.asarray(vals)[lexicographic_order(vals)]
         assert list(out) == [1 - 1j, 1 + 1j, 2 + 0j, 3 + 1j]
 
     def test_tie_band_orders_by_imag(self):
         vals = [5.0 + 1e-12 + 2j, 5.0 - 1j]
-        out = lexicographic_sort(vals)
+        out = np.asarray(vals)[lexicographic_order(vals)]
         assert out[0].imag == -1 and out[1].imag == 2
 
     def test_stability_under_tolerance_change(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(40) * 100 + 1j * rng.standard_normal(40)
-        a = lexicographic_sort(vals, tol_scale=1e-9)
-        b = lexicographic_sort(vals, tol_scale=1e-8)
+        a = vals[lexicographic_order(vals, tol_scale=1e-9)]
+        b = vals[lexicographic_order(vals, tol_scale=1e-8)]
         gaps = np.diff(np.sort(vals.real))
         if np.all(gaps > 10 * 1e-8 * (1 + np.max(np.abs(vals)))):
             assert np.array_equal(a, b)
@@ -118,7 +118,7 @@ class TestEigenvalues:
         shifted = eigenvalues(
             build_T(v.with_entry(0, v(0) + c), 1, 10), validate=False
         )
-        moved = lexicographic_sort(base.values + c)
+        moved = base.values + c
         assert np.allclose(np.sort_complex(shifted.values), np.sort_complex(moved), atol=1e-9)
 
     def test_conjugation_symmetry(self):
@@ -230,3 +230,76 @@ class TestLocalization:
             if d.n > rep.n0_empirical:
                 assert d.hits == 2
                 assert d.max_deviation < d.radius
+
+
+def mpmath_gaps(coeffs, m, K, ns, dps=60):
+    """Gaps of the truncated operator at window K from a dps-digit mpmath
+    eigensolve: the two eigenvalues nearest each center, hi - lo."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        p = [2 * k - 1 for k in range(-K + 1, K + 1)]
+        t = mp.matrix(2 * K, 2 * K)
+        for i, pi in enumerate(p):
+            for j, pj in enumerate(p):
+                t[i, j] = mp.mpc(coeffs.get(pi - pj, 0))
+            t[i, i] += (pi * mp.pi) ** (2 * m)
+        ev = mp.eig(t, left=False, right=False)
+        gaps = {}
+        for n in ns:
+            c = ((2 * n - 1) * mp.pi) ** (2 * m)
+            lo, hi = sorted(ev, key=lambda z: abs(z - c))[:2]
+            gaps[n] = complex(hi - lo)
+        return gaps
+
+
+class TestHighPrecisionOracle:
+    def test_mathieu_gaps(self):
+        coeffs = {2: 1.0, -2: 1.0}
+        want = mpmath_gaps(coeffs, 1, 16, (3, 4))
+        assert abs(want[3]) == pytest.approx(1.4294e-9, rel=1e-3)
+        assert abs(want[4]) == pytest.approx(1.01907e-15, rel=1e-3)
+        tab = compute_pair_table(vseq(coeffs), 1, 16)
+        for n in (3, 4):
+            assert abs(tab.row(n).gamma) == pytest.approx(abs(want[n]), rel=0.01)
+
+    def test_complex_two_term_gap(self):
+        coeffs = {2: 1.0, -2: 0.2j}
+        want = mpmath_gaps(coeffs, 1, 12, (3,))[3]
+        assert abs(want) == pytest.approx(2.5570755e-11, rel=1e-6)
+        got = compute_pair_table(vseq(coeffs), 1, 12).row(3).gamma
+        # the labels of a pair this narrow are set by the imaginary parts
+        assert min(abs(got - want), abs(got + want)) <= 1e-13
+
+    def test_one_sided_potential_gaps_vanish(self):
+        # v(k) = 0 for k < 0 makes T triangular in the mode order: every
+        # pair is a double eigenvalue at its center (a Jordan block)
+        tab = compute_pair_table(vseq({2: 1.0, 6: 0.5}), 1, 16)
+        assert len(tab.rows) == 4
+        for r in tab.rows:
+            assert abs(r.gamma) <= 1e-15
+
+
+class TestSolverRouting:
+    def test_non_hermitian_potential_at_m2_takes_general_path(self):
+        # asymmetry is judged against B(v), not the (4K)^{2m} diagonal, so
+        # the pair stays c +- sqrt(0.2i) instead of a symmetrized real one
+        tab = compute_pair_table(vseq({2: 1.0, -2: 0.2j}), 2, 256, n_max=2)
+        assert abs(tab.row(1).gamma.imag) > 0.3
+
+
+class TestNoDenseSolves:
+    def test_certify_and_refine_without_solve_or_inv(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense solve or inverse in the eigensolver")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        v = random_potential(6, window=120)
+        tab = compute_pair_table(v, 1, 64, validate=True)
+        assert len(tab.rows) >= 12
+        K, conv = converge_truncation(v, 1, 8, validate=True)
+        assert all(r.converged for r in conv.rows)
+        op = build_T(v, 1, 64)
+        first = eigenvalues(op, validate=True).residual_max
+        assert first <= 1e-8
+        assert eigenvalues(op, validate=True).residual_max == first

@@ -96,6 +96,16 @@ class TestBuild:
         t = build_T(v, 2, 6)
         assert np.array_equal(t.matrix, build_A(2, 6).matrix + build_B(v, 2, 6).matrix)
 
+    def test_T_is_sum_bit_for_bit(self):
+        # conjugates of real coefficients carry -0.0 imaginary parts; the sum
+        # with the zeros of A^m turns them into +0.0, and so must build_T
+        v = FourierSequence.make(
+            Parity.EVEN, {0: 0.5, 2: 1.0, -2: complex(1.0).conjugate(), 4: -0.0, -4: 0.25j}
+        )
+        for m, K in ((1, 5), (3, 8)):
+            want = build_A(m, K).matrix + build_B(v, m, K).matrix
+            assert build_T(v, m, K).matrix.tobytes() == want.tobytes()
+
     def test_odd_parity_rejected(self):
         with pytest.raises(ParityError):
             build_B(FourierSequence.make(Parity.ODD, {1: 1.0}), 1, 4)
