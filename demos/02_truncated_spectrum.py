@@ -12,7 +12,6 @@ import numpy as np
 
 from hillgap import (
     FourierSequence,
-    GammaRadius,
     build_T,
     compute_pair_table,
     converge_truncation,
@@ -47,7 +46,7 @@ print("trace defect:", abs(eigs.values.sum() - np.trace(op.matrix)))
 # then refined in the center-shifted frame, which resolves pair splittings
 # far below one ulp of the center itself.
 
-table = compute_pair_table(v, 1, 64, GammaRadius())
+table = compute_pair_table(v, 1, 64)
 for r in table.rows[:5]:
     print(f"n={r.n}: tau-c = {r.tau.real - (2 * r.n - 1) ** 2 * PI2:+.6e}"
           f"   gamma = {abs(r.gamma):.3e}")

@@ -32,7 +32,6 @@ print("||v|| =", weighted_norm(v, -m * alpha))
 report = localization_report(v, m, alpha, R, C, K)
 print("empirical n0      :", report.n0_empirical)
 print("eigenvalues in cone:", report.cone_count, "= 2 n0 when the pairing is clean")
-print("violations above n0:", report.violations)
 
 print("\n  n   radius      hits  max |lambda - center|")
 for d in report.disc_rows[:10]:

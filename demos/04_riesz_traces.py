@@ -14,7 +14,6 @@ import numpy as np
 from hillgap import (
     ContourSpec,
     FourierSequence,
-    GammaRadius,
     build_T,
     compute_pair_table,
     l_direct,
@@ -49,7 +48,7 @@ print("quad tol  =", pair.quad_tol)
 # The pair mean via traces agrees with the disc-paired eigenvalues.
 
 trace = tau_from_traces(op, contour)
-table = compute_pair_table(v, m, K, GammaRadius())
+table = compute_pair_table(v, m, K)
 print("tau (trace route)      =", trace.tau)
 print("tau (eigensolver route) =", table.row(n).tau)
 print("Tr Q = 2(tau - center) check:",

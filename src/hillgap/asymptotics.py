@@ -14,8 +14,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import riesz
 from .seqspace import (
     DecayFit,
@@ -25,7 +23,8 @@ from .seqspace import (
     normalize_zero_mode,
     weighted_norm,
 )
-from .eigensolver import EigenPairTable, GammaRadius, compute_pair_table
+from .eigensolver import EigenPairTable, compute_pair_table
+from .operator import center, contour_radius
 
 __all__ = [
     "PredictionRow",
@@ -62,17 +61,17 @@ def predict_pair(v_raw: FourierSequence, m: int, alpha: float, n: int) -> Predic
     """Prediction from the raw potential (zero mode intact): the pair
     center + v(0) -+ sqrt(v(-2(2n-1)) v(2(2n-1))), and the corrected variant
     with v replaced by v + l on the resonant indices."""
-    center = float(2 * n - 1) ** (2 * m) * math.pi ** (2 * m)
+    c = center(m, n)
     shift = v_raw(0)
     v0, _ = normalize_zero_mode(v_raw)
     q = 2 * (2 * n - 1)
     root = cmath.sqrt(v0(-q) * v0(q))
     l_plus, l_minus = riesz.l_pair(v0, m, n)
     root_corr = cmath.sqrt((v0(-q) + l_minus) * (v0(q) + l_plus))
-    base = center + shift
+    base = c + shift
     return PredictionRow(
         n=n,
-        center=center,
+        center=c,
         shift=shift,
         root_term=root,
         root_term_corr=root_corr,
@@ -136,10 +135,7 @@ def tau_remainder(
     rows = _converged_rows(table)
     shift = v_raw(0)
     ns = tuple(r.n for r in rows)
-    values = tuple(
-        abs(r.tau - float(2 * r.n - 1) ** (2 * m) * math.pi ** (2 * m) - shift)
-        for r in rows
-    )
+    values = tuple(abs(r.tau - center(m, r.n) - shift) for r in rows)
     target = m * (1.0 - 2.0 * alpha) - epsilon
     fit, bounded = _fit(ns, values, target, fit_range)
     return RemainderReport(
@@ -195,11 +191,9 @@ def one_term_check(
     ns = tuple(r.n for r in rows)
     values = []
     for r in rows:
-        center = float(2 * r.n - 1) ** (2 * m) * math.pi ** (2 * m)
+        c = center(m, r.n)
         scale = float(2 * r.n - 1) ** (m * alpha)
-        values.append(
-            max(abs(r.lambda_lo - center), abs(r.lambda_hi - center)) / scale
-        )
+        values.append(max(abs(r.lambda_lo - c), abs(r.lambda_hi - c)) / scale)
     values = tuple(values)
     bound = 3.0**m * math.sqrt(2.0) * C * R
     bounded = all(val <= bound for val in values)
@@ -234,18 +228,20 @@ def alpha1_experiment(
     if K is None:
         K = 4 * n_max
     table = compute_pair_table(
-        v, m, K, radius_rule=GammaRadius(scale=3.0), n_max=n_max, validate=validate
+        v,
+        m,
+        K,
+        radius_rule=lambda m, n: 3.0 * contour_radius(m, n),
+        n_max=n_max,
+        validate=validate,
     )
     rows = table.rows
     if not rows:
         raise ValueError("no paired rows; window too small or potential too strong")
     ns = tuple(r.n for r in rows)
     values = tuple(
-        max(
-            abs(r.lambda_lo - float(2 * r.n - 1) ** (2 * m) * math.pi ** (2 * m)),
-            abs(r.lambda_hi - float(2 * r.n - 1) ** (2 * m) * math.pi ** (2 * m)),
-        )
-        / float(2 * r.n - 1) ** m
+        max(abs(r.lambda_lo - center(m, r.n)), abs(r.lambda_hi - center(m, r.n)))
+        / contour_radius(m, r.n)
         for r in rows
     )
     n0 = 0

@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,7 +27,6 @@ import numpy as np
 from . import __version__, asymptotics, riesz
 from .eigensolver import (
     K_CAP,
-    GammaRadius,
     PairingConfigError,
     SolverError,
     compute_pair_table,
@@ -45,6 +42,8 @@ from .operator import (
     VertRegion,
     build_T,
     build_resolvent_factors,
+    center,
+    contour_radius,
     elementary_bounds_check,
     eq506_margin,
     ext_bound,
@@ -165,29 +164,6 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("riesz-check needs --n-max >= 2")
 
 
-def _thread_count(n_tasks: int) -> int:
-    raw = os.environ.get("HILLGAP_THREADS", "").strip()
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(f"HILLGAP_THREADS must be an integer, got {raw!r}")
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_tasks))
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map over independent tasks; output assembly is
-    sequential so runs are bit-reproducible regardless of thread count."""
-    items = list(items)
-    workers = _thread_count(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # I/O
 # ---------------------------------------------------------------------------
@@ -290,12 +266,10 @@ def _spectrum_table(cfg: RunConfig, v: FourierSequence):
     if cfg.K == "auto":
         _, table = converge_truncation(v, cfg.m, cfg.n_max)
         return table
-    table = compute_pair_table(v, cfg.m, cfg.K, GammaRadius(), n_max=cfg.n_max)
+    table = compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max)
     # one confirming solve at the doubled window sets the converged flags
     if 2 * cfg.K <= K_CAP:
-        confirm = compute_pair_table(
-            v, cfg.m, 2 * cfg.K, GammaRadius(), n_max=cfg.n_max, validate=False
-        )
+        confirm = compute_pair_table(v, cfg.m, 2 * cfg.K, n_max=cfg.n_max, validate=False)
         table = mark_converged(table, confirm)
     return table
 
@@ -391,7 +365,6 @@ def run_localize(cfg: RunConfig) -> int:
         "cone_count": report.cone_count,
         "cone_threshold": fmt(report.cone_threshold),
         "cone_M": fmt(report.cone_M),
-        "violations": list(report.violations),
     }
     write_table(cfg, LOCALIZE_COLUMNS, rows, footer=footer)
     return 0
@@ -448,47 +421,35 @@ def run_lemmas(cfg: RunConfig) -> int:
             add("eq506", m, "", n, margin, 1.0 * scale)
 
     # Hilbert-Schmidt bound on the left cone
-    def ext_row(args):
-        m, alpha, big_m = args
-        v = _lemma_potential(m, alpha, cfg.seed, K)
-        v_norm = weighted_norm(v, -m * alpha, 0)
-        worst = 0.0
-        for lam in ExtRegion(big_m).boundary_points(32):
-            f = build_resolvent_factors(v, m, K, lam)
-            worst = max(worst, hs_norm_S(f))
-        return ("ext_hs", m, alpha, int(big_m), worst, ext_bound(m, alpha, big_m, v_norm) * scale)
-
-    ext_jobs = [(m, alpha, big_m) for m in LEMMA_MS for alpha in LEMMA_ALPHAS for big_m in EXT_MS]
-    for check, m, alpha, n, computed, bound in _parallel_map(ext_row, ext_jobs):
-        add(check, m, alpha, n, computed, bound)
+    for m in LEMMA_MS:
+        for alpha in LEMMA_ALPHAS:
+            v = _lemma_potential(m, alpha, cfg.seed, K)
+            v_norm = weighted_norm(v, -m * alpha, 0)
+            for big_m in EXT_MS:
+                worst = 0.0
+                for lam in ExtRegion(big_m).boundary_points(32):
+                    worst = max(worst, hs_norm_S(build_resolvent_factors(v, m, K, lam)))
+                bound = ext_bound(m, alpha, big_m, v_norm) * scale
+                add("ext_hs", m, alpha, int(big_m), worst, bound)
 
     # operator-norm bound on the punctured strips, raw and combined forms
-    def vert_rows(args):
-        m, alpha, n = args
+    alpha = cfg.alpha
+    for m in LEMMA_MS:
         v = _lemma_potential(m, alpha, cfg.seed, K)
         v_norm = weighted_norm(v, -m * alpha, 0)
-        r_n = float(2 * n - 1) ** m
-        worst = 0.0
-        for lam in VertRegion(n=n, r_n=r_n, m=m).boundary_points(32):
-            f = build_resolvent_factors(v, m, K, lam)
-            worst = max(worst, op_norm_S(f))
-        q = 2 * (2 * n - 1)
-        raw = vert_bound(m, alpha, n, r_n, v_norm, (v(q), v(-q)))
-        comb = vert_bound_combined(m, alpha, n, r_n, v_norm)
-        return [
-            ("vert_raw", m, alpha, n, worst, raw * scale),
-            ("vert_combined", m, alpha, n, worst, comb * scale),
-        ]
-
-    vert_jobs = []
-    for m in LEMMA_MS:
         n_lo = max(math.ceil(vert_min_n(m)), m)
         for n in sorted({n_lo, 8, 16}):
-            if n_lo <= n <= K // 4:
-                vert_jobs.append((m, cfg.alpha, n))
-    for pair in _parallel_map(vert_rows, vert_jobs):
-        for check, m, alpha, n, computed, bound in pair:
-            add(check, m, alpha, n, computed, bound)
+            if not n_lo <= n <= K // 4:
+                continue
+            r_n = contour_radius(m, n)
+            worst = 0.0
+            for lam in VertRegion(n=n, r_n=r_n, m=m).boundary_points(32):
+                worst = max(worst, op_norm_S(build_resolvent_factors(v, m, K, lam)))
+            q = 2 * (2 * n - 1)
+            raw = vert_bound(m, alpha, n, r_n, v_norm, (v(q), v(-q)))
+            comb = vert_bound_combined(m, alpha, n, r_n, v_norm)
+            add("vert_raw", m, alpha, n, worst, raw * scale)
+            add("vert_combined", m, alpha, n, worst, comb * scale)
 
     # diagonal resolvent norms between shifted spaces, scanned over n inside
     # the window (the resonant mode 2n-1 must be covered for the sup to see
@@ -502,7 +463,7 @@ def run_lemmas(cfg: RunConfig) -> int:
         decay = []
         for n in ns:
             q = 2 * n - 1
-            lam = float(q) ** (2 * m) * math.pi ** (2 * m) + float(q) ** m
+            lam = center(m, n) + contour_radius(m, n)
             decay.append(
                 (n, resolvent_shifted_norm(m, lam, -1.0, -1.0, 0, 0, K))
             )
@@ -537,11 +498,10 @@ def run_riesz_check(cfg: RunConfig) -> int:
     v, c = normalize_zero_mode(v_raw)
     op = build_T(v, cfg.m, K)
     eigs = solve_eigenvalues(op, validate=False)
-    table = pair_eigenvalues(
-        eigs, cfg.m, GammaRadius(), n_max=cfg.n_max, matrix=op.matrix, refine=True
-    )
+    table = pair_eigenvalues(eigs, cfg.m, n_max=cfg.n_max, matrix=op.matrix, refine=True)
 
-    def one_row(n):
+    rows = []
+    for n in range(2, cfg.n_max + 1):
         contour = ContourSpec(n=n, m=cfg.m, nodes=cfg.quad_nodes)
         trace = riesz.tau_from_traces(op, contour, t_eigs=eigs.values)
         q0 = riesz.q0_matrix(v, cfg.m, n, K, nodes=cfg.quad_nodes)
@@ -565,12 +525,10 @@ def run_riesz_check(cfg: RunConfig) -> int:
             and (math.isnan(tau_diff) or tau_diff <= tau_tol)
             and l_diff <= L_XCHECK_TOL
         )
-        return [
+        rows.append([
             n, trace.tr_p.real, trace.tr_p.imag, float(tr_q0), q0_defect,
             float(tau_diff), float(l_diff), trace.quad_tol, holds,
-        ]
-
-    rows = _parallel_map(one_row, list(range(2, cfg.n_max + 1)))
+        ])
     all_hold = all(r[-1] for r in rows)
     footer = {"all_hold": all_hold}
     write_table(cfg, RIESZ_COLUMNS, rows, footer=footer)

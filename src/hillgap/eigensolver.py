@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .seqspace import FourierSequence, normalize_zero_mode
-from .operator import TruncatedOperator, build_T
+from .operator import TruncatedOperator, build_T, center, contour_radius, resonant_rows
 
 __all__ = [
     "SolverError",
@@ -29,9 +29,6 @@ __all__ = [
     "EigenPairTable",
     "lexicographic_order",
     "eigenvalues",
-    "LocalizationRadius",
-    "FixedRadius",
-    "GammaRadius",
     "pair_eigenvalues",
     "compute_pair_table",
     "mark_converged",
@@ -172,34 +169,6 @@ def localization_radius(m: int, alpha: float, C: float, R: float, n: int) -> flo
 
 
 @dataclass(frozen=True)
-class LocalizationRadius:
-    C: float
-    R: float
-    alpha: float
-
-    def radius(self, m: int, n: int) -> float:
-        return localization_radius(m, self.alpha, self.C, self.R, n)
-
-
-@dataclass(frozen=True)
-class FixedRadius:
-    r: float
-
-    def radius(self, m: int, n: int) -> float:
-        return self.r
-
-
-@dataclass(frozen=True)
-class GammaRadius:
-    """Radius scale * (2n-1)^m, the contour radius used by the projectors."""
-
-    scale: float = 1.0
-
-    def radius(self, m: int, n: int) -> float:
-        return self.scale * float(2 * n - 1) ** m
-
-
-@dataclass(frozen=True)
 class EigenPairRow:
     n: int
     lambda_lo: complex
@@ -238,9 +207,7 @@ class EigenPairTable:
 
 def _check_disc_overlap(m: int, radius_rule, n_max: int):
     for n in range(1, n_max):
-        c0 = float(2 * n - 1) ** (2 * m) * math.pi ** (2 * m)
-        c1 = float(2 * n + 1) ** (2 * m) * math.pi ** (2 * m)
-        if c1 - c0 <= radius_rule.radius(m, n) + radius_rule.radius(m, n + 1):
+        if center(m, n + 1) - center(m, n) <= radius_rule(m, n) + radius_rule(m, n + 1):
             raise PairingConfigError(
                 f"pairing discs for n = {n} and n = {n + 1} overlap"
             )
@@ -248,7 +215,7 @@ def _check_disc_overlap(m: int, radius_rule, n_max: int):
 
 def _refine_pair(
     mat: np.ndarray,
-    center: float,
+    c: float,
     resonant: list[int],
     cols: np.ndarray,
     pair: np.ndarray,
@@ -256,9 +223,9 @@ def _refine_pair(
 ) -> tuple[complex, complex] | None:
     """Center-shifted Rayleigh-Ritz on the span of the pair's two eigenvectors.
 
-    (T - center) w is T w - center w except in the two resonant rows, where
-    the diagonal cancels: those use a copy of the rows with center taken off
-    the diagonal, bit for bit rows of T - center*I.  Elsewhere w is small, so
+    (T - c) w is T w - c w except in the two resonant rows, where the
+    diagonal cancels: those use a copy of the rows with the center c taken
+    off the diagonal, bit for bit rows of T - c*I.  Elsewhere w is small, so
     no shifted copy of the whole matrix is needed.  Returns the refined pair
     RELATIVE to the center, ordered lexicographically, which keeps the
     splitting meaningful far below one ulp of the center.  Returns None
@@ -268,9 +235,9 @@ def _refine_pair(
     w, r = np.linalg.qr(cols)
     if abs(r[1, 1]) <= SPAN_REL_TOL * abs(r[0, 0]):
         return None
-    tw = mat @ w - center * w
+    tw = mat @ w - c * w
     shifted = mat[resonant]
-    shifted[[0, 1], resonant] -= center
+    shifted[[0, 1], resonant] -= c
     tw[resonant] = shifted @ w
     h = w.conj().T @ tw
     h_scale = np.max(np.abs(h)) or 1.0
@@ -280,7 +247,7 @@ def _refine_pair(
     else:
         local = np.linalg.eigvals(h)
         local = local[lexicographic_order(local)]
-    if np.max(np.abs((center + local) - pair)) > 0.25 * radius:
+    if np.max(np.abs((c + local) - pair)) > 0.25 * radius:
         return None
     return complex(local[0]), complex(local[1])
 
@@ -288,7 +255,7 @@ def _refine_pair(
 def pair_eigenvalues(
     eigs: EigenList,
     m: int,
-    radius_rule,
+    radius_rule=contour_radius,
     n_max: int | None = None,
     matrix: np.ndarray | None = None,
     refine: bool = True,
@@ -296,10 +263,10 @@ def pair_eigenvalues(
     """Collect eigenvalue pairs inside discs around the unperturbed centers.
 
     For each n up to n_max (default K/4, the trusted quarter of the window)
-    the eigenvalues within radius_rule.radius(m, n) of (2n-1)^{2m} pi^{2m}
-    are gathered; exactly-two hits become a paired row, anything else is
-    flagged with its hit count.  Passing the operator matrix enables the
-    refinement of each pair on the span of its two eigenvectors.
+    the eigenvalues within radius_rule(m, n) of center(m, n) are gathered;
+    exactly-two hits become a paired row, anything else is flagged with its
+    hit count.  Passing the operator matrix enables the refinement of each
+    pair on the span of its two eigenvectors.
     """
     if n_max is None:
         n_max = eigs.K // 4
@@ -313,8 +280,8 @@ def pair_eigenvalues(
     rows = []
     flagged: dict[int, int] = {}
     for n in range(1, n_max + 1):
-        c = float(2 * n - 1) ** (2 * m) * math.pi ** (2 * m)
-        r = radius_rule.radius(m, n)
+        c = center(m, n)
+        r = radius_rule(m, n)
         idx = np.flatnonzero(np.abs(vals - c) < r)
         if len(idx) != 2:
             flagged[n] = len(idx)
@@ -324,8 +291,7 @@ def pair_eigenvalues(
         local = None
         if refine and matrix is not None:
             cols = eigs.vectors[:, eigs.order[idx]]
-            # rows of the modes -(2n-1) and 2n-1 in the window
-            local = _refine_pair(matrix, c, [eigs.K - n, eigs.K + n - 1], cols, pair, r)
+            local = _refine_pair(matrix, c, list(resonant_rows(eigs.K, n)), cols, pair, r)
         if local is None:
             lo, hi = complex(pair[0]), complex(pair[1])
             tau, gamma = (lo + hi) / 2.0, hi - lo
@@ -352,7 +318,7 @@ def compute_pair_table(
     v: FourierSequence,
     m: int,
     K: int,
-    radius_rule=None,
+    radius_rule=contour_radius,
     n_max: int | None = None,
     validate: bool = True,
     refine: bool = True,
@@ -360,8 +326,6 @@ def compute_pair_table(
     """Spectrum pipeline: normalize the zero mode, solve the truncated
     operator, pair around the centers, and re-add the removed constant."""
     v0, c = normalize_zero_mode(v)
-    if radius_rule is None:
-        radius_rule = GammaRadius()
     op = build_T(v0, m, K)
     eigs = eigenvalues(op, validate=validate)
     table = pair_eigenvalues(
@@ -396,7 +360,7 @@ def converge_truncation(
     m: int,
     n_max: int,
     tol: float = CONVERGENCE_TOL,
-    radius_rule=None,
+    radius_rule=contour_radius,
     K_start: int | None = None,
     K_cap: int = K_CAP,
     validate: bool = True,
@@ -407,8 +371,6 @@ def converge_truncation(
     window's eigenvalues carry the residual certificate of eigenvalues()."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if radius_rule is None:
-        radius_rule = GammaRadius()
     K = K_start if K_start is not None else max(32, 4 * n_max)
     if K < 4 * n_max:
         raise PairingConfigError(f"K_start = {K} too small for n_max = {n_max}")
@@ -442,7 +404,6 @@ class LocalizationReport:
     cone_count: int
     cone_threshold: float
     cone_M: float
-    violations: tuple[int, ...]
     disc_rows: tuple[DiscCensusRow, ...]
 
 
@@ -469,20 +430,17 @@ def localization_report(
     vals = eigs.values + c
     n_max = K // 4
 
-    failing = []
+    n0 = 0
     rows = []
     for n in range(1, n_max + 1):
-        center = float(2 * n - 1) ** (2 * m) * math.pi ** (2 * m)
         r = localization_radius(m, alpha, C, R, n)
-        dev = np.abs(vals - center)
+        dev = np.abs(vals - center(m, n))
         inside = dev < r
         hits = int(inside.sum())
         max_dev = float(np.max(dev[inside])) if hits else math.nan
         rows.append(DiscCensusRow(n=n, radius=r, hits=hits, max_deviation=max_dev))
         if hits != 2:
-            failing.append(n)
-    n0 = max(failing, default=0)
-    violations = tuple(n for n in failing if n > n0)  # empty by construction
+            n0 = n
 
     big_m = max(1.0, float(np.max(np.abs(vals.imag)))) + 1.0
     thresh = ((2.0 * n0) ** (2 * m) - (2.0 * n0) ** m) * math.pi ** (2 * m)
@@ -497,6 +455,5 @@ def localization_report(
         cone_count=int(in_cone.sum()),
         cone_threshold=thresh,
         cone_M=big_m,
-        violations=violations,
         disc_rows=tuple(rows),
     )

@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .seqspace import FourierSequence, Parity, ParityError
 
 __all__ = [
-    "OperatorKind",
     "TruncatedOperator",
     "SpectrumCollisionError",
     "PowerIterationError",
     "modes",
     "unperturbed_eigenvalues",
+    "center",
+    "contour_radius",
+    "resonant_rows",
     "build_A",
     "build_B",
     "build_T",
@@ -41,7 +42,6 @@ __all__ = [
     "resolvent_shifted_norm",
     "ExtRegion",
     "VertRegion",
-    "DiscRegion",
 ]
 
 MAX_HALF_WINDOW = 1024
@@ -53,14 +53,6 @@ class SpectrumCollisionError(ValueError):
 
 class PowerIterationError(RuntimeError):
     pass
-
-
-class OperatorKind(Enum):
-    AM = "Am"
-    BV = "Bv"
-    T = "T"
-    SLAMBDA = "Slambda"
-    DIAGONAL = "Diagonal"
 
 
 def modes(K: int) -> np.ndarray:
@@ -76,11 +68,27 @@ def unperturbed_eigenvalues(m: int, K: int) -> np.ndarray:
     return p ** (2 * m) * math.pi ** (2 * m)
 
 
+def center(m: int, n: int) -> float:
+    """Center (2n-1)^{2m} pi^{2m} of the n-th pair: the double eigenvalue of
+    A^m on the resonant modes +-(2n-1)."""
+    return float(2 * n - 1) ** (2 * m) * math.pi ** (2 * m)
+
+
+def contour_radius(m: int, n: int) -> float:
+    """Radius (2n-1)^m of the Riesz contour around center(m, n), which is
+    also the default pairing-disc radius."""
+    return float(2 * n - 1) ** m
+
+
+def resonant_rows(K: int, n: int) -> tuple[int, int]:
+    """Window rows of the resonant modes -(2n-1) and 2n-1."""
+    return K - n, K + n - 1
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
     m: int
     K: int
-    kind: OperatorKind
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -118,9 +126,7 @@ def _coeff_lookup(v: FourierSequence, K: int) -> np.ndarray:
 def build_A(m: int, K: int) -> TruncatedOperator:
     """The diagonal free operator A^m on the odd-mode window."""
     _check_build_args(m, K)
-    return TruncatedOperator(
-        m, K, OperatorKind.AM, np.diag(unperturbed_eigenvalues(m, K)).astype(complex)
-    )
+    return TruncatedOperator(m, K, np.diag(unperturbed_eigenvalues(m, K)).astype(complex))
 
 
 def _toeplitz(table: np.ndarray, K: int) -> np.ndarray:
@@ -135,7 +141,7 @@ def build_B(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
     entry (2k-1, 2j-1) = v(2k-2j)."""
     _check_build_args(m, K)
     _check_even_potential(v)
-    return TruncatedOperator(m, K, OperatorKind.BV, _toeplitz(_coeff_lookup(v, K), K))
+    return TruncatedOperator(m, K, _toeplitz(_coeff_lookup(v, K), K))
 
 
 def build_T(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
@@ -147,7 +153,7 @@ def build_T(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
     _check_even_potential(v)
     mat = _toeplitz(_coeff_lookup(v, K) + 0.0, K)
     mat.flat[:: 2 * K + 1] += unperturbed_eigenvalues(m, K)
-    return TruncatedOperator(m, K, OperatorKind.T, mat)
+    return TruncatedOperator(m, K, mat)
 
 
 def _check_build_args(m: int, K: int):
@@ -274,7 +280,7 @@ def vert_min_n(m: int) -> float:
 def _check_vert_args(m: int, n: int, r_n: float):
     if n < vert_min_n(m):
         raise ValueError(f"strip index n = {n} below the admissible threshold for m = {m}")
-    if not 0.0 < r_n < (2 * n - 1) ** m * math.pi ** (2 * m):
+    if not 0.0 < r_n < contour_radius(m, n) * math.pi ** (2 * m):
         raise ValueError(f"r_n = {r_n} outside (0, (2n-1)^m pi^{2 * m})")
 
 
@@ -406,12 +412,13 @@ def eq506_margin(
     if n < vert_min_n(m):
         raise ValueError(f"strip index n = {n} below the admissible threshold for m = {m}")
     if r_n is None:
-        r_n = float((2 * n - 1) ** m)
+        r_n = contour_radius(m, n)
     region = VertRegion(n=n, r_n=r_n, m=m)
     pts = region.boundary_points(samples)
     ks = modes(K).astype(float)
-    ks = ks[np.abs(np.abs(ks) - (2 * n - 1)) > 0.5]
-    mu = ks ** (2 * m) * math.pi ** (2 * m)
+    off = np.abs(np.abs(ks) - (2 * n - 1)) > 0.5
+    ks = ks[off]
+    mu = unperturbed_eigenvalues(m, K)[off]
     rhs = (3.0 / math.pi ** (2 * m)) / np.abs(ks ** (2 * m) - float(2 * n - 1) ** (2 * m))
     worst = 0.0
     for lam in pts:
@@ -442,7 +449,7 @@ def resolvent_shifted_norm(
     weighted spaces: sup over window modes p of
     <p + shift_out>^{m s} <p + shift_in>^{-m t} / |lambda - p^{2m} pi^{2m}|."""
     p = modes(K).astype(float)
-    mu = p ** (2 * m) * math.pi ** (2 * m)
+    mu = unperturbed_eigenvalues(m, K)
     dist = np.abs(complex(lam) - mu)
     scale = 1.0 + abs(lam) + mu
     if np.any(dist < collision_tol * scale):
@@ -490,18 +497,18 @@ class VertRegion:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("strip index must be >= 1")
-        if not 0.0 < self.r_n < (2 * self.n - 1) ** self.m * math.pi ** (2 * self.m):
+        if not 0.0 < self.r_n < self.half_width:
             raise ValueError(
                 f"r_n = {self.r_n} outside (0, (2n-1)^m pi^(2m)) for n = {self.n}"
             )
 
     @property
     def center(self) -> float:
-        return float(2 * self.n - 1) ** (2 * self.m) * math.pi ** (2 * self.m)
+        return center(self.m, self.n)
 
     @property
     def half_width(self) -> float:
-        return float(2 * self.n - 1) ** self.m * math.pi ** (2 * self.m)
+        return contour_radius(self.m, self.n) * math.pi ** (2 * self.m)
 
     def contains(self, lam: complex) -> bool:
         z = complex(lam) - self.center
@@ -520,20 +527,3 @@ class VertRegion:
             [self.center + self.half_width + 1j * ims, self.center - self.half_width + 1j * ims]
         )
         return np.concatenate([circle, lines])
-
-
-@dataclass(frozen=True)
-class DiscRegion:
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("disc radius must be positive")
-
-    def contains(self, lam: complex) -> bool:
-        return abs(complex(lam) - self.center) < self.radius
-
-    def boundary_points(self, count: int) -> np.ndarray:
-        theta = 2.0 * math.pi * np.arange(count) / count
-        return self.center + self.radius * np.exp(1j * theta)

@@ -36,12 +36,11 @@ def rough_potential(seed, m, alpha, K, radius=1.0, hermitian=False):
     return hg.make_potential(spec, hg.SobolevParams(m=m, alpha=alpha))
 
 
-def table_with_flags(v, m, K, n_max, rule=None):
+def table_with_flags(v, m, K, n_max):
     """Pair table at the stated window, convergence-flagged against the
     doubled window."""
-    rule = rule or hg.GammaRadius()
-    base = hg.compute_pair_table(v, m, K, rule, n_max=n_max, validate=False)
-    confirm = hg.compute_pair_table(v, m, 2 * K, rule, n_max=n_max, validate=False)
+    base = hg.compute_pair_table(v, m, K, n_max=n_max, validate=False)
+    confirm = hg.compute_pair_table(v, m, 2 * K, n_max=n_max, validate=False)
     return hg.mark_converged(base, confirm, 1e-9)
 
 
@@ -120,7 +119,6 @@ def test_criterion_04_disc_localization():
             for seed in range(8):
                 v = rough_potential(seed, m, alpha, K, radius=1.0)
                 rep = hg.localization_report(v, m, alpha, 1.0, 1.1, K, validate=False)
-                ok = ok and rep.violations == ()
                 ok = ok and rep.n0_empirical < K // 4
                 worst_n0 = max(worst_n0, rep.n0_empirical)
                 for d in rep.disc_rows:
@@ -139,9 +137,7 @@ def test_criterion_05_riesz_cross_oracles():
         v, c = hg.normalize_zero_mode(v_raw)
         op = hg.build_T(v, 1, K)
         eigs = hg.eigenvalues(op, validate=False)
-        table = hg.pair_eigenvalues(
-            eigs, 1, hg.GammaRadius(), n_max=16, matrix=op.matrix
-        )
+        table = hg.pair_eigenvalues(eigs, 1, n_max=16, matrix=op.matrix)
         for n in range(2, 17):
             contour = hg.ContourSpec(n=n, m=1, nodes=nodes)
             trace = hg.tau_from_traces(op, contour, t_eigs=eigs.values)

@@ -12,7 +12,7 @@ from hillgap.asymptotics import (
     predict_pair,
     tau_remainder,
 )
-from hillgap.eigensolver import LocalizationRadius, compute_pair_table, converge_truncation
+from hillgap.eigensolver import compute_pair_table, converge_truncation, localization_radius
 from hillgap.seqspace import (
     FourierSequence,
     Parity,
@@ -143,7 +143,9 @@ class TestGammaRemainder:
 
     def test_first_gap_and_decay(self):
         v = vseq({2: 1.0, -2: 1.0})
-        tab = compute_pair_table(v, 1, 128, LocalizationRadius(C=1.1, R=1.5, alpha=0.0), validate=False)
+        tab = compute_pair_table(
+            v, 1, 128, lambda m, n: localization_radius(m, 0.0, 1.1, 1.5, n), validate=False
+        )
         r1 = tab.row(1)
         assert abs(r1.gamma) == pytest.approx(2.0, abs=0.5)
         _, ctab = converge_truncation(v, 1, 32, K_start=128, validate=False)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hillgap import riesz
 from hillgap.cli import main
 from hillgap.eigensolver import eigenvalues
 from hillgap.operator import build_T
@@ -65,15 +66,12 @@ class TestSpectrumCommand:
         assert row1["re_hi"] == f"{PI2:.17g}"
         assert row1["converged"] == "true"
 
-    def test_byte_identical_reruns(self, tmp_path, trig_potential, monkeypatch):
+    def test_byte_identical_reruns(self, tmp_path, trig_potential):
         out = tmp_path / "s.csv"
         args = ["spectrum", "--m", "1", "--K", "32", "--n-max", "6",
                 "--potential", trig_potential, "--out", str(out)]
         assert main(args) == 0
         first = out.read_bytes()
-        assert main(args) == 0
-        assert out.read_bytes() == first
-        monkeypatch.setenv("HILLGAP_THREADS", "3")
         assert main(args) == 0
         assert out.read_bytes() == first
 
@@ -219,6 +217,44 @@ class TestRieszCheckCommand:
         assert footer["all_hold"] is True
         for r in rows:
             assert float(r["tau_diff"]) <= 1e-8 * (1 + 400 * PI2)
+
+    def test_m2_complex_potential(self, tmp_path):
+        # support at +-2, +-4 and 6 puts coefficients on both residue classes
+        # mod 4, so the correction values l compared below are nonzero
+        coeffs = {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2 + 0j, -4: 0.1j, 6: 0.1 + 0.05j}
+        pot = write_potential(tmp_path / "m2.json", coeffs)
+        v = FourierSequence.make(Parity.EVEN, coeffs)
+        assert riesz.l_direct(v, 2, 2) != 0 and riesz.l_direct(v, 2, 3) != 0
+        out = tmp_path / "rz.csv"
+        args = ["riesz-check", "--m", "2", "--K", "32", "--n-max", "6",
+                "--potential", pot, "--out", str(out)]
+        assert main(args) == 0
+        first = out.read_bytes()
+        _, rows, footer = read_csv(out)
+        assert footer["all_hold"] is True
+        assert [r["n"] for r in rows] == ["2", "3", "4", "5", "6"]
+        assert main(args) == 0
+        assert out.read_bytes() == first
+
+    def test_q0_mismatch_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
+        closed_form = riesz.q0_closed_form
+
+        def off_by_1e6_at_n3(v, m, n, K):
+            out = closed_form(v, m, n, K)
+            if n == 3:
+                out[0, 0] += 1e-6
+            return out
+
+        monkeypatch.setattr(riesz, "q0_closed_form", off_by_1e6_at_n3)
+        out = tmp_path / "rz.csv"
+        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
+                     "--potential", trig_potential, "--out", str(out)])
+        assert code == 4
+        assert "solver failure" in capsys.readouterr().err
+        _, rows, footer = read_csv(out)
+        assert footer["all_hold"] is False
+        assert {r["n"]: r["holds"] for r in rows} == {"2": "true", "3": "false", "4": "true"}
+        assert float(rows[1]["q0_defect"]) == pytest.approx(1e-6, rel=1e-6)
 
     def test_deliberate_collision_exit_6(self, tmp_path, capsys):
         # tune the coupling so the n = 2 pair lands on its own contour
