@@ -15,11 +15,12 @@ from hillgap import (
     ContourSpec,
     FourierSequence,
     build_T,
-    compute_pair_table,
+    eigenvalues,
     l_direct,
     normalize_zero_mode,
     q0_closed_form,
     q0_matrix,
+    pair_eigenvalues,
     riesz_projector,
     script_S_2x2,
     tau_from_traces,
@@ -31,7 +32,8 @@ from hillgap import (
 v_raw = FourierSequence.make("even", {2: 0.6, -2: 0.6, 4: 0.5, -4: 0.5, 6: 0.4, -6: 0.4})
 v, shift = normalize_zero_mode(v_raw)
 m, K, n = 1, 64, 3
-op = build_T(v, m, K)
+# the certified spectrum of T guards every contour against collisions
+eigs = eigenvalues(build_T(v, m, K))
 
 # =============================================================================
 # The projector has trace 2 (the pair), is idempotent up to the quadrature
@@ -39,7 +41,7 @@ op = build_T(v, m, K)
 # resonant modes +-(2n-1).
 
 contour = ContourSpec(n=n, m=m, nodes=64)
-pair = riesz_projector(op, contour)
+pair = riesz_projector(eigs, contour)
 print("Tr P     =", pair.tr_p)
 print("||P^2-P|| =", np.max(np.abs(pair.p @ pair.p - pair.p)))
 print("quad tol  =", pair.quad_tol)
@@ -47,8 +49,8 @@ print("quad tol  =", pair.quad_tol)
 # =============================================================================
 # The pair mean via traces agrees with the disc-paired eigenvalues.
 
-trace = tau_from_traces(op, contour)
-table = compute_pair_table(v, m, K)
+trace = tau_from_traces(eigs, contour)
+table = pair_eigenvalues(eigs)
 print("tau (trace route)      =", trace.tau)
 print("tau (eigensolver route) =", table.row(n).tau)
 print("Tr Q = 2(tau - center) check:",

@@ -24,7 +24,7 @@ for k in range(1, 33):
     coeffs[-2 * k] = 0.6**k
 v = FourierSequence.make("even", coeffs)
 
-K, table = converge_truncation(v, m=1, n_max=16, K_start=64, validate=False)
+K, table = converge_truncation(v, m=1, n_max=16, K_start=64)
 print("window:", K, "| converged rows:", sum(r.converged for r in table.rows))
 
 # Predicted vs computed for a few indices:

@@ -54,7 +54,6 @@ class PredictionRow:
     root_term: complex
     root_term_corr: complex
     predicted_pair: tuple[complex, complex]
-    predicted_pair_corr: tuple[complex, complex]
 
 
 def predict_pair(v_raw: FourierSequence, m: int, alpha: float, n: int) -> PredictionRow:
@@ -76,7 +75,6 @@ def predict_pair(v_raw: FourierSequence, m: int, alpha: float, n: int) -> Predic
         root_term=root,
         root_term_corr=root_corr,
         predicted_pair=(base - root, base + root),
-        predicted_pair_corr=(base - root_corr, base + root_corr),
     )
 
 
@@ -95,7 +93,6 @@ class RemainderReport:
     values: tuple[float, ...]
     target_exponent: float
     fitted_slope: float
-    fit_residual: float
     bounded_flag: bool
     exact_zero: bool
     n0_below_one: int | None = None
@@ -116,7 +113,7 @@ def _fit(ns, values, target, fit_range) -> tuple[DecayFit, bool]:
     if fit_range is None:
         fit_range = (min(FIT_RANGE_START, max(ns)), max(ns))
     if all(v == 0.0 for _, v in points):
-        return DecayFit(-math.inf, 0.0, True), True
+        return DecayFit(-math.inf, True), True
     fit = decay_exponent(points, fit_range)
     bounded = h_membership_bounded(points, target, fit_range)
     return fit, bounded
@@ -139,7 +136,7 @@ def tau_remainder(
     target = m * (1.0 - 2.0 * alpha) - epsilon
     fit, bounded = _fit(ns, values, target, fit_range)
     return RemainderReport(
-        RemainderKind.TAU, ns, values, target, fit.slope, fit.residual, bounded, fit.exact_zero
+        RemainderKind.TAU, ns, values, target, fit.slope, bounded, fit.exact_zero
     )
 
 
@@ -173,7 +170,7 @@ def gamma_remainder(
     fit, bounded = _fit(ns, values, target, fit_range)
     kind = RemainderKind.GAMMA_CORRECTED if corrected else RemainderKind.GAMMA
     return RemainderReport(
-        kind, ns, values, target, fit.slope, fit.residual, bounded, fit.exact_zero
+        kind, ns, values, target, fit.slope, bounded, fit.exact_zero
     )
 
 
@@ -198,14 +195,14 @@ def one_term_check(
     bound = 3.0**m * math.sqrt(2.0) * C * R
     bounded = all(val <= bound for val in values)
     if all(val == 0.0 for val in values):
-        fit = DecayFit(-math.inf, 0.0, True)
+        fit = DecayFit(-math.inf, True)
     else:
         points = list(zip(ns, values))
         if fit_range is None:
             fit_range = (min(FIT_RANGE_START, max(ns)), max(ns))
         fit = decay_exponent(points, fit_range)
     return RemainderReport(
-        RemainderKind.ONE_TERM, ns, values, 0.0, fit.slope, fit.residual, bounded, fit.exact_zero
+        RemainderKind.ONE_TERM, ns, values, 0.0, fit.slope, bounded, fit.exact_zero
     )
 
 
@@ -214,7 +211,6 @@ def alpha1_experiment(
     m: int,
     n_max: int,
     K: int | None = None,
-    validate: bool = True,
 ) -> RemainderReport:
     """Limiting-scale experiment: ratios |lambda - center| / (2n-1)^m for a
     potential that is only required to have a finite h^{-m} norm.
@@ -228,12 +224,7 @@ def alpha1_experiment(
     if K is None:
         K = 4 * n_max
     table = compute_pair_table(
-        v,
-        m,
-        K,
-        radius_rule=lambda m, n: 3.0 * contour_radius(m, n),
-        n_max=n_max,
-        validate=validate,
+        v, m, K, radius_rule=lambda m, n: 3.0 * contour_radius(m, n), n_max=n_max
     )
     rows = table.rows
     if not rows:
@@ -249,7 +240,7 @@ def alpha1_experiment(
         if val >= 1.0:
             n0 = n
     if all(val == 0.0 for val in values):
-        fit = DecayFit(-math.inf, 0.0, True)
+        fit = DecayFit(-math.inf, True)
     else:
         fit = decay_exponent(list(zip(ns, values)), (min(ns), max(ns)))
     return RemainderReport(
@@ -258,7 +249,6 @@ def alpha1_experiment(
         values,
         float(m),
         fit.slope,
-        fit.residual,
         bounded_flag=all(v < 1.0 for n, v in zip(ns, values) if n > n0),
         exact_zero=fit.exact_zero,
         n0_below_one=n0,

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__, asymptotics, riesz
 from .eigensolver import (
-    K_CAP,
     PairingConfigError,
     SolverError,
     compute_pair_table,
@@ -37,6 +36,7 @@ from .eigensolver import (
     eigenvalues as solve_eigenvalues,
 )
 from .operator import (
+    MAX_HALF_WINDOW,
     ExtRegion,
     PowerIterationError,
     VertRegion,
@@ -132,8 +132,10 @@ def _validate_config(cfg: RunConfig):
     if not 0.0 <= cfg.alpha <= 1.0:
         raise ConfigError(f"--alpha must lie in [0, 1], got {cfg.alpha}")
     if cfg.K != "auto":
-        if not isinstance(cfg.K, int) or cfg.K < 1 or cfg.K > 1024:
-            raise ConfigError(f"--K must be 'auto' or an integer in [1, 1024], got {cfg.K}")
+        if not isinstance(cfg.K, int) or not 1 <= cfg.K <= MAX_HALF_WINDOW:
+            raise ConfigError(
+                f"--K must be 'auto' or an integer in [1, {MAX_HALF_WINDOW}], got {cfg.K}"
+            )
     if cfg.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {cfg.n_max}")
     paired = cfg.command in ("spectrum", "asymptotics", "riesz-check", "alpha1")
@@ -268,8 +270,8 @@ def _spectrum_table(cfg: RunConfig, v: FourierSequence):
         return table
     table = compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max)
     # one confirming solve at the doubled window sets the converged flags
-    if 2 * cfg.K <= K_CAP:
-        confirm = compute_pair_table(v, cfg.m, 2 * cfg.K, n_max=cfg.n_max, validate=False)
+    if 2 * cfg.K <= MAX_HALF_WINDOW:
+        confirm = compute_pair_table(v, cfg.m, 2 * cfg.K, n_max=cfg.n_max)
         table = mark_converged(table, confirm)
     return table
 
@@ -491,19 +493,17 @@ RIESZ_COLUMNS = [
 
 
 def run_riesz_check(cfg: RunConfig) -> int:
-    v_raw = load_potential(cfg.potential)
+    v, _ = normalize_zero_mode(load_potential(cfg.potential))
     K = cfg.K if isinstance(cfg.K, int) else 128
     if K < 4 * cfg.n_max:
         raise ConfigError(f"--K {K} too small for --n-max {cfg.n_max}")
-    v, c = normalize_zero_mode(v_raw)
-    op = build_T(v, cfg.m, K)
-    eigs = solve_eigenvalues(op, validate=False)
-    table = pair_eigenvalues(eigs, cfg.m, n_max=cfg.n_max, matrix=op.matrix, refine=True)
+    eigs = solve_eigenvalues(build_T(v, cfg.m, K))
+    table = pair_eigenvalues(eigs, n_max=cfg.n_max)
 
     rows = []
     for n in range(2, cfg.n_max + 1):
         contour = ContourSpec(n=n, m=cfg.m, nodes=cfg.quad_nodes)
-        trace = riesz.tau_from_traces(op, contour, t_eigs=eigs.values)
+        trace = riesz.tau_from_traces(eigs, contour)
         q0 = riesz.q0_matrix(v, cfg.m, n, K, nodes=cfg.quad_nodes)
         closed = riesz.q0_closed_form(v, cfg.m, n, K)
         q0_defect = float(np.max(np.abs(q0 - closed)))
@@ -511,9 +511,7 @@ def run_riesz_check(cfg: RunConfig) -> int:
         s2 = riesz.script_S_2x2(v, cfg.m, n, K, nodes=cfg.quad_nodes)
         l_diff = abs(s2[0, 1] - riesz.l_direct(v, cfg.m, n))
         try:
-            row = table.row(n)
-            tau_eig = row.tau - c  # compare in the normalized frame
-            tau_diff = abs(trace.tau - tau_eig)
+            tau_diff = abs(trace.tau - table.row(n).tau)
             tau_tol = TAU_XCHECK_TOL * (1.0 + abs(trace.tau))
         except KeyError:
             tau_diff = math.nan

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .seqspace import FourierSequence, normalize_zero_mode
-from .operator import TruncatedOperator, build_T, center, contour_radius, resonant_rows
+from .operator import (
+    MAX_HALF_WINDOW,
+    TruncatedOperator,
+    build_T,
+    center,
+    contour_radius,
+    resonant_rows,
+)
 
 __all__ = [
     "SolverError",
@@ -43,16 +50,11 @@ RESIDUAL_TOL = 1e-8
 HERMITIAN_REL_TOL = 1e-12
 SPAN_REL_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
-K_CAP = 1024
 BLOCK = 16  # rows or columns per slab in the passes that avoid dense temporaries
 
 
 class SolverError(RuntimeError):
-    """Eigensolver failure; carries any partial result as .partial."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Eigensolver failure or a failed numerical certificate."""
 
 
 class PairingConfigError(ValueError):
@@ -80,26 +82,21 @@ def lexicographic_order(values, tol_scale: float = ORDER_TOL_SCALE) -> np.ndarra
 
 @dataclass(frozen=True)
 class EigenList:
-    """All eigenvalues of a truncated operator, lexicographically ordered.
-    Column order[i] of vectors is the unit eigenvector of values[i]; the
-    columns stay in solver order, as sorting them would copy the largest
-    array of the solve."""
+    """All eigenvalues of the truncated operator op, lexicographically
+    ordered and certified by residual_max.  Column order[i] of vectors is the
+    unit eigenvector of values[i]; the columns stay in solver order, as
+    sorting them would copy the largest array of the solve."""
 
     values: np.ndarray
-    m: int
-    K: int
+    op: TruncatedOperator
     trace_defect: float
-    residual_max: float | None
+    residual_max: float
     vectors: np.ndarray
     order: np.ndarray
 
     def __post_init__(self):
         for arr in (self.values, self.vectors, self.order):
             arr.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.K
 
 
 def _is_hermitian(mat: np.ndarray) -> bool:
@@ -125,14 +122,14 @@ def _residual_max(mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> f
     return worst
 
 
-def eigenvalues(op: TruncatedOperator, validate: bool = True) -> EigenList:
+def eigenvalues(op: TruncatedOperator) -> EigenList:
     """All 2K eigenvalues of the truncated operator, with multiplicity, and
     their eigenvectors, from one eigendecomposition.
 
     Matrices that are Hermitian up to the scale of B(v) are routed to the
-    symmetric solver after symmetrization.  A validated solve certifies every
-    eigenvalue by the residual of its eigenvector relative to ||T||_F and
-    raises SolverError if the largest exceeds RESIDUAL_TOL.
+    symmetric solver after symmetrization.  Every eigenvalue is certified by
+    the residual of its eigenvector relative to ||T||_F; SolverError is
+    raised if the largest exceeds RESIDUAL_TOL.
     """
     mat = op.matrix
     scale = np.linalg.norm(mat, "fro")
@@ -145,18 +142,15 @@ def eigenvalues(op: TruncatedOperator, validate: bool = True) -> EigenList:
         else:
             vals, vecs = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:  # QR non-convergence
-        raise SolverError(f"eigen decomposition failed: {exc}", partial=None) from exc
+        raise SolverError(f"eigen decomposition failed: {exc}") from exc
 
-    residual_max = _residual_max(mat, vals, vecs) / scale if validate else None
+    residual_max = _residual_max(mat, vals, vecs) / scale
+    if residual_max > RESIDUAL_TOL:
+        raise SolverError(f"eigenvalue residual {residual_max:.3e} exceeds {RESIDUAL_TOL}")
     order = lexicographic_order(vals)
     vals = vals[order].astype(complex)
-    if validate and residual_max > RESIDUAL_TOL:
-        raise SolverError(
-            f"eigenvalue residual {residual_max:.3e} exceeds {RESIDUAL_TOL}",
-            partial=vals,
-        )
     trace_defect = float(abs(vals.sum() - np.trace(mat)) / scale)
-    return EigenList(vals, op.m, op.K, trace_defect, residual_max, vecs, order)
+    return EigenList(vals, op, trace_defect, residual_max, vecs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +185,6 @@ class EigenPairTable:
             if r.n == n:
                 return r
         raise KeyError(f"no paired row for n = {n}")
-
-    def ns(self) -> list[int]:
-        return [r.n for r in self.rows]
 
     def shifted(self, c: complex) -> "EigenPairTable":
         if c == 0:
@@ -253,26 +244,21 @@ def _refine_pair(
 
 
 def pair_eigenvalues(
-    eigs: EigenList,
-    m: int,
-    radius_rule=contour_radius,
-    n_max: int | None = None,
-    matrix: np.ndarray | None = None,
-    refine: bool = True,
+    eigs: EigenList, radius_rule=contour_radius, n_max: int | None = None
 ) -> EigenPairTable:
     """Collect eigenvalue pairs inside discs around the unperturbed centers.
 
     For each n up to n_max (default K/4, the trusted quarter of the window)
     the eigenvalues within radius_rule(m, n) of center(m, n) are gathered;
-    exactly-two hits become a paired row, anything else is flagged with its
-    hit count.  Passing the operator matrix enables the refinement of each
-    pair on the span of its two eigenvectors.
+    exactly-two hits become a paired row, refined on the span of its two
+    eigenvectors; anything else is flagged with its hit count.
     """
+    m, K = eigs.op.m, eigs.op.K
     if n_max is None:
-        n_max = eigs.K // 4
-    if eigs.K < 4 * n_max:
+        n_max = K // 4
+    if K < 4 * n_max:
         raise PairingConfigError(
-            f"window K = {eigs.K} too small for n_max = {n_max} (need K >= 4 n_max)"
+            f"window K = {K} too small for n_max = {n_max} (need K >= 4 n_max)"
         )
     _check_disc_overlap(m, radius_rule, n_max)
 
@@ -288,10 +274,8 @@ def pair_eigenvalues(
             continue
         idx = idx[lexicographic_order(vals[idx])]
         pair = vals[idx]
-        local = None
-        if refine and matrix is not None:
-            cols = eigs.vectors[:, eigs.order[idx]]
-            local = _refine_pair(matrix, c, list(resonant_rows(eigs.K, n)), cols, pair, r)
+        cols = eigs.vectors[:, eigs.order[idx]]
+        local = _refine_pair(eigs.op.matrix, c, list(resonant_rows(K, n)), cols, pair, r)
         if local is None:
             lo, hi = complex(pair[0]), complex(pair[1])
             tau, gamma = (lo + hi) / 2.0, hi - lo
@@ -311,7 +295,7 @@ def pair_eigenvalues(
                 converged=False,
             )
         )
-    return EigenPairTable(m, eigs.K, tuple(rows), flagged)
+    return EigenPairTable(m, K, tuple(rows), flagged)
 
 
 def compute_pair_table(
@@ -320,18 +304,12 @@ def compute_pair_table(
     K: int,
     radius_rule=contour_radius,
     n_max: int | None = None,
-    validate: bool = True,
-    refine: bool = True,
 ) -> EigenPairTable:
     """Spectrum pipeline: normalize the zero mode, solve the truncated
     operator, pair around the centers, and re-add the removed constant."""
     v0, c = normalize_zero_mode(v)
-    op = build_T(v0, m, K)
-    eigs = eigenvalues(op, validate=validate)
-    table = pair_eigenvalues(
-        eigs, m, radius_rule, n_max=n_max, matrix=op.matrix, refine=refine
-    )
-    return table.shifted(c)
+    eigs = eigenvalues(build_T(v0, m, K))
+    return pair_eigenvalues(eigs, radius_rule, n_max=n_max).shifted(c)
 
 
 def mark_converged(
@@ -362,23 +340,21 @@ def converge_truncation(
     tol: float = CONVERGENCE_TOL,
     radius_rule=contour_radius,
     K_start: int | None = None,
-    K_cap: int = K_CAP,
-    validate: bool = True,
+    K_cap: int = MAX_HALF_WINDOW,
 ) -> tuple[int, EigenPairTable]:
     """Double the window until every paired eigenvalue with n <= n_max moves
     less than tol between consecutive windows; rows still moving when the
-    window cap is reached stay flagged unconverged.  With validate, every
-    window's eigenvalues carry the residual certificate of eigenvalues()."""
+    window cap is reached stay flagged unconverged."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     K = K_start if K_start is not None else max(32, 4 * n_max)
     if K < 4 * n_max:
         raise PairingConfigError(f"K_start = {K} too small for n_max = {n_max}")
 
-    table = compute_pair_table(v, m, K, radius_rule, n_max=n_max, validate=validate)
+    table = compute_pair_table(v, m, K, radius_rule, n_max=n_max)
     while 2 * K <= K_cap:
         K = 2 * K
-        finer = compute_pair_table(v, m, K, radius_rule, n_max=n_max, validate=validate)
+        finer = compute_pair_table(v, m, K, radius_rule, n_max=n_max)
         table = mark_converged(finer, table, tol)
         if table.rows and all(r.converged for r in table.rows):
             break
@@ -414,7 +390,6 @@ def localization_report(
     R: float,
     C: float,
     K: int,
-    validate: bool = True,
 ) -> LocalizationReport:
     """Empirical localization census against the localization-disc radii.
 
@@ -425,9 +400,7 @@ def localization_report(
     so the left edge is inactive at truncation.
     """
     v0, c = normalize_zero_mode(v)
-    op = build_T(v0, m, K)
-    eigs = eigenvalues(op, validate=validate)
-    vals = eigs.values + c
+    vals = eigenvalues(build_T(v0, m, K)).values + c
     n_max = K // 4
 
     n0 = 0

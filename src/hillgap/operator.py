@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 MAX_HALF_WINDOW = 1024
+COLLISION_TOL = 1e-10  # relative to 1 + |lambda| + mu
 
 
 class SpectrumCollisionError(ValueError):
@@ -102,10 +103,6 @@ class TruncatedOperator:
     @property
     def modes(self) -> np.ndarray:
         return modes(self.K)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.K
 
 
 def _check_even_potential(v: FourierSequence):
@@ -171,45 +168,43 @@ class ResolventFactors:
     with the unimodular I_lam avoids complex square roots.
     """
 
-    m: int
-    K: int
-    lam: complex
     a_half: np.ndarray
     i_lam: np.ndarray
     s_lam: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.K
+
+def _unperturbed_distance(m: int, K: int, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The window's unperturbed spectrum mu and |lambda - mu|; raises
+    SpectrumCollisionError when lambda sits within COLLISION_TOL of it."""
+    mu = unperturbed_eigenvalues(m, K)
+    dist = np.abs(lam - mu)
+    bad = dist < COLLISION_TOL * (1.0 + abs(lam) + mu)
+    if np.any(bad):
+        raise SpectrumCollisionError(
+            f"lambda = {lam} collides with unperturbed eigenvalue {mu[np.argmax(bad)]}"
+        )
+    return mu, dist
 
 
 def build_resolvent_factors(
-    v: FourierSequence, m: int, K: int, lam: complex, collision_tol: float = 1e-10
+    v: FourierSequence, m: int, K: int, lam: complex
 ) -> ResolventFactors:
     """Build A_lam^{m/2}, I_lam, S_lam at the point lambda.
 
     Requires v(0) = 0 (normalize the zero mode first) and lambda off the
-    truncated unperturbed spectrum (relative distance > collision_tol).
+    truncated unperturbed spectrum.
     """
     _check_build_args(m, K)
     _check_even_potential(v)
     if v(0) != 0:
         raise ValueError("resolvent factors require a zero-mode-normalized potential")
     lam = complex(lam)
-    mu = unperturbed_eigenvalues(m, K)
-    dist = np.abs(lam - mu)
-    scale = 1.0 + abs(lam) + mu
-    bad = dist < collision_tol * scale
-    if np.any(bad):
-        culprit = mu[np.argmax(bad)]
-        raise SpectrumCollisionError(
-            f"lambda = {lam} collides with unperturbed eigenvalue {culprit}"
-        )
+    mu, dist = _unperturbed_distance(m, K, lam)
     a_half = np.sqrt(dist)
     i_lam = (lam - mu) / dist
     b = build_B(v, m, K).matrix
     s_lam = b / np.outer(a_half, a_half)
-    return ResolventFactors(m, K, lam, a_half, i_lam, s_lam)
+    return ResolventFactors(a_half, i_lam, s_lam)
 
 
 def factorization_residual(v: FourierSequence, m: int, K: int, lam: complex) -> float:
@@ -443,17 +438,12 @@ def resolvent_shifted_norm(
     shift_in: int,
     shift_out: int,
     K: int,
-    collision_tol: float = 1e-10,
 ) -> float:
     """Norm of the diagonal resolvent (lambda - A^m)^{-1} between shifted
     weighted spaces: sup over window modes p of
     <p + shift_out>^{m s} <p + shift_in>^{-m t} / |lambda - p^{2m} pi^{2m}|."""
     p = modes(K).astype(float)
-    mu = unperturbed_eigenvalues(m, K)
-    dist = np.abs(complex(lam) - mu)
-    scale = 1.0 + abs(lam) + mu
-    if np.any(dist < collision_tol * scale):
-        raise SpectrumCollisionError(f"lambda = {lam} collides with the unperturbed spectrum")
+    _, dist = _unperturbed_distance(m, K, complex(lam))
     w_out = (1.0 + np.abs(p + shift_out)) ** (m * s)
     w_in = (1.0 + np.abs(p + shift_in)) ** (-m * t)
     return float(np.max(w_out * w_in / dist))

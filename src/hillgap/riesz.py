@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqspace import FourierSequence, Parity, ParityError
+from .eigensolver import EigenList
 from .operator import (
-    TruncatedOperator,
     build_B,
     center,
     contour_radius,
@@ -112,15 +112,16 @@ class ProjectorPair:
     quad_tol: float
 
 
-def riesz_projector(
-    op: TruncatedOperator, contour: ContourSpec, t_eigs: np.ndarray | None = None
-) -> ProjectorPair:
-    """Quadrature projector P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda.
+def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
+    """Quadrature projector P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda
+    for the operator T = eigs.op.
 
     The unperturbed projector is the diagonal indicator of the resonant modes
-    +-(2n-1) and is exact.  Pass precomputed eigenvalues of T through t_eigs
-    to skip the internal eigensolve used by the contour-collision guard.
+    +-(2n-1) and is exact.  The certified spectrum eigs guards the contour
+    against collisions; the quadrature itself inverts lambda - T at every
+    node and reads nothing else of the eigensolve.
     """
+    op = eigs.op
     if op.m != contour.m:
         raise ValueError("operator and contour disagree on m")
     if 2 * contour.n - 1 > 2 * op.K - 1:
@@ -129,9 +130,7 @@ def riesz_projector(
         )
     mat = op.matrix
     dim = mat.shape[0]
-    if t_eigs is None:
-        t_eigs = np.linalg.eigvals(mat)
-    _guard_contour(contour, np.asarray(t_eigs, dtype=complex), "perturbed")
+    _guard_contour(contour, eigs.values, "perturbed")
     mu = unperturbed_eigenvalues(op.m, op.K)
     _guard_contour(contour, mu.astype(complex), "unperturbed")
 
@@ -171,13 +170,11 @@ class TauTraceResult:
     quad_tol: float
 
 
-def tau_from_traces(
-    op: TruncatedOperator, contour: ContourSpec, t_eigs: np.ndarray | None = None
-) -> TauTraceResult:
-    """Pair mean through traces: tau_n = Tr(T P_n) / 2, together with the
-    trace of (T - center) P_n - (A^m - center) P_n^0, which must equal
-    2 (tau_n - center)."""
-    pair = riesz_projector(op, contour, t_eigs=t_eigs)
+def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
+    """Pair mean through traces: tau_n = Tr(T P_n) / 2 for T = eigs.op,
+    together with the trace of (T - center) P_n - (A^m - center) P_n^0,
+    which must equal 2 (tau_n - center)."""
+    pair = riesz_projector(eigs, contour)
     c = contour.center
     tau = pair.tr_tp / 2.0
     tr_q = pair.tr_tp - c * pair.tr_p  # (A^m - c) P0 is traceless

@@ -316,7 +316,6 @@ def _clamp_norm(v: FourierSequence, s_pot: float, R: float) -> FourierSequence:
 
 class DecayFit(NamedTuple):
     slope: float
-    residual: float
     exact_zero: bool
 
 
@@ -333,7 +332,7 @@ def decay_exponent(
     if not sel:
         raise ValueError(f"no points inside the fit range [{lo}, {hi}]")
     if all(r == 0.0 for _, r in sel):
-        return DecayFit(-math.inf, 0.0, True)
+        return DecayFit(-math.inf, True)
     pos = [(n, r) for n, r in sel if r > 0.0]
     if len(pos) < 5:
         raise ValueError(
@@ -341,9 +340,8 @@ def decay_exponent(
         )
     x = np.log([float(n) for n, _ in pos])
     y = np.log([r for _, r in pos])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return DecayFit(float(slope), float(np.sqrt(np.mean(resid**2))), False)
+    slope, _ = np.polyfit(x, y, 1)
+    return DecayFit(float(slope), False)
 
 
 def h_membership_bounded(

@@ -39,8 +39,8 @@ def rough_potential(seed, m, alpha, K, radius=1.0, hermitian=False):
 def table_with_flags(v, m, K, n_max):
     """Pair table at the stated window, convergence-flagged against the
     doubled window."""
-    base = hg.compute_pair_table(v, m, K, n_max=n_max, validate=False)
-    confirm = hg.compute_pair_table(v, m, 2 * K, n_max=n_max, validate=False)
+    base = hg.compute_pair_table(v, m, K, n_max=n_max)
+    confirm = hg.compute_pair_table(v, m, 2 * K, n_max=n_max)
     return hg.mark_converged(base, confirm, 1e-9)
 
 
@@ -67,15 +67,13 @@ def test_criterion_02_exact_identities():
         for seed in range(20):
             v = rough_potential(seed, m, 0.0, 16, radius=1.0)
             op = hg.build_T(v, m, 64)
-            eigs = hg.eigenvalues(op, validate=False)
+            eigs = hg.eigenvalues(op)
             # trace identity
             tr = np.trace(op.matrix)
             ok = ok and abs(eigs.values.sum() - tr) <= 1e-9 * abs(tr)
             # shift equivariance under v(0) -> v(0) + c
             c = complex(rng.standard_normal(), rng.standard_normal())
-            shifted = hg.eigenvalues(
-                hg.build_T(v.with_entry(0, v(0) + c), m, 64), validate=False
-            )
+            shifted = hg.eigenvalues(hg.build_T(v.with_entry(0, v(0) + c), m, 64))
             moved = eigs.values + c
             scale = float(np.max(np.abs(eigs.values)))
             ok = ok and np.max(
@@ -118,7 +116,7 @@ def test_criterion_04_disc_localization():
         for alpha in (0.0, 0.5, 0.75):
             for seed in range(8):
                 v = rough_potential(seed, m, alpha, K, radius=1.0)
-                rep = hg.localization_report(v, m, alpha, 1.0, 1.1, K, validate=False)
+                rep = hg.localization_report(v, m, alpha, 1.0, 1.1, K)
                 ok = ok and rep.n0_empirical < K // 4
                 worst_n0 = max(worst_n0, rep.n0_empirical)
                 for d in rep.disc_rows:
@@ -135,12 +133,11 @@ def test_criterion_05_riesz_cross_oracles():
     rand = rough_potential(17, 1, 0.0, 24, radius=0.8)
     for v_raw in (trig, rand):
         v, c = hg.normalize_zero_mode(v_raw)
-        op = hg.build_T(v, 1, K)
-        eigs = hg.eigenvalues(op, validate=False)
-        table = hg.pair_eigenvalues(eigs, 1, n_max=16, matrix=op.matrix)
+        eigs = hg.eigenvalues(hg.build_T(v, 1, K))
+        table = hg.pair_eigenvalues(eigs, n_max=16)
         for n in range(2, 17):
             contour = hg.ContourSpec(n=n, m=1, nodes=nodes)
-            trace = hg.tau_from_traces(op, contour, t_eigs=eigs.values)
+            trace = hg.tau_from_traces(eigs, contour)
             ok = ok and abs(trace.tr_p - 2.0) <= 1e-9
             q0 = hg.q0_matrix(v, 1, n, K, nodes=nodes)
             ok = ok and abs(np.trace(q0)) <= 1e-9
@@ -222,7 +219,7 @@ def test_criterion_09_alpha1_experiment():
         coeffs[2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
         coeffs[-2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
     v = vseq(coeffs)
-    rep = hg.alpha1_experiment(v, 1, 64, K=256, validate=False)
+    rep = hg.alpha1_experiment(v, 1, 64, K=256)
     ok = rep.n0_below_one is not None and rep.n0_below_one <= 32
     ok = ok and rep.fitted_slope < 0
     tail = [val for n, val in rep.pairs() if n > rep.n0_below_one]

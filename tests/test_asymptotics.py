@@ -34,7 +34,7 @@ def vseq(coeffs):
 @pytest.fixture(scope="module")
 def trig_table():
     v = vseq({2: 1.0, -2: 1.0})
-    _, tab = converge_truncation(v, 1, 24, K_start=96, validate=False)
+    _, tab = converge_truncation(v, 1, 24, K_start=96)
     return v, tab
 
 
@@ -72,7 +72,7 @@ class TestPredictPair:
 class TestTauRemainder:
     def test_zero_potential_exact(self):
         v = vseq({})
-        _, tab = converge_truncation(v, 1, 8, validate=False)
+        _, tab = converge_truncation(v, 1, 8)
         rep = tau_remainder(tab, v, 1, 0.0)
         assert rep.exact_zero
         assert rep.fitted_slope == -math.inf
@@ -96,7 +96,7 @@ class TestTauRemainder:
 
     def test_requires_converged_rows(self):
         v = vseq({2: 1.0, -2: 1.0})
-        tab = compute_pair_table(v, 1, 32, validate=False)  # nothing marked converged
+        tab = compute_pair_table(v, 1, 32)  # nothing marked converged
         with pytest.raises(ValueError):
             tau_remainder(tab, v, 1, 0.0)
 
@@ -110,9 +110,7 @@ class TestTauRemainder:
         for seed in range(4):
             spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 510}, 1.0, seed=seed)
             v = make_potential(spec, SobolevParams(m=1, alpha=0.75))
-            _, tab = converge_truncation(
-                v, 1, 20, tol=5e-3, K_start=96, K_cap=192, validate=False
-            )
+            _, tab = converge_truncation(v, 1, 20, tol=5e-3, K_start=96, K_cap=192)
             rep = tau_remainder(tab, v, 1, 0.75)
             assert rep.target_exponent == pytest.approx(1 * (1 - 1.5) - 0.05)
             assert rep.bounded_flag
@@ -124,7 +122,7 @@ class TestTauRemainder:
 
     def test_monotone_refinement_under_window_doubling(self, trig_table):
         v, tab = trig_table
-        bigger = compute_pair_table(v, 1, 2 * tab.K, n_max=24, validate=False)
+        bigger = compute_pair_table(v, 1, 2 * tab.K, n_max=24)
         r_small = tau_remainder(tab, v, 1, 0.0)
         by_n = dict(r_small.pairs())
         for r in bigger.rows:
@@ -137,18 +135,18 @@ class TestTauRemainder:
 class TestGammaRemainder:
     def test_zero_potential(self):
         v = vseq({})
-        _, tab = converge_truncation(v, 1, 8, validate=False)
+        _, tab = converge_truncation(v, 1, 8)
         rep = gamma_remainder(tab, v, 1, 0.0)
         assert rep.exact_zero
 
     def test_first_gap_and_decay(self):
         v = vseq({2: 1.0, -2: 1.0})
         tab = compute_pair_table(
-            v, 1, 128, lambda m, n: localization_radius(m, 0.0, 1.1, 1.5, n), validate=False
+            v, 1, 128, lambda m, n: localization_radius(m, 0.0, 1.1, 1.5, n)
         )
         r1 = tab.row(1)
         assert abs(r1.gamma) == pytest.approx(2.0, abs=0.5)
-        _, ctab = converge_truncation(v, 1, 32, K_start=128, validate=False)
+        _, ctab = converge_truncation(v, 1, 32, K_start=128)
         rep = gamma_remainder(ctab, v, 1, 0.0, fit_range=(2, 32))
         assert rep.fitted_slope <= -0.4
         assert rep.target_exponent == pytest.approx(0.5)
@@ -166,8 +164,8 @@ class TestGammaRemainder:
         spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 32}, 0.8, seed=13)
         v = make_potential(spec, SobolevParams(m=1, alpha=0.0))
         vbar = conjugate_seq(v)
-        _, tab = converge_truncation(v, 1, 12, validate=False)
-        _, tabbar = converge_truncation(vbar, 1, 12, validate=False)
+        _, tab = converge_truncation(v, 1, 12)
+        _, tabbar = converge_truncation(vbar, 1, 12)
         r = gamma_remainder(tab, v, 1, 0.0)
         rbar = gamma_remainder(tabbar, vbar, 1, 0.0)
         assert np.allclose(r.values, rbar.values, atol=1e-8)
@@ -184,14 +182,14 @@ class TestGammaRemainder:
 class TestOneTerm:
     def test_zero_potential(self):
         v = vseq({})
-        _, tab = converge_truncation(v, 1, 8, validate=False)
+        _, tab = converge_truncation(v, 1, 8)
         rep = one_term_check(tab, 1, 0.0, 1.0, 1.1)
         assert rep.exact_zero and rep.bounded_flag
 
     def test_rough_alpha_half_bounded(self):
         spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 80}, 1.0, seed=2)
         v = make_potential(spec, SobolevParams(m=1, alpha=0.5))
-        _, tab = converge_truncation(v, 1, 16, K_start=64, validate=False)
+        _, tab = converge_truncation(v, 1, 16, K_start=64)
         rep = one_term_check(tab, 1, 0.5, 1.0, 1.1)
         assert rep.bounded_flag
         assert max(rep.values) <= 3 * math.sqrt(2) * 1.1
@@ -204,14 +202,14 @@ class TestOneTerm:
             coeffs[-2 * k] = np.exp(2j * np.pi * rng.random())
         spec = PotentialSpec(PotentialFamily.EXPLICIT, {"coeffs": coeffs}, radius=1.0)
         v = make_potential(spec, SobolevParams(m=1, alpha=0.0))
-        _, tab = converge_truncation(v, 1, 16, K_start=64, validate=False)
+        _, tab = converge_truncation(v, 1, 16, K_start=64)
         rep = one_term_check(tab, 1, 0.0, 1.0, 1.1)
         assert abs(rep.fitted_slope) <= 0.3
 
 
 class TestAlpha1:
     def test_zero_potential(self):
-        rep = alpha1_experiment(vseq({}), 1, 8, validate=False)
+        rep = alpha1_experiment(vseq({}), 1, 8)
         assert rep.exact_zero
         assert rep.n0_below_one == 0
 
@@ -223,7 +221,7 @@ class TestAlpha1:
             coeffs[-2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
         v = vseq(coeffs)
         assert math.isfinite(weighted_norm(v, -1.0))
-        rep = alpha1_experiment(v, 1, 32, K=128, validate=False)
+        rep = alpha1_experiment(v, 1, 32, K=128)
         assert rep.kind is RemainderKind.ALPHA_ONE
         assert rep.n0_below_one is not None and rep.n0_below_one <= 32
         assert rep.fitted_slope < 0
@@ -238,5 +236,5 @@ class TestAlpha1:
             q[-2 * k] = (1 + k) ** -1.2 * np.exp(2j * np.pi * rng.random())
         spec = PotentialSpec(PotentialFamily.DERIVATIVE_TYPE, {"q": q})
         v = make_potential(spec, SobolevParams(m=1, alpha=1.0))
-        rep = alpha1_experiment(v, 1, 16, K=64, validate=False)
+        rep = alpha1_experiment(v, 1, 16, K=64)
         assert rep.fitted_slope < 0

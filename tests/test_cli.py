@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hillgap import riesz
+from hillgap import eigensolver, riesz
 from hillgap.cli import main
 from hillgap.eigensolver import eigenvalues
 from hillgap.operator import build_T
@@ -89,6 +89,20 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--m", "1", "--K", "16", "--n-max", "4",
                      "--potential", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])
         assert code == 3
+
+    def test_confirm_window_is_certified(self, tmp_path, trig_potential, monkeypatch, capsys):
+        # the certificate fails only above dim 2K = 32, so the K = 16 solve
+        # passes and the doubled confirm window alone must stop the run
+        residual_max = eigensolver._residual_max
+
+        def fail_above_dim_32(mat, values, vectors):
+            return 1.0 if len(mat) > 32 else residual_max(mat, values, vectors)
+
+        monkeypatch.setattr(eigensolver, "_residual_max", fail_above_dim_32)
+        code = main(["spectrum", "--m", "1", "--K", "16", "--n-max", "4",
+                     "--potential", trig_potential, "--out", str(tmp_path / "s.csv")])
+        assert code == 4
+        assert "solver failure" in capsys.readouterr().err
 
     def test_json_format_mirror(self, tmp_path, zero_potential):
         out_csv = tmp_path / "a.csv"
@@ -236,6 +250,29 @@ class TestRieszCheckCommand:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("v0", [0.25, 0.1 + 0.05j])
+    def test_zero_mode_potential(self, tmp_path, v0):
+        # the traces and the paired eigenvalues both come from the
+        # zero-mode-normalized operator, so v(0) must not enter tau_diff
+        coeffs = {0: complex(v0), 2: 0.6 + 0j, -2: 0.6 + 0j, 4: 0.3 + 0.1j, -4: 0.2 - 0.1j}
+        pot = write_potential(tmp_path / "v0.json", coeffs)
+        out = tmp_path / "rz.csv"
+        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "6",
+                     "--potential", pot, "--out", str(out)])
+        assert code == 0
+        _, rows, footer = read_csv(out)
+        assert footer["all_hold"] is True
+        assert [r["n"] for r in rows] == ["2", "3", "4", "5", "6"]
+        for r in rows:
+            assert float(r["tau_diff"]) <= 1e-8 * (1 + 400 * PI2)
+
+    def test_eigensolve_is_certified(self, tmp_path, trig_potential, monkeypatch, capsys):
+        monkeypatch.setattr(eigensolver, "_residual_max", lambda mat, values, vectors: 1.0)
+        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
+                     "--potential", trig_potential, "--out", str(tmp_path / "rz.csv")])
+        assert code == 4
+        assert "solver failure" in capsys.readouterr().err
+
     def test_q0_mismatch_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
         closed_form = riesz.q0_closed_form
 
@@ -264,7 +301,7 @@ class TestRieszCheckCommand:
 
         def edge_distance(a):
             v = FourierSequence.make(Parity.EVEN, {6: a, -6: a})
-            eigs = eigenvalues(build_T(v, 1, K), validate=False).values
+            eigs = eigenvalues(build_T(v, 1, K)).values
             i = int(np.argmin(np.abs(eigs - (c + rho))))
             return abs(eigs[i] - c) - rho
 

@@ -82,14 +82,14 @@ class TestEigenvalues:
 
     def test_first_gap_doubling_oracle(self):
         v = vseq({2: 1.0, -2: 1.0})
-        t64 = compute_pair_table(v, 1, 64, n_max=2, validate=False)
-        t128 = compute_pair_table(v, 1, 128, n_max=2, validate=False)
+        t64 = compute_pair_table(v, 1, 64, n_max=2)
+        t128 = compute_pair_table(v, 1, 128, n_max=2)
         r64, r128 = t64.row(2), t128.row(2)
         assert abs(r64.lambda_lo - r128.lambda_lo) <= 1e-10
         assert abs(r64.lambda_hi - r128.lambda_hi) <= 1e-10
         # first pair straddles pi^2 -+ 1 (the first semi-periodic gap of
         # 2 cos(2 pi x)); collect it with a slightly larger disc
-        e128 = eigenvalues(build_T(v, 1, 128), validate=False)
+        e128 = eigenvalues(build_T(v, 1, 128))
         lo, hi = e128.values[0].real, e128.values[1].real
         assert lo == pytest.approx(PI2 - 1, abs=0.05)
         assert hi == pytest.approx(PI2 + 1, abs=0.05)
@@ -98,7 +98,7 @@ class TestEigenvalues:
         for seed in (0, 1):
             v = random_potential(seed, window=40)
             op = build_T(v, 1, 16)
-            eigs = eigenvalues(op, validate=False)
+            eigs = eigenvalues(op)
             want = np.sum(unperturbed_eigenvalues(1, 16)) + 2 * 16 * v(0)
             scale = abs(np.trace(op.matrix))
             assert abs(eigs.values.sum() - want) <= 1e-9 * scale
@@ -111,27 +111,26 @@ class TestEigenvalues:
     def test_shift_equivariance_complex(self):
         v = random_potential(3, window=24)
         c = 2.0 - 3.0j
-        base = eigenvalues(build_T(v, 1, 10), validate=False)
-        shifted = eigenvalues(
-            build_T(v.with_entry(0, v(0) + c), 1, 10), validate=False
-        )
+        base = eigenvalues(build_T(v, 1, 10))
+        shifted = eigenvalues(build_T(v.with_entry(0, v(0) + c), 1, 10))
         moved = base.values + c
         assert np.allclose(np.sort_complex(shifted.values), np.sort_complex(moved), atol=1e-9)
 
     def test_conjugation_symmetry(self):
         v = random_potential(9, window=24)
         vbar = conjugate_seq(v)
-        a = eigenvalues(build_T(v, 1, 10), validate=False).values
-        b = eigenvalues(build_T(vbar, 1, 10), validate=False).values
+        a = eigenvalues(build_T(v, 1, 10)).values
+        b = eigenvalues(build_T(vbar, 1, 10)).values
         assert np.allclose(
             np.sort_complex(b), np.sort_complex(np.conj(a)), atol=1e-9
         )
 
     def test_residual_certificate(self):
-        v = random_potential(4, window=24)
-        eigs = eigenvalues(build_T(v, 1, 12), validate=True)
-        assert eigs.residual_max is not None
-        assert eigs.residual_max <= 1e-8
+        for m in (1, 2):
+            v = random_potential(4, window=24, m=m)
+            eigs = eigenvalues(build_T(v, m, 12))
+            assert np.any(eigs.values.imag != 0)  # the general, non-Hermitian path
+            assert eigs.residual_max <= 1e-8
 
 
 class TestPairing:
@@ -156,31 +155,30 @@ class TestPairing:
 
     def test_all_rows_present_for_small_real_potential(self):
         v = random_potential(2, window=60, hermitian=True)
-        op = build_T(v, 1, 32)
-        eigs = eigenvalues(op, validate=False)
-        tab = pair_eigenvalues(eigs, 1, matrix=op.matrix)
+        tab = pair_eigenvalues(eigenvalues(build_T(v, 1, 32)))
         missing = [n for n in range(2, 9) if n in tab.flagged]
         assert not missing
 
     def test_overlap_config_error(self):
-        eigs = eigenvalues(build_T(vseq({}), 1, 16), validate=False)
+        eigs = eigenvalues(build_T(vseq({}), 1, 16))
         with pytest.raises(PairingConfigError):
-            pair_eigenvalues(eigs, 1, lambda m, n: 1e6)
+            pair_eigenvalues(eigs, lambda m, n: 1e6)
 
     def test_window_too_small(self):
-        eigs = eigenvalues(build_T(vseq({}), 1, 8), validate=False)
+        eigs = eigenvalues(build_T(vseq({}), 1, 8))
         with pytest.raises(PairingConfigError):
-            pair_eigenvalues(eigs, 1, n_max=4)
+            pair_eigenvalues(eigs, n_max=4)
 
     def test_refinement_stays_in_disc(self):
         v = vseq({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0})
-        op = build_T(v, 1, 32)
-        eigs = eigenvalues(op, validate=False)
-        raw = pair_eigenvalues(eigs, 1, matrix=None, refine=False)
-        ref = pair_eigenvalues(eigs, 1, matrix=op.matrix, refine=True)
-        for rr, rraw in zip(ref.rows, raw.rows):
-            assert abs(rr.lambda_lo - rraw.lambda_lo) < 1e-6
+        eigs = eigenvalues(build_T(v, 1, 32))
+        ref = pair_eigenvalues(eigs)
+        assert ref.rows
+        for rr in ref.rows:
             c = (2 * rr.n - 1) ** 2 * PI2
+            raw = eigs.values[np.abs(eigs.values - c) < rr.disc_radius_used]
+            assert len(raw) == 2
+            assert abs(rr.lambda_lo - raw[0]) < 1e-6
             assert abs(rr.lambda_lo - c) < rr.disc_radius_used
 
 
@@ -192,14 +190,14 @@ class TestConvergeTruncation:
 
     def test_trig_polynomial(self):
         v = vseq({2: 1.0, -2: 1.0})
-        K, tab = converge_truncation(v, 1, 10, validate=False)
+        K, tab = converge_truncation(v, 1, 10)
         assert K <= 128
         assert all(r.converged for r in tab.rows)
         assert len(tab.rows) >= 9  # n = 1 may sit on the disc edge
 
     def test_cap_flags_unconverged(self):
         v = random_potential(5, window=40)
-        K, tab = converge_truncation(v, 1, 4, tol=1e-300, K_cap=32, validate=False)
+        K, tab = converge_truncation(v, 1, 4, tol=1e-300, K_cap=32)
         assert K == 32
         assert all(not r.converged for r in tab.rows)
 
@@ -213,12 +211,12 @@ class TestLocalization:
     def test_census_matches_n0(self):
         for seed in (1, 3):
             v = random_potential(seed, window=80, hermitian=True)
-            rep = localization_report(v, 1, 0.0, 1.0, 1.1, 64, validate=False)
+            rep = localization_report(v, 1, 0.0, 1.0, 1.1, 64)
             assert rep.cone_count == 2 * rep.n0_empirical
 
     def test_disc_membership_complex(self):
         v = random_potential(8, window=80, alpha=0.5)
-        rep = localization_report(v, 1, 0.5, 1.0, 1.1, 64, validate=False)
+        rep = localization_report(v, 1, 0.5, 1.0, 1.1, 64)
         for d in rep.disc_rows:
             if d.n > rep.n0_empirical:
                 assert d.hits == 2
@@ -288,11 +286,11 @@ class TestNoDenseSolves:
         monkeypatch.setattr(np.linalg, "solve", forbidden)
         monkeypatch.setattr(np.linalg, "inv", forbidden)
         v = random_potential(6, window=120)
-        tab = compute_pair_table(v, 1, 64, validate=True)
+        tab = compute_pair_table(v, 1, 64)
         assert len(tab.rows) >= 12
-        K, conv = converge_truncation(v, 1, 8, validate=True)
+        K, conv = converge_truncation(v, 1, 8)
         assert all(r.converged for r in conv.rows)
         op = build_T(v, 1, 64)
-        first = eigenvalues(op, validate=True).residual_max
+        first = eigenvalues(op).residual_max
         assert first <= 1e-8
-        assert eigenvalues(op, validate=True).residual_max == first
+        assert eigenvalues(op).residual_max == first

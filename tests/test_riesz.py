@@ -64,8 +64,8 @@ class TestContourSpec:
 
 class TestRieszProjector:
     def test_zero_potential_exact(self):
-        op = build_T(vseq({}), 1, 16)
-        pair = riesz_projector(op, ContourSpec(n=3, m=1))
+        eigs = eigenvalues(build_T(vseq({}), 1, 16))
+        pair = riesz_projector(eigs, ContourSpec(n=3, m=1))
         assert np.max(np.abs(pair.p - pair.p0)) <= 1e-12
         assert pair.tr_p.real == pytest.approx(2.0, abs=1e-12)
         # the unperturbed projector is the indicator of the resonant modes
@@ -77,31 +77,31 @@ class TestRieszProjector:
     def test_trace_two_for_random_potentials(self):
         for seed in (0, 1):
             v = random_potential(seed)
-            op = build_T(v, 1, 32)
-            pair = riesz_projector(op, ContourSpec(n=4, m=1))
+            eigs = eigenvalues(build_T(v, 1, 32))
+            pair = riesz_projector(eigs, ContourSpec(n=4, m=1))
             assert abs(pair.tr_p - 2.0) <= 1e-9
 
     def test_idempotent_to_quad_tol(self):
         v = vseq({2: 1.0, -2: 1.0})
-        op = build_T(v, 1, 32)
-        pair = riesz_projector(op, ContourSpec(n=3, m=1, nodes=64))
+        eigs = eigenvalues(build_T(v, 1, 32))
+        pair = riesz_projector(eigs, ContourSpec(n=3, m=1, nodes=64))
         defect = np.max(np.abs(pair.p @ pair.p - pair.p))
         assert defect <= max(pair.quad_tol, 1e-10)
         assert pair.quad_tol <= 1e-10
 
     def test_pp0_pairing_nondegenerate(self):
         v = random_potential(2)
-        op = build_T(v, 1, 32)
-        pair = riesz_projector(op, ContourSpec(n=5, m=1))
+        eigs = eigenvalues(build_T(v, 1, 32))
+        pair = riesz_projector(eigs, ContourSpec(n=5, m=1))
         assert np.trace(pair.p @ pair.p0).real == pytest.approx(2.0, abs=1e-6)
 
     def test_collision_error_carries_offender(self):
         # an eigenvalue of A^m sits exactly on a radius-crossing contour if
         # we shift the potential by the right constant
         v = vseq({0: float(2 * 3 - 1) ** 1})  # pushes the n=3 pair onto its contour
-        op = build_T(v, 1, 16)
+        eigs = eigenvalues(build_T(v, 1, 16))
         with pytest.raises(ContourCollisionError) as err:
-            riesz_projector(op, ContourSpec(n=3, m=1))
+            riesz_projector(eigs, ContourSpec(n=3, m=1))
         assert err.value.offending is not None
 
     def test_node_halving_error_decays_geometrically(self):
@@ -109,11 +109,11 @@ class TestRieszProjector:
         # the contour radius: quadrature error then decays like q^N with
         # q well inside (0, 1)
         v = vseq({2: 2.0, -2: 2.0, 6: 1.5, -6: 1.5})
-        op = build_T(v, 1, 32)
+        eigs = eigenvalues(build_T(v, 1, 32))
         errs = []
-        ref = riesz_projector(op, ContourSpec(n=2, m=1, nodes=256)).p
+        ref = riesz_projector(eigs, ContourSpec(n=2, m=1, nodes=256)).p
         for nodes in (16, 32, 64):
-            p = riesz_projector(op, ContourSpec(n=2, m=1, nodes=nodes)).p
+            p = riesz_projector(eigs, ContourSpec(n=2, m=1, nodes=nodes)).p
             errs.append(np.max(np.abs(p - ref)))
         assert errs[0] > 1e-13  # above the floor, so the ratios are meaningful
         assert errs[1] <= 0.5 * errs[0]
@@ -122,26 +122,25 @@ class TestRieszProjector:
 
 class TestTauFromTraces:
     def test_zero_potential(self):
-        op = build_T(vseq({}), 1, 16)
-        res = tau_from_traces(op, ContourSpec(n=2, m=1))
+        eigs = eigenvalues(build_T(vseq({}), 1, 16))
+        res = tau_from_traces(eigs, ContourSpec(n=2, m=1))
         assert res.tau.real == pytest.approx(9 * PI2, rel=1e-12)
         assert abs(res.tr_q) <= 1e-10
 
     def test_cross_oracle_against_eigensolver(self):
         for seed in (3, 4):
             v = random_potential(seed, window=40)
-            op = build_T(v, 1, 32)
-            eigs = eigenvalues(op, validate=False)
-            table = pair_eigenvalues(eigs, 1, matrix=op.matrix)
+            eigs = eigenvalues(build_T(v, 1, 32))
+            table = pair_eigenvalues(eigs)
             for n in (2, 4, 6):
-                res = tau_from_traces(op, ContourSpec(n=n, m=1), t_eigs=eigs.values)
+                res = tau_from_traces(eigs, ContourSpec(n=n, m=1))
                 tau_eig = table.row(n).tau
                 assert abs(res.tau - tau_eig) <= 1e-8 * (1 + abs(res.tau))
 
     def test_trace_identity_q(self):
         v = vseq({2: 0.7, -2: 0.7, 4: 0.3, -4: 0.3})
-        op = build_T(v, 1, 24)
-        res = tau_from_traces(op, ContourSpec(n=3, m=1))
+        eigs = eigenvalues(build_T(v, 1, 24))
+        res = tau_from_traces(eigs, ContourSpec(n=3, m=1))
         c = 25 * PI2
         assert res.tr_q == pytest.approx(2 * (res.tau - c), abs=max(1e-9, 10 * res.quad_tol))
 
