@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .eigensolver import (
 from .operator import (
     MAX_HALF_WINDOW,
     ExtRegion,
-    PowerIterationError,
     VertRegion,
     build_T,
     build_resolvent_factors,
@@ -144,6 +144,10 @@ def _validate_config(cfg: RunConfig):
             f"--K {cfg.K} too small for --n-max {cfg.n_max}: modes within a factor "
             "4 of the window edge are truncation-polluted (need K >= 4 n_max)"
         )
+    for flag, val in (("--R", cfg.R), ("--C", cfg.C), ("--epsilon", cfg.epsilon),
+                      ("--debug-bound-scale", cfg.bound_scale)):
+        if not math.isfinite(val):
+            raise ConfigError(f"{flag} must be finite, got {val}")
     if cfg.R <= 0:
         raise ConfigError(f"--R must be positive, got {cfg.R}")
     if cfg.C <= 1:
@@ -609,6 +613,18 @@ def _coerce_k(raw) -> str | int:
         raise ConfigError(f"--K must be an integer or 'auto', got {raw!r}")
 
 
+def _check_config_types(path: str, file_cfg: dict):
+    """Reject config-file values whose JSON type does not fit the field:
+    an integer counts as a float, a boolean counts as neither."""
+    hints = get_type_hints(RunConfig)
+    for key, val in file_cfg.items():
+        want = hints[key]
+        accepted = (int, float) if want is float else want
+        if isinstance(val, bool) or not isinstance(val, accepted):
+            name = getattr(want, "__name__", str(want))
+            raise ConfigError(f"{path}: config key {key!r} must be {name}, got {val!r}")
+
+
 def effective_config(args: argparse.Namespace) -> RunConfig:
     merged = dict(DEFAULTS)
     if args.config is not None:
@@ -624,6 +640,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {sorted(unknown)}")
+        _check_config_types(args.config, file_cfg)
         merged.update(file_cfg)
     for key in DEFAULTS:
         val = getattr(args, key, None)
@@ -658,7 +675,7 @@ def main(argv=None) -> int:
     except LemmaBoundFailure as exc:
         print(f"hillgap: {exc}", file=sys.stderr)
         return 5
-    except (SolverError, PowerIterationError) as exc:
+    except SolverError as exc:
         print(f"hillgap: solver failure: {exc}", file=sys.stderr)
         return 4
     except PotentialFileError as exc:

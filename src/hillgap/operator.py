@@ -17,7 +17,6 @@ from .seqspace import FourierSequence, Parity, ParityError
 __all__ = [
     "TruncatedOperator",
     "SpectrumCollisionError",
-    "PowerIterationError",
     "modes",
     "unperturbed_eigenvalues",
     "center",
@@ -50,10 +49,6 @@ COLLISION_TOL = 1e-10  # relative to 1 + |lambda| + mu
 
 class SpectrumCollisionError(ValueError):
     """lambda is (numerically) an unperturbed eigenvalue."""
-
-
-class PowerIterationError(RuntimeError):
-    pass
 
 
 def modes(K: int) -> np.ndarray:
@@ -221,38 +216,9 @@ def hs_norm_S(factors: ResolventFactors) -> float:
     return float(np.linalg.norm(factors.s_lam, "fro"))
 
 
-def op_norm_S(
-    factors: ResolventFactors, tol: float = 1e-10, max_iter: int = 10_000
-) -> float:
-    """Largest singular value of S_lambda by power iteration on S*S.
-
-    Convergence is certified through the eigen-residual of S*S at the
-    current Rayleigh quotient, which bounds the eigenvalue error for the
-    Hermitian product directly.
-    """
-    s = factors.s_lam
-    dim = s.shape[0]
-    if not np.any(s):
-        return 0.0
-    # deterministic start with a mild ramp so it is not orthogonal to the
-    # top singular subspace by symmetry
-    x = 1.0 + np.arange(dim) / (7.0 * dim)
-    x = x.astype(complex)
-    x /= np.linalg.norm(x)
-    for _ in range(max_iter):
-        y = s @ x
-        z = s.conj().T @ y
-        rho = float(np.real(np.vdot(x, z)))  # = ||S x||^2 >= 0
-        resid = float(np.linalg.norm(z - rho * x))
-        if resid <= tol * max(1.0, rho):
-            return math.sqrt(max(rho, 0.0))
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        x = z / nz
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations"
-    )
+def op_norm_S(factors: ResolventFactors) -> float:
+    """Operator norm of S_lambda: its largest singular value (LAPACK SVD)."""
+    return float(np.linalg.norm(factors.s_lam, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +363,14 @@ def elementary_bounds_check(
     )
 
 
-def eq506_margin(
-    m: int, n: int, samples: int = 32, K: int = 64, r_n: float | None = None
-) -> float:
+def eq506_margin(m: int, n: int, samples: int = 32, K: int = 64) -> float:
     """Worst ratio of 1/|lambda - k^{2m} pi^{2m}| against its gap comparison
     (3/pi^{2m}) / |k^{2m} - (2n-1)^{2m}|, over sampled strip-boundary lambda
     and every odd k != +-(2n-1) in the window.  At most 1 when the
     comparison holds."""
     if n < vert_min_n(m):
         raise ValueError(f"strip index n = {n} below the admissible threshold for m = {m}")
-    if r_n is None:
-        r_n = contour_radius(m, n)
-    region = VertRegion(n=n, r_n=r_n, m=m)
+    region = VertRegion(n=n, r_n=contour_radius(m, n), m=m)
     pts = region.boundary_points(samples)
     ks = modes(K).astype(float)
     off = np.abs(np.abs(ks) - (2 * n - 1)) > 0.5
@@ -422,12 +384,10 @@ def eq506_margin(
     return worst
 
 
-def eq506_check(
-    m: int, n: int, samples: int = 32, K: int = 64, r_n: float | None = None
-) -> bool:
+def eq506_check(m: int, n: int, samples: int = 32, K: int = 64) -> bool:
     """True when the strip-boundary resolvent comparison holds for every
     sampled lambda and window mode."""
-    return eq506_margin(m, n, samples, K, r_n) <= 1.0 + 1e-12
+    return eq506_margin(m, n, samples, K) <= 1.0 + 1e-12
 
 
 def resolvent_shifted_norm(

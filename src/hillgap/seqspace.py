@@ -118,13 +118,11 @@ class FourierSequence:
 
 @dataclass(frozen=True)
 class SobolevParams:
-    """Scale parameters of the weighted spaces: order m, singularity scale
-    alpha, optional explicit exponent s and weight shift."""
+    """Scale parameters of the weighted spaces: order m and singularity
+    scale alpha."""
 
     m: int
     alpha: float
-    s: float | None = None
-    shift: int = 0
 
     def __post_init__(self):
         if self.m < 1:

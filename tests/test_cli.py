@@ -148,6 +148,41 @@ class TestConfigHandling:
         cfg = json.loads(capsys.readouterr().out)
         assert cfg["m"] == 3  # flag overrides file
 
+    @pytest.mark.parametrize(
+        "flags, file_cfg, key",
+        [
+            (["localize", "--R", "nan"], None, "--R"),
+            (["asymptotics", "--epsilon", "nan"], None, "--epsilon"),
+            (["localize", "--C", "inf"], None, "--C"),
+            (["lemmas", "--debug-bound-scale", "nan"], None, "--debug-bound-scale"),
+            (["spectrum"], {"alpha": "x"}, "'alpha'"),
+            (["spectrum"], {"n_max": 2.5}, "'n_max'"),
+            (["lemmas"], {"seed": "a"}, "'seed'"),
+            (["spectrum"], {"K": 64.7}, "'K'"),
+            (["spectrum"], {"out": 1}, "'out'"),
+            (["spectrum"], {"m": True}, "'m'"),
+        ],
+        ids=[
+            "R-nan", "epsilon-nan", "C-inf", "bound_scale-nan", "file-alpha-str",
+            "file-n_max-float", "file-seed-str", "file-K-float", "file-out-int",
+            "file-m-bool",
+        ],
+    )
+    def test_bad_value_exit_2_names_key(
+        self, tmp_path, zero_potential, capsys, flags, file_cfg, key
+    ):
+        argv = flags + ["--potential", zero_potential, "--print-config"]
+        if file_cfg is None or "out" not in file_cfg:
+            argv += ["--out", str(tmp_path / "o.csv")]
+        if file_cfg is not None:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(file_cfg))
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
     def test_bad_quad_nodes_exit_2(self, tmp_path, zero_potential):
         code = main(["riesz-check", "--m", "1", "--quad-nodes", "48",
                      "--potential", zero_potential, "--out", str(tmp_path / "o.csv")])

@@ -11,6 +11,8 @@ from hillgap.operator import (
     build_B,
     build_resolvent_factors,
     build_T,
+    center,
+    contour_radius,
     elementary_bounds_check,
     eq506_check,
     eq506_margin,
@@ -162,9 +164,14 @@ class TestNorms:
         assert op_norm_S(f) == pytest.approx(hs_norm_S(f), rel=1e-10)
 
     def test_op_below_hs_and_matches_svd(self):
-        for seed in range(6):
-            v = random_potential(seed, window=24)
-            f = build_resolvent_factors(v, 1, 8, 37.0 + 5.0j)
+        cases = [
+            (random_potential(seed, window=24), 1, 8, 37.0 + 5.0j) for seed in range(6)
+        ]
+        # small-norm regime: ||S|| ~ 6e-6 on the m = 3 strip boundary
+        small = FourierSequence.make(Parity.EVEN, {2: 1, -2: 0.5j, 4: 0.3, -6: 0.2})
+        cases.append((small, 3, 32, center(3, 4) + contour_radius(3, 4)))
+        for v, m, K, lam in cases:
+            f = build_resolvent_factors(v, m, K, lam)
             op = op_norm_S(f)
             hs = hs_norm_S(f)
             assert op <= hs * (1 + 1e-10)
