@@ -36,20 +36,20 @@ print("first pair:", eigs.values[0].real, eigs.values[1].real)
 print("pi^2 -+ 1 :", PI2 - 1, PI2 + 1)
 
 # The trace identity holds for every solve: the eigenvalue sum equals the
-# matrix trace (all diagonal entries of B are v(0)).
+# matrix trace (all diagonal entries of B are v(0)).  The solve reports the
+# defect relative to ||T||_F.
 
-op = build_T(v, 1, 64)
-print("trace defect:", abs(eigs.values.sum() - np.trace(op.matrix)))
+print("trace defect:", eigs.trace_defect)
 
 # =============================================================================
 # Pairs are collected by disc membership around the unperturbed centers and
 # then refined in the center-shifted frame, which resolves pair splittings
-# far below one ulp of the center itself.
+# far below one ulp of the center itself.  Each row keeps the offsets d_lo,
+# d_hi of its pair from the center c; tau - c is their mean.
 
 table = compute_pair_table(v, 1, 64)
 for r in table.rows[:5]:
-    print(f"n={r.n}: tau-c = {r.tau.real - (2 * r.n - 1) ** 2 * PI2:+.6e}"
-          f"   gamma = {abs(r.gamma):.3e}")
+    print(f"n={r.n}: tau-c = {r.d_tau.real:+.6e}   gamma = {abs(r.gamma):.3e}")
 
 # =============================================================================
 # Truncation control: double the window until the reported pairs stop moving.

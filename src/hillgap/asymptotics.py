@@ -23,7 +23,7 @@ from .seqspace import (
     normalize_zero_mode,
     weighted_norm,
 )
-from .eigensolver import EigenPairTable, compute_pair_table
+from .eigensolver import EigenPairRow, EigenPairTable, compute_pair_table
 from .operator import center, contour_radius
 
 __all__ = [
@@ -108,15 +108,18 @@ def _converged_rows(table: EigenPairTable):
     return rows
 
 
+def _deviation(r: EigenPairRow) -> float:
+    """Largest |lambda - center(m, n)| of the pair, zero mode included."""
+    return max(abs(r.d_lo + r.v0), abs(r.d_hi + r.v0))
+
+
 def _fit(ns, values, target, fit_range) -> tuple[DecayFit, bool]:
+    """Decay fit and membership flag over fit_range, which defaults to the
+    rows from FIT_RANGE_START on."""
     points = list(zip(ns, values))
     if fit_range is None:
         fit_range = (min(FIT_RANGE_START, max(ns)), max(ns))
-    if all(v == 0.0 for _, v in points):
-        return DecayFit(-math.inf, True), True
-    fit = decay_exponent(points, fit_range)
-    bounded = h_membership_bounded(points, target, fit_range)
-    return fit, bounded
+    return decay_exponent(points, fit_range), h_membership_bounded(points, target, fit_range)
 
 
 def tau_remainder(
@@ -128,11 +131,12 @@ def tau_remainder(
     fit_range: tuple[int, int] | None = None,
 ) -> RemainderReport:
     """Remainder of the pair mean: |tau_n - (2n-1)^{2m} pi^{2m} - v(0)|,
-    classified against the exponent m(1 - 2 alpha) - epsilon."""
+    read from the pair's offsets, classified against the exponent
+    m(1 - 2 alpha) - epsilon."""
     rows = _converged_rows(table)
     shift = v_raw(0)
     ns = tuple(r.n for r in rows)
-    values = tuple(abs(r.tau - center(m, r.n) - shift) for r in rows)
+    values = tuple(abs(r.d_tau + (r.v0 - shift)) for r in rows)
     target = m * (1.0 - 2.0 * alpha) - epsilon
     fit, bounded = _fit(ns, values, target, fit_range)
     return RemainderReport(
@@ -186,21 +190,10 @@ def one_term_check(
     bounded flag demands every value stay below 3^m sqrt(2) C R."""
     rows = _converged_rows(table)
     ns = tuple(r.n for r in rows)
-    values = []
-    for r in rows:
-        c = center(m, r.n)
-        scale = float(2 * r.n - 1) ** (m * alpha)
-        values.append(max(abs(r.lambda_lo - c), abs(r.lambda_hi - c)) / scale)
-    values = tuple(values)
+    values = tuple(_deviation(r) / float(2 * r.n - 1) ** (m * alpha) for r in rows)
     bound = 3.0**m * math.sqrt(2.0) * C * R
     bounded = all(val <= bound for val in values)
-    if all(val == 0.0 for val in values):
-        fit = DecayFit(-math.inf, True)
-    else:
-        points = list(zip(ns, values))
-        if fit_range is None:
-            fit_range = (min(FIT_RANGE_START, max(ns)), max(ns))
-        fit = decay_exponent(points, fit_range)
+    fit, _ = _fit(ns, values, 0.0, fit_range)
     return RemainderReport(
         RemainderKind.ONE_TERM, ns, values, 0.0, fit.slope, bounded, fit.exact_zero
     )
@@ -230,19 +223,12 @@ def alpha1_experiment(
     if not rows:
         raise ValueError("no paired rows; window too small or potential too strong")
     ns = tuple(r.n for r in rows)
-    values = tuple(
-        max(abs(r.lambda_lo - center(m, r.n)), abs(r.lambda_hi - center(m, r.n)))
-        / contour_radius(m, r.n)
-        for r in rows
-    )
+    values = tuple(_deviation(r) / contour_radius(m, r.n) for r in rows)
     n0 = 0
     for n, val in zip(ns, values):
         if val >= 1.0:
             n0 = n
-    if all(val == 0.0 for val in values):
-        fit = DecayFit(-math.inf, True)
-    else:
-        fit = decay_exponent(list(zip(ns, values)), (min(ns), max(ns)))
+    fit = decay_exponent(list(zip(ns, values)), (min(ns), max(ns)))
     return RemainderReport(
         RemainderKind.ALPHA_ONE,
         ns,

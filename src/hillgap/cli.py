@@ -213,10 +213,12 @@ def load_potential(path: str) -> FourierSequence:
             raise PotentialFileError(f"{where}: index {k!r} is not an integer")
         if k % 2:
             raise PotentialFileError(f"{where}: index {k} is odd; potentials live on the even lattice")
-        try:
-            val = complex(float(re), float(im))
-        except (TypeError, ValueError):
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
             raise PotentialFileError(f"{where}: non-numeric coefficient {re!r}, {im!r}")
+        try:
+            val = complex(re, im)
+        except OverflowError:  # an integer beyond the binary64 range
+            val = complex(math.inf)
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             raise PotentialFileError(f"{where}: non-finite coefficient {val}")
         if k in coeffs:

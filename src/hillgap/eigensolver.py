@@ -8,7 +8,8 @@ column residuals ||T v - lambda v|| certify every eigenvalue, and each pair,
 collected by disc membership around its unperturbed center, is sharpened by
 Rayleigh-Ritz of the center-shifted matrix on the span of its two
 eigenvectors, which decouples the pair-splitting accuracy from the global
-matrix scale.
+matrix scale.  Pair rows keep those offsets from the center; absolute
+eigenvalues are derived from them for output only.
 """
 
 from __future__ import annotations
@@ -164,13 +165,42 @@ def localization_radius(m: int, alpha: float, C: float, R: float, n: int) -> flo
 
 @dataclass(frozen=True)
 class EigenPairRow:
+    """One pair, stored as its offsets d_lo, d_hi from center(m, n) in the
+    zero-mode-normalized frame, next to the zero mode v0 split off before the
+    solve.  The absolute values are derived from these for output only, so
+    every remainder keeps the precision of the center-shifted frame."""
+
     n: int
-    lambda_lo: complex
-    lambda_hi: complex
-    tau: complex
-    gamma: complex
+    center: float
+    d_lo: complex
+    d_hi: complex
+    v0: complex
     disc_radius_used: float
     converged: bool
+
+    def _absolute(self, d: complex) -> complex:
+        lam = self.center + d
+        return lam + self.v0 if self.v0 else lam
+
+    @property
+    def d_tau(self) -> complex:
+        return (self.d_lo + self.d_hi) / 2.0
+
+    @property
+    def lambda_lo(self) -> complex:
+        return self._absolute(self.d_lo)
+
+    @property
+    def lambda_hi(self) -> complex:
+        return self._absolute(self.d_hi)
+
+    @property
+    def tau(self) -> complex:
+        return self._absolute(self.d_tau)
+
+    @property
+    def gamma(self) -> complex:
+        return self.d_hi - self.d_lo
 
 
 @dataclass(frozen=True)
@@ -186,15 +216,6 @@ class EigenPairTable:
                 return r
         raise KeyError(f"no paired row for n = {n}")
 
-    def shifted(self, c: complex) -> "EigenPairTable":
-        if c == 0:
-            return self
-        rows = tuple(
-            replace(r, lambda_lo=r.lambda_lo + c, lambda_hi=r.lambda_hi + c, tau=r.tau + c)
-            for r in self.rows
-        )
-        return EigenPairTable(self.m, self.K, rows, dict(self.flagged))
-
 
 def _check_disc_overlap(m: int, radius_rule, n_max: int):
     for n in range(1, n_max):
@@ -209,7 +230,7 @@ def _refine_pair(
     c: float,
     resonant: list[int],
     cols: np.ndarray,
-    pair: np.ndarray,
+    raw: np.ndarray,
     radius: float,
 ) -> tuple[complex, complex] | None:
     """Center-shifted Rayleigh-Ritz on the span of the pair's two eigenvectors.
@@ -220,7 +241,7 @@ def _refine_pair(
     no shifted copy of the whole matrix is needed.  Returns the refined pair
     RELATIVE to the center, ordered lexicographically, which keeps the
     splitting meaningful far below one ulp of the center.  Returns None
-    (keep the raw pair) if the two vectors do not span a plane, as for a
+    (keep the raw offsets) if the two vectors do not span a plane, as for a
     Jordan pair, or if the refinement wanders outside a quarter of the disc.
     """
     w, r = np.linalg.qr(cols)
@@ -238,7 +259,7 @@ def _refine_pair(
     else:
         local = np.linalg.eigvals(h)
         local = local[lexicographic_order(local)]
-    if np.max(np.abs((c + local) - pair)) > 0.25 * radius:
+    if np.max(np.abs(local - raw)) > 0.25 * radius:
         return None
     return complex(local[0]), complex(local[1])
 
@@ -250,8 +271,9 @@ def pair_eigenvalues(
 
     For each n up to n_max (default K/4, the trusted quarter of the window)
     the eigenvalues within radius_rule(m, n) of center(m, n) are gathered;
-    exactly-two hits become a paired row, refined on the span of its two
-    eigenvectors; anything else is flagged with its hit count.
+    exactly-two hits become a paired row, whose offsets from the center are
+    refined on the span of its two eigenvectors; anything else is flagged
+    with its hit count.  The rows carry no zero mode (v0 = 0).
     """
     m, K = eigs.op.m, eigs.op.K
     if n_max is None:
@@ -273,28 +295,11 @@ def pair_eigenvalues(
             flagged[n] = len(idx)
             continue
         idx = idx[lexicographic_order(vals[idx])]
-        pair = vals[idx]
+        raw = vals[idx] - c
         cols = eigs.vectors[:, eigs.order[idx]]
-        local = _refine_pair(eigs.op.matrix, c, list(resonant_rows(K, n)), cols, pair, r)
-        if local is None:
-            lo, hi = complex(pair[0]), complex(pair[1])
-            tau, gamma = (lo + hi) / 2.0, hi - lo
-        else:
-            # tau and gamma keep the precision of the center-shifted frame
-            lo, hi = c + local[0], c + local[1]
-            tau = c + (local[0] + local[1]) / 2.0
-            gamma = local[1] - local[0]
-        rows.append(
-            EigenPairRow(
-                n=n,
-                lambda_lo=lo,
-                lambda_hi=hi,
-                tau=tau,
-                gamma=gamma,
-                disc_radius_used=r,
-                converged=False,
-            )
-        )
+        d = _refine_pair(eigs.op.matrix, c, list(resonant_rows(K, n)), cols, raw, r)
+        d_lo, d_hi = d if d is not None else (complex(raw[0]), complex(raw[1]))
+        rows.append(EigenPairRow(n, c, d_lo, d_hi, v0=0j, disc_radius_used=r, converged=False))
     return EigenPairTable(m, K, tuple(rows), flagged)
 
 
@@ -305,21 +310,21 @@ def compute_pair_table(
     radius_rule=contour_radius,
     n_max: int | None = None,
 ) -> EigenPairTable:
-    """Spectrum pipeline: normalize the zero mode, solve the truncated
-    operator, pair around the centers, and re-add the removed constant."""
-    v0, c = normalize_zero_mode(v)
-    eigs = eigenvalues(build_T(v0, m, K))
-    return pair_eigenvalues(eigs, radius_rule, n_max=n_max).shifted(c)
+    """Spectrum pipeline: split off the zero mode, solve the truncated
+    operator and pair around the centers; the rows carry the zero mode."""
+    v_norm, v0 = normalize_zero_mode(v)
+    table = pair_eigenvalues(eigenvalues(build_T(v_norm, m, K)), radius_rule, n_max=n_max)
+    return replace(table, rows=tuple(replace(r, v0=v0) for r in table.rows))
 
 
 def mark_converged(
     table: EigenPairTable, reference: EigenPairTable, tol: float = CONVERGENCE_TOL
 ) -> EigenPairTable:
-    """Flag each row of table converged when the same pair in reference (the
-    table at another window) lies within tol.  Rows missing from reference
-    are unconverged.  Pairs are compared as sets: the lexicographic label
-    assignment of a near-degenerate pair may flip between windows without
-    the values themselves moving."""
+    """Flag each row of table converged when the offsets of the same pair
+    in reference (the table at another window) lie within tol.  Rows
+    missing from reference are unconverged.  Pairs are compared as sets:
+    the lexicographic label assignment of a near-degenerate pair may flip
+    between windows without the values themselves moving."""
     rows = []
     for r in table.rows:
         try:
@@ -327,8 +332,8 @@ def mark_converged(
         except KeyError:
             rows.append(replace(r, converged=False))
             continue
-        direct = max(abs(r.lambda_lo - p.lambda_lo), abs(r.lambda_hi - p.lambda_hi))
-        crossed = max(abs(r.lambda_lo - p.lambda_hi), abs(r.lambda_hi - p.lambda_lo))
+        direct = max(abs(r.d_lo - p.d_lo), abs(r.d_hi - p.d_hi))
+        crossed = max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo))
         rows.append(replace(r, converged=bool(min(direct, crossed) < tol)))
     return EigenPairTable(table.m, table.K, tuple(rows), dict(table.flagged))
 

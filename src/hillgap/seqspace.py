@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-12
+MEMBERSHIP_BOUND_FACTOR = 10.0
 
 
 class Parity(str, enum.Enum):
@@ -346,10 +347,10 @@ def h_membership_bounded(
     points: Iterable[tuple[int, float]],
     s: float,
     fit_range: tuple[int, int] | None = None,
-    bound_factor: float = 10.0,
 ) -> bool:
     """Desk-scale membership surrogate for the class with decay exponent s:
-    sup_n r_n n^s must not exceed bound_factor times the median of r_n n^s."""
+    sup_n r_n n^s must not exceed MEMBERSHIP_BOUND_FACTOR times the median
+    of r_n n^s."""
     pts = list(points)
     if fit_range is not None:
         lo, hi = fit_range
@@ -363,4 +364,4 @@ def h_membership_bounded(
     med = float(np.median(weighted))
     if med == 0.0:
         return False
-    return top <= bound_factor * med
+    return top <= MEMBERSHIP_BOUND_FACTOR * med

@@ -1,9 +1,11 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from hillgap import asymptotics
 from hillgap.asymptotics import (
     RemainderKind,
     alpha1_experiment,
@@ -12,8 +14,14 @@ from hillgap.asymptotics import (
     predict_pair,
     tau_remainder,
 )
-from hillgap.eigensolver import compute_pair_table, converge_truncation, localization_radius
+from hillgap.eigensolver import (
+    compute_pair_table,
+    converge_truncation,
+    localization_radius,
+    mark_converged,
+)
 from hillgap.seqspace import (
+    DecayFit,
     FourierSequence,
     Parity,
     PotentialFamily,
@@ -25,10 +33,33 @@ from hillgap.seqspace import (
 )
 
 PI2 = math.pi**2
+TRIG = {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
 
 
 def vseq(coeffs):
     return FourierSequence.make(Parity.EVEN, coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_tau_offsets(m, K, ns, dps=30):
+    """|tau_n - center(m, n)| of the trig potential at window K from a
+    dps-digit mpmath eigensolve of the exact matrix (the diagonal
+    (2k-1)^{2m} pi^{2m} is not rounded to binary64)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        p = [2 * k - 1 for k in range(-K + 1, K + 1)]
+        t = mp.matrix(2 * K, 2 * K)
+        for i, pi in enumerate(p):
+            for j, pj in enumerate(p):
+                t[i, j] = mp.mpc(TRIG.get(pi - pj, 0))
+            t[i, i] += (pi * mp.pi) ** (2 * m)
+        ev = mp.eig(t, left=False, right=False)
+        offsets = {}
+        for n in ns:
+            c = ((2 * n - 1) * mp.pi) ** (2 * m)
+            lo, hi = sorted(ev, key=lambda z: abs(z - c))[:2]
+            offsets[n] = abs(complex((lo + hi) / 2 - c))
+        return offsets
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +117,33 @@ class TestTauRemainder:
         assert rep.fitted_slope <= -0.9
 
     def test_shift_consistency(self, trig_table):
+        # the zero mode is split off before the solve, so the offsets from
+        # the centers do not see it at all
         v, tab = trig_table
         c = 2.5 - 0.5j
         v2 = v.with_entry(0, c)
-        tab2 = tab.shifted(c)
+        _, tab2 = converge_truncation(v2, 1, 24, K_start=96)
+        assert [r.n for r in tab2.rows] == [r.n for r in tab.rows]
+        offsets = [np.array([(r.d_lo, r.d_hi) for r in t.rows]) for t in (tab, tab2)]
+        assert offsets[0].tobytes() == offsets[1].tobytes()
+        assert all(r.v0 == c for r in tab2.rows)
         r1 = tau_remainder(tab, v, 1, 0.0)
         r2 = tau_remainder(tab2, v2, 1, 0.0)
         assert np.allclose(r1.values, r2.values, atol=1e-9)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (2, 4), (3, 2), (3, 3)])
+    def test_high_precision_oracle(self, monkeypatch, m, n):
+        # at m >= 2, tau - c is only 16 to 1e6 ulps of the center c, so
+        # subtracting c from an absolute tau loses digits the stored offsets
+        # keep; the K = 16 window pairs four rows, too few for the slope
+        # fit, which is stubbed out
+        ns = {2: (3, 4), 3: (2, 3)}[m]
+        want = mpmath_tau_offsets(m, 16, ns)[n]
+        v = vseq(TRIG)
+        tab = mark_converged(compute_pair_table(v, m, 16), compute_pair_table(v, m, 32))
+        monkeypatch.setattr(asymptotics, "_fit", lambda *args: (DecayFit(math.nan, False), True))
+        got = dict(tau_remainder(tab, v, m, 0.0).pairs())[n]
+        assert got == pytest.approx(want, rel=1e-6)
 
     def test_requires_converged_rows(self):
         v = vseq({2: 1.0, -2: 1.0})
@@ -127,9 +178,7 @@ class TestTauRemainder:
         by_n = dict(r_small.pairs())
         for r in bigger.rows:
             if r.n in by_n:
-                center = (2 * r.n - 1) ** 2 * PI2
-                val = abs(r.tau - center)
-                assert abs(val - by_n[r.n]) < 1e-9
+                assert abs(abs(r.d_tau) - by_n[r.n]) < 1e-9
 
 
 class TestGammaRemainder:

@@ -85,6 +85,27 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "coeffs[1]" in err and "3" in err
 
+    @pytest.mark.parametrize(
+        "coeffs, where",
+        [
+            ([[2, "1.5", True], [-2, 1, 0]], "coeffs[0]"),
+            ([[-2, 1, 0], [2, 1.5, True]], "coeffs[1]"),
+            ([[2, True, 0]], "coeffs[0]"),
+            ([[2, 0, "0"]], "coeffs[0]"),
+            ([[2, 10**400, 0]], "coeffs[0]"),
+        ],
+        ids=["re-str-im-bool", "im-bool", "re-bool", "im-str", "re-int-overflow"],
+    )
+    def test_non_number_coefficient_exit_3(self, tmp_path, capsys, coeffs, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"parity": "even", "coeffs": coeffs}))
+        out = tmp_path / "x.csv"
+        code = main(["spectrum", "--m", "1", "--K", "16", "--n-max", "4",
+                     "--potential", str(bad), "--out", str(out)])
+        assert code == 3
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_potential_exit_3(self, tmp_path):
         code = main(["spectrum", "--m", "1", "--K", "16", "--n-max", "4",
                      "--potential", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])
