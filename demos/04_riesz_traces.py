@@ -36,15 +36,15 @@ m, K, n = 1, 64, 3
 eigs = eigenvalues(build_T(v, m, K))
 
 # =============================================================================
-# The projector has trace 2 (the pair), is idempotent up to the quadrature
-# error, and its unperturbed counterpart is the exact indicator of the
-# resonant modes +-(2n-1).
+# The projector enters only through its traces: Tr P = 2 (the pair) and
+# Tr((T - center) P) = 2 (tau - center), with the node-halving defect of
+# both as the quadrature tolerance.
 
 contour = ContourSpec(n=n, m=m, nodes=64)
 pair = riesz_projector(eigs, contour)
-print("Tr P     =", pair.tr_p)
-print("||P^2-P|| =", np.max(np.abs(pair.p @ pair.p - pair.p)))
-print("quad tol  =", pair.quad_tol)
+print("Tr P              =", pair.tr_p)
+print("Tr((T - center) P) =", pair.tr_q)
+print("quad tol           =", pair.quad_tol)
 
 # =============================================================================
 # The pair mean via traces agrees with the disc-paired eigenvalues.

@@ -517,7 +517,7 @@ def run_riesz_check(cfg: RunConfig) -> int:
         s2 = riesz.script_S_2x2(v, cfg.m, n, K, nodes=cfg.quad_nodes)
         l_diff = abs(s2[0, 1] - riesz.l_direct(v, cfg.m, n))
         try:
-            tau_diff = abs(trace.tau - table.row(n).tau)
+            tau_diff = abs(trace.tr_q / 2.0 - table.row(n).d_tau)
             tau_tol = TAU_XCHECK_TOL * (1.0 + abs(trace.tau))
         except KeyError:
             tau_diff = math.nan

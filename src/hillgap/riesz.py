@@ -3,10 +3,12 @@ second-order correction sequence computed two independent ways.
 
 Quadrature is the trapezoidal rule on the circle of radius (2n-1)^m around
 the unperturbed center, spectrally accurate for the analytic integrands at
-hand.  Every node of the perturbed projector costs one dense inverse;
-the error estimate comes from comparing the full rule against its half-node
-subset, which reuses the same inverses.  Node order is fixed, so runs are bit
-reproducible.
+hand.  The perturbed projector is only ever read through its traces
+Tr P and Tr((T - center) P): each contour costs one dense inverse at a shift
+off the contour and one Hessenberg reduction, after which every node is an
+O(dim^2) elimination.  The error estimate comes from comparing the full rule
+against its half-node subset, which reuses the same node traces.  Node order
+is fixed, so runs are bit reproducible.
 """
 
 from __future__ import annotations
@@ -99,27 +101,76 @@ def _guard_contour(contour: ContourSpec, values: np.ndarray, what: str):
 
 @dataclass(frozen=True)
 class ProjectorPair:
-    """Riesz projector of the perturbed operator and the closed-form
-    unperturbed one, the traces Tr P and Tr(T P), and the node-halving error
-    estimate.  The unperturbed traces are the constants Tr P0 = 2 and
-    Tr(A^m P0) = 2 center."""
+    """Traces of the Riesz projector P of the perturbed operator: Tr P and
+    Tr((T - center) P), and their node-halving error estimate.  The
+    unperturbed traces are the constants Tr P0 = 2 and Tr((A^m - center) P0)
+    = 0."""
 
     contour: ContourSpec
-    p: np.ndarray
-    p0: np.ndarray
     tr_p: complex
-    tr_tp: complex
+    tr_q: complex
     quad_tol: float
 
 
-def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
-    """Quadrature projector P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda
-    for the operator T = eigs.op.
+def _hessenberg(a: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg form of a by Householder similarity."""
+    h = np.array(a, dtype=complex)
+    for k in range(h.shape[0] - 2):
+        x = h[k + 1:, k]
+        norm = np.vdot(x, x).real ** 0.5
+        if norm == 0.0:
+            continue
+        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        v = x.copy()
+        v[0] += phase * norm
+        v /= np.vdot(v, v).real ** 0.5
+        h[k + 1:, k + 1:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k + 1:])
+        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
+        h[k + 1, k] = -phase * norm
+        h[k + 2:, k] = 0.0
+    return h
 
-    The unperturbed projector is the diagonal indicator of the resonant modes
-    +-(2n-1) and is exact.  The certified spectrum eigs guards the contour
-    against collisions; the quadrature itself inverts lambda - T at every
-    node and reads nothing else of the eigensolve.
+
+def _log_det_derivative(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """d/dz log det(I + z h) for upper Hessenberg h at every entry of z.
+
+    Gaussian elimination with partial pivoting on a Hessenberg matrix only
+    ever compares the running pivot row with the next row, so each step
+    carries one row (and its z-derivative) per node; the derivative of the
+    log determinant is the sum of u_kk' / u_kk over the pivots.
+    """
+    dim = h.shape[0]
+    zc = z[:, None]
+    row = zc * h[0]
+    row[:, 0] += 1.0
+    drow = np.broadcast_to(h[0], row.shape)
+    total = np.zeros(z.shape, dtype=complex)
+    for k in range(dim - 1):
+        nxt = zc * h[k + 1, k:]
+        nxt[:, 1] += 1.0
+        dnxt = np.broadcast_to(h[k + 1, k:], nxt.shape)
+        swap = (np.abs(nxt[:, 0]) > np.abs(row[:, 0]))[:, None]
+        piv, dpiv = np.where(swap, nxt, row), np.where(swap, dnxt, drow)
+        oth, doth = np.where(swap, row, nxt), np.where(swap, drow, dnxt)
+        total += dpiv[:, 0] / piv[:, 0]
+        ratio = oth[:, :1] / piv[:, :1]
+        dratio = (doth[:, :1] - ratio * dpiv[:, :1]) / piv[:, :1]
+        row = oth[:, 1:] - ratio * piv[:, 1:]
+        drow = doth[:, 1:] - dratio * piv[:, 1:] - ratio * dpiv[:, 1:]
+    return total + drow[:, 0] / row[:, 0]
+
+
+def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
+    """Traces of the quadrature projector
+    P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda for the operator T = eigs.op.
+
+    Tr (lambda - T)^{-1} = d/dz log det(I + z M) with M = (sigma - T)^{-1} and
+    z = lambda - sigma, for the shift sigma = center + 2i radius off the
+    contour.  M is one dense inverse per contour whose largest eigenvalues
+    belong to the contour's own modes, so its partial pivoting keeps the
+    graded diagonal of T accurate; one Hessenberg reduction of M then makes
+    every node an O(dim^2) pivoted elimination.  The certified spectrum eigs
+    guards the contour against collisions and is read for nothing else.
     """
     op = eigs.op
     if op.m != contour.m:
@@ -129,35 +180,25 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
             f"resonant modes +-{2 * contour.n - 1} fall outside the window (K = {op.K})"
         )
     mat = op.matrix
-    dim = mat.shape[0]
     _guard_contour(contour, eigs.values, "perturbed")
     mu = unperturbed_eigenvalues(op.m, op.K)
     _guard_contour(contour, mu.astype(complex), "unperturbed")
 
-    lams, ws = contour.points()
-    eye = np.eye(dim, dtype=complex)
-    acc = np.zeros((dim, dim), dtype=complex)
-    acc_half = np.zeros((dim, dim), dtype=complex)
-    tr_tp = 0.0 + 0.0j
-    for j in range(contour.nodes):
-        resolvent = np.linalg.inv(lams[j] * eye - mat)
-        term = ws[j] * resolvent
-        acc += term
-        if j % 2 == 0:
-            acc_half += 2.0 * term
-        tr_tp += ws[j] * np.sum(mat * resolvent.T)
-
-    p0 = np.zeros((dim, dim), dtype=complex)
-    for i in resonant_rows(op.K, contour.n):
-        p0[i, i] = 1.0
-    quad_tol = float(np.max(np.abs(acc - acc_half)))
+    _, ws = contour.points()
+    # rho u_j exactly: the weights are rho u_j / N with N a power of two
+    offsets = contour.nodes * ws
+    shift = 2j * contour.radius
+    shift_inv = np.linalg.inv((contour.center + shift) * np.eye(mat.shape[0]) - mat)
+    # z_j = lambda_j - sigma from the offsets, so the nodes keep their full
+    # precision relative to the center
+    traces = _log_det_derivative(_hessenberg(shift_inv), offsets - shift)
+    p_terms = ws * traces
+    q_terms = p_terms * offsets
+    tr_p, tr_q = np.sum(p_terms), np.sum(q_terms)
+    half_p, half_q = 2.0 * np.sum(p_terms[::2]), 2.0 * np.sum(q_terms[::2])
+    quad_tol = float(max(abs(tr_p - half_p), abs(tr_q - half_q)))
     return ProjectorPair(
-        contour=contour,
-        p=acc,
-        p0=p0,
-        tr_p=complex(np.trace(acc)),
-        tr_tp=complex(tr_tp),
-        quad_tol=quad_tol,
+        contour=contour, tr_p=complex(tr_p), tr_q=complex(tr_q), quad_tol=quad_tol
     )
 
 
@@ -171,14 +212,11 @@ class TauTraceResult:
 
 
 def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
-    """Pair mean through traces: tau_n = Tr(T P_n) / 2 for T = eigs.op,
-    together with the trace of (T - center) P_n - (A^m - center) P_n^0,
-    which must equal 2 (tau_n - center)."""
+    """Pair mean through traces: tr_q = Tr((T - center) P_n) for T = eigs.op
+    must equal 2 (tau_n - center), so tau_n = center + tr_q / 2."""
     pair = riesz_projector(eigs, contour)
-    c = contour.center
-    tau = pair.tr_tp / 2.0
-    tr_q = pair.tr_tp - c * pair.tr_p  # (A^m - c) P0 is traceless
-    return TauTraceResult(contour.n, complex(tau), complex(tr_q), pair.tr_p, pair.quad_tol)
+    tau = contour.center + pair.tr_q / 2.0
+    return TauTraceResult(contour.n, complex(tau), pair.tr_q, pair.tr_p, pair.quad_tol)
 
 
 def _diag_resolvent_weights(m: int, K: int, lam: complex) -> np.ndarray:
@@ -198,12 +236,8 @@ def q0_matrix(
     contour = ContourSpec(n=n, m=m, nodes=nodes)
     b = build_B(v, m, K).matrix
     lams, ws = contour.points()
-    c = contour.center
-    acc = np.zeros_like(b)
-    for j in range(nodes):
-        d = _diag_resolvent_weights(m, K, lams[j])
-        acc += (ws[j] * (lams[j] - c)) * (d[:, None] * b * d[None, :])
-    return acc
+    d = 1.0 / (lams[:, None] - unperturbed_eigenvalues(m, K)[None, :])
+    return ((d.T * (ws * (lams - contour.center))) @ d) * b
 
 
 def q0_closed_form(v: FourierSequence, m: int, n: int, K: int) -> np.ndarray:

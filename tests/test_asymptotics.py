@@ -1,5 +1,4 @@
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -38,28 +37,6 @@ TRIG = {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
 
 def vseq(coeffs):
     return FourierSequence.make(Parity.EVEN, coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def mpmath_tau_offsets(m, K, ns, dps=30):
-    """|tau_n - center(m, n)| of the trig potential at window K from a
-    dps-digit mpmath eigensolve of the exact matrix (the diagonal
-    (2k-1)^{2m} pi^{2m} is not rounded to binary64)."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(dps):
-        p = [2 * k - 1 for k in range(-K + 1, K + 1)]
-        t = mp.matrix(2 * K, 2 * K)
-        for i, pi in enumerate(p):
-            for j, pj in enumerate(p):
-                t[i, j] = mp.mpc(TRIG.get(pi - pj, 0))
-            t[i, i] += (pi * mp.pi) ** (2 * m)
-        ev = mp.eig(t, left=False, right=False)
-        offsets = {}
-        for n in ns:
-            c = ((2 * n - 1) * mp.pi) ** (2 * m)
-            lo, hi = sorted(ev, key=lambda z: abs(z - c))[:2]
-            offsets[n] = abs(complex((lo + hi) / 2 - c))
-        return offsets
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +109,12 @@ class TestTauRemainder:
         assert np.allclose(r1.values, r2.values, atol=1e-9)
 
     @pytest.mark.parametrize("m, n", [(2, 3), (2, 4), (3, 2), (3, 3)])
-    def test_high_precision_oracle(self, monkeypatch, m, n):
+    def test_high_precision_oracle(self, monkeypatch, mpmath_pair, m, n):
         # at m >= 2, tau - c is only 16 to 1e6 ulps of the center c, so
         # subtracting c from an absolute tau loses digits the stored offsets
         # keep; the K = 16 window pairs four rows, too few for the slope
         # fit, which is stubbed out
-        ns = {2: (3, 4), 3: (2, 3)}[m]
-        want = mpmath_tau_offsets(m, 16, ns)[n]
+        want = abs(mpmath_pair(TRIG, m, 16, n)[0])
         v = vseq(TRIG)
         tab = mark_converged(compute_pair_table(v, m, 16), compute_pair_table(v, m, 32))
         monkeypatch.setattr(asymptotics, "_fit", lambda *args: (DecayFit(math.nan, False), True))

@@ -322,6 +322,21 @@ class TestRieszCheckCommand:
         for r in rows:
             assert float(r["tau_diff"]) <= 1e-8 * (1 + 400 * PI2)
 
+    def test_m3_tau_offsets_agree(self, tmp_path):
+        # at m = 3, n = 8 the center is 1e10 and the pair sits 4e-11 from
+        # it: tau_diff compares the two routes' offsets, not absolute taus
+        coeffs = {2: 1.0 + 0j, -2: 0.5 + 0j, 4: 0.3 + 0j, -4: 0.2j, 6: 0.1 + 0j}
+        pot = write_potential(tmp_path / "trig.json", coeffs)
+        out = tmp_path / "rz.csv"
+        code = main(["riesz-check", "--m", "3", "--K", "32", "--n-max", "8",
+                     "--potential", pot, "--out", str(out)])
+        assert code == 0
+        _, rows, footer = read_csv(out)
+        assert footer["all_hold"] is True
+        assert [r["n"] for r in rows] == [str(n) for n in range(2, 9)]
+        for r in rows:
+            assert float(r["tau_diff"]) <= 1e-9
+
     def test_eigensolve_is_certified(self, tmp_path, trig_potential, monkeypatch, capsys):
         monkeypatch.setattr(eigensolver, "_residual_max", lambda mat, values, vectors: 1.0)
         code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",

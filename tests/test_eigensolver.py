@@ -223,39 +223,19 @@ class TestLocalization:
                 assert d.max_deviation < d.radius
 
 
-def mpmath_gaps(coeffs, m, K, ns, dps=60):
-    """Gaps of the truncated operator at window K from a dps-digit mpmath
-    eigensolve: the two eigenvalues nearest each center, hi - lo."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(dps):
-        p = [2 * k - 1 for k in range(-K + 1, K + 1)]
-        t = mp.matrix(2 * K, 2 * K)
-        for i, pi in enumerate(p):
-            for j, pj in enumerate(p):
-                t[i, j] = mp.mpc(coeffs.get(pi - pj, 0))
-            t[i, i] += (pi * mp.pi) ** (2 * m)
-        ev = mp.eig(t, left=False, right=False)
-        gaps = {}
-        for n in ns:
-            c = ((2 * n - 1) * mp.pi) ** (2 * m)
-            lo, hi = sorted(ev, key=lambda z: abs(z - c))[:2]
-            gaps[n] = complex(hi - lo)
-        return gaps
-
-
 class TestHighPrecisionOracle:
-    def test_mathieu_gaps(self):
+    def test_mathieu_gaps(self, mpmath_pair):
         coeffs = {2: 1.0, -2: 1.0}
-        want = mpmath_gaps(coeffs, 1, 16, (3, 4))
+        want = {n: mpmath_pair(coeffs, 1, 16, n, dps=60)[1] for n in (3, 4)}
         assert abs(want[3]) == pytest.approx(1.4294e-9, rel=1e-3)
         assert abs(want[4]) == pytest.approx(1.01907e-15, rel=1e-3)
         tab = compute_pair_table(vseq(coeffs), 1, 16)
         for n in (3, 4):
             assert abs(tab.row(n).gamma) == pytest.approx(abs(want[n]), rel=0.01)
 
-    def test_complex_two_term_gap(self):
+    def test_complex_two_term_gap(self, mpmath_pair):
         coeffs = {2: 1.0, -2: 0.2j}
-        want = mpmath_gaps(coeffs, 1, 12, (3,))[3]
+        want = mpmath_pair(coeffs, 1, 12, 3, dps=60)[1]
         assert abs(want) == pytest.approx(2.5570755e-11, rel=1e-6)
         got = compute_pair_table(vseq(coeffs), 1, 12).row(3).gamma
         # the labels of a pair this narrow are set by the imaginary parts

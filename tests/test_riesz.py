@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hillgap.eigensolver import eigenvalues, pair_eigenvalues
-from hillgap.operator import build_T, modes
+from hillgap.operator import build_B, build_T, modes, unperturbed_eigenvalues
 from hillgap.riesz import (
     ContourCollisionError,
     ContourSpec,
@@ -27,6 +27,10 @@ from hillgap.seqspace import (
 )
 
 PI2 = math.pi**2
+ORACLE_POTENTIALS = {
+    "trig": {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1},
+    "complex": {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2, -4: 0.1j, 6: 0.1 + 0.05j},
+}
 
 
 def vseq(coeffs):
@@ -66,13 +70,9 @@ class TestRieszProjector:
     def test_zero_potential_exact(self):
         eigs = eigenvalues(build_T(vseq({}), 1, 16))
         pair = riesz_projector(eigs, ContourSpec(n=3, m=1))
-        assert np.max(np.abs(pair.p - pair.p0)) <= 1e-12
-        assert pair.tr_p.real == pytest.approx(2.0, abs=1e-12)
-        # the unperturbed projector is the indicator of the resonant modes
-        window = list(modes(16))
-        for mode, want in [(5, 1.0), (-5, 1.0), (3, 0.0)]:
-            i = window.index(mode)
-            assert pair.p0[i, i] == want
+        # the pair sits exactly at the center: Tr P = 2, Tr((T - c) P) = 0
+        assert abs(pair.tr_p - 2.0) <= 1e-14
+        assert abs(pair.tr_q) <= 1e-12
 
     def test_trace_two_for_random_potentials(self):
         for seed in (0, 1):
@@ -81,19 +81,16 @@ class TestRieszProjector:
             pair = riesz_projector(eigs, ContourSpec(n=4, m=1))
             assert abs(pair.tr_p - 2.0) <= 1e-9
 
-    def test_idempotent_to_quad_tol(self):
-        v = vseq({2: 1.0, -2: 1.0})
-        eigs = eigenvalues(build_T(v, 1, 32))
-        pair = riesz_projector(eigs, ContourSpec(n=3, m=1, nodes=64))
-        defect = np.max(np.abs(pair.p @ pair.p - pair.p))
-        assert defect <= max(pair.quad_tol, 1e-10)
-        assert pair.quad_tol <= 1e-10
-
-    def test_pp0_pairing_nondegenerate(self):
+    def test_matches_dense_inverse_per_node(self):
+        # the route it replaced, one dense inverse per node, as the reference
         v = random_potential(2)
-        eigs = eigenvalues(build_T(v, 1, 32))
-        pair = riesz_projector(eigs, ContourSpec(n=5, m=1))
-        assert np.trace(pair.p @ pair.p0).real == pytest.approx(2.0, abs=1e-6)
+        op = build_T(v, 1, 16)
+        contour = ContourSpec(n=3, m=1)
+        lams, ws = contour.points()
+        tr = np.array([np.trace(np.linalg.inv(lam * np.eye(32) - op.matrix)) for lam in lams])
+        pair = riesz_projector(eigenvalues(op), contour)
+        assert abs(pair.tr_p - np.sum(ws * tr)) <= 1e-12
+        assert abs(pair.tr_q - np.sum(ws * (lams - contour.center) * tr)) <= 1e-11
 
     def test_collision_error_carries_offender(self):
         # an eigenvalue of A^m sits exactly on a radius-crossing contour if
@@ -107,14 +104,15 @@ class TestRieszProjector:
     def test_node_halving_error_decays_geometrically(self):
         # a potential strong enough that the pair sits at a good fraction of
         # the contour radius: quadrature error then decays like q^N with
-        # q well inside (0, 1)
+        # q well inside (0, 1), and the node-halving defect bounds it
         v = vseq({2: 2.0, -2: 2.0, 6: 1.5, -6: 1.5})
         eigs = eigenvalues(build_T(v, 1, 32))
         errs = []
-        ref = riesz_projector(eigs, ContourSpec(n=2, m=1, nodes=256)).p
+        ref = riesz_projector(eigs, ContourSpec(n=2, m=1, nodes=256))
         for nodes in (16, 32, 64):
-            p = riesz_projector(eigs, ContourSpec(n=2, m=1, nodes=nodes)).p
-            errs.append(np.max(np.abs(p - ref)))
+            pair = riesz_projector(eigs, ContourSpec(n=2, m=1, nodes=nodes))
+            errs.append(max(abs(pair.tr_p - ref.tr_p), abs(pair.tr_q - ref.tr_q)))
+            assert errs[-1] <= pair.quad_tol
         assert errs[0] > 1e-13  # above the floor, so the ratios are meaningful
         assert errs[1] <= 0.5 * errs[0]
         assert errs[2] <= 0.5 * errs[1]
@@ -144,6 +142,20 @@ class TestTauFromTraces:
         c = 25 * PI2
         assert res.tr_q == pytest.approx(2 * (res.tau - c), abs=max(1e-9, 10 * res.quad_tol))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("potential", sorted(ORACLE_POTENTIALS))
+    def test_high_precision_oracle(self, mpmath_pair, potential, m, n):
+        # at m = 3 the pair sits 1e-9 to 1e-6 from a center of 7e5 to 1e8,
+        # so Tr((T - c) P) must be summed from the node offsets; forming
+        # Tr(T P) - c Tr(P) cancels it to rounding
+        coeffs = ORACLE_POTENTIALS[potential]
+        want = 2.0 * mpmath_pair(coeffs, m, 16, n)[0]
+        eigs = eigenvalues(build_T(vseq(coeffs), m, 16))
+        res = tau_from_traces(eigs, ContourSpec(n=n, m=m))
+        assert abs(res.tr_p - 2.0) <= 1e-12
+        assert abs(res.tr_q - want) <= 1e-3 * abs(want)
+
 
 class TestQ0Matrix:
     def test_n1_resonant_entries(self):
@@ -162,6 +174,18 @@ class TestQ0Matrix:
                 q0 = q0_matrix(v, 1, n, 24)
                 assert abs(np.trace(q0)) <= 1e-9
                 assert np.max(np.abs(q0 - q0_closed_form(v, 1, n, 24))) <= 1e-9
+
+    def test_matches_node_loop(self):
+        # the single product against the per-node sum it replaced
+        v = random_potential(5, window=40)
+        contour = ContourSpec(n=2, m=1)
+        b = build_B(v, 1, 24).matrix
+        lams, ws = contour.points()
+        want = np.zeros_like(b)
+        for lam, w in zip(lams, ws):
+            d = 1.0 / (lam - unperturbed_eigenvalues(1, 24))
+            want += (w * (lam - contour.center)) * (d[:, None] * b * d[None, :])
+        assert np.max(np.abs(q0_matrix(v, 1, 2, 24) - want)) <= 1e-13
 
     def test_no_resonant_mode_gives_zero(self):
         v = vseq({2: 1.0, -2: 1.0})
