@@ -5,10 +5,10 @@ Quadrature is the trapezoidal rule on the circle of radius (2n-1)^m around
 the unperturbed center, spectrally accurate for the analytic integrands at
 hand.  The perturbed projector is only ever read through its traces
 Tr P and Tr((T - center) P): each contour costs one dense inverse at a shift
-off the contour and one Hessenberg reduction, after which every node is an
-O(dim^2) elimination.  The error estimate comes from comparing the full rule
-against its half-node subset, which reuses the same node traces.  Node order
-is fixed, so runs are bit reproducible.
+off the contour and one eigvals of that inverse, after which every node is a
+sum over those dim eigenvalues.  The error estimate comes from comparing the
+full rule against its half-node subset, which reuses the same node traces.
+Node order is fixed, so runs are bit reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqspace import FourierSequence, Parity, ParityError
-from .eigensolver import EigenList
+from .eigensolver import EigenList, SolverError
 from .operator import (
     build_B,
     center,
@@ -112,65 +112,19 @@ class ProjectorPair:
     quad_tol: float
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Upper Hessenberg form of a by Householder similarity."""
-    h = np.array(a, dtype=complex)
-    for k in range(h.shape[0] - 2):
-        x = h[k + 1:, k]
-        norm = np.vdot(x, x).real ** 0.5
-        if norm == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * norm
-        v /= np.vdot(v, v).real ** 0.5
-        h[k + 1:, k + 1:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k + 1:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        h[k + 1, k] = -phase * norm
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _log_det_derivative(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """d/dz log det(I + z h) for upper Hessenberg h at every entry of z.
-
-    Gaussian elimination with partial pivoting on a Hessenberg matrix only
-    ever compares the running pivot row with the next row, so each step
-    carries one row (and its z-derivative) per node; the derivative of the
-    log determinant is the sum of u_kk' / u_kk over the pivots.
-    """
-    dim = h.shape[0]
-    zc = z[:, None]
-    row = zc * h[0]
-    row[:, 0] += 1.0
-    drow = np.broadcast_to(h[0], row.shape)
-    total = np.zeros(z.shape, dtype=complex)
-    for k in range(dim - 1):
-        nxt = zc * h[k + 1, k:]
-        nxt[:, 1] += 1.0
-        dnxt = np.broadcast_to(h[k + 1, k:], nxt.shape)
-        swap = (np.abs(nxt[:, 0]) > np.abs(row[:, 0]))[:, None]
-        piv, dpiv = np.where(swap, nxt, row), np.where(swap, dnxt, drow)
-        oth, doth = np.where(swap, row, nxt), np.where(swap, drow, dnxt)
-        total += dpiv[:, 0] / piv[:, 0]
-        ratio = oth[:, :1] / piv[:, :1]
-        dratio = (doth[:, :1] - ratio * dpiv[:, :1]) / piv[:, :1]
-        row = oth[:, 1:] - ratio * piv[:, 1:]
-        drow = doth[:, 1:] - dratio * piv[:, 1:] - ratio * dpiv[:, 1:]
-    return total + drow[:, 0] / row[:, 0]
-
-
 def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     """Traces of the quadrature projector
     P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda for the operator T = eigs.op.
 
-    Tr (lambda - T)^{-1} = d/dz log det(I + z M) with M = (sigma - T)^{-1} and
-    z = lambda - sigma, for the shift sigma = center + 2i radius off the
-    contour.  M is one dense inverse per contour whose largest eigenvalues
-    belong to the contour's own modes, so its partial pivoting keeps the
-    graded diagonal of T accurate; one Hessenberg reduction of M then makes
-    every node an O(dim^2) pivoted elimination.  The certified spectrum eigs
-    guards the contour against collisions and is read for nothing else.
+    Tr (lambda - T)^{-1} = d/dz log det(I + z M) = sum_k nu_k / (1 + z nu_k)
+    with M = (sigma - T)^{-1}, nu its eigenvalues and z = lambda - sigma, for
+    the shift sigma = center + 2i radius off the contour.  M is one dense
+    inverse per contour whose largest eigenvalues belong to the contour's own
+    modes, so its partial pivoting keeps the graded diagonal of T accurate;
+    one LAPACK eigvals of M then makes every node a sum over dim terms.  The
+    certified spectrum eigs guards the contour against collisions and is read
+    for nothing else, so the traces stay independent of it.  A failed LAPACK
+    call raises SolverError.
     """
     op = eigs.op
     if op.m != contour.m:
@@ -188,10 +142,15 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     # rho u_j exactly: the weights are rho u_j / N with N a power of two
     offsets = contour.nodes * ws
     shift = 2j * contour.radius
-    shift_inv = np.linalg.inv((contour.center + shift) * np.eye(mat.shape[0]) - mat)
+    try:
+        shift_inv = np.linalg.inv((contour.center + shift) * np.eye(mat.shape[0]) - mat)
+        nu = np.linalg.eigvals(shift_inv)
+    except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
+        raise SolverError(f"contour shift-invert failed: {exc}") from exc
     # z_j = lambda_j - sigma from the offsets, so the nodes keep their full
     # precision relative to the center
-    traces = _log_det_derivative(_hessenberg(shift_inv), offsets - shift)
+    z = (offsets - shift)[:, None]
+    traces = np.sum(nu / (1.0 + z * nu), axis=1)
     p_terms = ws * traces
     q_terms = p_terms * offsets
     tr_p, tr_q = np.sum(p_terms), np.sum(q_terms)
@@ -217,10 +176,6 @@ def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
     pair = riesz_projector(eigs, contour)
     tau = contour.center + pair.tr_q / 2.0
     return TauTraceResult(contour.n, complex(tau), pair.tr_q, pair.tr_p, pair.quad_tol)
-
-
-def _diag_resolvent_weights(m: int, K: int, lam: complex) -> np.ndarray:
-    return 1.0 / (lam - unperturbed_eigenvalues(m, K))
 
 
 def q0_matrix(
@@ -275,13 +230,9 @@ def script_S_2x2(
     rows = b[idx, :]          # B restricted to the two resonant rows
     cols = b[:, idx]          # and columns
     lams, ws = contour.points()
-    c = contour.center
-    acc = np.zeros((2, 2), dtype=complex)
-    for j in range(nodes):
-        d = _diag_resolvent_weights(m, K, lams[j])
-        inner = rows * d[None, :] @ cols  # sum over the intermediate mode
-        acc += (ws[j] / (lams[j] - c)) * inner
-    return acc
+    d = 1.0 / (lams[:, None] - unperturbed_eigenvalues(m, K)[None, :])
+    # the node sum folds into one weight per intermediate mode
+    return (rows * ((ws / (lams - contour.center)) @ d)) @ cols
 
 
 def l_direct(v: FourierSequence, m: int, n: int) -> complex:

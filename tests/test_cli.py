@@ -344,6 +344,17 @@ class TestRieszCheckCommand:
         assert code == 4
         assert "solver failure" in capsys.readouterr().err
 
+    def test_shift_invert_failure_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
+        # LinAlgError is a ValueError; it must not read as a configuration error
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
+                     "--potential", trig_potential, "--out", str(tmp_path / "rz.csv")])
+        assert code == 4
+        assert "solver failure" in capsys.readouterr().err
+
     def test_q0_mismatch_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
         closed_form = riesz.q0_closed_form
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hillgap.eigensolver import eigenvalues, pair_eigenvalues
-from hillgap.operator import build_B, build_T, modes, unperturbed_eigenvalues
+from hillgap.operator import build_B, build_T, modes, resonant_rows, unperturbed_eigenvalues
 from hillgap.riesz import (
     ContourCollisionError,
     ContourSpec,
@@ -91,6 +91,18 @@ class TestRieszProjector:
         pair = riesz_projector(eigenvalues(op), contour)
         assert abs(pair.tr_p - np.sum(ws * tr)) <= 1e-12
         assert abs(pair.tr_q - np.sum(ws * (lams - contour.center) * tr)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_jordan_pairs_one_sided_potential(self, m, n):
+        # v(-k) = 0 leaves every eigenvalue at its unperturbed value, and each
+        # resonant pair is a 2x2 Jordan block: P has trace 2 and (T - c) P is
+        # nilpotent, so its trace vanishes
+        v = vseq({2: 1.0, 4: 0.5 + 0.2j, 6: 0.3, 8: 0.1j})
+        contour = ContourSpec(n=n, m=m)
+        pair = riesz_projector(eigenvalues(build_T(v, m, 32)), contour)
+        assert abs(pair.tr_p - 2.0) <= 1e-12
+        assert abs(pair.tr_q) <= 1e-12 * contour.radius
 
     def test_collision_error_carries_offender(self):
         # an eigenvalue of A^m sits exactly on a radius-crossing contour if
@@ -251,6 +263,21 @@ class TestCorrectionSequence:
         lp, lm = l_pair(v, 1, 4)
         assert lp == l_direct(v, 1, 4)
         assert lm == l_direct(reflect_seq(v), 1, 4)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_script_S_matches_node_loop(self, m):
+        # the single product against the per-node sum it replaced
+        v = random_potential(9, window=24)
+        n, K = 3, 24
+        contour = ContourSpec(n=n, m=m)
+        b = build_B(v, m, K).matrix
+        idx = list(reversed(resonant_rows(K, n)))  # (+(2n-1), -(2n-1))
+        lams, ws = contour.points()
+        want = np.zeros((2, 2), dtype=complex)
+        for lam, w in zip(lams, ws):
+            d = 1.0 / (lam - unperturbed_eigenvalues(m, K))
+            want += (w / (lam - contour.center)) * ((b[idx, :] * d[None, :]) @ b[:, idx])
+        assert np.max(np.abs(script_S_2x2(v, m, n, K) - want)) <= 1e-13
 
     def test_script_S_zero_potential(self):
         s2 = script_S_2x2(vseq({}), 1, 2, 16)
