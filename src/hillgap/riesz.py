@@ -5,10 +5,12 @@ Quadrature is the trapezoidal rule on the circle of radius (2n-1)^m around
 the unperturbed center, spectrally accurate for the analytic integrands at
 hand.  The perturbed projector is only ever read through its traces
 Tr P and Tr((T - center) P): each contour costs one dense inverse at a shift
-off the contour and one eigvals of that inverse, after which every node is a
-sum over those dim eigenvalues.  The error estimate comes from comparing the
-full rule against its half-node subset, which reuses the same node traces.
-Node order is fixed, so runs are bit reproducible.
+off the contour and a block subspace iteration on it for the resonant
+pair's two eigenvalues, certified to leave out none near the contour (else
+all of them are taken); every node is then a sum over those few.
+The error estimate comes from comparing the full rule against its half-node
+subset, which reuses the same node traces.  Node order is fixed, so runs
+are bit reproducible.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ __all__ = [
 ]
 
 COLLISION_REL_TOL = 1e-6
+# a left-out eigenvalue |nu| <= 1 / (6 rho) of M is a pole >= 6 - 2 = 4 rho from the center
+CERT_FACTOR = 6.0
+# residual ||M X - X S||_F / ||M||_F of a converged block: a few ulps, a full eigvals' accuracy
+BLOCK_RESIDUAL_TOL = 1e-14
+# steps for the pair, enough for a convergence ratio |nu_3 / nu_2| up to 1/3
+BLOCK_MAX_STEPS = 30
 
 
 class ContourCollisionError(RuntimeError):
@@ -102,14 +110,36 @@ def _guard_contour(contour: ContourSpec, values: np.ndarray, what: str):
 @dataclass(frozen=True)
 class ProjectorPair:
     """Traces of the Riesz projector P of the perturbed operator: Tr P and
-    Tr((T - center) P), and their node-halving error estimate.  The
-    unperturbed traces are the constants Tr P0 = 2 and Tr((A^m - center) P0)
-    = 0."""
+    Tr((T - center) P), their node-halving error estimate, and the size of the
+    shift-inverse block they were read from.  The unperturbed traces are the
+    constants Tr P0 = 2 and Tr((A^m - center) P0) = 0."""
 
     contour: ContourSpec
     tr_p: complex
     tr_q: complex
     quad_tol: float
+    block: int
+
+
+def _dominant_block(shift_inv: np.ndarray, rows: tuple[int, int], radius: float) -> np.ndarray:
+    """Rayleigh quotient S = X^H M X of M = shift_inv on the invariant
+    subspace X of its two largest eigenvalues, by block subspace iteration
+    X <- qr(M X) from the unit columns of the resonant rows.  ||S22||_F^2 =
+    ||M||_F^2 - ||X^H M||_F^2 - ||M X||_F^2 + ||S||_F^2 bounds the spectral
+    radius of M outside X by 1 / (CERT_FACTOR radius).  A pair that does not
+    converge within BLOCK_MAX_STEPS or misses the bound gives X = I, S = M."""
+    m_fro2 = np.vdot(shift_inv, shift_inv).real
+    tol = BLOCK_RESIDUAL_TOL * math.sqrt(m_fro2)
+    x = np.eye(len(shift_inv), dtype=complex)[:, list(rows)]
+    for _ in range(BLOCK_MAX_STEPS):
+        y = shift_inv @ x
+        s = x.conj().T @ y
+        if np.linalg.norm(y - x @ s) <= tol:
+            xm = x.conj().T @ shift_inv
+            s22 = m_fro2 - np.vdot(xm, xm).real - np.vdot(y, y).real + np.vdot(s, s).real
+            return s if s22 <= (1.0 / (CERT_FACTOR * radius)) ** 2 else shift_inv
+        x = np.linalg.qr(y)[0]
+    return shift_inv
 
 
 def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
@@ -120,11 +150,12 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     with M = (sigma - T)^{-1}, nu its eigenvalues and z = lambda - sigma, for
     the shift sigma = center + 2i radius off the contour.  M is one dense
     inverse per contour whose largest eigenvalues belong to the contour's own
-    modes, so its partial pivoting keeps the graded diagonal of T accurate;
-    one LAPACK eigvals of M then makes every node a sum over dim terms.  The
-    certified spectrum eigs guards the contour against collisions and is read
-    for nothing else, so the traces stay independent of it.  A failed LAPACK
-    call raises SolverError.
+    modes, so its partial pivoting keeps the graded diagonal of T accurate.
+    The sum runs over the certified dominant pair of M (block 2), each pole
+    left out outside the contour with a trapezoid term <= 4^-nodes against an
+    exact integral of zero, or else over all of M (block dim).  The
+    certified spectrum eigs only guards the contour against collisions.  A
+    failed LAPACK call raises SolverError.
     """
     op = eigs.op
     if op.m != contour.m:
@@ -144,7 +175,8 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     shift = 2j * contour.radius
     try:
         shift_inv = np.linalg.inv((contour.center + shift) * np.eye(mat.shape[0]) - mat)
-        nu = np.linalg.eigvals(shift_inv)
+        block = _dominant_block(shift_inv, resonant_rows(op.K, contour.n), contour.radius)
+        nu = np.linalg.eigvals(block)
     except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
         raise SolverError(f"contour shift-invert failed: {exc}") from exc
     # z_j = lambda_j - sigma from the offsets, so the nodes keep their full
@@ -157,7 +189,7 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     half_p, half_q = 2.0 * np.sum(p_terms[::2]), 2.0 * np.sum(q_terms[::2])
     quad_tol = float(max(abs(tr_p - half_p), abs(tr_q - half_q)))
     return ProjectorPair(
-        contour=contour, tr_p=complex(tr_p), tr_q=complex(tr_q), quad_tol=quad_tol
+        contour=contour, tr_p=complex(tr_p), tr_q=complex(tr_q), quad_tol=quad_tol, block=len(nu)
     )
 
 
@@ -168,6 +200,7 @@ class TauTraceResult:
     tr_q: complex
     tr_p: complex
     quad_tol: float
+    block: int
 
 
 def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
@@ -175,7 +208,7 @@ def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
     must equal 2 (tau_n - center), so tau_n = center + tr_q / 2."""
     pair = riesz_projector(eigs, contour)
     tau = contour.center + pair.tr_q / 2.0
-    return TauTraceResult(contour.n, complex(tau), pair.tr_q, pair.tr_p, pair.quad_tol)
+    return TauTraceResult(contour.n, complex(tau), pair.tr_q, pair.tr_p, pair.quad_tol, pair.block)
 
 
 def q0_matrix(

@@ -337,6 +337,24 @@ class TestRieszCheckCommand:
         for r in rows:
             assert float(r["tau_diff"]) <= 1e-9
 
+    def test_footer_reports_max_block(self, tmp_path, trig_potential, capsys):
+        out = tmp_path / "rz.csv"
+        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "8",
+                     "--potential", trig_potential, "--out", str(out)])
+        assert code == 0
+        assert read_csv(out)[2]["max_block"] == 2
+        # a strong potential pushes other eigenvalues near the low contours:
+        # their blocks grow, the cross-oracles fail, and the table still lands
+        strong = write_potential(tmp_path / "strong.json", {2: 60 + 0j, -2: 45j, 4: 30 + 0j})
+        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
+                     "--potential", strong, "--out", str(out)])
+        assert code == 4
+        assert "solver failure" in capsys.readouterr().err
+        _, rows, footer = read_csv(out)
+        assert [r["n"] for r in rows] == ["2", "3", "4"]
+        assert footer["all_hold"] is False
+        assert footer["max_block"] > 2
+
     def test_eigensolve_is_certified(self, tmp_path, trig_potential, monkeypatch, capsys):
         monkeypatch.setattr(eigensolver, "_residual_max", lambda mat, values, vectors: 1.0)
         code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",

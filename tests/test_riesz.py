@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from hillgap.eigensolver import eigenvalues, pair_eigenvalues
-from hillgap.operator import build_B, build_T, modes, resonant_rows, unperturbed_eigenvalues
+from hillgap.operator import (
+    TruncatedOperator,
+    build_B,
+    build_T,
+    modes,
+    resonant_rows,
+    unperturbed_eigenvalues,
+)
 from hillgap.riesz import (
     ContourCollisionError,
     ContourSpec,
@@ -42,6 +49,26 @@ def random_potential(seed, window=24, radius=0.8):
         PotentialFamily.RANDOM_ROUGH, {"window": window}, radius=radius, seed=seed
     )
     return make_potential(spec, SobolevParams(m=1, alpha=0.0))
+
+
+def full_eigvals_traces(eigs, contour):
+    """The route the dominant block replaced: Tr P and Tr((T - c) P) summed
+    over every eigenvalue of the shift-inverse M = (sigma - T)^{-1}."""
+    mat = eigs.op.matrix
+    _, ws = contour.points()
+    offsets = contour.nodes * ws
+    shift = 2j * contour.radius
+    nu = np.linalg.eigvals(np.linalg.inv((contour.center + shift) * np.eye(len(mat)) - mat))
+    traces = np.sum(nu / (1.0 + (offsets - shift)[:, None] * nu), axis=1)
+    return np.sum(ws * traces), np.sum(ws * traces * offsets)
+
+
+def assert_matches_full_eigvals(eigs, contour):
+    pair = riesz_projector(eigs, contour)
+    tr_p, tr_q = full_eigvals_traces(eigs, contour)
+    assert abs(pair.tr_p - tr_p) <= 1e-12
+    assert abs(pair.tr_q - tr_q) <= 1e-12 * contour.radius
+    return pair
 
 
 class TestContourSpec:
@@ -103,6 +130,43 @@ class TestRieszProjector:
         pair = riesz_projector(eigenvalues(build_T(v, m, 32)), contour)
         assert abs(pair.tr_p - 2.0) <= 1e-12
         assert abs(pair.tr_q) <= 1e-12 * contour.radius
+
+    def test_planted_third_eigenvalue_grows_block(self):
+        # a far diagonal entry moved inside the n = 3 contour puts a third
+        # eigenvalue there: the pair's block must grow to take it in
+        contour = ContourSpec(n=3, m=1)
+        mat = build_T(random_potential(5), 1, 16).matrix.copy()
+        mat[-1, -1] = contour.center + (0.3 + 0.1j) * contour.radius
+        eigs = eigenvalues(TruncatedOperator(1, 16, mat))
+        pair = assert_matches_full_eigvals(eigs, contour)
+        assert abs(pair.tr_p - 3.0) <= 1e-12
+        assert pair.block > 2
+
+    def test_certificate_takes_in_pole_near_contour(self):
+        # the pair moved up to c + 0.5i rho sits 1.5 rho from the shift and a
+        # planted pole at c - 3.8i rho sits 5.8 rho from it: the pair's block
+        # converges fast but leaves out an eigenvalue of M above 1 / (6 rho),
+        # whose trapezoid term at 16 nodes is 3.8^-16 ~ 5e-10
+        contour = ContourSpec(n=3, m=1, nodes=16)
+        mat = build_T(random_potential(5), 1, 16).matrix + 0.5j * contour.radius * np.eye(32)
+        mat[-1, -1] = contour.center - 3.8j * contour.radius
+        eigs = eigenvalues(TruncatedOperator(1, 16, mat))
+        pair = assert_matches_full_eigvals(eigs, contour)
+        assert pair.block > 2
+
+    def test_strong_potential_grows_block(self):
+        v = vseq({2: 60.0, -2: 45j, 4: 30.0})
+        eigs = eigenvalues(build_T(v, 1, 32))
+        pairs = [assert_matches_full_eigvals(eigs, ContourSpec(n=n, m=1)) for n in (1, 2, 3)]
+        assert max(p.block for p in pairs) > 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_potentials_stay_at_pair_block(self, m):
+        for seed in (6, 7):
+            eigs = eigenvalues(build_T(random_potential(seed, radius=3.0), m, 32))
+            for n in (1, 3, 6):
+                pair = assert_matches_full_eigvals(eigs, ContourSpec(n=n, m=m))
+                assert pair.block == 2
 
     def test_collision_error_carries_offender(self):
         # an eigenvalue of A^m sits exactly on a radius-crossing contour if
