@@ -66,8 +66,9 @@ print("Tr Q0 =", abs(np.trace(q0)))
 
 # =============================================================================
 # The second-order resonant block carries the correction values on its
-# off-diagonal; the fast residue sum gives the same numbers.
+# off-diagonal; one pass of the residue sum gives the same two numbers.
 
 s2 = script_S_2x2(v, m, n, K)
-print("correction (contour) =", s2[0, 1])
-print("correction (residue) =", l_direct(v, m, n))
+l_plus, l_minus = l_direct(v, m, n)
+print("correction l+ (contour) =", s2[0, 1], " (residue) =", l_plus)
+print("correction l- (contour) =", s2[1, 0], " (residue) =", l_minus)

@@ -31,7 +31,7 @@ print("window:", K, "| converged rows:", sum(r.converged for r in table.rows))
 
 print("\n  n   predicted pair            computed pair")
 for n in (2, 4, 6):
-    pred = predict_pair(v, 1, 0.0, n)
+    pred = predict_pair(v, 1, n)
     row = table.row(n)
     print(f"  {n}  ({pred.predicted_pair[0].real:12.6f}, {pred.predicted_pair[1].real:12.6f})"
           f"   ({row.lambda_lo.real:12.6f}, {row.lambda_hi.real:12.6f})")

@@ -56,7 +56,7 @@ class PredictionRow:
     predicted_pair: tuple[complex, complex]
 
 
-def predict_pair(v_raw: FourierSequence, m: int, alpha: float, n: int) -> PredictionRow:
+def predict_pair(v_raw: FourierSequence, m: int, n: int) -> PredictionRow:
     """Prediction from the raw potential (zero mode intact): the pair
     center + v(0) -+ sqrt(v(-2(2n-1)) v(2(2n-1))), and the corrected variant
     with v replaced by v + l on the resonant indices."""
@@ -65,7 +65,7 @@ def predict_pair(v_raw: FourierSequence, m: int, alpha: float, n: int) -> Predic
     v0, _ = normalize_zero_mode(v_raw)
     q = 2 * (2 * n - 1)
     root = cmath.sqrt(v0(-q) * v0(q))
-    l_plus, l_minus = riesz.l_pair(v0, m, n)
+    l_plus, l_minus = riesz.l_direct(v0, m, n)
     root_corr = cmath.sqrt((v0(-q) + l_minus) * (v0(q) + l_plus))
     base = c + shift
     return PredictionRow(
@@ -163,7 +163,7 @@ def gamma_remainder(
     ns = tuple(r.n for r in rows)
     values = []
     for r in rows:
-        pred = predict_pair(v_raw, m, alpha, r.n)
+        pred = predict_pair(v_raw, m, r.n)
         root = pred.root_term_corr if corrected else pred.root_term
         values.append(min(abs(r.gamma + 2.0 * root), abs(r.gamma - 2.0 * root)))
     values = tuple(values)

@@ -56,6 +56,7 @@ from .operator import (
 )
 from .riesz import ContourCollisionError, ContourSpec
 from .seqspace import (
+    MIN_FIT_POINTS,
     FourierSequence,
     Parity,
     PotentialFamily,
@@ -168,6 +169,14 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError("--debug-bound-scale must be positive")
     if cfg.command == "riesz-check" and cfg.n_max < 2:
         raise ConfigError("riesz-check needs --n-max >= 2")
+
+
+def _require_fit_rows(cfg: RunConfig, first: int, exact: bool):
+    """Before any solve, refuse an --n-max that leaves a decay fit over
+    [first, n_max] fewer than MIN_FIT_POINTS rows, unless all are exactly 0."""
+    need = first + MIN_FIT_POINTS - 1
+    if not exact and cfg.n_max < need:
+        raise ConfigError(f"{cfg.command} needs --n-max >= {need} for its decay fit, got {cfg.n_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +325,7 @@ ASYMPTOTICS_COLUMNS = [
 
 def run_asymptotics(cfg: RunConfig) -> int:
     v = load_potential(cfg.potential)
+    _require_fit_rows(cfg, asymptotics.FIT_RANGE_START, normalize_zero_mode(v)[0].is_zero())
     table = _spectrum_table(cfg, v)
     rem_tau = asymptotics.tau_remainder(table, v, cfg.m, cfg.alpha, cfg.epsilon)
     rem_g = asymptotics.gamma_remainder(table, v, cfg.m, cfg.alpha, False, cfg.epsilon)
@@ -327,7 +337,7 @@ def run_asymptotics(cfg: RunConfig) -> int:
     for r in table.rows:
         if not r.converged:
             continue
-        pred = asymptotics.predict_pair(v, cfg.m, cfg.alpha, r.n)
+        pred = asymptotics.predict_pair(v, cfg.m, r.n)
         rows.append(
             [
                 r.n, pred.center, pred.shift.real, pred.shift.imag,
@@ -516,7 +526,8 @@ def run_riesz_check(cfg: RunConfig) -> int:
         q0_defect = float(np.max(np.abs(q0 - closed)))
         tr_q0 = abs(complex(np.trace(q0)))
         s2 = riesz.script_S_2x2(v, cfg.m, n, K, nodes=cfg.quad_nodes)
-        l_diff = abs(s2[0, 1] - riesz.l_direct(v, cfg.m, n))
+        l_plus, l_minus = riesz.l_direct(v, cfg.m, n)
+        l_diff = max(abs(s2[0, 1] - l_plus), abs(s2[1, 0] - l_minus))
         try:
             tau_diff = abs(trace.tr_q / 2.0 - table.row(n).d_tau)
             tau_tol = TAU_XCHECK_TOL * (1.0 + abs(trace.tau))
@@ -547,6 +558,7 @@ ALPHA1_COLUMNS = ["n", "ratio"]
 
 def run_alpha1(cfg: RunConfig) -> int:
     v = load_potential(cfg.potential)
+    _require_fit_rows(cfg, 1, v.is_zero())
     K = cfg.K if isinstance(cfg.K, int) else 4 * cfg.n_max
     report = asymptotics.alpha1_experiment(v, cfg.m, cfg.n_max, K=K)
     rows = [[n, val] for n, val in report.pairs()]

@@ -343,7 +343,6 @@ def converge_truncation(
     m: int,
     n_max: int,
     tol: float = CONVERGENCE_TOL,
-    radius_rule=contour_radius,
     K_start: int | None = None,
     K_cap: int = MAX_HALF_WINDOW,
 ) -> tuple[int, EigenPairTable]:
@@ -356,10 +355,10 @@ def converge_truncation(
     if K < 4 * n_max:
         raise PairingConfigError(f"K_start = {K} too small for n_max = {n_max}")
 
-    table = compute_pair_table(v, m, K, radius_rule, n_max=n_max)
+    table = compute_pair_table(v, m, K, n_max=n_max)
     while 2 * K <= K_cap:
         K = 2 * K
-        finer = compute_pair_table(v, m, K, radius_rule, n_max=n_max)
+        finer = compute_pair_table(v, m, K, n_max=n_max)
         table = mark_converged(finer, table, tol)
         if table.rows and all(r.converged for r in table.rows):
             break

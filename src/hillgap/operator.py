@@ -37,7 +37,6 @@ __all__ = [
     "ElementaryBoundsReport",
     "elementary_bounds_check",
     "eq506_margin",
-    "eq506_check",
     "resolvent_shifted_norm",
     "ExtRegion",
     "VertRegion",
@@ -382,12 +381,6 @@ def eq506_margin(m: int, n: int, samples: int = 32, K: int = 64) -> float:
         lhs = 1.0 / np.abs(lam - mu)
         worst = max(worst, float(np.max(lhs / rhs)))
     return worst
-
-
-def eq506_check(m: int, n: int, samples: int = 32, K: int = 64) -> bool:
-    """True when the strip-boundary resolvent comparison holds for every
-    sampled lambda and window mode."""
-    return eq506_margin(m, n, samples, K) <= 1.0 + 1e-12
 
 
 def resolvent_shifted_norm(

@@ -1,5 +1,5 @@
 """Contour-quadrature Riesz projectors, trace identities, and the
-second-order correction sequence computed two independent ways.
+second-order correction values l_+- computed two independent ways.
 
 Quadrature is the trapezoidal rule on the circle of radius (2n-1)^m around
 the unperturbed center, spectrally accurate for the analytic integrands at
@@ -41,7 +41,6 @@ __all__ = [
     "q0_closed_form",
     "script_S_2x2",
     "l_direct",
-    "l_pair",
 ]
 
 COLLISION_REL_TOL = 1e-6
@@ -211,6 +210,19 @@ def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
     return TauTraceResult(contour.n, complex(tau), pair.tr_q, pair.tr_p, pair.quad_tol, pair.block)
 
 
+def _free_nodes(v: FourierSequence, m: int, n: int, K: int, nodes: int):
+    """Contour, nodes lambda_j, weights, B(v) and free node resolvents
+    d[j, p] = 1 / (lambda_j - mu_p): what both quadratures below share."""
+    if v(0) != 0:
+        raise ValueError("the free-resolvent quadratures require a zero-mode-normalized potential")
+    contour = ContourSpec(n=n, m=m, nodes=nodes)
+    if n > K:
+        raise ValueError(f"resonant modes +-{2 * n - 1} fall outside the window (K = {K})")
+    lams, ws = contour.points()
+    d = 1.0 / (lams[:, None] - unperturbed_eigenvalues(m, K)[None, :])
+    return contour, lams, ws, build_B(v, m, K).matrix, d
+
+
 def q0_matrix(
     v: FourierSequence, m: int, n: int, K: int, nodes: int = 64
 ) -> np.ndarray:
@@ -219,12 +231,7 @@ def q0_matrix(
 
     Its closed form is q0_closed_form; riesz-check compares the two.
     """
-    if v(0) != 0:
-        raise ValueError("q0_matrix requires a zero-mode-normalized potential")
-    contour = ContourSpec(n=n, m=m, nodes=nodes)
-    b = build_B(v, m, K).matrix
-    lams, ws = contour.points()
-    d = 1.0 / (lams[:, None] - unperturbed_eigenvalues(m, K)[None, :])
+    contour, lams, ws, b, d = _free_nodes(v, m, n, K, nodes)
     return ((d.T * (ws * (lams - contour.center))) @ d) * b
 
 
@@ -249,29 +256,24 @@ def script_S_2x2(
     modes (2n-1, -(2n-1)):
     (1/2 pi i) \\oint P0 (lambda - A^m)^{-1} B (lambda - A^m)^{-1} B P0 d lambda.
 
-    Off-diagonal entries are the correction values, diagonal entries the
-    resonant self-energy.
+    Off-diagonal entries are the correction values, [0, 1] = l_+ and
+    [1, 0] = l_- of l_direct; diagonal entries the resonant self-energy.
     """
-    if v(0) != 0:
-        raise ValueError("the resonant block requires a zero-mode-normalized potential")
-    contour = ContourSpec(n=n, m=m, nodes=nodes)
-    if n > K:
-        raise ValueError(f"resonant modes +-{2 * n - 1} fall outside the window (K = {K})")
-    b = build_B(v, m, K).matrix
+    contour, lams, ws, b, d = _free_nodes(v, m, n, K, nodes)
     i_minus, i_plus = resonant_rows(K, n)
     idx = [i_plus, i_minus]
     rows = b[idx, :]          # B restricted to the two resonant rows
     cols = b[:, idx]          # and columns
-    lams, ws = contour.points()
-    d = 1.0 / (lams[:, None] - unperturbed_eigenvalues(m, K)[None, :])
     # the node sum folds into one weight per intermediate mode
     return (rows * ((ws / (lams - contour.center)) @ d)) @ cols
 
 
-def l_direct(v: FourierSequence, m: int, n: int) -> complex:
-    """Fast route to the correction value at +2(2n-1): the resonant residue
-    sum (1/pi^{2m}) sum_j v(2n-2j) v(2n+2j-2) / ((2n-1)^{2m} - (2j-1)^{2m})
-    over odd modes 2j-1 != +-(2n-1).
+def l_direct(v: FourierSequence, m: int, n: int) -> tuple[complex, complex]:
+    """Residue route to the correction values (l_+, l_-) at +-2(2n-1), both
+    from one pass over the potential's window:
+    l_+ = (1/pi^{2m}) sum_j v(2n-2j) v(2n+2j-2) / ((2n-1)^{2m} - (2j-1)^{2m})
+    over odd modes 2j-1 != +-(2n-1), and l_- the same sum with v reflected
+    through the origin, v(2j-2n) v(2-2n-2j).
 
     The denominator factors as ((2n-1)^m - (2j-1)^m)((2n-1)^m + (2j-1)^m),
     so this is the odd-lattice form of the quadratic correction sequence.
@@ -283,24 +285,16 @@ def l_direct(v: FourierSequence, m: int, n: int) -> complex:
     q = 2 * n - 1
     qp = q ** (2 * m)
     half = v.window // 2
-    total = 0.0 + 0.0j
+    plus = minus = 0.0 + 0.0j
     for j in range(n - half, n + half + 1):
         p = 2 * j - 1
         if p == q or p == -q:
             continue
-        a = v(2 * n - 2 * j)
-        if a == 0:
-            continue
-        bb = v(2 * n + 2 * j - 2)
-        if bb == 0:
-            continue
-        total += a * bb / float(qp - p ** (2 * m))
-    return total / math.pi ** (2 * m)
-
-
-def l_pair(v: FourierSequence, m: int, n: int) -> tuple[complex, complex]:
-    """Correction values at +-2(2n-1); the minus entry is the same residue
-    sum with the potential reflected through the origin."""
-    from .seqspace import reflect_seq
-
-    return l_direct(v, m, n), l_direct(reflect_seq(v), m, n)
+        den = float(qp - p ** (2 * m))
+        a, bb = v(2 * n - 2 * j), v(2 * n + 2 * j - 2)
+        if a != 0 and bb != 0:
+            plus += a * bb / den
+        a, bb = v(2 * j - 2 * n), v(2 - 2 * n - 2 * j)
+        if a != 0 and bb != 0:
+            minus += a * bb / den
+    return plus / math.pi ** (2 * m), minus / math.pi ** (2 * m)

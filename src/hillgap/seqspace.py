@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-12
+MIN_FIT_POINTS = 5  # fewest strictly positive points a decay fit accepts
 MEMBERSHIP_BOUND_FACTOR = 10.0
 
 
@@ -324,7 +325,7 @@ def decay_exponent(
     """Least-squares slope of log r_n against log n over n in fit_range.
 
     An all-zero sequence is flagged exact with slope -inf.  Otherwise at
-    least 5 strictly positive points are required.
+    least MIN_FIT_POINTS strictly positive points are required.
     """
     lo, hi = fit_range
     sel = [(n, r) for n, r in points if lo <= n <= hi]
@@ -333,9 +334,9 @@ def decay_exponent(
     if all(r == 0.0 for _, r in sel):
         return DecayFit(-math.inf, True)
     pos = [(n, r) for n, r in sel if r > 0.0]
-    if len(pos) < 5:
+    if len(pos) < MIN_FIT_POINTS:
         raise ValueError(
-            f"need at least 5 positive points in [{lo}, {hi}], got {len(pos)}"
+            f"need at least {MIN_FIT_POINTS} positive points in [{lo}, {hi}], got {len(pos)}"
         )
     x = np.log([float(n) for n, _ in pos])
     y = np.log([r for _, r in pos])

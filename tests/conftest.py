@@ -1,11 +1,11 @@
 import functools
 
+import mpmath as mp
 import pytest
 
 
 @functools.lru_cache(maxsize=None)
 def _mp_eigenvalues(coeffs, m, K, dps):
-    mp = pytest.importorskip("mpmath")
     v = dict(coeffs)
     with mp.workdps(dps):
         p = [2 * k - 1 for k in range(-K + 1, K + 1)]
@@ -18,7 +18,6 @@ def _mp_eigenvalues(coeffs, m, K, dps):
 
 
 def _mpmath_pair(coeffs, m, K, n, dps=30):
-    mp = pytest.importorskip("mpmath")
     ev = _mp_eigenvalues(tuple(sorted(coeffs.items())), m, K, dps)
     with mp.workdps(dps):
         c = ((2 * n - 1) * mp.pi) ** (2 * m)

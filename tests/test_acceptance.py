@@ -145,7 +145,7 @@ def test_criterion_05_riesz_cross_oracles():
             tau_eig = table.row(n).tau
             ok = ok and abs(trace.tau - tau_eig) <= 1e-8 * (1 + abs(trace.tau))
             s2 = hg.script_S_2x2(v, 1, n, K, nodes=nodes)
-            ok = ok and abs(s2[0, 1] - hg.l_direct(v, 1, n)) <= 1e-8
+            ok = ok and abs(s2[0, 1] - hg.l_direct(v, 1, n)[0]) <= 1e-8
     record(5, "projector traces, first/second-order blocks, and tau/l cross-oracles (n in [2,16])", ok)
 
 

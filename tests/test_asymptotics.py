@@ -48,7 +48,7 @@ def trig_table():
 
 class TestPredictPair:
     def test_constant_potential(self):
-        row = predict_pair(vseq({0: 5.0}), 1, 0.0, 2)
+        row = predict_pair(vseq({0: 5.0}), 1, 2)
         assert row.shift == 5.0
         assert row.root_term == 0
         c = 9 * PI2
@@ -59,21 +59,21 @@ class TestPredictPair:
         q = 2 * (2 * 3 - 1)
         r = 0.8
         v = vseq({q: r * cmath.exp(1j * theta), -q: r * cmath.exp(-1j * theta)})
-        row = predict_pair(v, 1, 0.0, 3)
+        row = predict_pair(v, 1, 3)
         assert row.root_term == pytest.approx(r, rel=1e-12)
         assert abs(row.root_term.imag) <= 1e-15
 
     def test_principal_branch(self):
         q = 2 * (2 * 2 - 1)
         v = vseq({q: 1.0, -q: -1.0})
-        row = predict_pair(v, 1, 0.0, 2)
+        row = predict_pair(v, 1, 2)
         assert row.root_term == pytest.approx(1j, rel=1e-12)
 
     def test_zero_mode_does_not_feed_correction(self):
         v1 = vseq({2: 1.0, -2: 1.0})
         v2 = vseq({0: 3.0, 2: 1.0, -2: 1.0})
-        r1 = predict_pair(v1, 1, 0.0, 2)
-        r2 = predict_pair(v2, 1, 0.0, 2)
+        r1 = predict_pair(v1, 1, 2)
+        r2 = predict_pair(v2, 1, 2)
         assert r1.root_term_corr == r2.root_term_corr
 
 

@@ -231,6 +231,29 @@ class TestAsymptoticsCommand:
         assert footer["target_exponents"]["tau"] == f"{0.95:.17g}"
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the eigensolve ran before the fit length was checked")
+
+
+class TestShortFit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["asymptotics", "--K", "44", "--n-max", "11"],
+            ["asymptotics", "--n-max", "4"],
+            ["alpha1", "--n-max", "4"],
+        ],
+        ids=["asymptotics-K44-n11", "asymptotics-auto-n4", "alpha1-n4"],
+    )
+    def test_exit_2_before_solve(self, tmp_path, trig_potential, monkeypatch, capsys, argv):
+        # too few rows for a decay fit is a configuration error, found before
+        # any eigensolve
+        monkeypatch.setattr(eigensolver, "eigenvalues", _no_solve)
+        code = main(argv + ["--potential", trig_potential, "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "needs --n-max >= " in capsys.readouterr().err
+
+
 class TestLocalizeCommand:
     def test_zero_potential(self, tmp_path, zero_potential):
         out = tmp_path / "loc.csv"
@@ -294,7 +317,7 @@ class TestRieszCheckCommand:
         coeffs = {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2 + 0j, -4: 0.1j, 6: 0.1 + 0.05j}
         pot = write_potential(tmp_path / "m2.json", coeffs)
         v = FourierSequence.make(Parity.EVEN, coeffs)
-        assert riesz.l_direct(v, 2, 2) != 0 and riesz.l_direct(v, 2, 3) != 0
+        assert riesz.l_direct(v, 2, 2)[0] != 0 and riesz.l_direct(v, 2, 3)[0] != 0
         out = tmp_path / "rz.csv"
         args = ["riesz-check", "--m", "2", "--K", "32", "--n-max", "6",
                 "--potential", pot, "--out", str(out)]
@@ -392,6 +415,26 @@ class TestRieszCheckCommand:
         assert footer["all_hold"] is False
         assert {r["n"]: r["holds"] for r in rows} == {"2": "true", "3": "false", "4": "true"}
         assert float(rows[1]["q0_defect"]) == pytest.approx(1e-6, rel=1e-6)
+
+    def test_l_minus_mismatch_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
+        # only the minus entry of the contour block is off: l_- is checked too
+        contour_block = riesz.script_S_2x2
+
+        def minus_off_by_1e6(v, m, n, K, nodes=64):
+            out = contour_block(v, m, n, K, nodes=nodes)
+            out[1, 0] += 1e-6
+            return out
+
+        monkeypatch.setattr(riesz, "script_S_2x2", minus_off_by_1e6)
+        out = tmp_path / "rz.csv"
+        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
+                     "--potential", trig_potential, "--out", str(out)])
+        assert code == 4
+        assert "solver failure" in capsys.readouterr().err
+        _, rows, footer = read_csv(out)
+        assert footer["all_hold"] is False
+        assert all(r["holds"] == "false" for r in rows)
+        assert all(float(r["l_diff"]) == pytest.approx(1e-6, rel=1e-6) for r in rows)
 
     def test_deliberate_collision_exit_6(self, tmp_path, capsys):
         # tune the coupling so the n = 2 pair lands on its own contour

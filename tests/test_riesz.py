@@ -16,7 +16,6 @@ from hillgap.riesz import (
     ContourCollisionError,
     ContourSpec,
     l_direct,
-    l_pair,
     q0_closed_form,
     q0_matrix,
     riesz_projector,
@@ -272,6 +271,13 @@ class TestQ0Matrix:
         with pytest.raises(ValueError):
             q0_matrix(vseq({0: 1.0}), 1, 1, 8)
 
+    def test_resonant_modes_outside_window(self):
+        # n = 9 needs modes +-17, beyond the K = 8 window
+        v = vseq({2: 1.0, -2: 1.0})
+        for quadrature in (q0_matrix, script_S_2x2):
+            with pytest.raises(ValueError, match="outside the window"):
+                quadrature(v, 1, 9, 8)
+
 
 def l_residue_oracle(v, m, n):
     """Independent residue bookkeeping: enumerate odd intermediate modes and
@@ -295,7 +301,7 @@ def l_residue_oracle(v, m, n):
 
 class TestCorrectionSequence:
     def test_zero_potential(self):
-        assert l_direct(vseq({}), 1, 3) == 0
+        assert l_direct(vseq({}), 1, 3)[0] == 0
 
     def test_two_mode_potential_vanishes(self):
         # support {+-2(2n-1)}: one candidate index is excluded as resonant,
@@ -303,7 +309,7 @@ class TestCorrectionSequence:
         n = 3
         q2 = 2 * (2 * n - 1)
         v = vseq({q2: 1.3, -q2: 0.7})
-        assert l_direct(v, 1, n) == 0
+        assert l_direct(v, 1, n)[0] == 0
         s2 = script_S_2x2(v, 1, n, 32)
         assert abs(s2[0, 1]) <= 1e-10
         assert abs(s2[1, 0]) <= 1e-10
@@ -311,22 +317,27 @@ class TestCorrectionSequence:
     def test_matches_residue_oracle(self):
         v = random_potential(7, window=32)
         for n in (2, 3, 5):
-            got = l_direct(v, 1, n)
+            got_plus, got_minus = l_direct(v, 1, n)
             want = l_residue_oracle(v, 1, n)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert got_plus == pytest.approx(want, rel=1e-12, abs=1e-15)
+            want = l_residue_oracle(reflect_seq(v), 1, n)
+            assert got_minus == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_matches_contour_route(self):
         v = vseq({2: 0.5, -2: 0.5, 4: 0.25 + 0.1j, -4: 0.25 - 0.1j, 10: 0.3, -10: 0.3})
         for n in (2, 3, 4):
             s2 = script_S_2x2(v, 1, n, 32)
-            assert abs(s2[0, 1] - l_direct(v, 1, n)) <= 1e-10
-            assert abs(s2[1, 0] - l_direct(reflect_seq(v), 1, n)) <= 1e-10
+            assert abs(s2[0, 1] - l_direct(v, 1, n)[0]) <= 1e-10
+            assert abs(s2[1, 0] - l_direct(reflect_seq(v), 1, n)[0]) <= 1e-10
 
-    def test_l_pair_reflection(self):
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_minus_entry_is_reflected_plus_entry(self, m):
+        # one pass gives l_- bit for bit as the l_+ of the reflected potential
         v = random_potential(8, window=24)
-        lp, lm = l_pair(v, 1, 4)
-        assert lp == l_direct(v, 1, 4)
-        assert lm == l_direct(reflect_seq(v), 1, 4)
+        for n in (2, 4, 7):
+            lp, lm = l_direct(v, m, n)
+            rp, rm = l_direct(reflect_seq(v), m, n)
+            assert np.array([lm, lp]).tobytes() == np.array([rp, rm]).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_script_S_matches_node_loop(self, m):
@@ -351,4 +362,6 @@ class TestCorrectionSequence:
         v = random_potential(9, window=24)
         for m in (2, 3):
             s2 = script_S_2x2(v, m, 2, 16)
-            assert abs(s2[0, 1] - l_direct(v, m, 2)) <= 1e-10
+            l_plus, l_minus = l_direct(v, m, 2)
+            assert abs(s2[0, 1] - l_plus) <= 1e-10
+            assert abs(s2[1, 0] - l_minus) <= 1e-10
