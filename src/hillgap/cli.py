@@ -30,6 +30,7 @@ from .eigensolver import (
     PairingConfigError,
     SolverError,
     compute_pair_table,
+    confirm_window,
     converge_truncation,
     localization_report,
     mark_converged,
@@ -284,10 +285,11 @@ def _spectrum_table(cfg: RunConfig, v: FourierSequence):
         _, table = converge_truncation(v, cfg.m, cfg.n_max)
         return table
     table = compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max)
-    # one confirming solve at the doubled window sets the converged flags
-    if 2 * cfg.K <= MAX_HALF_WINDOW:
-        confirm = compute_pair_table(v, cfg.m, 2 * cfg.K, n_max=cfg.n_max)
-        table = mark_converged(table, confirm)
+    # one confirming solve, at the window that holds every mode the potential
+    # couples to the window K, sets the converged flags
+    K_c = confirm_window(v, cfg.K)
+    if K_c <= MAX_HALF_WINDOW:
+        table = mark_converged(table, compute_pair_table(v, cfg.m, K_c, n_max=cfg.n_max))
     return table
 
 
@@ -311,7 +313,11 @@ def run_spectrum(cfg: RunConfig) -> int:
         ]
         for r in table.rows
     ]
-    footer = {"K": table.K, "flagged": {str(n): c for n, c in sorted(table.flagged.items())}}
+    footer = {
+        "K": table.K,
+        "confirm_K": table.confirm_K,
+        "flagged": {str(n): c for n, c in sorted(table.flagged.items())},
+    }
     write_table(cfg, SPECTRUM_COLUMNS, rows, footer=footer)
     return 0
 
@@ -353,6 +359,8 @@ def run_asymptotics(cfg: RunConfig) -> int:
         "epsilon": cfg.epsilon,
     }
     footer = {
+        "K": table.K,
+        "confirm_K": table.confirm_K,
         "fitted_slope_tau": fmt(rem_tau.fitted_slope),
         "fitted_slope_gamma": fmt(rem_g.fitted_slope),
         "fitted_slope_gamma_corr": fmt(rem_gc.fitted_slope),

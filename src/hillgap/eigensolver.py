@@ -40,6 +40,7 @@ __all__ = [
     "pair_eigenvalues",
     "compute_pair_table",
     "mark_converged",
+    "confirm_window",
     "converge_truncation",
     "LocalizationReport",
     "localization_report",
@@ -209,6 +210,7 @@ class EigenPairTable:
     K: int
     rows: tuple[EigenPairRow, ...]
     flagged: dict[int, int] = field(default_factory=dict)
+    confirm_K: int | None = None  # the window the converged flags were compared against
 
     def row(self, n: int) -> EigenPairRow:
         for r in self.rows:
@@ -264,6 +266,20 @@ def _refine_pair(
     return complex(local[0]), complex(local[1])
 
 
+def _pair_offsets(
+    eigs: EigenList, n: int, idx: np.ndarray, radius: float
+) -> tuple[complex, complex]:
+    """Offsets from center(m, n) of the two eigenvalues eigs.values[idx],
+    ordered lexicographically: refined by _refine_pair, or raw where the
+    refinement declines."""
+    c = center(eigs.op.m, n)
+    idx = idx[lexicographic_order(eigs.values[idx])]
+    raw = eigs.values[idx] - c
+    cols = eigs.vectors[:, eigs.order[idx]]
+    d = _refine_pair(eigs.op.matrix, c, list(resonant_rows(eigs.op.K, n)), cols, raw, radius)
+    return d if d is not None else (complex(raw[0]), complex(raw[1]))
+
+
 def pair_eigenvalues(
     eigs: EigenList, radius_rule=contour_radius, n_max: int | None = None
 ) -> EigenPairTable:
@@ -294,11 +310,7 @@ def pair_eigenvalues(
         if len(idx) != 2:
             flagged[n] = len(idx)
             continue
-        idx = idx[lexicographic_order(vals[idx])]
-        raw = vals[idx] - c
-        cols = eigs.vectors[:, eigs.order[idx]]
-        d = _refine_pair(eigs.op.matrix, c, list(resonant_rows(K, n)), cols, raw, r)
-        d_lo, d_hi = d if d is not None else (complex(raw[0]), complex(raw[1]))
+        d_lo, d_hi = _pair_offsets(eigs, n, idx, r)
         rows.append(EigenPairRow(n, c, d_lo, d_hi, v0=0j, disc_radius_used=r, converged=False))
     return EigenPairTable(m, K, tuple(rows), flagged)
 
@@ -322,7 +334,8 @@ def mark_converged(
 ) -> EigenPairTable:
     """Flag each row of table converged when the offsets of the same pair
     in reference (the table at another window) lie within tol.  Rows
-    missing from reference are unconverged.  Pairs are compared as sets:
+    missing from reference are unconverged, and the result records the
+    reference window as confirm_K.  Pairs are compared as sets:
     the lexicographic label assignment of a near-degenerate pair may flip
     between windows without the values themselves moving."""
     rows = []
@@ -335,7 +348,17 @@ def mark_converged(
         direct = max(abs(r.d_lo - p.d_lo), abs(r.d_hi - p.d_hi))
         crossed = max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo))
         rows.append(replace(r, converged=bool(min(direct, crossed) < tol)))
-    return EigenPairTable(table.m, table.K, tuple(rows), dict(table.flagged))
+    return EigenPairTable(table.m, table.K, tuple(rows), dict(table.flagged), reference.K)
+
+
+def confirm_window(v: FourierSequence, K: int) -> int:
+    """Window whose pair table confirms that of window K.  With S the largest
+    |k| in the support of v, B(v) couples the modes |p| <= 2K - 1 directly
+    only to modes |q| <= 2K - 1 + S, all of which lie in the window K + S/2
+    (the zero mode couples nothing, so the window grows by at least one);
+    the doubled window 2K caps it."""
+    S = max((abs(k) for k in v.support()), default=0)
+    return min(2 * K, K + max(S // 2, 1))
 
 
 def converge_truncation(
@@ -403,8 +426,9 @@ def localization_report(
     with the cone opening M set just above the largest imaginary part seen,
     so the left edge is inactive at truncation.
     """
-    v0, c = normalize_zero_mode(v)
-    vals = eigenvalues(build_T(v0, m, K)).values + c
+    v_norm, v0 = normalize_zero_mode(v)
+    eigs = eigenvalues(build_T(v_norm, m, K))
+    vals = eigs.values + v0
     n_max = K // 4
 
     n0 = 0
@@ -414,7 +438,12 @@ def localization_report(
         dev = np.abs(vals - center(m, n))
         inside = dev < r
         hits = int(inside.sum())
-        max_dev = float(np.max(dev[inside])) if hits else math.nan
+        if hits == 2:
+            # the raw values carry the rounding of the whole solve; the
+            # center-shifted offsets resolve the pair far below one ulp of c
+            max_dev = max(abs(d + v0) for d in _pair_offsets(eigs, n, np.flatnonzero(inside), r))
+        else:
+            max_dev = float(np.max(dev[inside])) if hits else math.nan
         rows.append(DiscCensusRow(n=n, radius=r, hits=hits, max_deviation=max_dev))
         if hits != 2:
             n0 = n

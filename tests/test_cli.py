@@ -1,14 +1,22 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hillgap import eigensolver, riesz
-from hillgap.cli import main
+from hillgap import cli, eigensolver, riesz
+from hillgap.cli import DEFAULTS, RunConfig, main
 from hillgap.eigensolver import eigenvalues
-from hillgap.operator import build_T
-from hillgap.seqspace import FourierSequence, Parity
+from hillgap.operator import MAX_HALF_WINDOW, build_T
+from hillgap.seqspace import (
+    FourierSequence,
+    Parity,
+    PotentialFamily,
+    PotentialSpec,
+    SobolevParams,
+    make_potential,
+)
 
 PI2 = math.pi**2
 
@@ -138,6 +146,86 @@ class TestSpectrumCommand:
         assert doc["rows"][0][1] == csv_rows[0]["re_lo"]  # identical strings
 
 
+def _spread(S):
+    """A potential whose support reaches |k| = S."""
+    return {2: 0.5 + 0j, -2: 0.5 + 0j, S: 0.01 + 0j, -S: 0.01j}
+
+
+class TestConfirmWindow:
+    @pytest.fixture
+    def solve_ks(self, monkeypatch):
+        """The windows compute_pair_table is asked for; windows above 64 are
+        answered by the K = 64 table relabelled, so no large solve runs."""
+        ks = []
+        solve = cli.compute_pair_table
+
+        def recording(v, m, K, **kwargs):
+            ks.append(K)
+            return replace(solve(v, m, min(K, 64), **kwargs), K=K)
+
+        monkeypatch.setattr(cli, "compute_pair_table", recording)
+        return ks
+
+    @pytest.mark.parametrize(
+        "coeffs, K, confirm_K",
+        [
+            ({2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}, 32, 35),
+            ({}, 16, 17),
+            ({0: 0.3}, 16, 17),
+            (_spread(40), 16, 32),
+            (_spread(48), 1000, MAX_HALF_WINDOW),
+        ],
+        ids=["trig-S6", "zero", "zero-mode-only", "S-beyond-window", "at-cap"],
+    )
+    def test_confirms_at_reach_of_potential(self, tmp_path, solve_ks, coeffs, K, confirm_K):
+        pot = write_potential(tmp_path / "v.json", {k: complex(x) for k, x in coeffs.items()})
+        out = tmp_path / "s.csv"
+        code = main(["spectrum", "--K", str(K), "--n-max", "4",
+                     "--potential", pot, "--out", str(out)])
+        assert code == 0
+        assert solve_ks == [K, confirm_K]
+        _, rows, footer = read_csv(out)
+        assert footer["K"] == K and footer["confirm_K"] == confirm_K
+        assert len(rows) == 4
+
+    def test_no_confirm_past_cap(self, tmp_path, solve_ks):
+        # K + S/2 = 1025 lies past the largest window: no confirm runs
+        pot = write_potential(tmp_path / "v.json", _spread(50))
+        out = tmp_path / "s.csv"
+        code = main(["spectrum", "--K", "1000", "--n-max", "4",
+                     "--potential", pot, "--out", str(out)])
+        assert code == 0
+        assert solve_ks == [1000]
+        _, rows, footer = read_csv(out)
+        assert footer["confirm_K"] is None
+        assert len(rows) == 4 and all(r["converged"] == "false" for r in rows)
+
+    def test_auto_reports_previous_window(self, tmp_path, trig_potential):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--n-max", "4", "--potential", trig_potential,
+                     "--out", str(out)]) == 0
+        footer = read_csv(out)[2]
+        assert footer["K"] == 64 and footer["confirm_K"] == 32
+
+    def test_m3_rows_match_oracle(self, mpmath_pair):
+        # a non-Hermitian potential of support 16 at K = 16 is confirmed at
+        # K = 24; against the doubled window the rounding of the K = 32 solve
+        # flagged row 1, whose offsets are right to 5e-13
+        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=2.0, seed=8)
+        v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
+        cfg = RunConfig(**{**DEFAULTS, "command": "spectrum", "m": 3, "K": 16, "n_max": 4})
+        table = cli._spectrum_table(cfg, v)
+        assert table.confirm_K == 24
+        assert [r.converged for r in table.rows] == [True] * 4
+        coeffs = dict(v.coeffs)
+        for r in table.rows:
+            d_tau, gamma = mpmath_pair(coeffs, 3, 16, r.n)
+            lo, hi = d_tau - gamma / 2, d_tau + gamma / 2
+            direct = max(abs(r.d_lo - lo), abs(r.d_hi - hi))
+            crossed = max(abs(r.d_lo - hi), abs(r.d_hi - lo))
+            assert min(direct, crossed) <= 1e-9
+
+
 class TestConfigHandling:
     def test_alpha_out_of_range_exit_2(self, tmp_path, zero_potential):
         code = main(["asymptotics", "--m", "1", "--alpha", "1.5", "--K", "16",
@@ -229,6 +317,7 @@ class TestAsymptoticsCommand:
         _, rows, footer = read_csv(out)
         assert float(footer["fitted_slope_tau"]) <= -0.9
         assert footer["target_exponents"]["tau"] == f"{0.95:.17g}"
+        assert footer["K"] == 96 and footer["confirm_K"] == 97
 
 
 def _no_solve(*args, **kwargs):

@@ -222,6 +222,20 @@ class TestLocalization:
                 assert d.hits == 2
                 assert d.max_deviation < d.radius
 
+    @pytest.mark.parametrize("v0", [0.0, 0.25 + 0.1j])
+    def test_m3_deviation_from_refined_offsets(self, v0):
+        # at m = 3 the raw eigenvalues sit ulp(c) ~ 1e-4 off the pair, so the
+        # deviation of a two-hit disc comes from the center-shifted offsets
+        coeffs = {0: v0, 2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
+        rep = localization_report(vseq(coeffs), 3, 0.0, 1.0, 1.1, 64)
+        tab = compute_pair_table(vseq(coeffs), 3, 64)
+        assert [d.hits for d in rep.disc_rows] == [2] * 16
+        for d in rep.disc_rows:
+            r = tab.row(d.n)
+            want = max(abs(r.d_lo + r.v0), abs(r.d_hi + r.v0))
+            assert abs(d.max_deviation - want) <= 1e-9
+        assert rep.disc_rows[-1].max_deviation == pytest.approx(abs(v0) or 4.9e-13, rel=0.01)
+
 
 class TestHighPrecisionOracle:
     def test_mathieu_gaps(self, mpmath_pair):
