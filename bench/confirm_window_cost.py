@@ -7,11 +7,11 @@ Imports hillgap from SRC (default: the src/ next to this script), builds a
 complex rough potential of support |k| <= SUPPORT at order m = 1 (decay
 (1+2k)^-0.3, as in the asym-k256 workload; seed 11), and times
 compute_pair_table with n_max = K/4 at three windows per K: K itself, the
-confirming window K_c = min(2K, K + SUPPORT/2) that `spectrum` and
-`asymptotics` solve for a fixed --K, and the doubled window 2K.  Prints one
-JSON object: the median seconds per K and window over the repetitions, and
-the K slope log2(t(K2) / t(K1)) / log2(K2 / K1) of each window between
-neighbouring K.
+confirming window confirm_window(v, K) that `spectrum` and `asymptotics`
+solve for a fixed --K, and the doubled window 2K (SRC must provide
+hillgap.eigensolver.confirm_window).  Prints one JSON object: the median
+seconds per K and window over the repetitions, and the K slope
+log2(t(K2) / t(K1)) / log2(K2 / K1) of each window between neighbouring K.
 """
 
 from __future__ import annotations
@@ -36,13 +36,14 @@ def main(argv=None) -> int:
     from hillgap import (
         PotentialFamily, PotentialSpec, SobolevParams, compute_pair_table, make_potential,
     )
+    from hillgap.eigensolver import confirm_window
 
     spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": args.support}, radius=1.0, seed=11)
     v = make_potential(spec, SobolevParams(m=1, alpha=0.25))
     windows = {}
     seconds = {}
     for K in args.K:
-        windows[K] = {"K": K, "confirm": min(2 * K, K + args.support // 2), "doubled": 2 * K}
+        windows[K] = {"K": K, "confirm": confirm_window(v, K), "doubled": 2 * K}
         seconds[K] = {}
         for label, window in windows[K].items():
             times = []

@@ -13,7 +13,6 @@ import pytest
 
 import hillgap as hg
 from hillgap.cli import main as cli_main
-from hillgap.eigensolver import confirm_window
 
 PI2 = math.pi**2
 
@@ -39,9 +38,9 @@ def rough_potential(seed, m, alpha, K, radius=1.0, hermitian=False):
 
 def table_with_flags(v, m, K, n_max):
     """Pair table at the stated window, convergence-flagged against the
-    confirming window of a fixed CLI --K."""
+    doubled window."""
     base = hg.compute_pair_table(v, m, K, n_max=n_max)
-    confirm = hg.compute_pair_table(v, m, confirm_window(v, K), n_max=n_max)
+    confirm = hg.compute_pair_table(v, m, 2 * K, n_max=n_max)
     return hg.mark_converged(base, confirm, 1e-9)
 
 

@@ -225,6 +225,22 @@ class TestConfirmWindow:
             crossed = max(abs(r.d_lo - hi), abs(r.d_hi - lo))
             assert min(direct, crossed) <= 1e-9
 
+    def test_m3_row_beyond_k32_matches_oracle(self, feshbach_pair):
+        # support 16 at K = 64 is confirmed at K = 72; the doubled window's
+        # rounding moved row 6 by 3.9e-7 and left it unconverged, while the
+        # row is within 1e-10 of the pair of the exact K = 128 window
+        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=4.0, seed=1)
+        v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
+        cfg = RunConfig(**{**DEFAULTS, "command": "spectrum", "m": 3, "K": 64, "n_max": 16})
+        table = cli._spectrum_table(cfg, v)
+        assert table.confirm_K == 72
+        r = table.row(6)
+        assert r.converged
+        doubled = eigensolver.compute_pair_table(v, 3, 128, n_max=16)
+        assert not eigensolver.mark_converged(table, doubled).row(6).converged
+        lo, hi = feshbach_pair(dict(v.coeffs), 3, 128, 6, (r.d_lo, r.d_hi))
+        assert max(abs(r.d_lo - lo), abs(r.d_hi - hi)) <= 1e-9
+
 
 class TestConfigHandling:
     def test_alpha_out_of_range_exit_2(self, tmp_path, zero_potential):

@@ -7,10 +7,12 @@ from hillgap.eigensolver import (
     EigenList,
     PairingConfigError,
     compute_pair_table,
+    confirm_window,
     converge_truncation,
     eigenvalues,
     lexicographic_order,
     localization_report,
+    mark_converged,
     pair_eigenvalues,
     localization_radius,
 )
@@ -202,6 +204,31 @@ class TestConvergeTruncation:
         assert all(not r.converged for r in tab.rows)
 
 
+class TestConfirmWindow:
+    @pytest.mark.parametrize(
+        "v, K",
+        [
+            (vseq({2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}), 32),
+            (vseq({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0}), 128),
+            (vseq({0: 0.3, **{s * 2 * k: 0.6**k for k in range(1, 33) for s in (1, -1)}}), 128),
+            (random_potential(1, window=16, hermitian=True), 64),
+            (random_potential(2, window=64, radius=4.0), 64),
+            (random_potential(1, window=128), 128),
+        ],
+        ids=["trig", "two-cluster", "geometric", "rough-herm-S16", "rough-S64", "rough-S128"],
+    )
+    def test_m1_flags_match_doubled_window(self, v, K):
+        # at m = 1 the window K + S/2 and the doubled window flag the same rows
+        base = compute_pair_table(v, 1, K, n_max=K // 4)
+        K_c = confirm_window(v, K)
+        assert K_c < 2 * K
+        flags = [
+            [r.converged for r in mark_converged(base, compute_pair_table(v, 1, w, n_max=K // 4)).rows]
+            for w in (K_c, 2 * K)
+        ]
+        assert flags[0] == flags[1]
+
+
 class TestLocalization:
     def test_zero_potential(self):
         rep = localization_report(vseq({}), 1, 0.0, 1.0, 1.1, 32)
@@ -234,7 +261,9 @@ class TestLocalization:
             r = tab.row(d.n)
             want = max(abs(r.d_lo + r.v0), abs(r.d_hi + r.v0))
             assert abs(d.max_deviation - want) <= 1e-9
-        assert rep.disc_rows[-1].max_deviation == pytest.approx(abs(v0) or 4.9e-13, rel=0.01)
+        # the pair offsets at n = 16 are far below 1e-9 (the raw eigenvalues
+        # read 3.9e-3 there), so the deviation is |v(0)| to that bound
+        assert abs(rep.disc_rows[-1].max_deviation - abs(v0)) < 1e-9
 
 
 class TestHighPrecisionOracle:
@@ -246,6 +275,16 @@ class TestHighPrecisionOracle:
         tab = compute_pair_table(vseq(coeffs), 1, 16)
         for n in (3, 4):
             assert abs(tab.row(n).gamma) == pytest.approx(abs(want[n]), rel=0.01)
+
+    def test_feshbach_matches_dense_eigensolve(self, mpmath_pair, feshbach_pair):
+        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=2.0, seed=8)
+        coeffs = dict(make_potential(spec, SobolevParams(m=3, alpha=0.0)).coeffs)
+        for n in (1, 2, 3, 4):
+            d_tau, gamma = mpmath_pair(coeffs, 3, 16, n)
+            want = sorted((d_tau - gamma / 2, d_tau + gamma / 2), key=lambda z: (z.real, z.imag))
+            # started from guesses 1e-6 off, the fixed points land on the pair
+            got = feshbach_pair(coeffs, 3, 16, n, [z + 1e-6 for z in want])
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14
 
     def test_complex_two_term_gap(self, mpmath_pair):
         coeffs = {2: 1.0, -2: 0.2j}
