@@ -521,7 +521,7 @@ def run_riesz_check(cfg: RunConfig) -> int:
     K = cfg.K if isinstance(cfg.K, int) else 128
     if K < 4 * cfg.n_max:
         raise ConfigError(f"--K {K} too small for --n-max {cfg.n_max}")
-    eigs = solve_eigenvalues(build_T(v, cfg.m, K))
+    eigs = solve_eigenvalues(build_T(v, cfg.m, K), n_max=cfg.n_max)
     table = pair_eigenvalues(eigs, n_max=cfg.n_max)
 
     rows, max_block = [], 0

@@ -1,15 +1,28 @@
 """Dense spectra of the truncated operators and eigenvalue-pair extraction.
 
-Each window takes one LAPACK eigendecomposition with eigenvectors through
-numpy (balancing, Hessenberg reduction, implicitly shifted QR); matrices that
-are Hermitian up to the scale of B(v) take the symmetric path, so real
-potentials yield exactly real spectra.  The eigenvectors serve twice: their
-column residuals ||T v - lambda v|| certify every eigenvalue, and each pair,
-collected by disc membership around its unperturbed center, is sharpened by
-Rayleigh-Ritz of the center-shifted matrix on the span of its two
-eigenvectors, which decouples the pair-splitting accuracy from the global
-matrix scale.  Pair rows keep those offsets from the center; absolute
-eigenvalues are derived from them for output only.
+A caller that reads only the pairs n <= n_max cuts the window at the modes
+|p| <= P (L) and decouples the rest (H) by a similarity: the low invariant
+subspace is the graph [I; X] of the H x L solution X of the Riccati equation
+T_HL + T_HH X = X (T_LL + T_LH X), found by a fixed point that divides by the
+exact gaps mu_h - mu_l.  P starts at 2 n_max - 1 and grows until an a-priori
+contraction and separation certificate holds; at the whole window H is empty
+and the same code solves all of T.  One LAPACK eigendecomposition with
+eigenvectors of the small block T_LL + T_LH X follows (numpy: balancing,
+Hessenberg reduction, implicitly shifted QR), rounded at the scale of that
+block rather than of ||T||; matrices that are Hermitian up to the scale of
+B(v) take the symmetric path on a Hermitian similar block, so real
+potentials yield exactly real spectra.  Bauer-Fike on the diagonal of the
+high block bounds its eigenvalues away from the pairs: the result holds
+every eigenvalue left of complete_below, and reading a disc or contour
+that reaches it raises SolverError.
+
+The lifted eigenvectors [w; X w] serve twice: their column residuals
+||T v - lambda v|| against the full T certify every eigenvalue, and each
+pair, collected by disc membership around its unperturbed center, is
+sharpened by Rayleigh-Ritz of the center-shifted matrix on the span of its
+two eigenvectors, which decouples the pair-splitting accuracy from the
+global matrix scale.  Pair rows keep those offsets from the center;
+absolute eigenvalues are derived from them for output only.
 """
 
 from __future__ import annotations
@@ -26,7 +39,9 @@ from .operator import (
     build_T,
     center,
     contour_radius,
+    modes,
     resonant_rows,
+    unperturbed_eigenvalues,
 )
 
 __all__ = [
@@ -53,6 +68,9 @@ HERMITIAN_REL_TOL = 1e-12
 SPAN_REL_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
 BLOCK = 16  # rows or columns per slab in the passes that avoid dense temporaries
+RICCATI_RATE = 0.5  # a-priori contraction factor of the fixed point that a cut must certify
+RICCATI_TOL = 1e-14  # relative fixed-point step at which X has settled
+RICCATI_MAX_STEPS = 64  # at the rate RICCATI_RATE, 47 steps take an error of ||X|| below RICCATI_TOL
 
 
 class SolverError(RuntimeError):
@@ -84,10 +102,13 @@ def lexicographic_order(values, tol_scale: float = ORDER_TOL_SCALE) -> np.ndarra
 
 @dataclass(frozen=True)
 class EigenList:
-    """All eigenvalues of the truncated operator op, lexicographically
-    ordered and certified by residual_max.  Column order[i] of vectors is the
-    unit eigenvector of values[i]; the columns stay in solver order, as
-    sorting them would copy the largest array of the solve."""
+    """Eigenvalues of the truncated operator op, with multiplicity,
+    lexicographically ordered and certified by residual_max: every
+    eigenvalue left of complete_below (all 2K of them when it is infinite)
+    and those of the low block beyond it.  Column order[i] of vectors is an
+    eigenvector of values[i] over the whole window; the columns stay in
+    solver order, as sorting them would copy the largest array of the
+    solve."""
 
     values: np.ndarray
     op: TruncatedOperator
@@ -95,6 +116,7 @@ class EigenList:
     residual_max: float
     vectors: np.ndarray
     order: np.ndarray
+    complete_below: float = math.inf
 
     def __post_init__(self):
         for arr in (self.values, self.vectors, self.order):
@@ -124,35 +146,158 @@ def _residual_max(mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> f
     return worst
 
 
-def eigenvalues(op: TruncatedOperator) -> EigenList:
-    """All 2K eigenvalues of the truncated operator, with multiplicity, and
-    their eigenvectors, from one eigendecomposition.
+def _coupling_bound(mat: np.ndarray, mu: np.ndarray) -> float:
+    """sqrt(||B||_1 ||B||_inf) >= ||B||_2 for B = T - diag(mu), from the
+    largest column and row sums of |B|; at most ||v||_l1 over the window."""
+    rows = np.empty(len(mat))
+    cols = np.zeros(len(mat))
+    for i in range(0, len(mat), BLOCK):
+        mag = np.abs(mat[i : i + BLOCK])
+        diag = mat.diagonal()[i : i + BLOCK] - mu[i : i + BLOCK]
+        np.fill_diagonal(mag[:, i:], np.abs(diag))
+        rows[i : i + BLOCK] = mag.sum(axis=1)
+        cols += mag.sum(axis=0)
+    return math.sqrt(float(np.max(rows)) * float(np.max(cols)))
 
-    Matrices that are Hermitian up to the scale of B(v) are routed to the
-    symmetric solver after symmetrization.  Every eigenvalue is certified by
-    the residual of its eigenvector relative to ||T||_F; SolverError is
-    raised if the largest exceeds RESIDUAL_TOL.
+
+def _cut_certified(mat: np.ndarray, m: int, K: int, j: int, n_max: int, beta: float) -> bool:
+    """A-priori certificate for the cut at the modes |p| <= P = 2j - 1.
+
+    With delta = mu_{P+2} - mu_P, b = beta / delta and e = ||T_HL||_F / delta,
+    the fixed point of _decouple maps the ball ||X||_F <= r = 2e / (1 - 2b)
+    into itself when 4 b e <= (1 - 2b)^2, with Lipschitz factor 2b (1 + r);
+    that factor must be at most RICCATI_RATE, and the pairing disc of n_max
+    must stay left of mu_{P+2} - beta (1 + r), the edge of the high block's
+    Bauer-Fike discs."""
+    P = 2 * j - 1
+    delta = float((P + 2) ** (2 * m) - P ** (2 * m)) * math.pi ** (2 * m)
+    lo, hi = K - j, K + j
+    b = beta / delta
+    e = math.hypot(np.linalg.norm(mat[:lo, lo:hi]), np.linalg.norm(mat[hi:, lo:hi])) / delta
+    if 2.0 * b >= 1.0 or 4.0 * b * e > (1.0 - 2.0 * b) ** 2:
+        return False
+    r = 2.0 * e / (1.0 - 2.0 * b)
+    edge = center(m, n_max) + contour_radius(m, n_max)
+    return 2.0 * b * (1.0 + r) <= RICCATI_RATE and edge < center(m, j + 1) - beta * (1.0 + r)
+
+
+def _gaps(m: int, p_high: np.ndarray, p_low: np.ndarray) -> np.ndarray:
+    """mu_h - mu_l from the exact integer p_h^{2m} - p_l^{2m}, factored as
+    (p_h^2 - p_l^2) sum_i p_h^{2i} p_l^{2(m-1-i)}: the first factor is exact
+    and the sum has positive terms only, so each gap is rounded at its own
+    scale, not at that of mu_h."""
+    h2 = (p_high.astype(float) ** 2)[:, None]
+    l2 = (p_low.astype(float) ** 2)[None, :]
+    total = sum(h2**i * l2 ** (m - 1 - i) for i in range(m))
+    return (h2 - l2) * total * math.pi ** (2 * m)
+
+
+def _decouple(mat: np.ndarray, m: int, K: int, j: int, mu: np.ndarray, beta: float):
+    """Split the window into the modes |p| <= 2j - 1 (L, rows K-j:K+j) and
+    the rest (H, in window order) and return X, the low block
+    T_LL + T_LH X and complete_below; mu is the diagonal of A^m and beta
+    bounds ||B||_2.
+
+    X solves T_HL + T_HH X = X (T_LL + T_LH X), so [I; X] spans the low
+    invariant subspace and the similarity [I 0; -X I] T [I 0; X I] is block
+    upper triangular.  It is the fixed point
+    X <- -(T_HL + B_HH X - X (B_LL + T_LH X)) / (mu_h - mu_l), B = T - diag(mu),
+    stopped once a step falls below RICCATI_TOL ||X||_F; SolverError when it
+    does not within RICCATI_MAX_STEPS.  The high block D_H + B_HH - X T_LH
+    has its eigenvalues within rho = beta (1 + ||X||_F + step) of the
+    diagonal D_H (Bauer-Fike), all right of mu_{P+2} - rho; at the certified
+    rate <= 1/2 the last step bounds the distance to the exact X."""
+    lo, hi = K - j, K + j
+    t_ll = mat[lo:hi, lo:hi]
+    if not lo:
+        return np.zeros((0, 2 * K), dtype=complex), t_ll, math.inf
+    high = np.r_[0:lo, hi : 2 * K]
+    p = modes(K)
+    gaps = _gaps(m, p[high], p[lo:hi])
+    t_hl = mat[high, lo:hi]
+    t_lh = mat[lo:hi, high]
+    b_hh = mat[np.ix_(high, high)]
+    b_hh.flat[:: len(high) + 1] -= mu[high]
+    b_ll = t_ll - np.diag(mu[lo:hi])
+    x = -t_hl / gaps
+    for _ in range(RICCATI_MAX_STEPS):
+        new = (x @ (b_ll + t_lh @ x) - t_hl - b_hh @ x) / gaps
+        step = float(np.linalg.norm(new - x))
+        x = new
+        if step <= RICCATI_TOL * np.linalg.norm(x):
+            break
+    else:
+        raise SolverError(
+            f"Riccati fixed point for the modes above {2 * j - 1} did not settle "
+            f"in {RICCATI_MAX_STEPS} steps"
+        )
+    rho = beta * (1.0 + float(np.linalg.norm(x)) + step)
+    return x, t_ll + t_lh @ x, center(m, j + 1) - rho
+
+
+def _hermitian_eig(low: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the low block of a Hermitian T from the Hermitian
+    similar block R low R^{-1}, with R^H R = I + X^H X: from
+    I + X^H X = U diag(s) U^H, R = diag(sqrt s) U^H, and the eigenvectors
+    map back by R^{-1}.  X empty leaves low itself."""
+    if not len(x):
+        return np.linalg.eigh((low + low.conj().T) / 2.0)
+    s, u = np.linalg.eigh(np.eye(len(low)) + x.conj().T @ x)
+    root = np.sqrt(s)
+    sim = root[:, None] * (u.conj().T @ low @ u) / root
+    vals, w = np.linalg.eigh((sim + sim.conj().T) / 2.0)
+    return vals, u @ (w / root[:, None])
+
+
+def eigenvalues(op: TruncatedOperator, n_max: int | None = None) -> EigenList:
+    """The eigenvalues of the truncated operator that the pairs n <= n_max
+    read, with multiplicity, and their eigenvectors; n_max = None keeps the
+    whole window and returns all 2K of them.
+
+    The window is cut at the modes |p| <= P, P from 2 n_max - 1 doubling
+    until _cut_certified holds (at most the whole window), the modes above
+    are decoupled by _decouple, and one eigendecomposition of the low block
+    follows.  Matrices that are Hermitian up to the scale of B(v) are routed
+    to the symmetric solver on a Hermitian similar block.  Every eigenvalue
+    is certified by the residual of its lifted eigenvector against the full
+    T, relative to ||T||_F; SolverError is raised if the largest exceeds
+    RESIDUAL_TOL, as it is for a Riccati fixed point that does not settle.
     """
     mat = op.matrix
     scale = np.linalg.norm(mat, "fro")
     if not np.isfinite(scale):
         raise ValueError("operator matrix carries non-finite entries")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     scale = scale or 1.0
+    K = op.K
+    mu = unperturbed_eigenvalues(op.m, K)
+    j = K if n_max is None else min(n_max, K)
+    beta = 0.0
+    if j < K:
+        beta = _coupling_bound(mat, mu)
+        while j < K and not _cut_certified(mat, op.m, K, j, n_max, beta):
+            j = min(2 * j, K)
+    x, low, complete_below = _decouple(mat, op.m, K, j, mu, beta)
     try:
         if _is_hermitian(mat):
-            vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+            vals, vecs = _hermitian_eig(low, x)
         else:
-            vals, vecs = np.linalg.eig(mat)
+            vals, vecs = np.linalg.eig(low)
     except np.linalg.LinAlgError as exc:  # QR non-convergence
         raise SolverError(f"eigen decomposition failed: {exc}") from exc
+    if len(x):
+        # lift to [w; X w], the rows of X w back in window order around the low rows
+        xw = x @ vecs
+        vecs = np.concatenate((xw[: K - j], vecs, xw[K - j :]))
 
     residual_max = _residual_max(mat, vals, vecs) / scale
     if residual_max > RESIDUAL_TOL:
         raise SolverError(f"eigenvalue residual {residual_max:.3e} exceeds {RESIDUAL_TOL}")
     order = lexicographic_order(vals)
     vals = vals[order].astype(complex)
-    trace_defect = float(abs(vals.sum() - np.trace(mat)) / scale)
-    return EigenList(vals, op, trace_defect, residual_max, vecs, order)
+    trace_defect = float(abs(vals.sum() - np.trace(low)) / scale)
+    return EigenList(vals, op, trace_defect, residual_max, vecs, order, complete_below)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +434,9 @@ def pair_eigenvalues(
     the eigenvalues within radius_rule(m, n) of center(m, n) are gathered;
     exactly-two hits become a paired row, whose offsets from the center are
     refined on the span of its two eigenvectors; anything else is flagged
-    with its hit count.  The rows carry no zero mode (v0 = 0).
+    with its hit count.  The rows carry no zero mode (v0 = 0).  A disc that
+    reaches eigs.complete_below, past which the solve left eigenvalues out,
+    raises SolverError.
     """
     m, K = eigs.op.m, eigs.op.K
     if n_max is None:
@@ -306,6 +453,11 @@ def pair_eigenvalues(
     for n in range(1, n_max + 1):
         c = center(m, n)
         r = radius_rule(m, n)
+        if c + r >= eigs.complete_below:
+            raise SolverError(
+                f"pairing disc n = {n} reaches {eigs.complete_below:.17g}, "
+                "past which the solve left eigenvalues out"
+            )
         idx = np.flatnonzero(np.abs(vals - c) < r)
         if len(idx) != 2:
             flagged[n] = len(idx)
@@ -323,9 +475,13 @@ def compute_pair_table(
     n_max: int | None = None,
 ) -> EigenPairTable:
     """Spectrum pipeline: split off the zero mode, solve the truncated
-    operator and pair around the centers; the rows carry the zero mode."""
+    operator for the pairs n <= n_max (default K/4) and pair around the
+    centers; the rows carry the zero mode."""
     v_norm, v0 = normalize_zero_mode(v)
-    table = pair_eigenvalues(eigenvalues(build_T(v_norm, m, K)), radius_rule, n_max=n_max)
+    if n_max is None:
+        n_max = K // 4
+    eigs = eigenvalues(build_T(v_norm, m, K), n_max=n_max)
+    table = pair_eigenvalues(eigs, radius_rule, n_max=n_max)
     return replace(table, rows=tuple(replace(r, v0=v0) for r in table.rows))
 
 

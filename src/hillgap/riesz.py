@@ -153,8 +153,9 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     The sum runs over the certified dominant pair of M (block 2), each pole
     left out outside the contour with a trapezoid term <= 4^-nodes against an
     exact integral of zero, or else over all of M (block dim).  The
-    certified spectrum eigs only guards the contour against collisions.  A
-    failed LAPACK call raises SolverError.
+    certified spectrum eigs only guards the contour against collisions; a
+    contour that reaches eigs.complete_below, or a failed LAPACK call,
+    raises SolverError.
     """
     op = eigs.op
     if op.m != contour.m:
@@ -164,6 +165,11 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
             f"resonant modes +-{2 * contour.n - 1} fall outside the window (K = {op.K})"
         )
     mat = op.matrix
+    if contour.center + contour.radius * (1.0 + COLLISION_REL_TOL) >= eigs.complete_below:
+        raise SolverError(
+            f"contour around n = {contour.n} reaches {eigs.complete_below:.17g}, "
+            "past which the solve left eigenvalues out"
+        )
     _guard_contour(contour, eigs.values, "perturbed")
     mu = unperturbed_eigenvalues(op.m, op.K)
     _guard_contour(contour, mu.astype(complex), "unperturbed")

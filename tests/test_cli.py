@@ -226,20 +226,22 @@ class TestConfirmWindow:
             assert min(direct, crossed) <= 1e-9
 
     def test_m3_row_beyond_k32_matches_oracle(self, feshbach_pair):
-        # support 16 at K = 64 is confirmed at K = 72; the doubled window's
-        # rounding moved row 6 by 3.9e-7 and left it unconverged, while the
-        # row is within 1e-10 of the pair of the exact K = 128 window
+        # support 16 at K = 64 is confirmed at K = 72; each window solves the
+        # pairs n <= 16 alone, so the doubled window confirms row 6 too, and
+        # all three windows lie on the pairs of their exact operators
         spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=4.0, seed=1)
         v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
         cfg = RunConfig(**{**DEFAULTS, "command": "spectrum", "m": 3, "K": 64, "n_max": 16})
         table = cli._spectrum_table(cfg, v)
         assert table.confirm_K == 72
-        r = table.row(6)
-        assert r.converged
+        assert table.row(6).converged
         doubled = eigensolver.compute_pair_table(v, 3, 128, n_max=16)
-        assert not eigensolver.mark_converged(table, doubled).row(6).converged
-        lo, hi = feshbach_pair(dict(v.coeffs), 3, 128, 6, (r.d_lo, r.d_hi))
-        assert max(abs(r.d_lo - lo), abs(r.d_hi - hi)) <= 1e-9
+        assert eigensolver.mark_converged(table, doubled).row(6).converged
+        confirm = eigensolver.compute_pair_table(v, 3, 72, n_max=16)
+        for K, tab in ((64, table), (72, confirm), (128, doubled)):
+            r = tab.row(6)
+            lo, hi = feshbach_pair(dict(v.coeffs), 3, K, 6, (r.d_lo, r.d_hi))
+            assert max(abs(r.d_lo - lo), abs(r.d_hi - hi)) <= 1e-9
 
 
 class TestConfigHandling:
@@ -334,6 +336,15 @@ class TestAsymptoticsCommand:
         assert float(footer["fitted_slope_tau"]) <= -0.9
         assert footer["target_exponents"]["tau"] == f"{0.95:.17g}"
         assert footer["K"] == 96 and footer["confirm_K"] == 97
+
+    def test_unsettled_riccati_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
+        # one fixed-point step cannot settle X for the modes above the cut
+        monkeypatch.setattr(eigensolver, "RICCATI_MAX_STEPS", 1)
+        code = main(["asymptotics", "--m", "1", "--alpha", "0", "--K", "96",
+                     "--n-max", "24", "--potential", trig_potential,
+                     "--out", str(tmp_path / "asym.csv")])
+        assert code == 4
+        assert "Riccati" in capsys.readouterr().err
 
 
 def _no_solve(*args, **kwargs):

@@ -6,6 +6,7 @@ import pytest
 from hillgap.eigensolver import (
     EigenList,
     PairingConfigError,
+    SolverError,
     compute_pair_table,
     confirm_window,
     converge_truncation,
@@ -16,7 +17,8 @@ from hillgap.eigensolver import (
     pair_eigenvalues,
     localization_radius,
 )
-from hillgap.operator import build_T, unperturbed_eigenvalues
+from hillgap.operator import build_T, center, unperturbed_eigenvalues
+from hillgap.riesz import ContourSpec, riesz_projector
 from hillgap.seqspace import (
     FourierSequence,
     Parity,
@@ -266,6 +268,54 @@ class TestLocalization:
         assert abs(rep.disc_rows[-1].max_deviation - abs(v0)) < 1e-9
 
 
+TRIG = {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
+
+
+class TestDecoupledSolve:
+    @pytest.mark.parametrize(
+        "v, K, n, real",
+        [
+            (vseq(TRIG), 32, 8, False),
+            (random_potential(2, window=60, hermitian=True), 64, 8, True),
+            (random_potential(3, window=64), 64, 8, False),
+            (vseq({2: 60.0, -2: 45j, 4: 30.0}), 64, 4, False),
+        ],
+        ids=["trig", "rough-herm", "rough-complex", "strong"],
+    )
+    def test_cut_matches_whole_window_m1(self, v, K, n, real):
+        op = build_T(v, 1, K)
+        whole = pair_eigenvalues(eigenvalues(op), n_max=n)
+        eigs = eigenvalues(op, n)
+        cut = pair_eigenvalues(eigs, n_max=n)
+        assert [r.n for r in cut.rows] == [r.n for r in whole.rows]
+        assert cut.flagged == whole.flagged
+        for a, b in zip(cut.rows, whole.rows):
+            assert max(abs(a.d_lo - b.d_lo), abs(a.d_hi - b.d_hi)) <= 1e-11
+        assert len(eigs.values) < 2 * K and eigs.complete_below < math.inf
+        assert np.all(eigs.values.imag == 0) == real
+
+    def test_strong_potential_grows_the_cut(self):
+        v = vseq({2: 60.0, -2: 45j, 4: 30.0})
+        # the cut starts at the modes |p| <= 7 and doubles until certified
+        assert len(eigenvalues(build_T(v, 1, 64), 4).values) > 8
+        # in a window too small to certify any cut, the whole window is solved
+        eigs = eigenvalues(build_T(v, 1, 8), 2)
+        assert len(eigs.values) == 16 and eigs.complete_below == math.inf
+
+    def test_pairing_past_complete_below_raises(self):
+        eigs = eigenvalues(build_T(vseq(TRIG), 1, 64), 2)
+        assert center(1, 2) < eigs.complete_below < center(1, 16)
+        assert len(pair_eigenvalues(eigs, n_max=2).rows) == 2
+        with pytest.raises(SolverError, match="left eigenvalues out"):
+            pair_eigenvalues(eigs, n_max=16)
+
+    def test_contour_past_complete_below_raises(self):
+        eigs = eigenvalues(build_T(vseq(TRIG), 1, 64), 2)
+        assert riesz_projector(eigs, ContourSpec(n=2, m=1)).block == 2
+        with pytest.raises(SolverError, match="left eigenvalues out"):
+            riesz_projector(eigs, ContourSpec(n=8, m=1))
+
+
 class TestHighPrecisionOracle:
     def test_mathieu_gaps(self, mpmath_pair):
         coeffs = {2: 1.0, -2: 1.0}
@@ -285,6 +335,46 @@ class TestHighPrecisionOracle:
             # started from guesses 1e-6 off, the fixed points land on the pair
             got = feshbach_pair(coeffs, 3, 16, n, [z + 1e-6 for z in want])
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["complex", "hermitian"])
+    def test_m3_rough_rows_match_feshbach(self, feshbach_pair, hermitian):
+        # support 64 at m = 3: a solve of all 2K modes rounds at ||T||, about
+        # 4e15 at K = 64, far above these pairs; solved alone, the pairs
+        # n <= 5 are rounded at the scale of their own block in every window
+        v = random_potential(1, window=64, m=3, hermitian=hermitian)
+        coeffs = dict(v.coeffs)
+        floor = 4 * np.spacing(center(3, 1))
+        prev = None
+        for K in (16, 32, 64):
+            n_max = min(5, K // 4)
+            tab = compute_pair_table(v, 3, K, n_max=n_max)
+            for n in range(1, n_max + 1) if K == 64 else (1,):
+                r = tab.row(n)
+                lo, hi = feshbach_pair(coeffs, 3, K, n, (r.d_lo, r.d_hi), dps=30)
+                err = max(abs(r.d_lo - lo), abs(r.d_hi - hi))
+                assert err <= 1e-10
+                if n == 1:
+                    # doubling the window never makes row 1 worse
+                    assert prev is None or err <= max(prev, floor)
+                    prev = err
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dirac_comb_doubling(self, m):
+        # v(2l) = g for every |2l| <= 4K - 2, the Dirac comb as far as the
+        # window couples: B = g 1 1^T, and sin(3 pi x), which vanishes on the
+        # comb, keeps the odd member of pair 2 at the center exactly
+        g = 0.3
+        moves, prev = [], None
+        for K in (32, 64, 128):
+            v = vseq({2 * l: g for l in range(-(2 * K - 1), 2 * K)})
+            r = compute_pair_table(v, m, K, n_max=2).row(2)
+            odd, other = sorted((r.d_lo + r.v0, r.d_hi + r.v0), key=abs)
+            assert abs(odd) <= 1e-12
+            if prev is not None:
+                moves.append(abs(other - prev))
+            prev = other
+        # the other member converges: its movement never grows
+        assert moves[1] <= moves[0]
 
     def test_complex_two_term_gap(self, mpmath_pair):
         coeffs = {2: 1.0, -2: 0.2j}
