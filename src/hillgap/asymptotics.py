@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import riesz
@@ -29,6 +30,7 @@ from .operator import center, contour_radius
 __all__ = [
     "PredictionRow",
     "predict_pair",
+    "predict_pairs",
     "RemainderKind",
     "RemainderReport",
     "tau_remainder",
@@ -56,26 +58,35 @@ class PredictionRow:
     predicted_pair: tuple[complex, complex]
 
 
-def predict_pair(v_raw: FourierSequence, m: int, n: int) -> PredictionRow:
-    """Prediction from the raw potential (zero mode intact): the pair
+def predict_pairs(v_raw: FourierSequence, m: int, ns: Sequence[int]) -> dict[int, PredictionRow]:
+    """Predictions from the raw potential (zero mode intact), by n: the pair
     center + v(0) -+ sqrt(v(-2(2n-1)) v(2(2n-1))), and the corrected variant
-    with v replaced by v + l on the resonant indices."""
-    c = center(m, n)
+    with v replaced by v + l on the resonant indices, l for every n from one
+    pass of riesz.l_direct."""
     shift = v_raw(0)
     v0, _ = normalize_zero_mode(v_raw)
-    q = 2 * (2 * n - 1)
-    root = cmath.sqrt(v0(-q) * v0(q))
-    l_plus, l_minus = riesz.l_direct(v0, m, n)
-    root_corr = cmath.sqrt((v0(-q) + l_minus) * (v0(q) + l_plus))
-    base = c + shift
-    return PredictionRow(
-        n=n,
-        center=c,
-        shift=shift,
-        root_term=root,
-        root_term_corr=root_corr,
-        predicted_pair=(base - root, base + root),
-    )
+    l_plus, l_minus = riesz.l_direct(v0, m, ns)
+    preds = {}
+    for n, lp, lm in zip(ns, l_plus, l_minus):
+        c = center(m, n)
+        q = 2 * (2 * n - 1)
+        root = cmath.sqrt(v0(-q) * v0(q))
+        root_corr = cmath.sqrt((v0(-q) + lm) * (v0(q) + lp))
+        base = c + shift
+        preds[n] = PredictionRow(
+            n=n,
+            center=c,
+            shift=shift,
+            root_term=root,
+            root_term_corr=root_corr,
+            predicted_pair=(base - root, base + root),
+        )
+    return preds
+
+
+def predict_pair(v_raw: FourierSequence, m: int, n: int) -> PredictionRow:
+    """predict_pairs for the single pair n."""
+    return predict_pairs(v_raw, m, [n])[n]
 
 
 class RemainderKind(enum.Enum):
@@ -152,18 +163,22 @@ def gamma_remainder(
     corrected: bool = False,
     epsilon: float = DEFAULT_EPSILON,
     fit_range: tuple[int, int] | None = None,
+    predictions: dict[int, PredictionRow] | None = None,
 ) -> RemainderReport:
     """Remainder of the pair gap: min over signs of |gamma_n +- 2 root|,
-    where root is the (optionally corrected) resonant square root.
+    where root is the (optionally corrected) resonant square root read from
+    predictions, the predict_pairs of the converged rows (made here if None).
 
     Uncorrected target: m(1/2 - alpha) for alpha in [0, 1/2), else
     m(1 - 2 alpha) - epsilon.  Corrected target: m(1 - 2 alpha) - epsilon.
     """
     rows = _converged_rows(table)
     ns = tuple(r.n for r in rows)
+    if predictions is None:
+        predictions = predict_pairs(v_raw, m, ns)
     values = []
     for r in rows:
-        pred = predict_pair(v_raw, m, r.n)
+        pred = predictions[r.n]
         root = pred.root_term_corr if corrected else pred.root_term
         values.append(min(abs(r.gamma + 2.0 * root), abs(r.gamma - 2.0 * root)))
     values = tuple(values)

@@ -317,6 +317,7 @@ def run_spectrum(cfg: RunConfig) -> int:
         "K": table.K,
         "confirm_K": table.confirm_K,
         "flagged": {str(n): c for n, c in sorted(table.flagged.items())},
+        "unrefined": list(table.unrefined),
     }
     write_table(cfg, SPECTRUM_COLUMNS, rows, footer=footer)
     return 0
@@ -334,24 +335,23 @@ def run_asymptotics(cfg: RunConfig) -> int:
     _require_fit_rows(cfg, asymptotics.FIT_RANGE_START, normalize_zero_mode(v)[0].is_zero())
     table = _spectrum_table(cfg, v)
     rem_tau = asymptotics.tau_remainder(table, v, cfg.m, cfg.alpha, cfg.epsilon)
-    rem_g = asymptotics.gamma_remainder(table, v, cfg.m, cfg.alpha, False, cfg.epsilon)
-    rem_gc = asymptotics.gamma_remainder(table, v, cfg.m, cfg.alpha, True, cfg.epsilon)
+    preds = asymptotics.predict_pairs(v, cfg.m, rem_tau.ns)
+    rem_g, rem_gc = (
+        asymptotics.gamma_remainder(table, v, cfg.m, cfg.alpha, c, cfg.epsilon, predictions=preds)
+        for c in (False, True)
+    )
     by_n_tau = dict(rem_tau.pairs())
     by_n_g = dict(rem_g.pairs())
     by_n_gc = dict(rem_gc.pairs())
-    rows = []
-    for r in table.rows:
-        if not r.converged:
-            continue
-        pred = asymptotics.predict_pair(v, cfg.m, r.n)
-        rows.append(
-            [
-                r.n, pred.center, pred.shift.real, pred.shift.imag,
-                pred.root_term.real, pred.root_term.imag,
-                pred.root_term_corr.real, pred.root_term_corr.imag,
-                by_n_tau[r.n], by_n_g[r.n], by_n_gc[r.n],
-            ]
-        )
+    rows = [
+        [
+            n, pred.center, pred.shift.real, pred.shift.imag,
+            pred.root_term.real, pred.root_term.imag,
+            pred.root_term_corr.real, pred.root_term_corr.imag,
+            by_n_tau[n], by_n_g[n], by_n_gc[n],
+        ]
+        for n, pred in preds.items()
+    ]
     exponents = {
         "tau": rem_tau.target_exponent,
         "gamma": rem_g.target_exponent,
@@ -361,6 +361,7 @@ def run_asymptotics(cfg: RunConfig) -> int:
     footer = {
         "K": table.K,
         "confirm_K": table.confirm_K,
+        "unrefined": list(table.unrefined),
         "fitted_slope_tau": fmt(rem_tau.fitted_slope),
         "fitted_slope_gamma": fmt(rem_g.fitted_slope),
         "fitted_slope_gamma_corr": fmt(rem_gc.fitted_slope),
@@ -525,6 +526,7 @@ def run_riesz_check(cfg: RunConfig) -> int:
     table = pair_eigenvalues(eigs, n_max=cfg.n_max)
 
     rows, max_block = [], 0
+    l_plus, l_minus = riesz.l_direct(v, cfg.m, np.arange(2, cfg.n_max + 1))
     for n in range(2, cfg.n_max + 1):
         contour = ContourSpec(n=n, m=cfg.m, nodes=cfg.quad_nodes)
         trace = riesz.tau_from_traces(eigs, contour)
@@ -534,8 +536,7 @@ def run_riesz_check(cfg: RunConfig) -> int:
         q0_defect = float(np.max(np.abs(q0 - closed)))
         tr_q0 = abs(complex(np.trace(q0)))
         s2 = riesz.script_S_2x2(v, cfg.m, n, K, nodes=cfg.quad_nodes)
-        l_plus, l_minus = riesz.l_direct(v, cfg.m, n)
-        l_diff = max(abs(s2[0, 1] - l_plus), abs(s2[1, 0] - l_minus))
+        l_diff = max(abs(s2[0, 1] - l_plus[n - 2]), abs(s2[1, 0] - l_minus[n - 2]))
         try:
             tau_diff = abs(trace.tr_q / 2.0 - table.row(n).d_tau)
             tau_tol = TAU_XCHECK_TOL * (1.0 + abs(trace.tau))

@@ -21,8 +21,11 @@ The lifted eigenvectors [w; X w] serve twice: their column residuals
 pair, collected by disc membership around its unperturbed center, is
 sharpened by Rayleigh-Ritz of the center-shifted matrix on the span of its
 two eigenvectors, which decouples the pair-splitting accuracy from the
-global matrix scale.  Pair rows keep those offsets from the center;
-absolute eigenvalues are derived from them for output only.
+global matrix scale.  All pairs are refined in one batch: a stacked QR of
+their vector pairs and one product of T with every orthonormal basis.
+Pair rows keep those offsets from the center; absolute eigenvalues are
+derived from them for output only, and the table lists the pairs that kept
+their raw offsets as unrefined.
 """
 
 from __future__ import annotations
@@ -356,6 +359,7 @@ class EigenPairTable:
     rows: tuple[EigenPairRow, ...]
     flagged: dict[int, int] = field(default_factory=dict)
     confirm_K: int | None = None  # the window the converged flags were compared against
+    unrefined: tuple[int, ...] = ()  # rows whose refinement declined and kept the raw offsets
 
     def row(self, n: int) -> EigenPairRow:
         for r in self.rows:
@@ -372,57 +376,53 @@ def _check_disc_overlap(m: int, radius_rule, n_max: int):
             )
 
 
-def _refine_pair(
-    mat: np.ndarray,
-    c: float,
-    resonant: list[int],
-    cols: np.ndarray,
-    raw: np.ndarray,
-    radius: float,
-) -> tuple[complex, complex] | None:
-    """Center-shifted Rayleigh-Ritz on the span of the pair's two eigenvectors.
-
-    (T - c) w is T w - c w except in the two resonant rows, where the
-    diagonal cancels: those use a copy of the rows with the center c taken
-    off the diagonal, bit for bit rows of T - c*I.  Elsewhere w is small, so
-    no shifted copy of the whole matrix is needed.  Returns the refined pair
-    RELATIVE to the center, ordered lexicographically, which keeps the
-    splitting meaningful far below one ulp of the center.  Returns None
-    (keep the raw offsets) if the two vectors do not span a plane, as for a
-    Jordan pair, or if the refinement wanders outside a quarter of the disc.
-    """
-    w, r = np.linalg.qr(cols)
-    if abs(r[1, 1]) <= SPAN_REL_TOL * abs(r[0, 0]):
-        return None
-    tw = mat @ w - c * w
-    shifted = mat[resonant]
-    shifted[[0, 1], resonant] -= c
-    tw[resonant] = shifted @ w
-    h = w.conj().T @ tw
-    h_scale = np.max(np.abs(h)) or 1.0
-    if np.max(np.abs(h - h.conj().T)) <= 1e-13 * h_scale:
-        # Hermitian block: keep the refined pair exactly real
-        local = np.linalg.eigvalsh((h + h.conj().T) / 2.0).astype(complex)
-    else:
-        local = np.linalg.eigvals(h)
-        local = local[lexicographic_order(local)]
-    if np.max(np.abs(local - raw)) > 0.25 * radius:
-        return None
-    return complex(local[0]), complex(local[1])
-
-
 def _pair_offsets(
-    eigs: EigenList, n: int, idx: np.ndarray, radius: float
-) -> tuple[complex, complex]:
-    """Offsets from center(m, n) of the two eigenvalues eigs.values[idx],
-    ordered lexicographically: refined by _refine_pair, or raw where the
-    refinement declines."""
-    c = center(eigs.op.m, n)
-    idx = idx[lexicographic_order(eigs.values[idx])]
-    raw = eigs.values[idx] - c
-    cols = eigs.vectors[:, eigs.order[idx]]
-    d = _refine_pair(eigs.op.matrix, c, list(resonant_rows(eigs.op.K, n)), cols, raw, radius)
-    return d if d is not None else (complex(raw[0]), complex(raw[1]))
+    eigs: EigenList, ns: list[int], idx: list[np.ndarray], radii: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets from center(m, n) of the pairs eigs.values[idx[i]], n = ns[i],
+    each ordered lexicographically, and a mask of the pairs left raw.
+
+    All pairs are sharpened together by center-shifted Rayleigh-Ritz on the
+    span of their two eigenvectors: one stacked QR gives the orthonormal
+    bases W and one product T W serves every pair.  (T - c) w is T w - c w
+    except in the two resonant rows, where the diagonal cancels: those use
+    copies of the rows with the center c taken off the diagonal, bit for bit
+    rows of T - c*I.  Elsewhere w is small, so no shifted copy of the whole
+    matrix is needed.  Offsets RELATIVE to the center keep the splitting
+    meaningful far below one ulp of the center.  A pair keeps its raw
+    offsets if its two vectors do not span a plane, as for a Jordan pair, or
+    if the refinement wanders outside a quarter of its disc of radius radii[i].
+    """
+    if not ns:
+        return np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=bool)
+    mat, m, K = eigs.op.matrix, eigs.op.m, eigs.op.K
+    c = np.array([center(m, n) for n in ns])
+    idx = np.array([i[lexicographic_order(eigs.values[i])] for i in idx])
+    raw = eigs.values[idx] - c[:, None]
+    w, r = np.linalg.qr(eigs.vectors[:, eigs.order[idx]].transpose(1, 0, 2))
+    # one product T W for the (2K, 2N) columns of all bases
+    tw = mat @ w.transpose(1, 0, 2).reshape(2 * K, -1)
+    tw = tw.reshape(2 * K, -1, 2).transpose(1, 0, 2) - c[:, None, None] * w
+    res = np.array([resonant_rows(K, n) for n in ns])
+    shifted = mat[res]
+    pick = np.arange(len(ns))[:, None]
+    shifted[pick, [0, 1], res] -= c[:, None]
+    tw[pick, res] = shifted @ w
+    h = w.conj().transpose(0, 2, 1) @ tw
+    hh = h.conj().transpose(0, 2, 1)
+    h_scale = np.max(np.abs(h), axis=(1, 2))
+    # Hermitian blocks keep their refined pair exactly real
+    herm = np.max(np.abs(h - hh), axis=(1, 2)) <= 1e-13 * np.where(h_scale > 0, h_scale, 1.0)
+    local = np.empty_like(raw)
+    if herm.any():
+        local[herm] = np.linalg.eigvalsh((h[herm] + hh[herm]) / 2.0)
+    if not herm.all():
+        vals = np.linalg.eigvals(h[~herm])
+        local[~herm] = [pair[lexicographic_order(pair)] for pair in vals]
+    raw_kept = (np.abs(r[:, 1, 1]) <= SPAN_REL_TOL * np.abs(r[:, 0, 0])) | (
+        np.max(np.abs(local - raw), axis=1) > 0.25 * np.array(radii)
+    )
+    return np.where(raw_kept[:, None], raw, local), raw_kept
 
 
 def pair_eigenvalues(
@@ -448,7 +448,7 @@ def pair_eigenvalues(
     _check_disc_overlap(m, radius_rule, n_max)
 
     vals = eigs.values
-    rows = []
+    ns, idx, radii = [], [], []
     flagged: dict[int, int] = {}
     for n in range(1, n_max + 1):
         c = center(m, n)
@@ -458,13 +458,20 @@ def pair_eigenvalues(
                 f"pairing disc n = {n} reaches {eigs.complete_below:.17g}, "
                 "past which the solve left eigenvalues out"
             )
-        idx = np.flatnonzero(np.abs(vals - c) < r)
-        if len(idx) != 2:
-            flagged[n] = len(idx)
+        hits = np.flatnonzero(np.abs(vals - c) < r)
+        if len(hits) != 2:
+            flagged[n] = len(hits)
             continue
-        d_lo, d_hi = _pair_offsets(eigs, n, idx, r)
-        rows.append(EigenPairRow(n, c, d_lo, d_hi, v0=0j, disc_radius_used=r, converged=False))
-    return EigenPairTable(m, K, tuple(rows), flagged)
+        ns.append(n)
+        idx.append(hits)
+        radii.append(r)
+    offsets, raw_kept = _pair_offsets(eigs, ns, idx, radii)
+    rows = tuple(
+        EigenPairRow(n, center(m, n), complex(lo), complex(hi), 0j, r, converged=False)
+        for n, (lo, hi), r in zip(ns, offsets, radii)
+    )
+    unrefined = tuple(n for n, kept in zip(ns, raw_kept) if kept)
+    return EigenPairTable(m, K, rows, flagged, unrefined=unrefined)
 
 
 def compute_pair_table(
@@ -504,7 +511,7 @@ def mark_converged(
         direct = max(abs(r.d_lo - p.d_lo), abs(r.d_hi - p.d_hi))
         crossed = max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo))
         rows.append(replace(r, converged=bool(min(direct, crossed) < tol)))
-    return EigenPairTable(table.m, table.K, tuple(rows), dict(table.flagged), reference.K)
+    return replace(table, rows=tuple(rows), flagged=dict(table.flagged), confirm_K=reference.K)
 
 
 def confirm_window(v: FourierSequence, K: int) -> int:
@@ -587,22 +594,24 @@ def localization_report(
     vals = eigs.values + v0
     n_max = K // 4
 
-    n0 = 0
-    rows = []
+    rows, pairs = [], {}
     for n in range(1, n_max + 1):
         r = localization_radius(m, alpha, C, R, n)
         dev = np.abs(vals - center(m, n))
-        inside = dev < r
-        hits = int(inside.sum())
-        if hits == 2:
-            # the raw values carry the rounding of the whole solve; the
-            # center-shifted offsets resolve the pair far below one ulp of c
-            max_dev = max(abs(d + v0) for d in _pair_offsets(eigs, n, np.flatnonzero(inside), r))
-        else:
-            max_dev = float(np.max(dev[inside])) if hits else math.nan
-        rows.append(DiscCensusRow(n=n, radius=r, hits=hits, max_deviation=max_dev))
-        if hits != 2:
-            n0 = n
+        inside = np.flatnonzero(dev < r)
+        if len(inside) == 2:
+            pairs[n - 1] = inside
+        max_dev = float(np.max(dev[inside])) if len(inside) else math.nan
+        rows.append(DiscCensusRow(n=n, radius=r, hits=len(inside), max_deviation=max_dev))
+    # the raw values carry the rounding of the whole solve; the center-shifted
+    # offsets resolve each pair far below one ulp of c
+    paired = list(pairs)
+    offsets, _ = _pair_offsets(
+        eigs, [i + 1 for i in paired], list(pairs.values()), [rows[i].radius for i in paired]
+    )
+    for i, d in zip(paired, offsets):
+        rows[i] = replace(rows[i], max_deviation=max(abs(complex(x) + v0) for x in d))
+    n0 = max((row.n for row in rows if row.hits != 2), default=0)
 
     big_m = max(1.0, float(np.max(np.abs(vals.imag)))) + 1.0
     thresh = ((2.0 * n0) ** (2 * m) - (2.0 * n0) ** m) * math.pi ** (2 * m)

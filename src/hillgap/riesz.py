@@ -274,33 +274,35 @@ def script_S_2x2(
     return (rows * ((ws / (lams - contour.center)) @ d)) @ cols
 
 
-def l_direct(v: FourierSequence, m: int, n: int) -> tuple[complex, complex]:
+def l_direct(v: FourierSequence, m: int, n: int | np.ndarray) -> tuple:
     """Residue route to the correction values (l_+, l_-) at +-2(2n-1), both
     from one pass over the potential's window:
     l_+ = (1/pi^{2m}) sum_j v(2n-2j) v(2n+2j-2) / ((2n-1)^{2m} - (2j-1)^{2m})
     over odd modes 2j-1 != +-(2n-1), and l_- the same sum with v reflected
-    through the origin, v(2j-2n) v(2-2n-2j).
+    through the origin, v(2j-2n) v(2-2n-2j).  n may be an array of indices;
+    the values then take its shape, all from one pass.
 
     The denominator factors as ((2n-1)^m - (2j-1)^m)((2n-1)^m + (2j-1)^m),
     so this is the odd-lattice form of the quadratic correction sequence.
+    Each is the exact integer (2n-1)^{2m} - (2j-1)^{2m}, rounded once.
     """
     if v.parity is not Parity.EVEN:
         raise ParityError("potentials must live on the even lattice")
     if v(0) != 0:
         raise ValueError("the correction sequence requires v(0) = 0")
-    q = 2 * n - 1
-    qp = q ** (2 * m)
+    ns = np.asarray(n, dtype=int)
     half = v.window // 2
-    plus = minus = 0.0 + 0.0j
-    for j in range(n - half, n + half + 1):
-        p = 2 * j - 1
-        if p == q or p == -q:
-            continue
-        den = float(qp - p ** (2 * m))
-        a, bb = v(2 * n - 2 * j), v(2 * n + 2 * j - 2)
-        if a != 0 and bb != 0:
-            plus += a * bb / den
-        a, bb = v(2 * j - 2 * n), v(2 - 2 * n - 2 * j)
-        if a != 0 and bb != 0:
-            minus += a * bb / den
-    return plus / math.pi ** (2 * m), minus / math.pi ** (2 * m)
+    coef = np.array([v(2 * k) for k in range(-half, half + 1)])
+
+    def at(k):  # v(2k), zero outside the window
+        inside = np.abs(k) <= half
+        return np.where(inside, coef[np.where(inside, k + half, 0)], 0.0)
+
+    t = np.arange(-half, half + 1)  # j - n
+    q = 2 * ns.reshape(-1, 1) - 1
+    p = q + 2 * t
+    den = (q.astype(object) ** (2 * m) - p.astype(object) ** (2 * m)).astype(float)
+    den[(p == q) | (p == -q)] = math.inf  # the resonant modes are left out
+    plus = np.sum(at(-t) * at(q + t) / den, axis=1) / math.pi ** (2 * m)
+    minus = np.sum(at(t) * at(-q - t) / den, axis=1) / math.pi ** (2 * m)
+    return plus.reshape(ns.shape)[()], minus.reshape(ns.shape)[()]

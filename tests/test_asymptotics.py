@@ -11,6 +11,7 @@ from hillgap.asymptotics import (
     gamma_remainder,
     one_term_check,
     predict_pair,
+    predict_pairs,
     tau_remainder,
 )
 from hillgap.eigensolver import (
@@ -75,6 +76,16 @@ class TestPredictPair:
         r1 = predict_pair(v1, 1, 2)
         r2 = predict_pair(v2, 1, 2)
         assert r1.root_term_corr == r2.root_term_corr
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_all_rows_at_once_match_one_at_a_time(self, m):
+        v = vseq({0: 0.5, **TRIG, 10: 0.2 - 0.1j, -14: 0.3})
+        preds = predict_pairs(v, m, range(1, 9))
+        assert list(preds) == list(range(1, 9))
+        for n, row in preds.items():
+            one = predict_pair(v, m, n)
+            assert (row.center, row.shift, row.root_term) == (one.center, one.shift, one.root_term)
+            assert abs(row.root_term_corr - one.root_term_corr) <= 1e-15 * abs(one.root_term_corr)
 
 
 class TestTauRemainder:
@@ -202,6 +213,13 @@ class TestGammaRemainder:
         assert rep_c.target_exponent == pytest.approx(0.95)
         rep_half = gamma_remainder(tab, v, 1, 0.6)
         assert rep_half.target_exponent == pytest.approx(1 * (1 - 1.2) - 0.05)
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_given_predictions_are_read(self, trig_table, corrected):
+        v, tab = trig_table
+        preds = predict_pairs(v, 1, [r.n for r in tab.rows if r.converged])
+        rep = gamma_remainder(tab, v, 1, 0.0, corrected, predictions=preds)
+        assert rep == gamma_remainder(tab, v, 1, 0.0, corrected)
 
 
 class TestOneTerm:

@@ -316,6 +316,29 @@ class TestConfigHandling:
         assert code == 2
 
 
+class TestUnrefinedFooter:
+    @pytest.mark.parametrize("command", ["spectrum", "asymptotics"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_jordan_pairs_listed(self, tmp_path, command, fmt):
+        # v(k) = 0 for k < 0 makes the low pairs Jordan blocks, whose two
+        # eigenvectors do not span a plane: they keep their raw offsets
+        pot = write_potential(tmp_path / "jordan.json", {2: complex(1.0)})
+        out = tmp_path / f"out.{fmt}"
+        assert main([command, "--m", "1", "--K", "48", "--n-max", "12",
+                     "--potential", pot, "--out", str(out), "--format", fmt]) == 0
+        if fmt == "csv":
+            footer = read_csv(out)[2]
+        else:
+            footer = json.loads(out.read_text())["footer"]
+        assert footer["unrefined"] == [1, 2]
+
+    def test_refined_rows_leave_it_empty(self, tmp_path, trig_potential):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--m", "1", "--K", "32", "--n-max", "6",
+                     "--potential", trig_potential, "--out", str(out)]) == 0
+        assert read_csv(out)[2]["unrefined"] == []
+
+
 class TestAsymptoticsCommand:
     def test_zero_potential_all_zero_remainders(self, tmp_path, zero_potential):
         out = tmp_path / "asym.csv"

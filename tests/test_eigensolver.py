@@ -17,7 +17,7 @@ from hillgap.eigensolver import (
     pair_eigenvalues,
     localization_radius,
 )
-from hillgap.operator import build_T, center, unperturbed_eigenvalues
+from hillgap.operator import build_T, center, contour_radius, unperturbed_eigenvalues
 from hillgap.riesz import ContourSpec, riesz_projector
 from hillgap.seqspace import (
     FourierSequence,
@@ -29,6 +29,7 @@ from hillgap.seqspace import (
     make_potential,
     reflect_seq,
 )
+from refine_oracle import reference_offsets
 
 PI2 = math.pi**2
 
@@ -391,6 +392,58 @@ class TestHighPrecisionOracle:
         assert len(tab.rows) == 4
         for r in tab.rows:
             assert abs(r.gamma) <= 1e-15
+
+
+class TestBatchedRefinement:
+    """The one-pass refinement of every pair against the per-pair route."""
+
+    POTENTIALS = {
+        "trig": lambda m: vseq(TRIG),
+        "rough-herm": lambda m: random_potential(2, window=60, m=m, hermitian=True),
+        "rough-complex": lambda m: random_potential(3, window=64, m=m),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_pairs_match_per_pair_reference(self, m, name):
+        v = self.POTENTIALS[name](m)
+        op = build_T(v, m, 64)
+        for eigs in (eigenvalues(op), eigenvalues(op, 16)):
+            tab = pair_eigenvalues(eigs)
+            assert len(tab.rows) == 16
+            declined = []
+            for row in tab.rows:
+                r = contour_radius(m, row.n)
+                idx = np.flatnonzero(np.abs(eigs.values - center(m, row.n)) < r)
+                want, raw = reference_offsets(eigs, row.n, idx, r)
+                assert max(abs(row.d_lo - want[0]), abs(row.d_hi - want[1])) <= 1e-14
+                if raw:
+                    declined.append(row.n)
+                if name == "rough-herm":
+                    assert row.d_lo.imag == 0 and row.d_hi.imag == 0
+            assert list(tab.unrefined) == declined
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_localize_deviation_matches_per_pair_reference(self, m, name):
+        v = self.POTENTIALS[name](m)
+        rep = localization_report(v, m, 0.0, 1.0, 1.1, 64)
+        eigs = eigenvalues(build_T(v, m, 64))
+        pairs = [d for d in rep.disc_rows if d.hits == 2]
+        assert pairs
+        for d in pairs:
+            idx = np.flatnonzero(np.abs(eigs.values - center(m, d.n)) < d.radius)
+            want, _ = reference_offsets(eigs, d.n, idx, d.radius)
+            assert abs(d.max_deviation - float(np.max(np.abs(want)))) <= 1e-14
+
+    def test_jordan_pair_is_reported_unrefined(self):
+        # v(k) = 0 for k < 0: the n = 1 pair is a Jordan block whose two
+        # eigenvectors do not span a plane, so it keeps its raw offsets
+        tab = compute_pair_table(vseq({2: 1.0}), 1, 32)
+        assert 1 in tab.unrefined
+        assert compute_pair_table(vseq(TRIG), 1, 32).unrefined == ()
+        conv = mark_converged(tab, compute_pair_table(vseq({2: 1.0}), 1, 64))
+        assert conv.unrefined == tab.unrefined
 
 
 class TestSolverRouting:

@@ -299,6 +299,29 @@ def l_residue_oracle(v, m, n):
     return total
 
 
+def l_loop_reference(v, m, n):
+    """The one-n loop the one-pass l_direct replaced, with the same exact
+    integer denominators: (l_+, l_-) and the sums of the moduli of their
+    terms, the scale at which the summation order may change them."""
+    q = 2 * n - 1
+    scale = math.pi ** (2 * m)
+    sums = [0j, 0j]
+    sizes = [0.0, 0.0]
+    for j in range(n - v.window // 2, n + v.window // 2 + 1):
+        p = 2 * j - 1
+        if p in (q, -q):
+            continue
+        den = float(q ** (2 * m) - p ** (2 * m))
+        for i, (a, b) in enumerate((
+            (v(2 * n - 2 * j), v(2 * n + 2 * j - 2)),
+            (v(2 * j - 2 * n), v(2 - 2 * n - 2 * j)),
+        )):
+            if a != 0 and b != 0:
+                sums[i] += a * b / den
+                sizes[i] += abs(a * b / den)
+    return sums[0] / scale, sums[1] / scale, sizes[0] / scale, sizes[1] / scale
+
+
 class TestCorrectionSequence:
     def test_zero_potential(self):
         assert l_direct(vseq({}), 1, 3)[0] == 0
@@ -338,6 +361,31 @@ class TestCorrectionSequence:
             lp, lm = l_direct(v, m, n)
             rp, rm = l_direct(reflect_seq(v), m, n)
             assert np.array([lm, lp]).tobytes() == np.array([rp, rm]).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_pass_matches_loop(self, m):
+        # all n at once against the per-n loop, and each n on its own
+        ns = np.arange(1, 20)
+        for seed, window in ((8, 24), (10, 78), (11, 2)):
+            v = random_potential(seed, window=window)
+            plus, minus = l_direct(v, m, ns)
+            for n, lp, lm in zip(ns, plus, minus):
+                want_p, want_m, size_p, size_m = l_loop_reference(v, m, int(n))
+                assert abs(lp - want_p) <= 1e-15 * size_p
+                assert abs(lm - want_m) <= 1e-15 * size_m
+                assert l_direct(v, m, int(n)) == (lp, lm)
+
+    def test_exact_denominators_past_int64(self):
+        # at m = 3 the modes |p| >= 1449 have p^6 > 2^63: n = 1 meets p = 3001,
+        # where q^6 - p^6 itself overflows an int64, and n = 750 meets
+        # q, p = 1499, 1501, where a float p^6 loses the difference to cancellation
+        v = vseq({2: 0.3, -2: 0.7, 3000: 0.4 + 0.2j, -3000: 0.5j, 3002: 0.25, -3002: 0.1j})
+        plus, minus = l_direct(v, 3, np.array([1, 750, 751]))
+        for n, lp, lm in zip((1, 750, 751), plus, minus):
+            want_p, want_m, size_p, size_m = l_loop_reference(v, 3, n)
+            assert size_p > 0 and size_m > 0
+            assert abs(lp - want_p) <= 1e-15 * size_p
+            assert abs(lm - want_m) <= 1e-15 * size_m
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_script_S_matches_node_loop(self, m):
