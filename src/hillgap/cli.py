@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -69,23 +69,7 @@ from .seqspace import (
     weighted_norm,
 )
 
-COMMANDS = ("spectrum", "asymptotics", "localize", "lemmas", "riesz-check", "alpha1")
-
-DEFAULTS = {
-    "m": 1,
-    "alpha": 0.0,
-    "K": "auto",
-    "n_max": 16,
-    "R": 1.0,
-    "C": 1.1,
-    "epsilon": 0.05,
-    "seed": 0,
-    "quad_nodes": 64,
-    "format": "csv",
-    "out": None,
-    "potential": None,
-    "bound_scale": 1.0,
-}
+RIESZ_AUTO_K = 128  # the riesz-check window under --K auto
 
 TR_P_TOL = 1e-9
 Q0_TOL = 1e-9
@@ -105,30 +89,40 @@ class LemmaBoundFailure(RuntimeError):
     pass
 
 
+def _option(default, help=None, flag=None):
+    """A RunConfig field that is also a config-file key and the flag
+    --name ('-' for '_') unless flag spells it otherwise."""
+    return field(default=default, metadata={"help": help, "flag": flag})
+
+
 @dataclass
 class RunConfig:
     command: str
-    m: int
-    alpha: float
-    K: str | int
-    n_max: int
-    R: float
-    C: float
-    epsilon: float
-    seed: int
-    quad_nodes: int
-    format: str
-    out: str | None
-    potential: str | None
-    bound_scale: float
+    m: int = _option(1, "operator order parameter")
+    alpha: float = _option(0.0, "singularity scale in [0, 1]")
+    K: str | int = _option("auto", "half-window size or 'auto'")
+    n_max: int = _option(16)
+    R: float = _option(1.0, "potential norm bound")
+    C: float = _option(1.1, "disc constant, > 1")
+    epsilon: float = _option(0.05)
+    seed: int = _option(0)
+    quad_nodes: int = _option(64)
+    format: str = _option("csv", "csv or json")
+    out: str | None = _option(None, "output table path")
+    potential: str | None = _option(None, "potential JSON file")
+    bound_scale: float = _option(
+        1.0, "testing aid: scales the lemma-sweep bounds by this factor",
+        flag="--debug-bound-scale",
+    )
 
     def echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+OPTIONS = fields(RunConfig)[1:]  # every field but the command
+
+
 def _validate_config(cfg: RunConfig):
-    if cfg.command not in COMMANDS:
-        raise ConfigError(f"unknown command {cfg.command!r}")
     if not isinstance(cfg.m, int) or cfg.m < 1:
         raise ConfigError(f"--m must be a positive integer, got {cfg.m}")
     if not 0.0 <= cfg.alpha <= 1.0:
@@ -141,9 +135,10 @@ def _validate_config(cfg: RunConfig):
     if cfg.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {cfg.n_max}")
     paired = cfg.command in ("spectrum", "asymptotics", "riesz-check", "alpha1")
-    if paired and isinstance(cfg.K, int) and cfg.K < 4 * cfg.n_max:
+    K = RIESZ_AUTO_K if cfg.command == "riesz-check" and cfg.K == "auto" else cfg.K
+    if paired and isinstance(K, int) and K < 4 * cfg.n_max:
         raise ConfigError(
-            f"--K {cfg.K} too small for --n-max {cfg.n_max}: modes within a factor "
+            f"--K {K} too small for --n-max {cfg.n_max}: modes within a factor "
             "4 of the window edge are truncation-polluted (need K >= 4 n_max)"
         )
     for flag, val in (("--R", cfg.R), ("--C", cfg.C), ("--epsilon", cfg.epsilon),
@@ -519,9 +514,7 @@ RIESZ_COLUMNS = [
 
 def run_riesz_check(cfg: RunConfig) -> int:
     v, _ = normalize_zero_mode(load_potential(cfg.potential))
-    K = cfg.K if isinstance(cfg.K, int) else 128
-    if K < 4 * cfg.n_max:
-        raise ConfigError(f"--K {K} too small for --n-max {cfg.n_max}")
+    K = cfg.K if isinstance(cfg.K, int) else RIESZ_AUTO_K
     eigs = solve_eigenvalues(build_T(v, cfg.m, K), n_max=cfg.n_max)
     table = pair_eigenvalues(eigs, n_max=cfg.n_max)
 
@@ -601,30 +594,18 @@ def build_parser() -> argparse.ArgumentParser:
         "operators: eigenvalue pairs, localization discs, projector traces, "
         "and gap asymptotics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--m", type=int, default=None, help="operator order parameter")
-        p.add_argument("--alpha", type=float, default=None, help="singularity scale in [0, 1]")
-        p.add_argument("--K", default=None, help="half-window size or 'auto'")
-        p.add_argument("--n-max", dest="n_max", type=int, default=None)
-        p.add_argument("--R", type=float, default=None, help="potential norm bound")
-        p.add_argument("--C", type=float, default=None, help="disc constant, > 1")
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None)
-        p.add_argument("--potential", default=None, help="potential JSON file")
-        p.add_argument("--out", default=None, help="output table path")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        p.add_argument("--print-config", action="store_true")
-        p.add_argument(
-            "--debug-bound-scale",
-            dest="bound_scale",
-            type=float,
-            default=None,
-            help="testing aid: scales the lemma-sweep bounds by this factor",
+    parser.add_argument("command", choices=HANDLERS)
+    hints = get_type_hints(RunConfig)
+    for f in OPTIONS:
+        kind = hints[f.name]
+        parser.add_argument(
+            f.metadata["flag"] or "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=kind if kind in (int, float) else None,
+            help=f.metadata["help"],
         )
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument("--print-config", action="store_true")
     return parser
 
 
@@ -650,7 +631,7 @@ def _check_config_types(path: str, file_cfg: dict):
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
+    merged = {}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -661,16 +642,15 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
             raise PotentialFileError(f"{args.config}: malformed JSON ({exc})")
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config file must hold an object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - {f.name for f in OPTIONS}
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {sorted(unknown)}")
         _check_config_types(args.config, file_cfg)
         merged.update(file_cfg)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    merged["K"] = _coerce_k(merged["K"])
+    for f in OPTIONS:
+        if getattr(args, f.name) is not None:
+            merged[f.name] = getattr(args, f.name)
+    merged["K"] = _coerce_k(merged.get("K"))
     cfg = RunConfig(command=args.command, **merged)
     _validate_config(cfg)
     return cfg

@@ -126,17 +126,31 @@ class EigenList:
             arr.setflags(write=False)
 
 
-def _is_hermitian(mat: np.ndarray) -> bool:
-    """Asymmetry against the off-diagonal scale, that of B(v): the diagonal
-    of A^m grows like (4K)^{2m} and would hide a non-Hermitian potential."""
-    scale = asym = 0.0
+def _structure(mat: np.ndarray, mu: np.ndarray) -> tuple[float, float, bool]:
+    """||T||_F, beta and whether T is Hermitian, from one pass over T in
+    row slabs.
+
+    beta = sqrt(||B||_1 ||B||_inf) >= ||B||_2 for B = T - diag(mu), from the
+    largest column and row sums of |B|; at most ||v||_l1 over the window.
+    The Hermitian test weighs the asymmetry against the off-diagonal scale,
+    that of B(v): the diagonal of A^m grows like (4K)^{2m} and would hide a
+    non-Hermitian potential."""
+    rows = np.empty(len(mat))
+    cols = np.zeros(len(mat))
+    diag = np.abs(mat.diagonal() - mu)
+    fro2 = scale = asym = 0.0
     for i in range(0, len(mat), BLOCK):
-        rows = mat[i : i + BLOCK]
-        mag = np.abs(rows)
+        slab = mat[i : i + BLOCK]
+        fro2 += np.vdot(slab, slab).real
+        asym = max(asym, float(np.max(np.abs(slab - mat[:, i : i + BLOCK].conj().T))))
+        mag = np.abs(slab)
         np.fill_diagonal(mag[:, i:], 0.0)
         scale = max(scale, float(np.max(mag)))
-        asym = max(asym, float(np.max(np.abs(rows - mat[:, i : i + BLOCK].conj().T))))
-    return asym <= HERMITIAN_REL_TOL * (scale or 1.0)
+        np.fill_diagonal(mag[:, i:], diag[i : i + BLOCK])
+        rows[i : i + BLOCK] = mag.sum(axis=1)
+        cols += mag.sum(axis=0)
+    beta = math.sqrt(float(np.max(rows)) * float(np.max(cols)))
+    return math.sqrt(fro2), beta, asym <= HERMITIAN_REL_TOL * (scale or 1.0)
 
 
 def _residual_max(mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
@@ -147,20 +161,6 @@ def _residual_max(mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> f
         res = np.linalg.norm(mat @ v - v * values[j : j + BLOCK], axis=0)
         worst = max(worst, float(np.max(res / np.linalg.norm(v, axis=0))))
     return worst
-
-
-def _coupling_bound(mat: np.ndarray, mu: np.ndarray) -> float:
-    """sqrt(||B||_1 ||B||_inf) >= ||B||_2 for B = T - diag(mu), from the
-    largest column and row sums of |B|; at most ||v||_l1 over the window."""
-    rows = np.empty(len(mat))
-    cols = np.zeros(len(mat))
-    for i in range(0, len(mat), BLOCK):
-        mag = np.abs(mat[i : i + BLOCK])
-        diag = mat.diagonal()[i : i + BLOCK] - mu[i : i + BLOCK]
-        np.fill_diagonal(mag[:, i:], np.abs(diag))
-        rows[i : i + BLOCK] = mag.sum(axis=1)
-        cols += mag.sum(axis=0)
-    return math.sqrt(float(np.max(rows)) * float(np.max(cols)))
 
 
 def _cut_certified(mat: np.ndarray, m: int, K: int, j: int, n_max: int, beta: float) -> bool:
@@ -266,24 +266,20 @@ def eigenvalues(op: TruncatedOperator, n_max: int | None = None) -> EigenList:
     T, relative to ||T||_F; SolverError is raised if the largest exceeds
     RESIDUAL_TOL, as it is for a Riccati fixed point that does not settle.
     """
-    mat = op.matrix
-    scale = np.linalg.norm(mat, "fro")
-    if not np.isfinite(scale):
-        raise ValueError("operator matrix carries non-finite entries")
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    scale = scale or 1.0
-    K = op.K
+    mat, K = op.matrix, op.K
     mu = unperturbed_eigenvalues(op.m, K)
+    scale, beta, hermitian = _structure(mat, mu)
+    if not math.isfinite(scale):
+        raise ValueError("operator matrix carries non-finite entries")
+    scale = scale or 1.0
     j = K if n_max is None else min(n_max, K)
-    beta = 0.0
-    if j < K:
-        beta = _coupling_bound(mat, mu)
-        while j < K and not _cut_certified(mat, op.m, K, j, n_max, beta):
-            j = min(2 * j, K)
+    while j < K and not _cut_certified(mat, op.m, K, j, n_max, beta):
+        j = min(2 * j, K)
     x, low, complete_below = _decouple(mat, op.m, K, j, mu, beta)
     try:
-        if _is_hermitian(mat):
+        if hermitian:
             vals, vecs = _hermitian_eig(low, x)
         else:
             vals, vecs = np.linalg.eig(low)

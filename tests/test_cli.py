@@ -1,12 +1,12 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from hillgap import cli, eigensolver, riesz
-from hillgap.cli import DEFAULTS, RunConfig, main
+from hillgap.cli import RunConfig, main
 from hillgap.eigensolver import eigenvalues
 from hillgap.operator import MAX_HALF_WINDOW, build_T
 from hillgap.seqspace import (
@@ -213,7 +213,7 @@ class TestConfirmWindow:
         # flagged row 1, whose offsets are right to 5e-13
         spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=2.0, seed=8)
         v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
-        cfg = RunConfig(**{**DEFAULTS, "command": "spectrum", "m": 3, "K": 16, "n_max": 4})
+        cfg = RunConfig(command="spectrum", m=3, K=16, n_max=4)
         table = cli._spectrum_table(cfg, v)
         assert table.confirm_K == 24
         assert [r.converged for r in table.rows] == [True] * 4
@@ -231,7 +231,7 @@ class TestConfirmWindow:
         # all three windows lie on the pairs of their exact operators
         spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=4.0, seed=1)
         v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
-        cfg = RunConfig(**{**DEFAULTS, "command": "spectrum", "m": 3, "K": 64, "n_max": 16})
+        cfg = RunConfig(command="spectrum", m=3, K=64, n_max=16)
         table = cli._spectrum_table(cfg, v)
         assert table.confirm_K == 72
         assert table.row(6).converged
@@ -314,6 +314,59 @@ class TestConfigHandling:
         code = main(["riesz-check", "--m", "1", "--quad-nodes", "48",
                      "--potential", zero_potential, "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+    def test_riesz_short_auto_window_exit_2_before_io(self, tmp_path, capsys):
+        # --K auto is the window 128 at riesz-check, too small for n_max 40:
+        # a configuration error, found before the missing potential is read
+        code = main(["riesz-check", "--n-max", "40", "--potential", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "config error: --K 128 too small" in capsys.readouterr().err
+
+
+# every option: its flag, the value given, and the value the config holds
+OPTION_FLAGS = {
+    "m": ("--m", "2", 2),
+    "alpha": ("--alpha", "0.5", 0.5),
+    "K": ("--K", "64", 64),
+    "n_max": ("--n-max", "12", 12),
+    "R": ("--R", "2.5", 2.5),
+    "C": ("--C", "1.5", 1.5),
+    "epsilon": ("--epsilon", "0.1", 0.1),
+    "seed": ("--seed", "7", 7),
+    "quad_nodes": ("--quad-nodes", "32", 32),
+    "format": ("--format", "json", "json"),
+    "out": ("--out", "o.json", "o.json"),
+    "potential": ("--potential", "p.json", "p.json"),
+    "bound_scale": ("--debug-bound-scale", "0.5", 0.5),
+}
+OPTION_DEFAULTS = {
+    "m": 1, "alpha": 0.0, "K": "auto", "n_max": 16, "R": 1.0, "C": 1.1,
+    "epsilon": 0.05, "seed": 0, "quad_nodes": 64, "format": "csv", "out": None,
+    "potential": None, "bound_scale": 1.0,
+}
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", list(cli.HANDLERS))
+    def test_every_flag_reaches_config(self, tmp_path, capsys, command):
+        def echoed(argv):
+            assert main([command] + argv + ["--print-config"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        names = [f.name for f in fields(RunConfig)]
+        assert sorted(OPTION_FLAGS) == sorted(names[1:])
+        flags = [x for flag, given, _ in OPTION_FLAGS.values() for x in (flag, given)]
+        want = {key: val for key, (_, _, val) in OPTION_FLAGS.items()}
+        got = echoed(flags)
+        assert got == {"command": command, **want}
+        # the same values from a config file, and the defaults under the rest
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(want))
+        assert echoed(["--config", str(cfg_file)]) == got
+        cfg_file.write_text(json.dumps({"out": "o.csv", "potential": "p.json"}))
+        defaults = {**OPTION_DEFAULTS, "out": "o.csv", "potential": "p.json"}
+        assert echoed(["--config", str(cfg_file)]) == {"command": command, **defaults}
 
 
 class TestUnrefinedFooter:

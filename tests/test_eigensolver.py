@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hillgap.eigensolver import (
+    CONVERGENCE_TOL,
     EigenList,
     PairingConfigError,
     SolverError,
@@ -205,6 +206,16 @@ class TestConvergeTruncation:
         K, tab = converge_truncation(v, 1, 4, tol=1e-300, K_cap=32)
         assert K == 32
         assert all(not r.converged for r in tab.rows)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_converged_rows_match_oracle(self, feshbach_pair, m):
+        # a converged flag compares two windows' solves; each flagged row
+        # must also lie within the tolerance of the exact pair of its window
+        K, tab = converge_truncation(vseq(TRIG), m, 4)
+        assert [r.converged for r in tab.rows] == [True] * 4
+        for r in tab.rows:
+            lo, hi = feshbach_pair(TRIG, m, K, r.n, (r.d_lo, r.d_hi))
+            assert max(abs(r.d_lo - lo), abs(r.d_hi - hi)) < CONVERGENCE_TOL
 
 
 class TestConfirmWindow:
