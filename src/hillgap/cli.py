@@ -518,12 +518,14 @@ def run_riesz_check(cfg: RunConfig) -> int:
     eigs = solve_eigenvalues(build_T(v, cfg.m, K), n_max=cfg.n_max)
     table = pair_eigenvalues(eigs, n_max=cfg.n_max)
 
-    rows, max_block = [], 0
+    rows, max_block, dense_contours = [], 0, []
     l_plus, l_minus = riesz.l_direct(v, cfg.m, np.arange(2, cfg.n_max + 1))
     for n in range(2, cfg.n_max + 1):
         contour = ContourSpec(n=n, m=cfg.m, nodes=cfg.quad_nodes)
         trace = riesz.tau_from_traces(eigs, contour)
         max_block = max(max_block, trace.block)
+        if trace.dense:
+            dense_contours.append(n)
         q0 = riesz.q0_matrix(v, cfg.m, n, K, nodes=cfg.quad_nodes)
         closed = riesz.q0_closed_form(v, cfg.m, n, K)
         q0_defect = float(np.max(np.abs(q0 - closed)))
@@ -548,7 +550,7 @@ def run_riesz_check(cfg: RunConfig) -> int:
             float(tau_diff), float(l_diff), trace.quad_tol, holds,
         ])
     all_hold = all(r[-1] for r in rows)
-    footer = {"all_hold": all_hold, "max_block": max_block}
+    footer = {"all_hold": all_hold, "max_block": max_block, "dense_contours": dense_contours}
     write_table(cfg, RIESZ_COLUMNS, rows, footer=footer)
     if not all_hold:
         raise SolverError("riesz cross-oracle tolerances violated")

@@ -6,7 +6,9 @@ subspace is the graph [I; X] of the H x L solution X of the Riccati equation
 T_HL + T_HH X = X (T_LL + T_LH X), found by a fixed point that divides by the
 exact gaps mu_h - mu_l.  P starts at 2 n_max - 1 and grows until an a-priori
 contraction and separation certificate holds; at the whole window H is empty
-and the same code solves all of T.  One LAPACK eigendecomposition with
+and nothing is decoupled.  The certificate and the fixed point take any band
+of modes q_lo <= |p| <= q_hi as L: riesz.py decouples a contour's resonant
+pair with them.  One LAPACK eigendecomposition with
 eigenvectors of the small block T_LL + T_LH X follows (numpy: balancing,
 Hessenberg reduction, implicitly shifted QR), rounded at the scale of that
 block rather than of ||T||; matrices that are Hermitian up to the scale of
@@ -111,7 +113,8 @@ class EigenList:
     and those of the low block beyond it.  Column order[i] of vectors is an
     eigenvector of values[i] over the whole window; the columns stay in
     solver order, as sorting them would copy the largest array of the
-    solve."""
+    solve.  beta >= ||T - diag(mu)||_2 is the bound the solve certified
+    its cut with, kept for the Riesz contours' own decoupling."""
 
     values: np.ndarray
     op: TruncatedOperator
@@ -119,6 +122,7 @@ class EigenList:
     residual_max: float
     vectors: np.ndarray
     order: np.ndarray
+    beta: float
     complete_below: float = math.inf
 
     def __post_init__(self):
@@ -163,25 +167,40 @@ def _residual_max(mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> f
     return worst
 
 
-def _cut_certified(mat: np.ndarray, m: int, K: int, j: int, n_max: int, beta: float) -> bool:
-    """A-priori certificate for the cut at the modes |p| <= P = 2j - 1.
+def _band(K: int, band: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the modes q_lo <= |p| <= q_hi (L) for band = (q_lo, q_hi) and
+    of the rest of the window (H), each in window order."""
+    q = np.abs(modes(K))
+    inside = (q >= band[0]) & (q <= band[1])
+    return np.flatnonzero(inside), np.flatnonzero(~inside)
 
-    With delta = mu_{P+2} - mu_P, b = beta / delta and e = ||T_HL||_F / delta,
-    the fixed point of _decouple maps the ball ||X||_F <= r = 2e / (1 - 2b)
-    into itself when 4 b e <= (1 - 2b)^2, with Lipschitz factor 2b (1 + r);
-    that factor must be at most RICCATI_RATE, and the pairing disc of n_max
-    must stay left of mu_{P+2} - beta (1 + r), the edge of the high block's
-    Bauer-Fike discs."""
-    P = 2 * j - 1
-    delta = float((P + 2) ** (2 * m) - P ** (2 * m)) * math.pi ** (2 * m)
-    lo, hi = K - j, K + j
+
+def _cut_certified(
+    mat: np.ndarray, m: int, K: int, band: tuple[int, int], beta: float, c: float, reach: float
+) -> bool:
+    """A-priori certificate for decoupling the modes q_lo <= |p| <= q_hi (L)
+    from the rest of the window (H) by _decouple.
+
+    With delta = min |mu_h - mu_l|, from the exact integers at the edges of
+    the band, b = beta / delta and e = ||T_HL||_F / delta, the fixed point
+    maps the ball ||X||_F <= r = 2e / (1 - 2b) into itself when
+    4 b e <= (1 - 2b)^2, with Lipschitz factor 2b (1 + r); that factor must
+    be at most RICCATI_RATE, and the disc of radius reach around c must stay
+    clear of the high block's Bauer-Fike discs, of radius beta (1 + r) around
+    the nearest unperturbed eigenvalues outside the band."""
+    q_lo, q_hi = band
+    delta = float((q_hi + 2) ** (2 * m) - q_hi ** (2 * m)) * math.pi ** (2 * m)
+    if q_lo > 1:
+        delta = min(delta, float(q_lo ** (2 * m) - (q_lo - 2) ** (2 * m)) * math.pi ** (2 * m))
+    low, high = _band(K, band)
     b = beta / delta
-    e = math.hypot(np.linalg.norm(mat[:lo, lo:hi]), np.linalg.norm(mat[hi:, lo:hi])) / delta
+    e = np.linalg.norm(mat[:, low][high]) / delta
     if 2.0 * b >= 1.0 or 4.0 * b * e > (1.0 - 2.0 * b) ** 2:
         return False
     r = 2.0 * e / (1.0 - 2.0 * b)
-    edge = center(m, n_max) + contour_radius(m, n_max)
-    return 2.0 * b * (1.0 + r) <= RICCATI_RATE and edge < center(m, j + 1) - beta * (1.0 + r)
+    above = center(m, (q_hi + 3) // 2) - beta * (1.0 + r)
+    below = center(m, (q_lo - 1) // 2) + beta * (1.0 + r) if q_lo > 1 else -math.inf
+    return 2.0 * b * (1.0 + r) <= RICCATI_RATE and below < c - reach and c + reach < above
 
 
 def _gaps(m: int, p_high: np.ndarray, p_low: np.ndarray) -> np.ndarray:
@@ -195,11 +214,13 @@ def _gaps(m: int, p_high: np.ndarray, p_low: np.ndarray) -> np.ndarray:
     return (h2 - l2) * total * math.pi ** (2 * m)
 
 
-def _decouple(mat: np.ndarray, m: int, K: int, j: int, mu: np.ndarray, beta: float):
-    """Split the window into the modes |p| <= 2j - 1 (L, rows K-j:K+j) and
-    the rest (H, in window order) and return X, the low block
-    T_LL + T_LH X and complete_below; mu is the diagonal of A^m and beta
-    bounds ||B||_2.
+def _decouple(
+    mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.ndarray, beta: float
+):
+    """Split the window into the modes q_lo <= |p| <= q_hi (L) and the rest
+    (H), each in window order, and return X, the coupling T_LH X that the
+    low block T_LL + T_LH X gains, and rho; mu is the diagonal of A^m and
+    beta bounds ||B||_2.
 
     X solves T_HL + T_HH X = X (T_LL + T_LH X), so [I; X] spans the low
     invariant subspace and the similarity [I 0; -X I] T [I 0; X I] is block
@@ -208,20 +229,16 @@ def _decouple(mat: np.ndarray, m: int, K: int, j: int, mu: np.ndarray, beta: flo
     stopped once a step falls below RICCATI_TOL ||X||_F; SolverError when it
     does not within RICCATI_MAX_STEPS.  The high block D_H + B_HH - X T_LH
     has its eigenvalues within rho = beta (1 + ||X||_F + step) of the
-    diagonal D_H (Bauer-Fike), all right of mu_{P+2} - rho; at the certified
-    rate <= 1/2 the last step bounds the distance to the exact X."""
-    lo, hi = K - j, K + j
-    t_ll = mat[lo:hi, lo:hi]
-    if not lo:
-        return np.zeros((0, 2 * K), dtype=complex), t_ll, math.inf
-    high = np.r_[0:lo, hi : 2 * K]
+    diagonal D_H (Bauer-Fike); at the certified rate <= 1/2 the last step
+    bounds the distance to the exact X."""
+    low, high = _band(K, band)
     p = modes(K)
-    gaps = _gaps(m, p[high], p[lo:hi])
-    t_hl = mat[high, lo:hi]
-    t_lh = mat[lo:hi, high]
+    gaps = _gaps(m, p[high], p[low])
+    t_hl = mat[np.ix_(high, low)]
+    t_lh = mat[np.ix_(low, high)]
     b_hh = mat[np.ix_(high, high)]
     b_hh.flat[:: len(high) + 1] -= mu[high]
-    b_ll = t_ll - np.diag(mu[lo:hi])
+    b_ll = mat[np.ix_(low, low)] - np.diag(mu[low])
     x = -t_hl / gaps
     for _ in range(RICCATI_MAX_STEPS):
         new = (x @ (b_ll + t_lh @ x) - t_hl - b_hh @ x) / gaps
@@ -231,11 +248,10 @@ def _decouple(mat: np.ndarray, m: int, K: int, j: int, mu: np.ndarray, beta: flo
             break
     else:
         raise SolverError(
-            f"Riccati fixed point for the modes above {2 * j - 1} did not settle "
-            f"in {RICCATI_MAX_STEPS} steps"
+            f"Riccati fixed point for the modes {band[0]} <= |p| <= {band[1]} did not "
+            f"settle in {RICCATI_MAX_STEPS} steps"
         )
-    rho = beta * (1.0 + float(np.linalg.norm(x)) + step)
-    return x, t_ll + t_lh @ x, center(m, j + 1) - rho
+    return x, t_lh @ x, beta * (1.0 + float(np.linalg.norm(x)) + step)
 
 
 def _hermitian_eig(low: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,9 +291,16 @@ def eigenvalues(op: TruncatedOperator, n_max: int | None = None) -> EigenList:
         raise ValueError("operator matrix carries non-finite entries")
     scale = scale or 1.0
     j = K if n_max is None else min(n_max, K)
-    while j < K and not _cut_certified(mat, op.m, K, j, n_max, beta):
+    while j < K and not _cut_certified(
+        mat, op.m, K, (1, 2 * j - 1), beta, center(op.m, n_max), contour_radius(op.m, n_max)
+    ):
         j = min(2 * j, K)
-    x, low, complete_below = _decouple(mat, op.m, K, j, mu, beta)
+    if j < K:
+        x, coupling, rho = _decouple(mat, op.m, K, (1, 2 * j - 1), mu, beta)
+        low = mat[K - j : K + j, K - j : K + j] + coupling
+        complete_below = center(op.m, j + 1) - rho
+    else:
+        x, low, complete_below = np.zeros((0, 2 * K), dtype=complex), mat, math.inf
     try:
         if hermitian:
             vals, vecs = _hermitian_eig(low, x)
@@ -296,7 +319,7 @@ def eigenvalues(op: TruncatedOperator, n_max: int | None = None) -> EigenList:
     order = lexicographic_order(vals)
     vals = vals[order].astype(complex)
     trace_defect = float(abs(vals.sum() - np.trace(low)) / scale)
-    return EigenList(vals, op, trace_defect, residual_max, vecs, order, complete_below)
+    return EigenList(vals, op, trace_defect, residual_max, vecs, order, beta, complete_below)
 
 
 # ---------------------------------------------------------------------------

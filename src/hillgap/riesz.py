@@ -4,13 +4,17 @@ second-order correction values l_+- computed two independent ways.
 Quadrature is the trapezoidal rule on the circle of radius (2n-1)^m around
 the unperturbed center, spectrally accurate for the analytic integrands at
 hand.  The perturbed projector is only ever read through its traces
-Tr P and Tr((T - center) P): each contour costs one dense inverse at a shift
-off the contour and a block subspace iteration on it for the resonant
-pair's two eigenvalues, certified to leave out none near the contour (else
-all of them are taken); every node is then a sum over those few.
-The error estimate comes from comparing the full rule against its half-node
-subset, which reuses the same node traces.  Node order is fixed, so runs
-are bit reproducible.
+Tr P and Tr((T - center) P), as sums over the few eigenvalues the contour
+can see.  Where the gaps to the neighbouring centers certify it, the
+contour's two resonant modes are decoupled from the rest of the window by
+the eigensolver's Riccati fixed point, and the pair's two eigenvalues come
+from a 2 x 2 block in the center-shifted frame: O(K^2) work per contour.
+Elsewhere the contour takes one dense inverse at a shift off the contour
+and a block subspace iteration on it for the pair, certified to leave out
+no eigenvalue near the contour (else all of them are taken).  The error
+estimate comes from comparing the full rule against its half-node subset,
+which reuses the same node traces.  Node order is fixed, so runs are bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqspace import FourierSequence, Parity, ParityError
-from .eigensolver import EigenList, SolverError
+from .eigensolver import EigenList, SolverError, _cut_certified, _decouple
 from .operator import (
     build_B,
     center,
@@ -109,15 +113,17 @@ def _guard_contour(contour: ContourSpec, values: np.ndarray):
 @dataclass(frozen=True)
 class ProjectorPair:
     """Traces of the Riesz projector P of the perturbed operator: Tr P and
-    Tr((T - center) P), their node-halving error estimate, and the size of the
-    shift-inverse block they were read from.  The unperturbed traces are the
-    constants Tr P0 = 2 and Tr((A^m - center) P0) = 0."""
+    Tr((T - center) P), their node-halving error estimate, the number of
+    eigenvalues they were summed over (block) and whether the contour took
+    the dense shift-inverse route.  The unperturbed traces are the constants
+    Tr P0 = 2 and Tr((A^m - center) P0) = 0."""
 
     contour: ContourSpec
     tr_p: complex
     tr_q: complex
     quad_tol: float
     block: int
+    dense: bool
 
 
 def _dominant_block(shift_inv: np.ndarray, rows: tuple[int, int], radius: float) -> np.ndarray:
@@ -141,21 +147,54 @@ def _dominant_block(shift_inv: np.ndarray, rows: tuple[int, int], radius: float)
     return shift_inv
 
 
+def _pair_poles(eigs: EigenList, contour: ContourSpec) -> np.ndarray | None:
+    """Offsets from the center of the resonant pair's two eigenvalues, when
+    the gaps certify its modes +-(2n-1) apart from the rest of the window;
+    None otherwise.
+
+    The certificate is the eigensolver's cut certificate for the band
+    |p| = 2n-1: the Riccati fixed point contracts at a rate <= RICCATI_RATE
+    and the high block's Bauer-Fike discs, of radius beta (1 + r) around
+    the other unperturbed eigenvalues, stay 4 rho from the center, so every
+    left-out pole has a trapezoid term <= 4^-nodes against an exact
+    integral of zero.  The pair is then the spectrum of the 2 x 2 block
+    B_PP + T_PH X, with B_PP = T_PP - center: the center is never added."""
+    op = eigs.op
+    q = 2 * contour.n - 1
+    # the dense route's margin: its left-out poles sit >= CERT_FACTOR - 2 radii out
+    reach = (CERT_FACTOR - 2.0) * contour.radius
+    if not _cut_certified(op.matrix, op.m, op.K, (q, q), eigs.beta, contour.center, reach):
+        return None
+    mu = unperturbed_eigenvalues(op.m, op.K)
+    _, coupling, _ = _decouple(op.matrix, op.m, op.K, (q, q), mu, eigs.beta)
+    rows = list(resonant_rows(op.K, contour.n))
+    shifted = op.matrix[np.ix_(rows, rows)] - contour.center * np.eye(2)
+    try:
+        return np.linalg.eigvals(shifted + coupling)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"contour pair eigensolve failed: {exc}") from exc
+
+
 def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     """Traces of the quadrature projector
     P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda for the operator T = eigs.op.
 
-    Tr (lambda - T)^{-1} = d/dz log det(I + z M) = sum_k nu_k / (1 + z nu_k)
-    with M = (sigma - T)^{-1}, nu its eigenvalues and z = lambda - sigma, for
-    the shift sigma = center + 2i radius off the contour.  M is one dense
-    inverse per contour whose largest eigenvalues belong to the contour's own
-    modes, so its partial pivoting keeps the graded diagonal of T accurate.
-    The sum runs over the certified dominant pair of M (block 2), each pole
-    left out outside the contour with a trapezoid term <= 4^-nodes against an
-    exact integral of zero, or else over all of M (block dim).  The
-    certified spectrum eigs only guards the contour against collisions; a
-    contour that reaches eigs.complete_below, or a failed LAPACK call,
-    raises SolverError.
+    Tr (lambda - T)^{-1} = sum_k 1 / (lambda - lambda_k) over the
+    eigenvalues of T.  A contour whose resonant pair _pair_poles certifies
+    sums over that pair alone, at the offsets rho u_j - delta_k of the node
+    from each eigenvalue.  Any other contour (a pole planted near it, a
+    potential strong against the gaps) takes one dense inverse
+    M = (sigma - T)^{-1} at the shift sigma = center + 2i radius off the
+    contour, with Tr (lambda - T)^{-1} = sum_k nu_k / (1 + z nu_k) over its
+    eigenvalues nu and z = lambda - sigma.  Its largest eigenvalues belong to
+    the contour's own modes, so its partial pivoting keeps the graded
+    diagonal of T accurate.  That sum runs over the certified dominant pair
+    of M (block 2), each pole left out outside the contour with a trapezoid
+    term <= 4^-nodes against an exact integral of zero, or else over all of
+    M (block dim).  The certified spectrum eigs only guards the contour
+    against collisions; a contour that reaches eigs.complete_below, a
+    Riccati fixed point that does not settle, or a failed LAPACK call raises
+    SolverError.
     """
     op = eigs.op
     if op.m != contour.m:
@@ -175,24 +214,32 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     _, ws = contour.points()
     # rho u_j exactly: the weights are rho u_j / N with N a power of two
     offsets = contour.nodes * ws
-    shift = 2j * contour.radius
-    try:
-        shift_inv = np.linalg.inv((contour.center + shift) * np.eye(mat.shape[0]) - mat)
-        block = _dominant_block(shift_inv, resonant_rows(op.K, contour.n), contour.radius)
-        nu = np.linalg.eigvals(block)
-    except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
-        raise SolverError(f"contour shift-invert failed: {exc}") from exc
-    # z_j = lambda_j - sigma from the offsets, so the nodes keep their full
-    # precision relative to the center
-    z = (offsets - shift)[:, None]
-    traces = np.sum(nu / (1.0 + z * nu), axis=1)
+    delta = _pair_poles(eigs, contour)
+    if delta is not None:
+        block = 2
+        traces = np.sum(1.0 / (offsets[:, None] - delta), axis=1)
+    else:
+        shift = 2j * contour.radius
+        try:
+            shift_inv = np.linalg.inv((contour.center + shift) * np.eye(mat.shape[0]) - mat)
+            nu = np.linalg.eigvals(
+                _dominant_block(shift_inv, resonant_rows(op.K, contour.n), contour.radius)
+            )
+        except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
+            raise SolverError(f"contour shift-invert failed: {exc}") from exc
+        block = len(nu)
+        # z_j = lambda_j - sigma from the offsets, so the nodes keep their full
+        # precision relative to the center
+        z = (offsets - shift)[:, None]
+        traces = np.sum(nu / (1.0 + z * nu), axis=1)
     p_terms = ws * traces
     q_terms = p_terms * offsets
     tr_p, tr_q = np.sum(p_terms), np.sum(q_terms)
     half_p, half_q = 2.0 * np.sum(p_terms[::2]), 2.0 * np.sum(q_terms[::2])
     quad_tol = float(max(abs(tr_p - half_p), abs(tr_q - half_q)))
     return ProjectorPair(
-        contour=contour, tr_p=complex(tr_p), tr_q=complex(tr_q), quad_tol=quad_tol, block=len(nu)
+        contour=contour, tr_p=complex(tr_p), tr_q=complex(tr_q), quad_tol=quad_tol,
+        block=block, dense=delta is None,
     )
 
 
@@ -204,6 +251,7 @@ class TauTraceResult:
     tr_p: complex
     quad_tol: float
     block: int
+    dense: bool
 
 
 def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
@@ -211,7 +259,9 @@ def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
     must equal 2 (tau_n - center), so tau_n = center + tr_q / 2."""
     pair = riesz_projector(eigs, contour)
     tau = contour.center + pair.tr_q / 2.0
-    return TauTraceResult(contour.n, complex(tau), pair.tr_q, pair.tr_p, pair.quad_tol, pair.block)
+    return TauTraceResult(
+        contour.n, complex(tau), pair.tr_q, pair.tr_p, pair.quad_tol, pair.block, pair.dense
+    )
 
 
 def _free_nodes(v: FourierSequence, m: int, n: int, K: int, nodes: int):

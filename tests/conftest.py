@@ -1,6 +1,7 @@
 import functools
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 
@@ -91,3 +92,16 @@ def feshbach_pair():
     (2k-1)^{2m} pi^{2m} is not rounded to binary64.  Called as
     feshbach_pair(coeffs, m, K, n, guesses, dps=40)."""
     return _feshbach_pair
+
+
+@pytest.fixture
+def inv_calls(monkeypatch):
+    """Shapes of the np.linalg.inv calls made while the test runs."""
+    calls, inv = [], np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls

@@ -19,6 +19,10 @@ from hillgap.seqspace import (
 )
 
 PI2 = math.pi**2
+WEAK_COMPLEX = {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2 + 0j, -4: 0.1j, 6: 0.1 + 0.05j}
+# strong against the low gaps c_n - c_{n-1}: at m = 1, K = 64 the Riesz pair
+# certificate refuses the contours n <= 10
+STRONG = {2: 60.0 + 0j, -2: 45j, 4: 30.0 + 0j}
 
 
 def write_potential(path, coeffs):
@@ -577,16 +581,61 @@ class TestRieszCheckCommand:
         assert code == 4
         assert "solver failure" in capsys.readouterr().err
 
-    def test_shift_invert_failure_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
-        # LinAlgError is a ValueError; it must not read as a configuration error
+    def test_shift_invert_failure_exit_4(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError is a ValueError; it must not read as a configuration error.
+        # The potential is strong against the low gaps, so the pair certificate
+        # refuses those contours and they take the dense shift-invert
         def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "inv", singular)
+        pot = write_potential(tmp_path / "strong.json", STRONG)
+        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
+                     "--potential", pot, "--out", str(tmp_path / "rz.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "shift-invert failed" in err
+
+    def test_pair_eigensolve_failure_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
+        # the certified route's 2 x 2 pair block fails in LAPACK; the Hermitian
+        # potential keeps eigvals out of the eigensolve and the pairing
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
                      "--potential", trig_potential, "--out", str(tmp_path / "rz.csv")])
         assert code == 4
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "pair eigensolve failed" in err
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_certified_contours_call_no_inverse(self, tmp_path, inv_calls, m):
+        pot = write_potential(tmp_path / "weak.json", WEAK_COMPLEX)
+        out = tmp_path / "rz.csv"
+        code = main(["riesz-check", "--m", str(m), "--K", "64", "--n-max", "8",
+                     "--potential", pot, "--out", str(out)])
+        assert code == 0
+        _, rows, footer = read_csv(out)
+        assert len(rows) == 7 and footer["all_hold"] is True
+        assert footer["dense_contours"] == [] and footer["max_block"] == 2
+        assert inv_calls == []
+
+    def test_strong_potential_lists_dense_contours(self, tmp_path, inv_calls):
+        # the certificate refuses the low contours, whose gaps the potential
+        # overwhelms, and accepts the higher ones: one inverse per refused n
+        pot = write_potential(tmp_path / "strong.json", STRONG)
+        out = tmp_path / "rz.csv"
+        main(["riesz-check", "--m", "1", "--K", "64", "--n-max", "16",
+              "--potential", pot, "--out", str(out)])
+        _, rows, footer = read_csv(out)
+        dense = footer["dense_contours"]
+        assert 0 < len(dense) < len(rows) and len(inv_calls) == len(dense)
+        assert dense == list(range(2, 2 + len(dense)))
+        eigs = eigenvalues(build_T(FourierSequence.make(Parity.EVEN, STRONG), 1, 64), n_max=16)
+        flags = {n: riesz.riesz_projector(eigs, riesz.ContourSpec(n=n, m=1)).dense
+                 for n in range(2, 17)}
+        assert dense == [n for n, flag in flags.items() if flag]
 
     def test_q0_mismatch_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
         closed_form = riesz.q0_closed_form

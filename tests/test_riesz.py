@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hillgap.eigensolver import eigenvalues, pair_eigenvalues
+from hillgap import eigensolver
+from hillgap.eigensolver import SolverError, eigenvalues, pair_eigenvalues
 from hillgap.operator import (
     TruncatedOperator,
     build_B,
@@ -158,6 +159,29 @@ class TestRieszProjector:
         eigs = eigenvalues(build_T(v, 1, 32))
         pairs = [assert_matches_full_eigvals(eigs, ContourSpec(n=n, m=1)) for n in (1, 2, 3)]
         assert max(p.block for p in pairs) > 2
+
+    def test_strong_potential_certifies_high_contours(self, inv_calls):
+        # the gaps c_n - c_{n-1} grow like n: the certificate refuses the low
+        # contours, which take the dense shift-invert (one inverse each), and
+        # decouples the pair of every higher one without an inverse
+        eigs = eigenvalues(build_T(vseq({2: 60.0, -2: 45j, 4: 30.0}), 1, 64))
+        dense = []
+        for n in range(1, 17):
+            before = len(inv_calls)
+            pair = assert_matches_full_eigvals(eigs, ContourSpec(n=n, m=1))
+            # the reference itself takes one inverse
+            assert len(inv_calls) - before == 1 + pair.dense
+            if pair.dense:
+                dense.append(n)
+            else:
+                assert pair.block == 2
+        assert 0 < len(dense) < 16 and dense == list(range(1, len(dense) + 1))
+
+    def test_unsettled_pair_fixed_point_raises(self, monkeypatch):
+        eigs = eigenvalues(build_T(random_potential(3), 1, 32))
+        monkeypatch.setattr(eigensolver, "RICCATI_MAX_STEPS", 1)
+        with pytest.raises(SolverError, match="Riccati"):
+            riesz_projector(eigs, ContourSpec(n=3, m=1))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_random_potentials_stay_at_pair_block(self, m):
