@@ -42,10 +42,10 @@ print("pi^2 -+ 1 :", PI2 - 1, PI2 + 1)
 print("trace defect:", eigs.trace_defect)
 
 # =============================================================================
-# Pairs are collected by disc membership around the unperturbed centers and
-# then refined in the center-shifted frame, which resolves pair splittings
-# far below one ulp of the center itself.  Each row keeps the offsets d_lo,
-# d_hi of its pair from the center c; tau - c is their mean.
+# Each pair is read from the 2 x 2 block its two resonant modes keep once
+# the rest of the window is decoupled from them, in the frame of its center
+# c, which resolves pair splittings far below one ulp of c.  Each row keeps
+# tau - c and gamma; the offsets d_lo, d_hi derive from them.
 
 table = compute_pair_table(v, 1, 64)
 for r in table.rows[:5]:

@@ -5,29 +5,24 @@ A caller that reads only the pairs n <= n_max cuts the window at the modes
 subspace is the graph [I; X] of the H x L solution X of the Riccati equation
 T_HL + T_HH X = X (T_LL + T_LH X), found by a fixed point that divides by the
 exact gaps mu_h - mu_l.  P starts at 2 n_max - 1 and grows until an a-priori
-contraction and separation certificate holds; at the whole window H is empty
-and nothing is decoupled.  The certificate and the fixed point take any band
-of modes q_lo <= |p| <= q_hi as L: riesz.py decouples a contour's resonant
-pair with them.  One LAPACK eigendecomposition with
-eigenvectors of the small block T_LL + T_LH X follows (numpy: balancing,
-Hessenberg reduction, implicitly shifted QR), rounded at the scale of that
-block rather than of ||T||; matrices that are Hermitian up to the scale of
-B(v) take the symmetric path on a Hermitian similar block, so real
-potentials yield exactly real spectra.  Bauer-Fike on the diagonal of the
-high block bounds its eigenvalues away from the pairs: the result holds
-every eigenvalue left of complete_below, and reading a disc or contour
-that reaches it raises SolverError.
+contraction and separation certificate holds (at most the whole window).
+The low block is kept free of the diagonal of A^m, B_L = (T_LL - diag mu_L)
++ T_LH X; every eigenvalue left of complete_below is one of its, and reading
+a disc or contour that reaches it raises SolverError.
 
-The lifted eigenvectors [w; X w] serve twice: their column residuals
-||T v - lambda v|| against the full T certify every eigenvalue, and each
-pair, collected by disc membership around its unperturbed center, is
-sharpened by Rayleigh-Ritz of the center-shifted matrix on the span of its
-two eigenvectors, which decouples the pair-splitting accuracy from the
-global matrix scale.  All pairs are refined in one batch: a stacked QR of
-their vector pairs and one product of T with every orthonormal basis.
-Pair rows keep those offsets from the center; absolute eigenvalues are
-derived from them for output only, and the table lists the pairs that kept
-their raw offsets as unrefined.
+Each pair is read from B_L by the same reduction one level down: its modes
++-(2n-1) are decoupled from the rest of the block, all pairs by one batched
+fixed point, and the pair is the spectrum of the 2 x 2 block G_n left over.
+tau - c = tr G / 2 and gamma = sqrt((G11 - G22)^2 + 4 G12 G21) come from its
+entries, so gamma is rounded at its own scale, far below one ulp of the
+center.  Pairs the gaps do not certify (low n against a strong potential)
+are read from one eigvals of the smallest certified band |p| <= 2k - 1 and
+listed as unrefined.  riesz.py reads its contours' poles the same way.
+
+eigenvalues() alone takes an eigendecomposition of B_L + diag mu_L (the
+symmetric one on a Hermitian similar block when T is Hermitian up to the
+scale of B(v), so real potentials give exactly real spectra), certified by
+the residuals of the lifted eigenvectors [w; X w] against the full T.
 """
 
 from __future__ import annotations
@@ -70,7 +65,6 @@ __all__ = [
 ORDER_TOL_SCALE = 1e-9
 RESIDUAL_TOL = 1e-8
 HERMITIAN_REL_TOL = 1e-12
-SPAN_REL_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
 BLOCK = 16  # rows or columns per slab in the passes that avoid dense temporaries
 RICCATI_RATE = 0.5  # a-priori contraction factor of the fixed point that a cut must certify
@@ -106,28 +100,41 @@ def lexicographic_order(values, tol_scale: float = ORDER_TOL_SCALE) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class EigenList:
-    """Eigenvalues of the truncated operator op, with multiplicity,
-    lexicographically ordered and certified by residual_max: every
-    eigenvalue left of complete_below (all 2K of them when it is infinite)
-    and those of the low block beyond it.  Column order[i] of vectors is an
-    eigenvector of values[i] over the whole window; the columns stay in
-    solver order, as sorting them would copy the largest array of the
-    solve.  beta >= ||T - diag(mu)||_2 is the bound the solve certified
-    its cut with, kept for the Riesz contours' own decoupling."""
+class LowBlock:
+    """The window of op cut at the modes |p| <= 2j - 1 (all of it when
+    j = K): matrix is the center-free low block B_L = (T_LL - diag mu_L) +
+    T_LH X left once the modes above are decoupled, beta >= ||B_L||_2, and
+    every eigenvalue of T left of complete_below is one of the block's.
+    hermitian says T is Hermitian up to the scale of B(v)."""
 
-    values: np.ndarray
     op: TruncatedOperator
-    trace_defect: float
-    residual_max: float
-    vectors: np.ndarray
-    order: np.ndarray
+    matrix: np.ndarray
     beta: float
-    complete_below: float = math.inf
+    hermitian: bool
+    complete_below: float
 
     def __post_init__(self):
-        for arr in (self.values, self.vectors, self.order):
-            arr.setflags(write=False)
+        self.matrix.setflags(write=False)
+
+    def certifies(self, band: tuple[int, int], c: float, reach: float) -> bool:
+        j = len(self.matrix) // 2
+        return _cut_certified(self.matrix, self.op.m, j, band, self.beta, c, reach)
+
+
+@dataclass(frozen=True)
+class EigenList(LowBlock):
+    """The eigenvalues of a low block, with multiplicity, lexicographically
+    ordered and certified by residual_max: every eigenvalue of T left of
+    complete_below (all 2K of them when it is infinite) and those of the
+    block beyond it."""
+
+    values: np.ndarray
+    trace_defect: float
+    residual_max: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.values.setflags(write=False)
 
 
 def _structure(mat: np.ndarray, mu: np.ndarray) -> tuple[float, float, bool]:
@@ -218,9 +225,9 @@ def _decouple(
     mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.ndarray, beta: float
 ):
     """Split the window into the modes q_lo <= |p| <= q_hi (L) and the rest
-    (H), each in window order, and return X, the coupling T_LH X that the
-    low block T_LL + T_LH X gains, and rho; mu is the diagonal of A^m and
-    beta bounds ||B||_2.
+    (H), each in window order, and return X, the center-free low block
+    B_LL + T_LH X and rho; mu is the diagonal of A^m (zero for a matrix
+    that is already center-free) and beta bounds ||B||_2.
 
     X solves T_HL + T_HH X = X (T_LL + T_LH X), so [I; X] spans the low
     invariant subspace and the similarity [I 0; -X I] T [I 0; X I] is block
@@ -251,7 +258,7 @@ def _decouple(
             f"Riccati fixed point for the modes {band[0]} <= |p| <= {band[1]} did not "
             f"settle in {RICCATI_MAX_STEPS} steps"
         )
-    return x, t_lh @ x, beta * (1.0 + float(np.linalg.norm(x)) + step)
+    return x, b_ll + t_lh @ x, beta * (1.0 + float(np.linalg.norm(x)) + step)
 
 
 def _hermitian_eig(low: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,41 +275,40 @@ def _hermitian_eig(low: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return vals, u @ (w / root[:, None])
 
 
-def eigenvalues(op: TruncatedOperator, n_max: int | None = None) -> EigenList:
-    """The eigenvalues of the truncated operator that the pairs n <= n_max
-    read, with multiplicity, and their eigenvectors; n_max = None keeps the
-    whole window and returns all 2K of them.
-
-    The window is cut at the modes |p| <= P, P from 2 n_max - 1 doubling
-    until _cut_certified holds (at most the whole window), the modes above
-    are decoupled by _decouple, and one eigendecomposition of the low block
-    follows.  Matrices that are Hermitian up to the scale of B(v) are routed
-    to the symmetric solver on a Hermitian similar block.  Every eigenvalue
-    is certified by the residual of its lifted eigenvector against the full
-    T, relative to ||T||_F; SolverError is raised if the largest exceeds
-    RESIDUAL_TOL, as it is for a Riccati fixed point that does not settle.
-    """
+def _cut(op: TruncatedOperator, n_max: int | None) -> tuple[LowBlock, np.ndarray, float]:
+    """The low block for the pairs n <= n_max (None: the whole window), its X
+    and ||T||_F: the cut |p| <= P, P from 2 n_max - 1 doubling until
+    _cut_certified holds, decoupled by _decouple, whose rho bounds B_L."""
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    mat, K = op.matrix, op.K
-    mu = unperturbed_eigenvalues(op.m, K)
+    mat, m, K = op.matrix, op.m, op.K
+    mu = unperturbed_eigenvalues(m, K)
     scale, beta, hermitian = _structure(mat, mu)
     if not math.isfinite(scale):
         raise ValueError("operator matrix carries non-finite entries")
-    scale = scale or 1.0
     j = K if n_max is None else min(n_max, K)
     while j < K and not _cut_certified(
-        mat, op.m, K, (1, 2 * j - 1), beta, center(op.m, n_max), contour_radius(op.m, n_max)
+        mat, m, K, (1, 2 * j - 1), beta, center(m, n_max), contour_radius(m, n_max)
     ):
         j = min(2 * j, K)
-    if j < K:
-        x, coupling, rho = _decouple(mat, op.m, K, (1, 2 * j - 1), mu, beta)
-        low = mat[K - j : K + j, K - j : K + j] + coupling
-        complete_below = center(op.m, j + 1) - rho
-    else:
-        x, low, complete_below = np.zeros((0, 2 * K), dtype=complex), mat, math.inf
+    # at the whole window H is empty: X has no rows and rho = beta
+    x, low, rho = _decouple(mat, m, K, (1, 2 * j - 1), mu, beta)
+    complete_below = center(m, j + 1) - rho if j < K else math.inf
+    return LowBlock(op, low, rho, hermitian, complete_below), x, scale or 1.0
+
+
+def eigenvalues(op: TruncatedOperator, n_max: int | None = None) -> EigenList:
+    """The eigenvalues, with multiplicity, of the low block of _cut for the
+    pairs n <= n_max (n_max = None: all 2K of the window), from one
+    eigendecomposition, symmetric on a Hermitian similar block when T is
+    Hermitian.  SolverError when the largest residual of a lifted
+    eigenvector against T, relative to ||T||_F, exceeds RESIDUAL_TOL.
+    """
+    cut, x, scale = _cut(op, n_max)
+    K, j = op.K, len(cut.matrix) // 2
+    low = cut.matrix + np.diag(unperturbed_eigenvalues(op.m, j))
     try:
-        if hermitian:
+        if cut.hermitian:
             vals, vecs = _hermitian_eig(low, x)
         else:
             vals, vecs = np.linalg.eig(low)
@@ -313,13 +319,14 @@ def eigenvalues(op: TruncatedOperator, n_max: int | None = None) -> EigenList:
         xw = x @ vecs
         vecs = np.concatenate((xw[: K - j], vecs, xw[K - j :]))
 
-    residual_max = _residual_max(mat, vals, vecs) / scale
+    residual_max = _residual_max(op.matrix, vals, vecs) / scale
     if residual_max > RESIDUAL_TOL:
         raise SolverError(f"eigenvalue residual {residual_max:.3e} exceeds {RESIDUAL_TOL}")
-    order = lexicographic_order(vals)
-    vals = vals[order].astype(complex)
+    vals = vals[lexicographic_order(vals)].astype(complex)
     trace_defect = float(abs(vals.sum() - np.trace(low)) / scale)
-    return EigenList(vals, op, trace_defect, residual_max, vecs, order, beta, complete_below)
+    return EigenList(
+        **vars(cut), values=vals, trace_defect=trace_defect, residual_max=residual_max
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +340,15 @@ def localization_radius(m: int, alpha: float, C: float, R: float, n: int) -> flo
 
 @dataclass(frozen=True)
 class EigenPairRow:
-    """One pair, stored as its offsets d_lo, d_hi from center(m, n) in the
-    zero-mode-normalized frame, next to the zero mode v0 split off before the
-    solve.  The absolute values are derived from these for output only, so
-    every remainder keeps the precision of the center-shifted frame."""
+    """One pair as d_tau = tau - center(m, n) and gamma = lambda_hi -
+    lambda_lo in the zero-mode-normalized frame, next to the zero mode v0
+    split off before the solve; d_lo, d_hi and the absolute values derive
+    from them, so gamma keeps its precision far below one ulp of d_tau."""
 
     n: int
     center: float
-    d_lo: complex
-    d_hi: complex
+    d_tau: complex
+    gamma: complex
     v0: complex
     disc_radius_used: float
     converged: bool
@@ -351,8 +358,12 @@ class EigenPairRow:
         return lam + self.v0 if self.v0 else lam
 
     @property
-    def d_tau(self) -> complex:
-        return (self.d_lo + self.d_hi) / 2.0
+    def d_lo(self) -> complex:
+        return self.d_tau - self.gamma / 2.0
+
+    @property
+    def d_hi(self) -> complex:
+        return self.d_tau + self.gamma / 2.0
 
     @property
     def lambda_lo(self) -> complex:
@@ -366,10 +377,6 @@ class EigenPairRow:
     def tau(self) -> complex:
         return self._absolute(self.d_tau)
 
-    @property
-    def gamma(self) -> complex:
-        return self.d_hi - self.d_lo
-
 
 @dataclass(frozen=True)
 class EigenPairTable:
@@ -378,7 +385,7 @@ class EigenPairTable:
     rows: tuple[EigenPairRow, ...]
     flagged: dict[int, int] = field(default_factory=dict)
     confirm_K: int | None = None  # the window the converged flags were compared against
-    unrefined: tuple[int, ...] = ()  # rows whose refinement declined and kept the raw offsets
+    unrefined: tuple[int, ...] = ()  # rows read from the grown band, not their own 2 x 2 block
 
     def row(self, n: int) -> EigenPairRow:
         for r in self.rows:
@@ -395,69 +402,128 @@ def _check_disc_overlap(m: int, radius_rule, n_max: int):
             )
 
 
-def _pair_offsets(
-    eigs: EigenList, ns: list[int], idx: list[np.ndarray], radii: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets from center(m, n) of the pairs eigs.values[idx[i]], n = ns[i],
-    each ordered lexicographically, and a mask of the pairs left raw.
+def _settle_pairs(b: np.ndarray, m: int, ns: np.ndarray) -> np.ndarray:
+    """The 2 x 2 blocks G_n = B_PP + B_PR Z_n (N, 2, 2) that the modes
+    +-(2n-1) (P) of the center-free block b keep once the rest (R) is
+    decoupled from them, for all n in ns at once: Z_n solves
+    B_RP + (D_R - c_n + B_RR) Z = Z G_n by the fixed point
+    Z <- (Z G - B_RP - B_RR Z) / (mu_r - c_n) over the gaps of _gaps.  Each
+    Z_n is a (2j, 2) column pair with zero rows P, so one product b Z serves
+    every pair.  The iteration stops once each step is at most
+    RICCATI_TOL ||Z_n||_F and reached no entry of Z still zero: a potential
+    of finite support couples the two modes only through chains of modes,
+    one longer per step, far below that tolerance yet carrying all of gamma.
+    SolverError when the steps have not settled in RICCATI_MAX_STEPS."""
+    j, count = len(b) // 2, len(ns)
+    rows = np.stack(resonant_rows(j, ns), axis=1)
+    pick = np.arange(count)[:, None]
+    gaps = _gaps(m, modes(j), 2 * ns - 1)
+    gaps[rows, pick] = np.inf  # holds the rows in P at zero
+    gaps = gaps[:, :, None]
+    cols = np.ascontiguousarray(b[:, rows])  # (2j, N, 2): B_RP of each pair, B_PP in rows P
+    b_pp = cols[rows, pick]
+    z, reached = -cols / gaps, 0
+    for _ in range(RICCATI_MAX_STEPS):
+        bz = (b @ z.reshape(2 * j, -1)).reshape(z.shape)
+        new = np.empty(z.shape, complex)  # Z G per pair, written in the (2j, N, 2) layout
+        np.matmul(z.transpose(1, 0, 2), b_pp + bz[rows, pick], out=new.transpose(1, 0, 2))
+        new -= cols + bz
+        new /= gaps
+        # squared Frobenius norm of each pair's step and of its Z, over the real view
+        step2, size2 = (np.einsum("ijk,ijk->j", a.view(float), a.view(float))
+                        for a in (new - z, new))
+        z = new
+        settled = bool(np.all(step2 <= RICCATI_TOL**2 * size2))
+        nonzero = np.count_nonzero(z)
+        if settled and nonzero == reached:
+            break
+        reached = nonzero
+    if not settled:
+        raise SolverError(
+            f"Riccati fixed point for the pairs n <= {max(ns)} did not settle in "
+            f"{RICCATI_MAX_STEPS} steps"
+        )
+    return b_pp + b[rows] @ z.transpose(1, 0, 2)
 
-    All pairs are sharpened together by center-shifted Rayleigh-Ritz on the
-    span of their two eigenvectors: one stacked QR gives the orthonormal
-    bases W and one product T W serves every pair.  (T - c) w is T w - c w
-    except in the two resonant rows, where the diagonal cancels: those use
-    copies of the rows with the center c taken off the diagonal, bit for bit
-    rows of T - c*I.  Elsewhere w is small, so no shifted copy of the whole
-    matrix is needed.  Offsets RELATIVE to the center keep the splitting
-    meaningful far below one ulp of the center.  A pair keeps its raw
-    offsets if its two vectors do not span a plane, as for a Jordan pair, or
-    if the refinement wanders outside a quarter of its disc of radius radii[i].
-    """
-    if not ns:
-        return np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=bool)
-    mat, m, K = eigs.op.matrix, eigs.op.m, eigs.op.K
+
+def _oriented(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """gamma = +-s, signed so that d -+ gamma / 2 come in the order that
+    lexicographic_order gives the pair: by real part, and by imaginary part
+    where the real parts tie within ORDER_TOL_SCALE."""
+    tie = np.abs(s.real) <= ORDER_TOL_SCALE * (1.0 + np.abs(d) + np.abs(s) / 2.0)
+    major, minor = np.where(tie, s.imag, s.real), np.where(tie, s.real, s.imag)
+    return np.where((major < 0) | ((major == 0) & (minor < 0)), -s, s)
+
+
+def _pair_split(g: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """tau - c = tr G / 2 and gamma = sqrt((G11 - G22)^2 + 4 G12 G21) of each
+    2 x 2 block G, never from eigvals(G).  A Hermitian T has real pairs and
+    G is only similar to a Hermitian block: the rounding's imaginary parts
+    are dropped."""
+    d = (g[:, 0, 0] + g[:, 1, 1]) / 2.0
+    disc = (g[:, 0, 0] - g[:, 1, 1]) ** 2 + 4.0 * g[:, 0, 1] * g[:, 1, 0]
+    if hermitian:
+        d, disc = d.real + 0j, np.maximum(disc.real, 0.0) + 0j
+    return d, _oriented(d, np.sqrt(disc))
+
+
+def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray):
+    """tau - c, gamma and hit count of the refused pairs ns from one eigvals
+    of the band |p| <= 2k - 1 of the low block, k the first of max(ns),
+    doubling, whose cut low.certifies with every refused disc left of the
+    rest; its eigenvalues are paired by disc membership."""
+    m, j = low.op.m, len(low.matrix) // 2
+    k, edge = int(ns.max()), float(np.max(c + radii))
+    while k < j and not low.certifies((1, 2 * k - 1), edge, 0.0):
+        k = min(2 * k, j)
+    band = low.matrix
+    if k < j:
+        band = _decouple(band, m, j, (1, 2 * k - 1), np.zeros(2 * j), low.beta)[1]
+    try:
+        vals = np.linalg.eigvals(band + np.diag(unperturbed_eigenvalues(m, k)))
+    except np.linalg.LinAlgError as exc:  # QR non-convergence
+        raise SolverError(f"grown-band pair eigensolve failed: {exc}") from exc
+    if low.hermitian:
+        vals = vals.real
+    d, s, hits = np.zeros(len(ns), complex), np.zeros(len(ns), complex), np.zeros(len(ns), int)
+    for i, (cn, r) in enumerate(zip(c, radii)):
+        inside = vals[np.abs(vals - cn) < r] - cn
+        hits[i] = len(inside)
+        if hits[i] == 2:
+            d[i], s[i] = (inside[0] + inside[1]) / 2.0, inside[1] - inside[0]
+    return d, _oriented(d, s), hits
+
+
+def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray):
+    """tau - c, gamma and hit count of the disc of radius radii[i] around
+    center(m, ns[i]), and the ns read from the grown band.  A pair whose
+    modes low.certifies apart from the rest of the block, its disc clear of
+    the rest's eigenvalues, is the spectrum of its G_n; the refused pairs
+    take _grown_band."""
+    m = low.op.m
     c = np.array([center(m, n) for n in ns])
-    idx = np.array([i[lexicographic_order(eigs.values[i])] for i in idx])
-    raw = eigs.values[idx] - c[:, None]
-    w, r = np.linalg.qr(eigs.vectors[:, eigs.order[idx]].transpose(1, 0, 2))
-    # one product T W for the (2K, 2N) columns of all bases
-    tw = mat @ w.transpose(1, 0, 2).reshape(2 * K, -1)
-    tw = tw.reshape(2 * K, -1, 2).transpose(1, 0, 2) - c[:, None, None] * w
-    res = np.array([resonant_rows(K, n) for n in ns])
-    shifted = mat[res]
-    pick = np.arange(len(ns))[:, None]
-    shifted[pick, [0, 1], res] -= c[:, None]
-    tw[pick, res] = shifted @ w
-    h = w.conj().transpose(0, 2, 1) @ tw
-    hh = h.conj().transpose(0, 2, 1)
-    h_scale = np.max(np.abs(h), axis=(1, 2))
-    # Hermitian blocks keep their refined pair exactly real
-    herm = np.max(np.abs(h - hh), axis=(1, 2)) <= 1e-13 * np.where(h_scale > 0, h_scale, 1.0)
-    local = np.empty_like(raw)
-    if herm.any():
-        local[herm] = np.linalg.eigvalsh((h[herm] + hh[herm]) / 2.0)
-    if not herm.all():
-        vals = np.linalg.eigvals(h[~herm])
-        local[~herm] = [pair[lexicographic_order(pair)] for pair in vals]
-    raw_kept = (np.abs(r[:, 1, 1]) <= SPAN_REL_TOL * np.abs(r[:, 0, 0])) | (
-        np.max(np.abs(local - raw), axis=1) > 0.25 * np.array(radii)
-    )
-    return np.where(raw_kept[:, None], raw, local), raw_kept
+    ok = np.array([low.certifies((2 * n - 1,) * 2, cn, r) for n, cn, r in zip(ns, c, radii)], bool)
+    d, gamma = np.zeros(len(ns), complex), np.zeros(len(ns), complex)
+    if ok.any():
+        d[ok], gamma[ok] = _pair_split(_settle_pairs(low.matrix, m, ns[ok]), low.hermitian)
+    ends = np.abs(d[:, None] + np.array([-0.5, 0.5]) * gamma[:, None])
+    hits = np.sum(ends < radii[:, None], axis=1)
+    if not ok.all():
+        d[~ok], gamma[~ok], hits[~ok] = _grown_band(low, ns[~ok], c[~ok], radii[~ok])
+    return d, gamma, hits, tuple(int(n) for n in ns[~ok])
 
 
 def pair_eigenvalues(
-    eigs: EigenList, radius_rule=contour_radius, n_max: int | None = None
+    low: LowBlock, radius_rule=contour_radius, n_max: int | None = None
 ) -> EigenPairTable:
-    """Collect eigenvalue pairs inside discs around the unperturbed centers.
-
-    For each n up to n_max (default K/4, the trusted quarter of the window)
-    the eigenvalues within radius_rule(m, n) of center(m, n) are gathered;
-    exactly-two hits become a paired row, whose offsets from the center are
-    refined on the span of its two eigenvectors; anything else is flagged
-    with its hit count.  The rows carry no zero mode (v0 = 0).  A disc that
-    reaches eigs.complete_below, past which the solve left eigenvalues out,
-    raises SolverError.
+    """Pair table n <= n_max (default K/4, the trusted quarter of the
+    window) of a low block, such as an EigenList.  A disc of radius
+    radius_rule(m, n) around center(m, n) holding exactly two eigenvalues
+    (_pair_rows) becomes a row without zero mode, anything else is flagged
+    with its count.  A disc that reaches low.complete_below, past which the
+    solve left eigenvalues out, raises SolverError.
     """
-    m, K = eigs.op.m, eigs.op.K
+    m, K = low.op.m, low.op.K
     if n_max is None:
         n_max = K // 4
     if K < 4 * n_max:
@@ -465,31 +531,21 @@ def pair_eigenvalues(
             f"window K = {K} too small for n_max = {n_max} (need K >= 4 n_max)"
         )
     _check_disc_overlap(m, radius_rule, n_max)
-
-    vals = eigs.values
-    ns, idx, radii = [], [], []
-    flagged: dict[int, int] = {}
-    for n in range(1, n_max + 1):
-        c = center(m, n)
-        r = radius_rule(m, n)
-        if c + r >= eigs.complete_below:
+    ns = range(1, n_max + 1)
+    radii = [float(radius_rule(m, n)) for n in ns]
+    for n, r in zip(ns, radii):
+        if center(m, n) + r >= low.complete_below:
             raise SolverError(
-                f"pairing disc n = {n} reaches {eigs.complete_below:.17g}, "
+                f"pairing disc n = {n} reaches {low.complete_below:.17g}, "
                 "past which the solve left eigenvalues out"
             )
-        hits = np.flatnonzero(np.abs(vals - c) < r)
-        if len(hits) != 2:
-            flagged[n] = len(hits)
-            continue
-        ns.append(n)
-        idx.append(hits)
-        radii.append(r)
-    offsets, raw_kept = _pair_offsets(eigs, ns, idx, radii)
+    d, gamma, hits, grown = _pair_rows(low, np.array(ns), np.array(radii))
     rows = tuple(
-        EigenPairRow(n, center(m, n), complex(lo), complex(hi), 0j, r, converged=False)
-        for n, (lo, hi), r in zip(ns, offsets, radii)
+        EigenPairRow(n, center(m, n), complex(d[n - 1]), complex(gamma[n - 1]), 0j, r, False)
+        for n, r in zip(ns, radii) if hits[n - 1] == 2
     )
-    unrefined = tuple(n for n, kept in zip(ns, raw_kept) if kept)
+    flagged = {n: int(hits[n - 1]) for n in ns if hits[n - 1] != 2}
+    unrefined = tuple(n for n in grown if n not in flagged)
     return EigenPairTable(m, K, rows, flagged, unrefined=unrefined)
 
 
@@ -500,14 +556,15 @@ def compute_pair_table(
     radius_rule=contour_radius,
     n_max: int | None = None,
 ) -> EigenPairTable:
-    """Spectrum pipeline: split off the zero mode, solve the truncated
-    operator for the pairs n <= n_max (default K/4) and pair around the
-    centers; the rows carry the zero mode."""
+    """Spectrum pipeline: split off the zero mode, cut the truncated
+    operator for the pairs n <= n_max (default K/4) and read each pair from
+    the low block, with no eigendecomposition of it; the rows carry the zero
+    mode."""
     v_norm, v0 = normalize_zero_mode(v)
     if n_max is None:
         n_max = K // 4
-    eigs = eigenvalues(build_T(v_norm, m, K), n_max=n_max)
-    table = pair_eigenvalues(eigs, radius_rule, n_max=n_max)
+    low, _, _ = _cut(build_T(v_norm, m, K), n_max)
+    table = pair_eigenvalues(low, radius_rule, n_max=n_max)
     return replace(table, rows=tuple(replace(r, v0=v0) for r in table.rows))
 
 
@@ -613,23 +670,20 @@ def localization_report(
     vals = eigs.values + v0
     n_max = K // 4
 
-    rows, pairs = [], {}
+    rows = []
     for n in range(1, n_max + 1):
         r = localization_radius(m, alpha, C, R, n)
         dev = np.abs(vals - center(m, n))
-        inside = np.flatnonzero(dev < r)
-        if len(inside) == 2:
-            pairs[n - 1] = inside
-        max_dev = float(np.max(dev[inside])) if len(inside) else math.nan
-        rows.append(DiscCensusRow(n=n, radius=r, hits=len(inside), max_deviation=max_dev))
-    # the raw values carry the rounding of the whole solve; the center-shifted
-    # offsets resolve each pair far below one ulp of c
-    paired = list(pairs)
-    offsets, _ = _pair_offsets(
-        eigs, [i + 1 for i in paired], list(pairs.values()), [rows[i].radius for i in paired]
-    )
-    for i, d in zip(paired, offsets):
-        rows[i] = replace(rows[i], max_deviation=max(abs(complex(x) + v0) for x in d))
+        inside = dev < r
+        max_dev = float(np.max(dev[inside])) if inside.any() else math.nan
+        rows.append(DiscCensusRow(n=n, radius=r, hits=int(inside.sum()), max_deviation=max_dev))
+    # the raw values carry the rounding of the whole solve; the pair rows
+    # resolve each pair far below one ulp of c
+    ns = np.array([row.n for row in rows if row.hits == 2], dtype=int)
+    d, gamma, hits, _ = _pair_rows(eigs, ns, np.array([rows[n - 1].radius for n in ns]))
+    for n, dn, g in zip(ns[hits == 2], d[hits == 2], gamma[hits == 2]):
+        dev = max(abs(dn - g / 2.0 + v0), abs(dn + g / 2.0 + v0))
+        rows[n - 1] = replace(rows[n - 1], max_deviation=dev)
     n0 = max((row.n for row in rows if row.hits != 2), default=0)
 
     big_m = max(1.0, float(np.max(np.abs(vals.imag)))) + 1.0

@@ -58,15 +58,17 @@ def modes(K: int) -> np.ndarray:
 
 
 def unperturbed_eigenvalues(m: int, K: int) -> np.ndarray:
-    """Diagonal of A^m over the window: (2k-1)^{2m} pi^{2m}."""
-    p = modes(K).astype(float)
-    return p ** (2 * m) * math.pi ** (2 * m)
+    """Diagonal of A^m over the window: center(m, n) at both modes +-(2n-1),
+    so it is mirror-symmetric at every m."""
+    half = np.array([center(m, n) for n in range(1, K + 1)])
+    return np.concatenate((half[::-1], half))
 
 
 def center(m: int, n: int) -> float:
     """Center (2n-1)^{2m} pi^{2m} of the n-th pair: the double eigenvalue of
-    A^m on the resonant modes +-(2n-1)."""
-    return float(2 * n - 1) ** (2 * m) * math.pi ** (2 * m)
+    A^m on the resonant modes +-(2n-1), as the exact integer (2n-1)^{2m}
+    rounded once, times pi^{2m}."""
+    return float(int(2 * n - 1) ** (2 * m)) * math.pi ** (2 * m)
 
 
 def contour_radius(m: int, n: int) -> float:

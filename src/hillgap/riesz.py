@@ -6,15 +6,15 @@ the unperturbed center, spectrally accurate for the analytic integrands at
 hand.  The perturbed projector is only ever read through its traces
 Tr P and Tr((T - center) P), as sums over the few eigenvalues the contour
 can see.  Where the gaps to the neighbouring centers certify it, the
-contour's two resonant modes are decoupled from the rest of the window by
-the eigensolver's Riccati fixed point, and the pair's two eigenvalues come
-from a 2 x 2 block in the center-shifted frame: O(K^2) work per contour.
-Elsewhere the contour takes one dense inverse at a shift off the contour
-and a block subspace iteration on it for the pair, certified to leave out
-no eigenvalue near the contour (else all of them are taken).  The error
-estimate comes from comparing the full rule against its half-node subset,
-which reuses the same node traces.  Node order is fixed, so runs are bit
-reproducible.
+contour's two resonant modes are decoupled from the rest of the solve's low
+block by the eigensolver's per-pair reduction, and the pair's two
+eigenvalues come from a 2 x 2 block in the center-free frame: O(j^2) work
+per contour on a low block of 2j modes.  Elsewhere the contour takes one
+dense inverse at a shift off the contour and a block subspace iteration on
+it for the pair, certified to leave out no eigenvalue near the contour
+(else all of them are taken).  The error estimate comes from comparing the
+full rule against its half-node subset, which reuses the same node traces.
+Node order is fixed, so runs are bit reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqspace import FourierSequence, Parity, ParityError
-from .eigensolver import EigenList, SolverError, _cut_certified, _decouple
+from .eigensolver import EigenList, SolverError, _pair_split, _settle_pairs
 from .operator import (
     build_B,
     center,
@@ -148,31 +148,20 @@ def _dominant_block(shift_inv: np.ndarray, rows: tuple[int, int], radius: float)
 
 
 def _pair_poles(eigs: EigenList, contour: ContourSpec) -> np.ndarray | None:
-    """Offsets from the center of the resonant pair's two eigenvalues, when
-    the gaps certify its modes +-(2n-1) apart from the rest of the window;
-    None otherwise.
-
-    The certificate is the eigensolver's cut certificate for the band
-    |p| = 2n-1: the Riccati fixed point contracts at a rate <= RICCATI_RATE
-    and the high block's Bauer-Fike discs, of radius beta (1 + r) around
-    the other unperturbed eigenvalues, stay 4 rho from the center, so every
-    left-out pole has a trapezoid term <= 4^-nodes against an exact
-    integral of zero.  The pair is then the spectrum of the 2 x 2 block
-    B_PP + T_PH X, with B_PP = T_PP - center: the center is never added."""
-    op = eigs.op
+    """Offsets from the center of the resonant pair's two eigenvalues, from
+    the eigensolver's per-pair reduction of eigs' low block, when the gaps
+    certify the modes +-(2n-1) apart from the rest with the disc reaching
+    (CERT_FACTOR - 2) rho: the other modes' Bauer-Fike discs and
+    complete_below then stay 4 rho from the center, so every left-out pole
+    has a trapezoid term <= 4^-nodes against an exact integral of zero.
+    None otherwise.  The center is never added."""
     q = 2 * contour.n - 1
     # the dense route's margin: its left-out poles sit >= CERT_FACTOR - 2 radii out
-    reach = (CERT_FACTOR - 2.0) * contour.radius
-    if not _cut_certified(op.matrix, op.m, op.K, (q, q), eigs.beta, contour.center, reach):
+    if not eigs.certifies((q, q), contour.center, (CERT_FACTOR - 2.0) * contour.radius):
         return None
-    mu = unperturbed_eigenvalues(op.m, op.K)
-    _, coupling, _ = _decouple(op.matrix, op.m, op.K, (q, q), mu, eigs.beta)
-    rows = list(resonant_rows(op.K, contour.n))
-    shifted = op.matrix[np.ix_(rows, rows)] - contour.center * np.eye(2)
-    try:
-        return np.linalg.eigvals(shifted + coupling)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"contour pair eigensolve failed: {exc}") from exc
+    g = _settle_pairs(eigs.matrix, eigs.op.m, np.array([contour.n]))
+    d, gamma = _pair_split(g, eigs.hermitian)
+    return d + np.array([-0.5, 0.5]) * gamma
 
 
 def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:

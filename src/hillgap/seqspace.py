@@ -362,7 +362,9 @@ def h_membership_bounded(
     top = max(weighted)
     if top == 0.0:
         return True
-    med = float(np.median(weighted))
+    # np.median's middle, without its NaN check, which imports numpy.ma
+    s, k = sorted(weighted), len(weighted) // 2
+    med = s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2.0
     if med == 0.0:
         return False
     return top <= MEMBERSHIP_BOUND_FACTOR * med

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from hillgap.seqspace import (
     make_potential,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 PI2 = math.pi**2
 WEAK_COMPLEX = {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2 + 0j, -4: 0.1j, 6: 0.1 + 0.05j}
 # strong against the low gaps c_n - c_{n-1}: at m = 1, K = 64 the Riesz pair
@@ -124,14 +129,17 @@ class TestSpectrumCommand:
         assert code == 3
 
     def test_confirm_window_is_certified(self, tmp_path, trig_potential, monkeypatch, capsys):
-        # the certificate fails only above dim 2K = 32, so the K = 16 solve
-        # passes and the doubled confirm window alone must stop the run
-        residual_max = eigensolver._residual_max
+        # the cut's Riccati fixed point fails to settle only above K = 16, so
+        # the K = 16 solve passes and the confirming window alone must stop
+        # the run
+        decouple = eigensolver._decouple
 
-        def fail_above_dim_32(mat, values, vectors):
-            return 1.0 if len(mat) > 32 else residual_max(mat, values, vectors)
+        def unsettled_above_16(mat, m, K, *args):
+            if K > 16:
+                raise eigensolver.SolverError("Riccati fixed point did not settle")
+            return decouple(mat, m, K, *args)
 
-        monkeypatch.setattr(eigensolver, "_residual_max", fail_above_dim_32)
+        monkeypatch.setattr(eigensolver, "_decouple", unsettled_above_16)
         code = main(["spectrum", "--m", "1", "--K", "16", "--n-max", "4",
                      "--potential", trig_potential, "--out", str(tmp_path / "s.csv")])
         assert code == 4
@@ -377,9 +385,10 @@ class TestUnrefinedFooter:
     @pytest.mark.parametrize("command", ["spectrum", "asymptotics"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_jordan_pairs_listed(self, tmp_path, command, fmt):
-        # v(k) = 0 for k < 0 makes the low pairs Jordan blocks, whose two
-        # eigenvectors do not span a plane: they keep their raw offsets
-        pot = write_potential(tmp_path / "jordan.json", {2: complex(1.0)})
+        # v(k) = 0 for k < 0 makes the pairs Jordan blocks; strong against
+        # the two lowest gaps, those pairs refuse their own 2 x 2 reduction
+        # and are read from the grown band
+        pot = write_potential(tmp_path / "jordan.json", {2: complex(20.0)})
         out = tmp_path / f"out.{fmt}"
         assert main([command, "--m", "1", "--K", "48", "--n-max", "12",
                      "--potential", pot, "--out", str(out), "--format", fmt]) == 0
@@ -425,6 +434,22 @@ class TestAsymptoticsCommand:
                      "--out", str(tmp_path / "asym.csv")])
         assert code == 4
         assert "Riccati" in capsys.readouterr().err
+
+    def test_no_numpy_ma_import(self, tmp_path, trig_potential):
+        # np.median's NaN check imports numpy.ma; the membership surrogate
+        # takes the middle of the sorted values instead
+        out = tmp_path / "asym.csv"
+        script = (
+            "import sys\n"
+            "from hillgap.cli import main\n"
+            f"code = main(['asymptotics', '--m', '1', '--alpha', '0', '--K', '48', '--n-max', "
+            f"'12', '--potential', {trig_potential!r}, '--out', {str(out)!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["0", "False"]
 
 
 def _no_solve(*args, **kwargs):
@@ -596,15 +621,16 @@ class TestRieszCheckCommand:
         err = capsys.readouterr().err
         assert "solver failure" in err and "shift-invert failed" in err
 
-    def test_pair_eigensolve_failure_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
-        # the certified route's 2 x 2 pair block fails in LAPACK; the Hermitian
-        # potential keeps eigvals out of the eigensolve and the pairing
+    def test_pair_eigensolve_failure_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the strong potential's low pairs refuse their own 2 x 2 reduction,
+        # and the eigvals of the grown band they are read from fails in LAPACK
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        pot = write_potential(tmp_path / "strong.json", STRONG)
         code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
-                     "--potential", trig_potential, "--out", str(tmp_path / "rz.csv")])
+                     "--potential", pot, "--out", str(tmp_path / "rz.csv")])
         assert code == 4
         err = capsys.readouterr().err
         assert "solver failure" in err and "pair eigensolve failed" in err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hillgap import eigensolver
 from hillgap.eigensolver import (
     CONVERGENCE_TOL,
     EigenList,
@@ -30,7 +31,6 @@ from hillgap.seqspace import (
     make_potential,
     reflect_seq,
 )
-from refine_oracle import reference_offsets
 
 PI2 = math.pi**2
 
@@ -405,8 +405,19 @@ class TestHighPrecisionOracle:
             assert abs(r.gamma) <= 1e-15
 
 
+def per_pair_reference(op, n):
+    """tau - c and gamma (up to sign) of pair n by the one-level route: its
+    modes +-(2n-1) decoupled from all 2K modes of the window, one pair at a
+    time, and the closed form on the 2 x 2 block that remains."""
+    mu = unperturbed_eigenvalues(op.m, op.K)
+    _, beta, _ = eigensolver._structure(op.matrix, mu)
+    _, g, _ = eigensolver._decouple(op.matrix, op.m, op.K, (2 * n - 1, 2 * n - 1), mu, beta)
+    return (g[0, 0] + g[1, 1]) / 2.0, np.sqrt((g[0, 0] - g[1, 1]) ** 2 + 4.0 * g[0, 1] * g[1, 0])
+
+
 class TestBatchedRefinement:
-    """The one-pass refinement of every pair against the per-pair route."""
+    """The batched two-level reduction of every pair against the per-pair
+    route on the whole window."""
 
     POTENTIALS = {
         "trig": lambda m: vseq(TRIG),
@@ -421,40 +432,97 @@ class TestBatchedRefinement:
         op = build_T(v, m, 64)
         for eigs in (eigenvalues(op), eigenvalues(op, 16)):
             tab = pair_eigenvalues(eigs)
-            assert len(tab.rows) == 16
-            declined = []
+            assert len(tab.rows) == 16 and tab.unrefined == ()
             for row in tab.rows:
-                r = contour_radius(m, row.n)
-                idx = np.flatnonzero(np.abs(eigs.values - center(m, row.n)) < r)
-                want, raw = reference_offsets(eigs, row.n, idx, r)
-                assert max(abs(row.d_lo - want[0]), abs(row.d_hi - want[1])) <= 1e-14
-                if raw:
-                    declined.append(row.n)
+                d, s = per_pair_reference(op, row.n)
+                assert abs(row.d_tau - d) <= 1e-14
+                assert min(abs(row.gamma - s), abs(row.gamma + s)) <= 1e-14
                 if name == "rough-herm":
-                    assert row.d_lo.imag == 0 and row.d_hi.imag == 0
-            assert list(tab.unrefined) == declined
+                    assert row.d_tau.imag == 0 and row.gamma.imag == 0
 
     @pytest.mark.parametrize("name", sorted(POTENTIALS))
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_localize_deviation_matches_per_pair_reference(self, m, name):
         v = self.POTENTIALS[name](m)
         rep = localization_report(v, m, 0.0, 1.0, 1.1, 64)
-        eigs = eigenvalues(build_T(v, m, 64))
+        op = build_T(v, m, 64)
         pairs = [d for d in rep.disc_rows if d.hits == 2]
         assert pairs
-        for d in pairs:
-            idx = np.flatnonzero(np.abs(eigs.values - center(m, d.n)) < d.radius)
-            want, _ = reference_offsets(eigs, d.n, idx, d.radius)
-            assert abs(d.max_deviation - float(np.max(np.abs(want)))) <= 1e-14
+        for row in pairs:
+            d, s = per_pair_reference(op, row.n)
+            assert abs(row.max_deviation - max(abs(d - s / 2), abs(d + s / 2))) <= 1e-14
 
     def test_jordan_pair_is_reported_unrefined(self):
-        # v(k) = 0 for k < 0: the n = 1 pair is a Jordan block whose two
-        # eigenvectors do not span a plane, so it keeps its raw offsets
-        tab = compute_pair_table(vseq({2: 1.0}), 1, 32)
-        assert 1 in tab.unrefined
-        assert compute_pair_table(vseq(TRIG), 1, 32).unrefined == ()
-        conv = mark_converged(tab, compute_pair_table(vseq({2: 1.0}), 1, 64))
+        # v(k) = 0 for k < 0 makes every pair a Jordan block at its center.
+        # Weak, each pair is read exactly from its own 2 x 2 block; strong
+        # against the low gaps, those pairs refuse their own reduction, take
+        # the grown band and are listed
+        weak = compute_pair_table(vseq({2: 1.0}), 1, 32)
+        assert weak.unrefined == ()
+        assert all(r.d_tau == 0 and r.gamma == 0 for r in weak.rows)
+        tab = compute_pair_table(vseq({2: 20.0}), 1, 32)
+        assert tab.unrefined == (1, 2) and len(tab.rows) == 8
+        conv = mark_converged(tab, compute_pair_table(vseq({2: 20.0}), 1, 64))
         assert conv.unrefined == tab.unrefined
+
+
+def rough_hermitian(seed, support=16, exponent=-0.55):
+    """Hermitian rough potential: modulus (1 + 2k)^exponent at +-2k, k <= support/2,
+    with seeded random phases and v(-2k) = conj v(2k)."""
+    rng = np.random.default_rng([0xB3C4, seed])
+    k = np.arange(1, support // 2 + 1)
+    plus = (1.0 + 2.0 * k) ** exponent * np.exp(2j * math.pi * rng.random(len(k)))
+    return {**{int(2 * i): complex(a) for i, a in zip(k, plus)},
+            **{int(-2 * i): complex(a).conjugate() for i, a in zip(k, plus)}}
+
+
+class TestPairReductionOracle:
+    """Rows of the per-pair reduction against the 60-digit mpmath oracle at
+    K = 16, whose eigenvalues reach 1e12 at m = 3."""
+
+    POTENTIALS = {"trig": TRIG, "rough-herm": rough_hermitian(3)}
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rows_match_oracle(self, mpmath_pair, m, name):
+        # trig's gamma at m = 3, n = 4 is 4.8e-22 against tau - c = 3.8e-9
+        coeffs = self.POTENTIALS[name]
+        tab = compute_pair_table(vseq(coeffs), m, 16)
+        assert [r.n for r in tab.rows] == [1, 2, 3, 4]
+        for r in tab.rows:
+            d_tau, gamma = mpmath_pair(coeffs, m, 16, r.n, dps=60)
+            assert abs(r.d_tau - d_tau) <= 1e-12 * abs(d_tau)
+            assert min(abs(r.gamma - gamma), abs(r.gamma + gamma)) <= 1e-6 * abs(gamma)
+            if name == "rough-herm":
+                assert r.d_tau.imag == 0 and r.gamma.imag == 0
+
+    @pytest.mark.parametrize(
+        "coeffs, real",
+        [
+            ({2: 60.0, -2: 45j, 4: 30.0}, False),
+            ({2: 50.0, -2: 50.0, 4: 20.0 + 10j, -4: 20.0 - 10j}, True),
+        ],
+        ids=["complex", "hermitian"],
+    )
+    def test_refused_pairs_match_whole_window(self, coeffs, real):
+        # strong against the low gaps, the low pairs refuse their own
+        # reduction; read from one eigvals of a grown band, they must agree
+        # with the eigenvalues of the whole window
+        v = vseq(coeffs)
+        tab = compute_pair_table(v, 1, 64, n_max=16)
+        grown = tab.unrefined + tuple(tab.flagged)
+        assert 0 < len(grown) < 16
+        whole = eigenvalues(build_T(v, 1, 64)).values
+        for n in grown:
+            c = center(1, n)
+            hits = whole[np.abs(whole - c) < contour_radius(1, n)] - c
+            assert tab.flagged.get(n, 2) == len(hits)
+            if n in tab.unrefined:
+                r = tab.row(n)
+                lo, hi = hits[lexicographic_order(hits)]
+                # the whole window rounds at ||T|| ~ 1.6e5, the band at its own scale
+                assert max(abs(r.d_lo - lo), abs(r.d_hi - hi)) <= 1e-9
+                assert not real or (r.d_tau.imag == 0 and r.gamma.imag == 0)
 
 
 class TestSolverRouting:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hillgap.operator import (
+    MAX_HALF_WINDOW,
     ExtRegion,
     SpectrumCollisionError,
     VertRegion,
@@ -21,6 +22,7 @@ from hillgap.operator import (
     modes,
     op_norm_S,
     resolvent_shifted_norm,
+    resonant_rows,
     unperturbed_eigenvalues,
     vert_bound,
     vert_bound_combined,
@@ -335,3 +337,18 @@ class TestRegions:
     def test_vert_invariant(self):
         with pytest.raises(ValueError):
             VertRegion(n=5, r_n=9.0**2 * PI2 * 10, m=1)
+
+
+class TestExactDiagonal:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_diagonal_is_mirror_symmetric_at_the_centers(self, m):
+        # each entry is the exact integer |p|^{2m} rounded once: at m = 3
+        # and K = 1024 a float power rounds some |p|^6 > 2^53 differently
+        # for p and -p, and differently from the center
+        K = MAX_HALF_WINDOW
+        diag = build_T(FourierSequence.zero(), m, K).matrix.diagonal()
+        assert np.array_equal(diag, diag[::-1])
+        ns = np.arange(1, K + 1)
+        centers = np.array([center(m, n) for n in ns])
+        lo, hi = resonant_rows(K, ns)
+        assert np.array_equal(diag[lo], centers) and np.array_equal(diag[hi], centers)
