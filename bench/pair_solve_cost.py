@@ -10,8 +10,8 @@ n = K/4, times
 
     table  compute_pair_table(v, 1, K, n_max=n), build_T included
     solve  the solve the pairs are read from: the certified cut and the
-           decoupling of the modes above it (eigensolver._cut), or, for a
-           SRC without it, eigenvalues(op, n)
+           decoupling of the modes above it (low_block(op, n)), or, for an
+           older SRC, eigensolver._cut(op, n) or eigenvalues(op, n)
     pair   pair_eigenvalues on that solve: the batched per-pair reduction
            and the grown band, or the older pairing and refinement
 
@@ -54,15 +54,17 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     from hillgap import (
         PotentialFamily, PotentialSpec, SobolevParams, build_T, compute_pair_table,
-        eigenvalues, make_potential, normalize_zero_mode, pair_eigenvalues,
+        make_potential, normalize_zero_mode, pair_eigenvalues,
     )
     from hillgap import eigensolver
 
-    if hasattr(eigensolver, "_cut"):
+    if hasattr(eigensolver, "low_block"):
+        solve = eigensolver.low_block
+    elif hasattr(eigensolver, "_cut"):
         def solve(op, n):
             return eigensolver._cut(op, n)[0]
     else:
-        solve = eigenvalues
+        solve = eigensolver.eigenvalues
 
     spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": args.support}, radius=1.0, seed=11)
     v, _ = normalize_zero_mode(make_potential(spec, SobolevParams(m=1, alpha=0.25)))

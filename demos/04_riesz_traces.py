@@ -15,15 +15,14 @@ from hillgap import (
     ContourSpec,
     FourierSequence,
     build_T,
-    eigenvalues,
     l_direct,
+    low_block,
     normalize_zero_mode,
     q0_closed_form,
     q0_matrix,
     pair_eigenvalues,
     riesz_projector,
     script_S_2x2,
-    tau_from_traces,
 )
 
 # coefficients on both residue classes mod 4, so the second-order
@@ -32,8 +31,9 @@ from hillgap import (
 v_raw = FourierSequence.make("even", {2: 0.6, -2: 0.6, 4: 0.5, -4: 0.5, 6: 0.4, -6: 0.4})
 v, shift = normalize_zero_mode(v_raw)
 m, K, n = 1, 64, 3
-# the certified spectrum of T guards every contour against collisions
-eigs = eigenvalues(build_T(v, m, K))
+# the certified low block of T for the pairs n <= 16: the contours read
+# their poles, and the pair table its rows, from it
+low = low_block(build_T(v, m, K), 16)
 
 # =============================================================================
 # The projector enters only through its traces: Tr P = 2 (the pair) and
@@ -41,7 +41,7 @@ eigs = eigenvalues(build_T(v, m, K))
 # both as the quadrature tolerance.
 
 contour = ContourSpec(n=n, m=m, nodes=64)
-pair = riesz_projector(eigs, contour)
+pair = riesz_projector(low, contour)
 print("Tr P              =", pair.tr_p)
 print("Tr((T - center) P) =", pair.tr_q)
 print("quad tol           =", pair.quad_tol)
@@ -49,12 +49,11 @@ print("quad tol           =", pair.quad_tol)
 # =============================================================================
 # The pair mean via traces agrees with the disc-paired eigenvalues.
 
-trace = tau_from_traces(eigs, contour)
-table = pair_eigenvalues(eigs)
-print("tau (trace route)      =", trace.tau)
+table = pair_eigenvalues(low)
+print("tau (trace route)      =", pair.tau)
 print("tau (eigensolver route) =", table.row(n).tau)
 print("Tr Q = 2(tau - center) check:",
-      abs(trace.tr_q - 2 * (trace.tau - contour.center)))
+      abs(pair.tr_q - 2 * (pair.tau - contour.center)))
 
 # =============================================================================
 # The first-order window matrix collapses to two corner entries in closed

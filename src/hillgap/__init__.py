@@ -30,6 +30,7 @@ from .eigensolver import (
     eigenvalues,
     localization_radius,
     localization_report,
+    low_block,
     mark_converged,
     pair_eigenvalues,
 )
@@ -40,7 +41,6 @@ from .riesz import (
     q0_matrix,
     riesz_projector,
     script_S_2x2,
-    tau_from_traces,
 )
 from .asymptotics import (
     alpha1_experiment,

@@ -33,9 +33,9 @@ from .eigensolver import (
     confirm_window,
     converge_truncation,
     localization_report,
+    low_block,
     mark_converged,
     pair_eigenvalues,
-    eigenvalues as solve_eigenvalues,
 )
 from .operator import (
     MAX_HALF_WINDOW,
@@ -515,14 +515,14 @@ RIESZ_COLUMNS = [
 def run_riesz_check(cfg: RunConfig) -> int:
     v, _ = normalize_zero_mode(load_potential(cfg.potential))
     K = cfg.K if isinstance(cfg.K, int) else RIESZ_AUTO_K
-    eigs = solve_eigenvalues(build_T(v, cfg.m, K), n_max=cfg.n_max)
-    table = pair_eigenvalues(eigs, n_max=cfg.n_max)
+    low = low_block(build_T(v, cfg.m, K), cfg.n_max)
+    table = pair_eigenvalues(low, n_max=cfg.n_max)
 
     rows, max_block, dense_contours = [], 0, []
     l_plus, l_minus = riesz.l_direct(v, cfg.m, np.arange(2, cfg.n_max + 1))
     for n in range(2, cfg.n_max + 1):
         contour = ContourSpec(n=n, m=cfg.m, nodes=cfg.quad_nodes)
-        trace = riesz.tau_from_traces(eigs, contour)
+        trace = riesz.riesz_projector(low, contour)
         max_block = max(max_block, trace.block)
         if trace.dense:
             dense_contours.append(n)

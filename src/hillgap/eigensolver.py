@@ -1,14 +1,15 @@
 """Dense spectra of the truncated operators and eigenvalue-pair extraction.
 
-A caller that reads only the pairs n <= n_max cuts the window at the modes
-|p| <= P (L) and decouples the rest (H) by a similarity: the low invariant
-subspace is the graph [I; X] of the H x L solution X of the Riccati equation
-T_HL + T_HH X = X (T_LL + T_LH X), found by a fixed point that divides by the
-exact gaps mu_h - mu_l.  P starts at 2 n_max - 1 and grows until an a-priori
-contraction and separation certificate holds (at most the whole window).
-The low block is kept free of the diagonal of A^m, B_L = (T_LL - diag mu_L)
-+ T_LH X; every eigenvalue left of complete_below is one of its, and reading
-a disc or contour that reaches it raises SolverError.
+A caller that reads only the pairs n <= n_max takes low_block(op, n_max): it
+cuts the window at the modes |p| <= P (L) and decouples the rest (H) by a
+similarity: the low invariant subspace is the graph [I; X] of the H x L
+solution X of the Riccati equation T_HL + T_HH X = X (T_LL + T_LH X), found
+by a fixed point that divides by the exact gaps mu_h - mu_l.  P starts at
+2 n_max - 1 and doubles until an a-priori contraction and separation
+certificate holds (at most the whole window).  The low block is kept free
+of the diagonal of A^m, B_L = (T_LL - diag mu_L) + T_LH X; every eigenvalue
+left of complete_below is one of its, and reading a disc or contour that
+reaches it raises SolverError.
 
 Each pair is read from B_L by the same reduction one level down: its modes
 +-(2n-1) are decoupled from the rest of the block, all pairs by one batched
@@ -19,10 +20,10 @@ center.  Pairs the gaps do not certify (low n against a strong potential)
 are read from one eigvals of the smallest certified band |p| <= 2k - 1 and
 listed as unrefined.  riesz.py reads its contours' poles the same way.
 
-eigenvalues() alone takes an eigendecomposition of B_L + diag mu_L (the
-symmetric one on a Hermitian similar block when T is Hermitian up to the
-scale of B(v), so real potentials give exactly real spectra), certified by
-the residuals of the lifted eigenvectors [w; X w] against the full T.
+eigenvalues() alone takes an eigendecomposition, of the whole window (the
+symmetric one when T is Hermitian up to the scale of B(v), so real
+potentials give exactly real spectra), certified by the residuals of its
+eigenvectors against T.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "EigenPairRow",
     "EigenPairTable",
     "lexicographic_order",
+    "low_block",
     "eigenvalues",
     "pair_eigenvalues",
     "compute_pair_table",
@@ -123,10 +125,8 @@ class LowBlock:
 
 @dataclass(frozen=True)
 class EigenList(LowBlock):
-    """The eigenvalues of a low block, with multiplicity, lexicographically
-    ordered and certified by residual_max: every eigenvalue of T left of
-    complete_below (all 2K of them when it is infinite) and those of the
-    block beyond it."""
+    """The whole window as a low block, with all 2K eigenvalues of T, with
+    multiplicity, lexicographically ordered and certified by residual_max."""
 
     values: np.ndarray
     trace_defect: float
@@ -137,22 +137,21 @@ class EigenList(LowBlock):
         self.values.setflags(write=False)
 
 
-def _structure(mat: np.ndarray, mu: np.ndarray) -> tuple[float, float, bool]:
-    """||T||_F, beta and whether T is Hermitian, from one pass over T in
-    row slabs.
+def _structure(mat: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
+    """beta and whether T is Hermitian, from one pass over T in row slabs.
 
     beta = sqrt(||B||_1 ||B||_inf) >= ||B||_2 for B = T - diag(mu), from the
-    largest column and row sums of |B|; at most ||v||_l1 over the window.
+    largest column and row sums of |B|; at most ||v||_l1 over the window,
+    and not finite when an entry of T is not.
     The Hermitian test weighs the asymmetry against the off-diagonal scale,
     that of B(v): the diagonal of A^m grows like (4K)^{2m} and would hide a
     non-Hermitian potential."""
     rows = np.empty(len(mat))
     cols = np.zeros(len(mat))
     diag = np.abs(mat.diagonal() - mu)
-    fro2 = scale = asym = 0.0
+    scale = asym = 0.0
     for i in range(0, len(mat), BLOCK):
         slab = mat[i : i + BLOCK]
-        fro2 += np.vdot(slab, slab).real
         asym = max(asym, float(np.max(np.abs(slab - mat[:, i : i + BLOCK].conj().T))))
         mag = np.abs(slab)
         np.fill_diagonal(mag[:, i:], 0.0)
@@ -161,7 +160,7 @@ def _structure(mat: np.ndarray, mu: np.ndarray) -> tuple[float, float, bool]:
         rows[i : i + BLOCK] = mag.sum(axis=1)
         cols += mag.sum(axis=0)
     beta = math.sqrt(float(np.max(rows)) * float(np.max(cols)))
-    return math.sqrt(fro2), beta, asym <= HERMITIAN_REL_TOL * (scale or 1.0)
+    return beta, asym <= HERMITIAN_REL_TOL * (scale or 1.0)
 
 
 def _residual_max(mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
@@ -225,7 +224,7 @@ def _decouple(
     mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.ndarray, beta: float
 ):
     """Split the window into the modes q_lo <= |p| <= q_hi (L) and the rest
-    (H), each in window order, and return X, the center-free low block
+    (H), each in window order, and return the center-free low block
     B_LL + T_LH X and rho; mu is the diagonal of A^m (zero for a matrix
     that is already center-free) and beta bounds ||B||_2.
 
@@ -258,74 +257,61 @@ def _decouple(
             f"Riccati fixed point for the modes {band[0]} <= |p| <= {band[1]} did not "
             f"settle in {RICCATI_MAX_STEPS} steps"
         )
-    return x, b_ll + t_lh @ x, beta * (1.0 + float(np.linalg.norm(x)) + step)
+    return b_ll + t_lh @ x, beta * (1.0 + float(np.linalg.norm(x)) + step)
 
 
-def _hermitian_eig(low: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the low block of a Hermitian T from the Hermitian
-    similar block R low R^{-1}, with R^H R = I + X^H X: from
-    I + X^H X = U diag(s) U^H, R = diag(sqrt s) U^H, and the eigenvectors
-    map back by R^{-1}.  X empty leaves low itself."""
-    if not len(x):
-        return np.linalg.eigh((low + low.conj().T) / 2.0)
-    s, u = np.linalg.eigh(np.eye(len(low)) + x.conj().T @ x)
-    root = np.sqrt(s)
-    sim = root[:, None] * (u.conj().T @ low @ u) / root
-    vals, w = np.linalg.eigh((sim + sim.conj().T) / 2.0)
-    return vals, u @ (w / root[:, None])
+def _grown_cut(mat, m, K, mu, beta, k, c, reach) -> tuple[int, np.ndarray, float]:
+    """k, the center-free block of the modes |p| <= 2k - 1 of mat and its rho:
+    the cut starts at k and doubles (up to the whole window K) until
+    _cut_certified holds for the disc of radius reach around c, and
+    _decouple splits it off."""
+    while k < K and not _cut_certified(mat, m, K, (1, 2 * k - 1), beta, c, reach):
+        k = min(2 * k, K)
+    # at the whole window H is empty: X has no rows and rho = beta
+    return k, *_decouple(mat, m, K, (1, 2 * k - 1), mu, beta)
 
 
-def _cut(op: TruncatedOperator, n_max: int | None) -> tuple[LowBlock, np.ndarray, float]:
-    """The low block for the pairs n <= n_max (None: the whole window), its X
-    and ||T||_F: the cut |p| <= P, P from 2 n_max - 1 doubling until
-    _cut_certified holds, decoupled by _decouple, whose rho bounds B_L."""
-    if n_max is not None and n_max < 1:
+def low_block(op: TruncatedOperator, n_max: int) -> LowBlock:
+    """The certified low block for the pairs n <= n_max: the cut |p| <= P,
+    P from 2 n_max - 1 doubling by _grown_cut, whose rho bounds B_L.  An
+    n_max >= K takes the whole window, with complete_below infinite."""
+    if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     mat, m, K = op.matrix, op.m, op.K
     mu = unperturbed_eigenvalues(m, K)
-    scale, beta, hermitian = _structure(mat, mu)
-    if not math.isfinite(scale):
+    beta, hermitian = _structure(mat, mu)
+    if not math.isfinite(beta):
         raise ValueError("operator matrix carries non-finite entries")
-    j = K if n_max is None else min(n_max, K)
-    while j < K and not _cut_certified(
-        mat, m, K, (1, 2 * j - 1), beta, center(m, n_max), contour_radius(m, n_max)
-    ):
-        j = min(2 * j, K)
-    # at the whole window H is empty: X has no rows and rho = beta
-    x, low, rho = _decouple(mat, m, K, (1, 2 * j - 1), mu, beta)
+    j, low, rho = _grown_cut(
+        mat, m, K, mu, beta, min(n_max, K), center(m, n_max), contour_radius(m, n_max)
+    )
     complete_below = center(m, j + 1) - rho if j < K else math.inf
-    return LowBlock(op, low, rho, hermitian, complete_below), x, scale or 1.0
+    return LowBlock(op, low, rho, hermitian, complete_below)
 
 
-def eigenvalues(op: TruncatedOperator, n_max: int | None = None) -> EigenList:
-    """The eigenvalues, with multiplicity, of the low block of _cut for the
-    pairs n <= n_max (n_max = None: all 2K of the window), from one
-    eigendecomposition, symmetric on a Hermitian similar block when T is
-    Hermitian.  SolverError when the largest residual of a lifted
-    eigenvector against T, relative to ||T||_F, exceeds RESIDUAL_TOL.
+def eigenvalues(op: TruncatedOperator) -> EigenList:
+    """All 2K eigenvalues of the window, with multiplicity, from one
+    eigendecomposition of T, the symmetric one of its Hermitian part when T
+    is Hermitian.  SolverError when the largest residual of an eigenvector
+    against T, relative to ||T||_F, exceeds RESIDUAL_TOL.
     """
-    cut, x, scale = _cut(op, n_max)
-    K, j = op.K, len(cut.matrix) // 2
-    low = cut.matrix + np.diag(unperturbed_eigenvalues(op.m, j))
+    low = low_block(op, op.K)
+    mat = low.matrix + np.diag(unperturbed_eigenvalues(op.m, op.K))
     try:
-        if cut.hermitian:
-            vals, vecs = _hermitian_eig(low, x)
+        if low.hermitian:
+            vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
         else:
-            vals, vecs = np.linalg.eig(low)
+            vals, vecs = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:  # QR non-convergence
         raise SolverError(f"eigen decomposition failed: {exc}") from exc
-    if len(x):
-        # lift to [w; X w], the rows of X w back in window order around the low rows
-        xw = x @ vecs
-        vecs = np.concatenate((xw[: K - j], vecs, xw[K - j :]))
-
+    scale = float(np.linalg.norm(op.matrix)) or 1.0
     residual_max = _residual_max(op.matrix, vals, vecs) / scale
     if residual_max > RESIDUAL_TOL:
         raise SolverError(f"eigenvalue residual {residual_max:.3e} exceeds {RESIDUAL_TOL}")
     vals = vals[lexicographic_order(vals)].astype(complex)
-    trace_defect = float(abs(vals.sum() - np.trace(low)) / scale)
+    trace_defect = float(abs(vals.sum() - np.trace(mat)) / scale)
     return EigenList(
-        **vars(cut), values=vals, trace_defect=trace_defect, residual_max=residual_max
+        **vars(low), values=vals, trace_defect=trace_defect, residual_max=residual_max
     )
 
 
@@ -470,15 +456,12 @@ def _pair_split(g: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]
 def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray):
     """tau - c, gamma and hit count of the refused pairs ns from one eigvals
     of the band |p| <= 2k - 1 of the low block, k the first of max(ns),
-    doubling, whose cut low.certifies with every refused disc left of the
-    rest; its eigenvalues are paired by disc membership."""
+    doubling, whose cut _grown_cut certifies with every refused disc left
+    of the rest; its eigenvalues are paired by disc membership."""
     m, j = low.op.m, len(low.matrix) // 2
-    k, edge = int(ns.max()), float(np.max(c + radii))
-    while k < j and not low.certifies((1, 2 * k - 1), edge, 0.0):
-        k = min(2 * k, j)
-    band = low.matrix
-    if k < j:
-        band = _decouple(band, m, j, (1, 2 * k - 1), np.zeros(2 * j), low.beta)[1]
+    k, band, _ = _grown_cut(
+        low.matrix, m, j, np.zeros(2 * j), low.beta, int(ns.max()), float(np.max(c + radii)), 0.0
+    )
     try:
         vals = np.linalg.eigvals(band + np.diag(unperturbed_eigenvalues(m, k)))
     except np.linalg.LinAlgError as exc:  # QR non-convergence
@@ -563,8 +546,7 @@ def compute_pair_table(
     v_norm, v0 = normalize_zero_mode(v)
     if n_max is None:
         n_max = K // 4
-    low, _, _ = _cut(build_T(v_norm, m, K), n_max)
-    table = pair_eigenvalues(low, radius_rule, n_max=n_max)
+    table = pair_eigenvalues(low_block(build_T(v_norm, m, K), n_max), radius_rule, n_max=n_max)
     return replace(table, rows=tuple(replace(r, v0=v0) for r in table.rows))
 
 

@@ -6,13 +6,15 @@ the unperturbed center, spectrally accurate for the analytic integrands at
 hand.  The perturbed projector is only ever read through its traces
 Tr P and Tr((T - center) P), as sums over the few eigenvalues the contour
 can see.  Where the gaps to the neighbouring centers certify it, the
-contour's two resonant modes are decoupled from the rest of the solve's low
-block by the eigensolver's per-pair reduction, and the pair's two
-eigenvalues come from a 2 x 2 block in the center-free frame: O(j^2) work
-per contour on a low block of 2j modes.  Elsewhere the contour takes one
-dense inverse at a shift off the contour and a block subspace iteration on
-it for the pair, certified to leave out no eigenvalue near the contour
-(else all of them are taken).  The error estimate comes from comparing the
+contour's two resonant modes are decoupled from the rest of the certified
+low block (eigensolver.low_block) by the eigensolver's per-pair reduction,
+and the pair's two eigenvalues come from a 2 x 2 block in the center-free
+frame: O(j^2) work per contour on a low block of 2j modes.  Elsewhere the
+contour takes one dense inverse at a shift off the contour and a block
+subspace iteration on it for the pair, certified to leave out no eigenvalue
+near the contour (else all of them are taken).  Either way the poles summed
+are the ones checked against the contour: no eigendecomposition of the
+block guards it.  The error estimate comes from comparing the
 full rule against its half-node subset, which reuses the same node traces.
 Node order is fixed, so runs are bit reproducible.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqspace import FourierSequence, Parity, ParityError
-from .eigensolver import EigenList, SolverError, _pair_split, _settle_pairs
+from .eigensolver import LowBlock, SolverError, _pair_split, _settle_pairs
 from .operator import (
     build_B,
     center,
@@ -39,8 +41,6 @@ __all__ = [
     "ContourSpec",
     "ProjectorPair",
     "riesz_projector",
-    "TauTraceResult",
-    "tau_from_traces",
     "q0_matrix",
     "q0_closed_form",
     "script_S_2x2",
@@ -98,18 +98,6 @@ class ContourSpec:
         return self.center + self.radius * unit, self.radius * unit / self.nodes
 
 
-def _guard_contour(contour: ContourSpec, values: np.ndarray):
-    dist = np.abs(np.abs(values - contour.center) - contour.radius)
-    bad = dist < COLLISION_REL_TOL * contour.radius
-    if np.any(bad):
-        culprit = values[np.argmax(bad)]
-        raise ContourCollisionError(
-            f"perturbed eigenvalue {culprit} lies within {COLLISION_REL_TOL:g} x radius "
-            f"of the contour around index n = {contour.n}",
-            offending=complex(culprit),
-        )
-
-
 @dataclass(frozen=True)
 class ProjectorPair:
     """Traces of the Riesz projector P of the perturbed operator: Tr P and
@@ -124,6 +112,11 @@ class ProjectorPair:
     quad_tol: float
     block: int
     dense: bool
+
+    @property
+    def tau(self) -> complex:
+        """The pair mean: tr_q = Tr((T - center) P) = 2 (tau - center)."""
+        return self.contour.center + self.tr_q / 2.0
 
 
 def _dominant_block(shift_inv: np.ndarray, rows: tuple[int, int], radius: float) -> np.ndarray:
@@ -147,9 +140,9 @@ def _dominant_block(shift_inv: np.ndarray, rows: tuple[int, int], radius: float)
     return shift_inv
 
 
-def _pair_poles(eigs: EigenList, contour: ContourSpec) -> np.ndarray | None:
+def _pair_poles(low: LowBlock, contour: ContourSpec) -> np.ndarray | None:
     """Offsets from the center of the resonant pair's two eigenvalues, from
-    the eigensolver's per-pair reduction of eigs' low block, when the gaps
+    the eigensolver's per-pair reduction of the low block, when the gaps
     certify the modes +-(2n-1) apart from the rest with the disc reaching
     (CERT_FACTOR - 2) rho: the other modes' Bauer-Fike discs and
     complete_below then stay 4 rho from the center, so every left-out pole
@@ -157,16 +150,17 @@ def _pair_poles(eigs: EigenList, contour: ContourSpec) -> np.ndarray | None:
     None otherwise.  The center is never added."""
     q = 2 * contour.n - 1
     # the dense route's margin: its left-out poles sit >= CERT_FACTOR - 2 radii out
-    if not eigs.certifies((q, q), contour.center, (CERT_FACTOR - 2.0) * contour.radius):
+    if not low.certifies((q, q), contour.center, (CERT_FACTOR - 2.0) * contour.radius):
         return None
-    g = _settle_pairs(eigs.matrix, eigs.op.m, np.array([contour.n]))
-    d, gamma = _pair_split(g, eigs.hermitian)
+    g = _settle_pairs(low.matrix, low.op.m, np.array([contour.n]))
+    d, gamma = _pair_split(g, low.hermitian)
     return d + np.array([-0.5, 0.5]) * gamma
 
 
-def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
+def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
     """Traces of the quadrature projector
-    P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda for the operator T = eigs.op.
+    P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda for the operator T = low.op,
+    from its certified low block (eigensolver.low_block).
 
     Tr (lambda - T)^{-1} = sum_k 1 / (lambda - lambda_k) over the
     eigenvalues of T.  A contour whose resonant pair _pair_poles certifies
@@ -180,12 +174,16 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     diagonal of T accurate.  That sum runs over the certified dominant pair
     of M (block 2), each pole left out outside the contour with a trapezoid
     term <= 4^-nodes against an exact integral of zero, or else over all of
-    M (block dim).  The certified spectrum eigs only guards the contour
-    against collisions; a contour that reaches eigs.complete_below, a
-    Riccati fixed point that does not settle, or a failed LAPACK call raises
-    SolverError.
+    M (block dim).
+
+    The contour is guarded on the poles it sums, the pair or
+    lambda = sigma - 1 / nu over the block: the certificates keep every
+    other eigenvalue at least 4 rho from the center, so one within
+    COLLISION_REL_TOL radii of the contour raises ContourCollisionError.  A
+    contour that reaches low.complete_below, a Riccati fixed point that does
+    not settle, or a failed LAPACK call raises SolverError.
     """
-    op = eigs.op
+    op = low.op
     if op.m != contour.m:
         raise ValueError("operator and contour disagree on m")
     if 2 * contour.n - 1 > 2 * op.K - 1:
@@ -193,21 +191,18 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
             f"resonant modes +-{2 * contour.n - 1} fall outside the window (K = {op.K})"
         )
     mat = op.matrix
-    if contour.center + contour.radius * (1.0 + COLLISION_REL_TOL) >= eigs.complete_below:
+    if contour.center + contour.radius * (1.0 + COLLISION_REL_TOL) >= low.complete_below:
         raise SolverError(
-            f"contour around n = {contour.n} reaches {eigs.complete_below:.17g}, "
+            f"contour around n = {contour.n} reaches {low.complete_below:.17g}, "
             "past which the solve left eigenvalues out"
         )
-    _guard_contour(contour, eigs.values)
 
     _, ws = contour.points()
     # rho u_j exactly: the weights are rho u_j / N with N a power of two
     offsets = contour.nodes * ws
-    delta = _pair_poles(eigs, contour)
-    if delta is not None:
-        block = 2
-        traces = np.sum(1.0 / (offsets[:, None] - delta), axis=1)
-    else:
+    delta = _pair_poles(low, contour)
+    dense = delta is None
+    if dense:
         shift = 2j * contour.radius
         try:
             shift_inv = np.linalg.inv((contour.center + shift) * np.eye(mat.shape[0]) - mat)
@@ -216,11 +211,22 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
             )
         except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
             raise SolverError(f"contour shift-invert failed: {exc}") from exc
-        block = len(nu)
+        delta = shift - 1.0 / nu  # the poles lambda = sigma - 1 / nu, offset from the center
+    bad = np.abs(np.abs(delta) - contour.radius) < COLLISION_REL_TOL * contour.radius
+    if np.any(bad):
+        culprit = complex(contour.center + delta[np.argmax(bad)])
+        raise ContourCollisionError(
+            f"perturbed eigenvalue {culprit} lies within {COLLISION_REL_TOL:g} x radius "
+            f"of the contour around index n = {contour.n}",
+            offending=culprit,
+        )
+    if dense:
         # z_j = lambda_j - sigma from the offsets, so the nodes keep their full
         # precision relative to the center
         z = (offsets - shift)[:, None]
         traces = np.sum(nu / (1.0 + z * nu), axis=1)
+    else:
+        traces = np.sum(1.0 / (offsets[:, None] - delta), axis=1)
     p_terms = ws * traces
     q_terms = p_terms * offsets
     tr_p, tr_q = np.sum(p_terms), np.sum(q_terms)
@@ -228,28 +234,7 @@ def riesz_projector(eigs: EigenList, contour: ContourSpec) -> ProjectorPair:
     quad_tol = float(max(abs(tr_p - half_p), abs(tr_q - half_q)))
     return ProjectorPair(
         contour=contour, tr_p=complex(tr_p), tr_q=complex(tr_q), quad_tol=quad_tol,
-        block=block, dense=delta is None,
-    )
-
-
-@dataclass(frozen=True)
-class TauTraceResult:
-    n: int
-    tau: complex
-    tr_q: complex
-    tr_p: complex
-    quad_tol: float
-    block: int
-    dense: bool
-
-
-def tau_from_traces(eigs: EigenList, contour: ContourSpec) -> TauTraceResult:
-    """Pair mean through traces: tr_q = Tr((T - center) P_n) for T = eigs.op
-    must equal 2 (tau_n - center), so tau_n = center + tr_q / 2."""
-    pair = riesz_projector(eigs, contour)
-    tau = contour.center + pair.tr_q / 2.0
-    return TauTraceResult(
-        contour.n, complex(tau), pair.tr_q, pair.tr_p, pair.quad_tol, pair.block, pair.dense
+        block=len(delta), dense=dense,
     )
 
 

@@ -137,7 +137,7 @@ def test_criterion_05_riesz_cross_oracles():
         table = hg.pair_eigenvalues(eigs, n_max=16)
         for n in range(2, 17):
             contour = hg.ContourSpec(n=n, m=1, nodes=nodes)
-            trace = hg.tau_from_traces(eigs, contour)
+            trace = hg.riesz_projector(eigs, contour)
             ok = ok and abs(trace.tr_p - 2.0) <= 1e-9
             q0 = hg.q0_matrix(v, 1, n, K, nodes=nodes)
             ok = ok and abs(np.trace(q0)) <= 1e-9

@@ -11,7 +11,7 @@ import pytest
 
 from hillgap import cli, eigensolver, riesz
 from hillgap.cli import RunConfig, main
-from hillgap.eigensolver import eigenvalues
+from hillgap.eigensolver import eigenvalues, low_block
 from hillgap.operator import MAX_HALF_WINDOW, build_T
 from hillgap.seqspace import (
     FourierSequence,
@@ -600,9 +600,10 @@ class TestRieszCheckCommand:
         assert footer["max_block"] > 2
 
     def test_eigensolve_is_certified(self, tmp_path, trig_potential, monkeypatch, capsys):
+        # localize is the one command that eigendecomposes the window
         monkeypatch.setattr(eigensolver, "_residual_max", lambda mat, values, vectors: 1.0)
-        code = main(["riesz-check", "--m", "1", "--K", "32", "--n-max", "4",
-                     "--potential", trig_potential, "--out", str(tmp_path / "rz.csv")])
+        code = main(["localize", "--m", "1", "--K", "32", "--n-max", "4",
+                     "--potential", trig_potential, "--out", str(tmp_path / "loc.csv")])
         assert code == 4
         assert "solver failure" in capsys.readouterr().err
 
@@ -636,7 +637,15 @@ class TestRieszCheckCommand:
         assert "solver failure" in err and "pair eigensolve failed" in err
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_certified_contours_call_no_inverse(self, tmp_path, inv_calls, m):
+    def test_certified_contours_call_no_inverse(self, tmp_path, inv_calls, monkeypatch, m):
+        # nor any eigendecomposition: the pairs and the contours' poles all
+        # come from the certified low block
+        eig_calls = []
+        for name in ("eig", "eigh", "eigvals"):
+            def counted(a, _name=name, _fn=getattr(np.linalg, name)):
+                eig_calls.append(_name)
+                return _fn(a)
+            monkeypatch.setattr(np.linalg, name, counted)
         pot = write_potential(tmp_path / "weak.json", WEAK_COMPLEX)
         out = tmp_path / "rz.csv"
         code = main(["riesz-check", "--m", str(m), "--K", "64", "--n-max", "8",
@@ -645,7 +654,7 @@ class TestRieszCheckCommand:
         _, rows, footer = read_csv(out)
         assert len(rows) == 7 and footer["all_hold"] is True
         assert footer["dense_contours"] == [] and footer["max_block"] == 2
-        assert inv_calls == []
+        assert inv_calls == [] and eig_calls == []
 
     def test_strong_potential_lists_dense_contours(self, tmp_path, inv_calls):
         # the certificate refuses the low contours, whose gaps the potential
@@ -658,8 +667,8 @@ class TestRieszCheckCommand:
         dense = footer["dense_contours"]
         assert 0 < len(dense) < len(rows) and len(inv_calls) == len(dense)
         assert dense == list(range(2, 2 + len(dense)))
-        eigs = eigenvalues(build_T(FourierSequence.make(Parity.EVEN, STRONG), 1, 64), n_max=16)
-        flags = {n: riesz.riesz_projector(eigs, riesz.ContourSpec(n=n, m=1)).dense
+        low = low_block(build_T(FourierSequence.make(Parity.EVEN, STRONG), 1, 64), 16)
+        flags = {n: riesz.riesz_projector(low, riesz.ContourSpec(n=n, m=1)).dense
                  for n in range(2, 17)}
         assert dense == [n for n, flag in flags.items() if flag]
 

@@ -15,6 +15,7 @@ from hillgap.eigensolver import (
     eigenvalues,
     lexicographic_order,
     localization_report,
+    low_block,
     mark_converged,
     pair_eigenvalues,
     localization_radius,
@@ -297,35 +298,35 @@ class TestDecoupledSolve:
     def test_cut_matches_whole_window_m1(self, v, K, n, real):
         op = build_T(v, 1, K)
         whole = pair_eigenvalues(eigenvalues(op), n_max=n)
-        eigs = eigenvalues(op, n)
-        cut = pair_eigenvalues(eigs, n_max=n)
+        low = low_block(op, n)
+        cut = pair_eigenvalues(low, n_max=n)
         assert [r.n for r in cut.rows] == [r.n for r in whole.rows]
         assert cut.flagged == whole.flagged
         for a, b in zip(cut.rows, whole.rows):
             assert max(abs(a.d_lo - b.d_lo), abs(a.d_hi - b.d_hi)) <= 1e-11
-        assert len(eigs.values) < 2 * K and eigs.complete_below < math.inf
-        assert np.all(eigs.values.imag == 0) == real
+        assert len(low.matrix) < 2 * K and low.complete_below < math.inf
+        assert low.hermitian == real
 
     def test_strong_potential_grows_the_cut(self):
         v = vseq({2: 60.0, -2: 45j, 4: 30.0})
         # the cut starts at the modes |p| <= 7 and doubles until certified
-        assert len(eigenvalues(build_T(v, 1, 64), 4).values) > 8
+        assert len(low_block(build_T(v, 1, 64), 4).matrix) > 8
         # in a window too small to certify any cut, the whole window is solved
-        eigs = eigenvalues(build_T(v, 1, 8), 2)
-        assert len(eigs.values) == 16 and eigs.complete_below == math.inf
+        low = low_block(build_T(v, 1, 8), 2)
+        assert len(low.matrix) == 16 and low.complete_below == math.inf
 
     def test_pairing_past_complete_below_raises(self):
-        eigs = eigenvalues(build_T(vseq(TRIG), 1, 64), 2)
-        assert center(1, 2) < eigs.complete_below < center(1, 16)
-        assert len(pair_eigenvalues(eigs, n_max=2).rows) == 2
+        low = low_block(build_T(vseq(TRIG), 1, 64), 2)
+        assert center(1, 2) < low.complete_below < center(1, 16)
+        assert len(pair_eigenvalues(low, n_max=2).rows) == 2
         with pytest.raises(SolverError, match="left eigenvalues out"):
-            pair_eigenvalues(eigs, n_max=16)
+            pair_eigenvalues(low, n_max=16)
 
     def test_contour_past_complete_below_raises(self):
-        eigs = eigenvalues(build_T(vseq(TRIG), 1, 64), 2)
-        assert riesz_projector(eigs, ContourSpec(n=2, m=1)).block == 2
+        low = low_block(build_T(vseq(TRIG), 1, 64), 2)
+        assert riesz_projector(low, ContourSpec(n=2, m=1)).block == 2
         with pytest.raises(SolverError, match="left eigenvalues out"):
-            riesz_projector(eigs, ContourSpec(n=8, m=1))
+            riesz_projector(low, ContourSpec(n=8, m=1))
 
 
 class TestHighPrecisionOracle:
@@ -410,8 +411,8 @@ def per_pair_reference(op, n):
     modes +-(2n-1) decoupled from all 2K modes of the window, one pair at a
     time, and the closed form on the 2 x 2 block that remains."""
     mu = unperturbed_eigenvalues(op.m, op.K)
-    _, beta, _ = eigensolver._structure(op.matrix, mu)
-    _, g, _ = eigensolver._decouple(op.matrix, op.m, op.K, (2 * n - 1, 2 * n - 1), mu, beta)
+    beta, _ = eigensolver._structure(op.matrix, mu)
+    g, _ = eigensolver._decouple(op.matrix, op.m, op.K, (2 * n - 1, 2 * n - 1), mu, beta)
     return (g[0, 0] + g[1, 1]) / 2.0, np.sqrt((g[0, 0] - g[1, 1]) ** 2 + 4.0 * g[0, 1] * g[1, 0])
 
 
@@ -430,8 +431,8 @@ class TestBatchedRefinement:
     def test_pairs_match_per_pair_reference(self, m, name):
         v = self.POTENTIALS[name](m)
         op = build_T(v, m, 64)
-        for eigs in (eigenvalues(op), eigenvalues(op, 16)):
-            tab = pair_eigenvalues(eigs)
+        for low in (eigenvalues(op), low_block(op, 16)):
+            tab = pair_eigenvalues(low)
             assert len(tab.rows) == 16 and tab.unrefined == ()
             for row in tab.rows:
                 d, s = per_pair_reference(op, row.n)

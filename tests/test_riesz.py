@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hillgap import eigensolver
-from hillgap.eigensolver import SolverError, eigenvalues, pair_eigenvalues
+from hillgap.eigensolver import SolverError, eigenvalues, low_block, pair_eigenvalues
 from hillgap.operator import (
     TruncatedOperator,
     build_B,
@@ -21,7 +21,6 @@ from hillgap.riesz import (
     q0_matrix,
     riesz_projector,
     script_S_2x2,
-    tau_from_traces,
 )
 from hillgap.seqspace import (
     FourierSequence,
@@ -200,6 +199,21 @@ class TestRieszProjector:
             riesz_projector(eigs, ContourSpec(n=3, m=1))
         assert err.value.offending is not None
 
+    def test_dense_route_collision_carries_offender(self):
+        # a decoupled last mode planted at c + rho is an eigenvalue on the
+        # n = 3 contour; its distance to the diagonal of A^m blows up beta,
+        # so the pair certificate refuses the contour and the dense route's
+        # poles sigma - 1 / nu must catch it
+        contour = ContourSpec(n=3, m=1)
+        mat = build_T(random_potential(5), 1, 16).matrix.copy()
+        mat[-1, :] = mat[:, -1] = 0.0
+        mat[-1, -1] = contour.center + contour.radius
+        low = low_block(TruncatedOperator(1, 16, mat), 3)
+        assert not low.certifies((5, 5), contour.center, 4.0 * contour.radius)
+        with pytest.raises(ContourCollisionError) as err:
+            riesz_projector(low, contour)
+        assert err.value.offending == pytest.approx(contour.center + contour.radius, rel=1e-14)
+
     def test_node_halving_error_decays_geometrically(self):
         # a potential strong enough that the pair sits at a good fraction of
         # the contour radius: quadrature error then decays like q^N with
@@ -220,7 +234,7 @@ class TestRieszProjector:
 class TestTauFromTraces:
     def test_zero_potential(self):
         eigs = eigenvalues(build_T(vseq({}), 1, 16))
-        res = tau_from_traces(eigs, ContourSpec(n=2, m=1))
+        res = riesz_projector(eigs, ContourSpec(n=2, m=1))
         assert res.tau.real == pytest.approx(9 * PI2, rel=1e-12)
         assert abs(res.tr_q) <= 1e-10
 
@@ -230,14 +244,14 @@ class TestTauFromTraces:
             eigs = eigenvalues(build_T(v, 1, 32))
             table = pair_eigenvalues(eigs)
             for n in (2, 4, 6):
-                res = tau_from_traces(eigs, ContourSpec(n=n, m=1))
+                res = riesz_projector(eigs, ContourSpec(n=n, m=1))
                 tau_eig = table.row(n).tau
                 assert abs(res.tau - tau_eig) <= 1e-8 * (1 + abs(res.tau))
 
     def test_trace_identity_q(self):
         v = vseq({2: 0.7, -2: 0.7, 4: 0.3, -4: 0.3})
         eigs = eigenvalues(build_T(v, 1, 24))
-        res = tau_from_traces(eigs, ContourSpec(n=3, m=1))
+        res = riesz_projector(eigs, ContourSpec(n=3, m=1))
         c = 25 * PI2
         assert res.tr_q == pytest.approx(2 * (res.tau - c), abs=max(1e-9, 10 * res.quad_tol))
 
@@ -251,7 +265,7 @@ class TestTauFromTraces:
         coeffs = ORACLE_POTENTIALS[potential]
         want = 2.0 * mpmath_pair(coeffs, m, 16, n)[0]
         eigs = eigenvalues(build_T(vseq(coeffs), m, 16))
-        res = tau_from_traces(eigs, ContourSpec(n=n, m=m))
+        res = riesz_projector(eigs, ContourSpec(n=n, m=m))
         assert abs(res.tr_p - 2.0) <= 1e-12
         assert abs(res.tr_q - want) <= 1e-3 * abs(want)
 
