@@ -9,8 +9,10 @@ of each potential at order m for each K, certifies its spectrum once
 (untimed), and times riesz_projector on the n = 4 contour with 64 nodes.
 The weak trig potential leaves the contour's resonant pair certified
 (route "pair": a Riccati decoupling, no inverse); the strong one overwhelms
-the gaps at m = 1, so its contour takes the dense shift-invert (route
-"dense").  Prints one JSON object: for trig at the top level and for the
+the gaps at m = 1, so the pair certificate refuses its contour, whose poles
+come from one shift-invert of the smallest certified band of the low block
+(route "band"; checkouts before it took a shift-invert of the whole window
+there).  Prints one JSON object: for trig at the top level and for the
 strong potential under "strong", the median seconds per K over the
 repetitions, the K slope log2(t(K2) / t(K1)) / log2(K2 / K1) between
 neighbouring K, and per K the route and the number of eigenvalues the
@@ -34,7 +36,7 @@ STRONG = {2: 60.0, -2: 45j, 4: 30.0}
 
 def _route(pair):
     dense = getattr(pair, "dense", None)
-    return None if dense is None else ("dense" if dense else "pair")
+    return None if dense is None else ("band" if dense else "pair")
 
 
 def measure(hillgap, coeffs, ks, m, reps) -> dict:

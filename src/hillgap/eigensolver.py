@@ -17,8 +17,9 @@ fixed point, and the pair is the spectrum of the 2 x 2 block G_n left over.
 tau - c = tr G / 2 and gamma = sqrt((G11 - G22)^2 + 4 G12 G21) come from its
 entries, so gamma is rounded at its own scale, far below one ulp of the
 center.  Pairs the gaps do not certify (low n against a strong potential)
-are read from one eigvals of the smallest certified band |p| <= 2k - 1 and
-listed as unrefined.  riesz.py reads its contours' poles the same way.
+are listed as unrefined and read from the smallest certified band
+|p| <= 2k - 1, by one shift-invert of it in the center-free frame at each
+pair's center; riesz.py reads the contours the gaps refuse the same way.
 
 eigenvalues() alone takes an eigendecomposition, of the whole window (the
 symmetric one when T is Hermitian up to the scale of B(v), so real
@@ -453,24 +454,41 @@ def _pair_split(g: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]
     return d, _oriented(d, np.sqrt(disc))
 
 
-def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray):
-    """tau - c, gamma and hit count of the refused pairs ns from one eigvals
-    of the band |p| <= 2k - 1 of the low block, k the first of max(ns),
-    doubling, whose cut _grown_cut certifies with every refused disc left
-    of the rest; its eigenvalues are paired by disc membership."""
-    m, j = low.op.m, len(low.matrix) // 2
-    k, band, _ = _grown_cut(
-        low.matrix, m, j, np.zeros(2 * j), low.beta, int(ns.max()), float(np.max(c + radii)), 0.0
-    )
+def _certified_band(low: LowBlock, k: int, edge: float) -> np.ndarray:
+    """The center-free band |p| <= 2k' - 1 of the low block, k' the first of
+    k, 2k, ... whose cut _grown_cut certifies with everything left of edge
+    inside it."""
+    j = len(low.matrix) // 2
+    return _grown_cut(low.matrix, low.op.m, j, np.zeros(2 * j), low.beta, k, edge, 0.0)[1]
+
+
+def _shift_poles(band: np.ndarray, m: int, c: float, r: float) -> np.ndarray:
+    """Offsets from c of all the eigenvalues of the center-free band, as
+    2ir - 1 / nu over the eigenvalues nu of M = (c + 2ir - T)^{-1}.  M is
+    inverted in the center-free frame, diag((c - mu) + 2ir) - band, so
+    partial pivoting keeps the graded diagonal, and the poles near c, the
+    largest nu, are accurate at the scale of r.  SolverError when LAPACK
+    fails."""
+    shift = 2j * r
+    mu = unperturbed_eigenvalues(m, len(band) // 2)
     try:
-        vals = np.linalg.eigvals(band + np.diag(unperturbed_eigenvalues(m, k)))
-    except np.linalg.LinAlgError as exc:  # QR non-convergence
-        raise SolverError(f"grown-band pair eigensolve failed: {exc}") from exc
-    if low.hermitian:
-        vals = vals.real
+        return shift - 1.0 / np.linalg.eigvals(np.linalg.inv(np.diag((c - mu) + shift) - band))
+    except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
+        raise SolverError(f"band shift-invert failed: {exc}") from exc
+
+
+def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray):
+    """tau - c, gamma and hit count of the refused pairs ns, from one
+    _certified_band (from max(ns), every refused disc left of the rest)
+    whose poles _shift_poles reads at each pair's own center, paired by disc
+    membership."""
+    band = _certified_band(low, int(ns.max()), float(np.max(c + radii)))
     d, s, hits = np.zeros(len(ns), complex), np.zeros(len(ns), complex), np.zeros(len(ns), int)
     for i, (cn, r) in enumerate(zip(c, radii)):
-        inside = vals[np.abs(vals - cn) < r] - cn
+        delta = _shift_poles(band, low.op.m, cn, r)
+        if low.hermitian:
+            delta = delta.real
+        inside = delta[np.abs(delta) < r]
         hits[i] = len(inside)
         if hits[i] == 2:
             d[i], s[i] = (inside[0] + inside[1]) / 2.0, inside[1] - inside[0]

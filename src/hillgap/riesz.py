@@ -9,13 +9,13 @@ can see.  Where the gaps to the neighbouring centers certify it, the
 contour's two resonant modes are decoupled from the rest of the certified
 low block (eigensolver.low_block) by the eigensolver's per-pair reduction,
 and the pair's two eigenvalues come from a 2 x 2 block in the center-free
-frame: O(j^2) work per contour on a low block of 2j modes.  Elsewhere the
-contour takes one dense inverse at a shift off the contour and a block
-subspace iteration on it for the pair, certified to leave out no eigenvalue
-near the contour (else all of them are taken).  Either way the poles summed
-are the ones checked against the contour: no eigendecomposition of the
-block guards it.  The error estimate comes from comparing the
-full rule against its half-node subset, which reuses the same node traces.
+frame: O(j^2) work per contour on a low block of 2j modes.  Elsewhere, as
+for the pair rows the gaps refuse, the poles are all the eigenvalues of the
+smallest certified band of the low block, from one shift-invert of it in
+the center-free frame.  Either way the poles summed are the ones checked
+against the contour: no eigendecomposition of the block guards it.  The
+error estimate comes from comparing the full rule against its half-node
+subset, which reuses the same node traces.
 Node order is fixed, so runs are bit reproducible.
 """
 
@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqspace import FourierSequence, Parity, ParityError
-from .eigensolver import LowBlock, SolverError, _pair_split, _settle_pairs
+from .eigensolver import (
+    LowBlock, SolverError, _certified_band, _pair_split, _settle_pairs, _shift_poles,
+)
 from .operator import (
     build_B,
     center,
@@ -48,12 +50,8 @@ __all__ = [
 ]
 
 COLLISION_REL_TOL = 1e-6
-# a left-out eigenvalue |nu| <= 1 / (6 rho) of M is a pole >= 6 - 2 = 4 rho from the center
-CERT_FACTOR = 6.0
-# residual ||M X - X S||_F / ||M||_F of a converged block: a few ulps, a full eigvals' accuracy
-BLOCK_RESIDUAL_TOL = 1e-14
-# steps for the pair, enough for a convergence ratio |nu_3 / nu_2| up to 1/3
-BLOCK_MAX_STEPS = 30
+# a left-out pole sits >= 4 rho from the center: its trapezoid term is <= 4^-nodes
+POLE_MARGIN = 4.0
 
 
 class ContourCollisionError(RuntimeError):
@@ -102,9 +100,10 @@ class ContourSpec:
 class ProjectorPair:
     """Traces of the Riesz projector P of the perturbed operator: Tr P and
     Tr((T - center) P), their node-halving error estimate, the number of
-    eigenvalues they were summed over (block) and whether the contour took
-    the dense shift-inverse route.  The unperturbed traces are the constants
-    Tr P0 = 2 and Tr((A^m - center) P0) = 0."""
+    eigenvalues they were summed over (block) and whether the pair
+    certificate refused the contour (dense), whose poles then came from the
+    band shift-invert.  The unperturbed traces are the constants Tr P0 = 2
+    and Tr((A^m - center) P0) = 0."""
 
     contour: ContourSpec
     tr_p: complex
@@ -119,38 +118,15 @@ class ProjectorPair:
         return self.contour.center + self.tr_q / 2.0
 
 
-def _dominant_block(shift_inv: np.ndarray, rows: tuple[int, int], radius: float) -> np.ndarray:
-    """Rayleigh quotient S = X^H M X of M = shift_inv on the invariant
-    subspace X of its two largest eigenvalues, by block subspace iteration
-    X <- qr(M X) from the unit columns of the resonant rows.  ||S22||_F^2 =
-    ||M||_F^2 - ||X^H M||_F^2 - ||M X||_F^2 + ||S||_F^2 bounds the spectral
-    radius of M outside X by 1 / (CERT_FACTOR radius).  A pair that does not
-    converge within BLOCK_MAX_STEPS or misses the bound gives X = I, S = M."""
-    m_fro2 = np.vdot(shift_inv, shift_inv).real
-    tol = BLOCK_RESIDUAL_TOL * math.sqrt(m_fro2)
-    x = np.eye(len(shift_inv), dtype=complex)[:, list(rows)]
-    for _ in range(BLOCK_MAX_STEPS):
-        y = shift_inv @ x
-        s = x.conj().T @ y
-        if np.linalg.norm(y - x @ s) <= tol:
-            xm = x.conj().T @ shift_inv
-            s22 = m_fro2 - np.vdot(xm, xm).real - np.vdot(y, y).real + np.vdot(s, s).real
-            return s if s22 <= (1.0 / (CERT_FACTOR * radius)) ** 2 else shift_inv
-        x = np.linalg.qr(y)[0]
-    return shift_inv
-
-
 def _pair_poles(low: LowBlock, contour: ContourSpec) -> np.ndarray | None:
     """Offsets from the center of the resonant pair's two eigenvalues, from
     the eigensolver's per-pair reduction of the low block, when the gaps
     certify the modes +-(2n-1) apart from the rest with the disc reaching
-    (CERT_FACTOR - 2) rho: the other modes' Bauer-Fike discs and
-    complete_below then stay 4 rho from the center, so every left-out pole
-    has a trapezoid term <= 4^-nodes against an exact integral of zero.
-    None otherwise.  The center is never added."""
+    POLE_MARGIN rho: the other modes' Bauer-Fike discs and complete_below
+    then stay that far from the center.  None otherwise.  The center is
+    never added."""
     q = 2 * contour.n - 1
-    # the dense route's margin: its left-out poles sit >= CERT_FACTOR - 2 radii out
-    if not low.certifies((q, q), contour.center, (CERT_FACTOR - 2.0) * contour.radius):
+    if not low.certifies((q, q), contour.center, POLE_MARGIN * contour.radius):
         return None
     g = _settle_pairs(low.matrix, low.op.m, np.array([contour.n]))
     d, gamma = _pair_split(g, low.hermitian)
@@ -163,25 +139,20 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
     from its certified low block (eigensolver.low_block).
 
     Tr (lambda - T)^{-1} = sum_k 1 / (lambda - lambda_k) over the
-    eigenvalues of T.  A contour whose resonant pair _pair_poles certifies
-    sums over that pair alone, at the offsets rho u_j - delta_k of the node
-    from each eigenvalue.  Any other contour (a pole planted near it, a
-    potential strong against the gaps) takes one dense inverse
-    M = (sigma - T)^{-1} at the shift sigma = center + 2i radius off the
-    contour, with Tr (lambda - T)^{-1} = sum_k nu_k / (1 + z nu_k) over its
-    eigenvalues nu and z = lambda - sigma.  Its largest eigenvalues belong to
-    the contour's own modes, so its partial pivoting keeps the graded
-    diagonal of T accurate.  That sum runs over the certified dominant pair
-    of M (block 2), each pole left out outside the contour with a trapezoid
-    term <= 4^-nodes against an exact integral of zero, or else over all of
-    M (block dim).
+    eigenvalues of T, summed at the offsets rho u_j - delta_k of the node
+    from each pole the contour can see.  A contour whose resonant pair
+    _pair_poles certifies sums over that pair alone.  Any other contour (a
+    pole planted near it, a potential strong against the gaps) sums over all
+    the poles of eigensolver._certified_band from n, cut with everything
+    left of center + POLE_MARGIN radius inside, read by _shift_poles at the
+    shift center + 2i radius (block = the band's size).  Either way every
+    pole left out sits at least POLE_MARGIN radii from the center, with a
+    trapezoid term <= 4^-nodes against an exact integral of zero.
 
-    The contour is guarded on the poles it sums, the pair or
-    lambda = sigma - 1 / nu over the block: the certificates keep every
-    other eigenvalue at least 4 rho from the center, so one within
-    COLLISION_REL_TOL radii of the contour raises ContourCollisionError.  A
-    contour that reaches low.complete_below, a Riccati fixed point that does
-    not settle, or a failed LAPACK call raises SolverError.
+    The contour is guarded on the poles it sums, so an eigenvalue within
+    COLLISION_REL_TOL radii of it raises ContourCollisionError.  A contour
+    that reaches low.complete_below, a Riccati fixed point that does not
+    settle, or a failed LAPACK call raises SolverError.
     """
     op = low.op
     if op.m != contour.m:
@@ -190,7 +161,6 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
         raise ValueError(
             f"resonant modes +-{2 * contour.n - 1} fall outside the window (K = {op.K})"
         )
-    mat = op.matrix
     if contour.center + contour.radius * (1.0 + COLLISION_REL_TOL) >= low.complete_below:
         raise SolverError(
             f"contour around n = {contour.n} reaches {low.complete_below:.17g}, "
@@ -203,15 +173,8 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
     delta = _pair_poles(low, contour)
     dense = delta is None
     if dense:
-        shift = 2j * contour.radius
-        try:
-            shift_inv = np.linalg.inv((contour.center + shift) * np.eye(mat.shape[0]) - mat)
-            nu = np.linalg.eigvals(
-                _dominant_block(shift_inv, resonant_rows(op.K, contour.n), contour.radius)
-            )
-        except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
-            raise SolverError(f"contour shift-invert failed: {exc}") from exc
-        delta = shift - 1.0 / nu  # the poles lambda = sigma - 1 / nu, offset from the center
+        band = _certified_band(low, contour.n, contour.center + POLE_MARGIN * contour.radius)
+        delta = _shift_poles(band, op.m, contour.center, contour.radius)
     bad = np.abs(np.abs(delta) - contour.radius) < COLLISION_REL_TOL * contour.radius
     if np.any(bad):
         culprit = complex(contour.center + delta[np.argmax(bad)])
@@ -220,13 +183,7 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
             f"of the contour around index n = {contour.n}",
             offending=culprit,
         )
-    if dense:
-        # z_j = lambda_j - sigma from the offsets, so the nodes keep their full
-        # precision relative to the center
-        z = (offsets - shift)[:, None]
-        traces = np.sum(nu / (1.0 + z * nu), axis=1)
-    else:
-        traces = np.sum(1.0 / (offsets[:, None] - delta), axis=1)
+    traces = np.sum(1.0 / (offsets[:, None] - delta), axis=1)
     p_terms = ws * traces
     q_terms = p_terms * offsets
     tr_p, tr_q = np.sum(p_terms), np.sum(q_terms)

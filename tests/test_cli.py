@@ -11,7 +11,7 @@ import pytest
 
 from hillgap import cli, eigensolver, riesz
 from hillgap.cli import RunConfig, main
-from hillgap.eigensolver import eigenvalues, low_block
+from hillgap.eigensolver import eigenvalues, low_block, pair_eigenvalues
 from hillgap.operator import MAX_HALF_WINDOW, build_T
 from hillgap.seqspace import (
     FourierSequence,
@@ -624,7 +624,8 @@ class TestRieszCheckCommand:
 
     def test_pair_eigensolve_failure_exit_4(self, tmp_path, monkeypatch, capsys):
         # the strong potential's low pairs refuse their own 2 x 2 reduction,
-        # and the eigvals of the grown band they are read from fails in LAPACK
+        # and the eigvals of the band shift-invert they are read from fails in
+        # LAPACK: the one error of the route refused pairs and contours share
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -634,7 +635,7 @@ class TestRieszCheckCommand:
                      "--potential", pot, "--out", str(tmp_path / "rz.csv")])
         assert code == 4
         err = capsys.readouterr().err
-        assert "solver failure" in err and "pair eigensolve failed" in err
+        assert "solver failure" in err and "band shift-invert failed" in err
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_certified_contours_call_no_inverse(self, tmp_path, inv_calls, monkeypatch, m):
@@ -657,17 +658,25 @@ class TestRieszCheckCommand:
         assert inv_calls == [] and eig_calls == []
 
     def test_strong_potential_lists_dense_contours(self, tmp_path, inv_calls):
-        # the certificate refuses the low contours, whose gaps the potential
-        # overwhelms, and accepts the higher ones: one inverse per refused n
+        # the certificate refuses the low contours and pair rows, whose gaps
+        # the potential overwhelms, and accepts the higher ones: one inverse of
+        # a certified band per refused contour and per refused pair row, and
+        # none of the whole window
         pot = write_potential(tmp_path / "strong.json", STRONG)
         out = tmp_path / "rz.csv"
         main(["riesz-check", "--m", "1", "--K", "64", "--n-max", "16",
               "--potential", pot, "--out", str(out)])
+        shapes = list(inv_calls)
         _, rows, footer = read_csv(out)
         dense = footer["dense_contours"]
-        assert 0 < len(dense) < len(rows) and len(inv_calls) == len(dense)
-        assert dense == list(range(2, 2 + len(dense)))
         low = low_block(build_T(FourierSequence.make(Parity.EVEN, STRONG), 1, 64), 16)
+        table = pair_eigenvalues(low, n_max=16)
+        # the lowest refused pairs leave their discs and are flagged
+        refused = sorted(table.flagged) + list(table.unrefined)
+        assert refused == list(range(1, 1 + len(refused))) and len(refused) < 16
+        assert 0 < len(dense) < len(rows) and len(shapes) == len(dense) + len(refused)
+        assert all(shape[0] < 128 for shape in shapes)
+        assert dense == list(range(2, 2 + len(dense)))
         flags = {n: riesz.riesz_projector(low, riesz.ContourSpec(n=n, m=1)).dense
                  for n in range(2, 17)}
         assert dense == [n for n, flag in flags.items() if flag]

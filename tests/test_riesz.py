@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from conftest import _mp_eigenvalues
 
 from hillgap import eigensolver
 from hillgap.eigensolver import SolverError, eigenvalues, low_block, pair_eigenvalues
@@ -175,6 +177,27 @@ class TestRieszProjector:
             else:
                 assert pair.block == 2
         assert 0 < len(dense) < 16 and dense == list(range(1, len(dense) + 1))
+
+    def test_refused_contour_and_pair_match_oracle(self, mpmath_pair):
+        # the certificate refuses the n = 3 contour and the pair row n = 4,
+        # whose poles a shift-invert of the certified band reads near c to
+        # the scale of rho: both agree with a 30-digit eigensolve of the window
+        coeffs = {2: 60.0, -2: 45j, 4: 30.0}
+        op = build_T(vseq(coeffs), 1, 16)
+        contour = ContourSpec(n=3, m=1)
+        pair = riesz_projector(low_block(op, 3), contour)
+        assert pair.dense
+        ev = _mp_eigenvalues(tuple(sorted(coeffs.items())), 1, 16, 30)
+        with mp.workdps(30):
+            poles = [e - (5 * mp.pi) ** 2 for e in ev]
+            rho_u = [contour.radius * mp.expjpi(mp.mpf(2 * j) / contour.nodes)
+                     for j in range(contour.nodes)]
+            want = complex(mp.fsum(z / contour.nodes * mp.fsum(1 / (z - d) for d in poles)
+                                   for z in rho_u))
+        assert abs(pair.tr_p - want) <= 1e-13
+        table = pair_eigenvalues(low_block(op, 4), n_max=4)
+        assert 4 in table.unrefined
+        assert abs(table.row(4).d_tau - mpmath_pair(coeffs, 1, 16, 4)[0]) <= 1e-13
 
     def test_unsettled_pair_fixed_point_raises(self, monkeypatch):
         eigs = eigenvalues(build_T(random_potential(3), 1, 32))
