@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Cost of the pair table and of its two stages, the solve and the pair reading.
 
-    python3 bench/pair_solve_cost.py [--src SRC] [--K 256 512 1024] [--support 128] [--reps 3]
+    python3 bench/pair_solve_cost.py [--src SRC] [--K 256 512 1024] [--support 128]
+                                     [--radius 1.0] [--reps 3]
 
 Imports hillgap from SRC (default: the src/ next to this script), builds a
-complex rough potential of support |k| <= SUPPORT at order m = 1 (decay
-(1+2k)^-0.3, as in the asym-k256 workload; seed 11) and, per K with
-n = K/4, times
+complex rough potential of support |k| <= SUPPORT and weighted norm RADIUS
+at order m = 1 (decay (1+2k)^-0.3, as in the asym-k256 workload; seed 11)
+and, per K with n = K/4, times
 
     table  compute_pair_table(v, 1, K, n_max=n), build_T included
     solve  the solve the pairs are read from: the certified cut and the
@@ -19,6 +20,8 @@ Run it once with --src at each tree to compare two versions.  Prints one
 JSON object: the median seconds per K and stage over the repetitions, the
 rows and the unrefined (grown-band) rows of the table, and the K slope
 log2(t(K2) / t(K1)) / log2(K2 / K1) of each stage between neighbouring K.
+A large RADIUS (100, say) overwhelms the low gaps, so most pairs refuse
+their own reduction and are read from the grown band.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(REPO / "src"))
     parser.add_argument("--K", type=int, nargs="+", default=[256, 512, 1024])
     parser.add_argument("--support", type=int, default=128)
+    parser.add_argument("--radius", type=float, default=1.0)
     parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
@@ -66,7 +70,9 @@ def main(argv=None) -> int:
     else:
         solve = eigensolver.eigenvalues
 
-    spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": args.support}, radius=1.0, seed=11)
+    spec = PotentialSpec(
+        PotentialFamily.RANDOM_ROUGH, {"window": args.support}, radius=args.radius, seed=11
+    )
     v, _ = normalize_zero_mode(make_potential(spec, SobolevParams(m=1, alpha=0.25)))
     seconds, rows, unrefined = {}, {}, {}
     for K in args.K:
@@ -85,8 +91,8 @@ def main(argv=None) -> int:
         }
         for stage in STAGES
     }
-    print(json.dumps({"src": args.src, "m": 1, "support": args.support, "reps": args.reps,
-                      "seconds": seconds, "rows": rows, "unrefined": unrefined,
+    print(json.dumps({"src": args.src, "m": 1, "support": args.support, "radius": args.radius,
+                      "reps": args.reps, "seconds": seconds, "rows": rows, "unrefined": unrefined,
                       "k_slope": slopes}))
     return 0
 

@@ -21,10 +21,11 @@ are listed as unrefined and read from the smallest certified band
 |p| <= 2k - 1, by one shift-invert of it in the center-free frame at each
 pair's center; riesz.py reads the contours the gaps refuse the same way.
 
-eigenvalues() alone takes an eigendecomposition, of the whole window (the
-symmetric one when T is Hermitian up to the scale of B(v), so real
-potentials give exactly real spectra), certified by the residuals of its
-eigenvectors against T.
+localization_report reads its discs through the pair rows too, and its
+cone from one eigvals of a certified band.  Only eigenvalues() takes an
+eigendecomposition, of the whole window (the symmetric one when T is
+Hermitian up to the scale of B(v)), certified by the residuals of its
+eigenvectors against T; no command calls it.
 """
 
 from __future__ import annotations
@@ -272,22 +273,26 @@ def _grown_cut(mat, m, K, mu, beta, k, c, reach) -> tuple[int, np.ndarray, float
     return k, *_decouple(mat, m, K, (1, 2 * k - 1), mu, beta)
 
 
-def low_block(op: TruncatedOperator, n_max: int) -> LowBlock:
-    """The certified low block for the pairs n <= n_max: the cut |p| <= P,
-    P from 2 n_max - 1 doubling by _grown_cut, whose rho bounds B_L.  An
-    n_max >= K takes the whole window, with complete_below infinite."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+def _cut_block(op: TruncatedOperator, n_max: int, reach: float) -> LowBlock:
+    """The low block of the cut |p| <= P, P from 2 n_max - 1 doubling by
+    _grown_cut until it certifies the disc of radius reach around
+    center(m, n_max); its rho bounds B_L."""
     mat, m, K = op.matrix, op.m, op.K
     mu = unperturbed_eigenvalues(m, K)
     beta, hermitian = _structure(mat, mu)
     if not math.isfinite(beta):
         raise ValueError("operator matrix carries non-finite entries")
-    j, low, rho = _grown_cut(
-        mat, m, K, mu, beta, min(n_max, K), center(m, n_max), contour_radius(m, n_max)
-    )
+    j, low, rho = _grown_cut(mat, m, K, mu, beta, min(n_max, K), center(m, n_max), reach)
     complete_below = center(m, j + 1) - rho if j < K else math.inf
     return LowBlock(op, low, rho, hermitian, complete_below)
+
+
+def low_block(op: TruncatedOperator, n_max: int) -> LowBlock:
+    """The certified low block for the pairs n <= n_max, cut for the contour
+    of n_max; an n_max >= K takes the whole window (complete_below infinite)."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return _cut_block(op, n_max, contour_radius(op.m, n_max))
 
 
 def eigenvalues(op: TruncatedOperator) -> EigenList:
@@ -478,40 +483,41 @@ def _shift_poles(band: np.ndarray, m: int, c: float, r: float) -> np.ndarray:
 
 
 def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray):
-    """tau - c, gamma and hit count of the refused pairs ns, from one
-    _certified_band (from max(ns), every refused disc left of the rest)
-    whose poles _shift_poles reads at each pair's own center, paired by disc
-    membership."""
+    """tau - c, gamma and the offsets inside each disc of the refused pairs
+    ns, from one _certified_band (from max(ns), every refused disc left of
+    the rest) whose poles _shift_poles reads at each pair's own center,
+    paired by disc membership."""
     band = _certified_band(low, int(ns.max()), float(np.max(c + radii)))
-    d, s, hits = np.zeros(len(ns), complex), np.zeros(len(ns), complex), np.zeros(len(ns), int)
+    d, s, found = np.zeros(len(ns), complex), np.zeros(len(ns), complex), []
     for i, (cn, r) in enumerate(zip(c, radii)):
         delta = _shift_poles(band, low.op.m, cn, r)
         if low.hermitian:
             delta = delta.real
-        inside = delta[np.abs(delta) < r]
-        hits[i] = len(inside)
-        if hits[i] == 2:
-            d[i], s[i] = (inside[0] + inside[1]) / 2.0, inside[1] - inside[0]
-    return d, _oriented(d, s), hits
+        found.append(delta[np.abs(delta) < r])
+        if len(found[i]) == 2:
+            d[i], s[i] = (found[i][0] + found[i][1]) / 2.0, found[i][1] - found[i][0]
+    return d, _oriented(d, s), found
 
 
 def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray):
-    """tau - c, gamma and hit count of the disc of radius radii[i] around
-    center(m, ns[i]), and the ns read from the grown band.  A pair whose
-    modes low.certifies apart from the rest of the block, its disc clear of
-    the rest's eigenvalues, is the spectrum of its G_n; the refused pairs
-    take _grown_band."""
+    """tau - c, gamma and the offsets lambda - c inside the disc of radius
+    radii[i] around center(m, ns[i]), and the ns read from the grown band.
+    A pair whose modes low.certifies apart from the rest of the block, its
+    disc clear of the rest's eigenvalues, is the spectrum of its G_n, with
+    offsets d -+ gamma / 2; the refused pairs take _grown_band."""
     m = low.op.m
     c = np.array([center(m, n) for n in ns])
     ok = np.array([low.certifies((2 * n - 1,) * 2, cn, r) for n, cn, r in zip(ns, c, radii)], bool)
     d, gamma = np.zeros(len(ns), complex), np.zeros(len(ns), complex)
     if ok.any():
         d[ok], gamma[ok] = _pair_split(_settle_pairs(low.matrix, m, ns[ok]), low.hermitian)
-    ends = np.abs(d[:, None] + np.array([-0.5, 0.5]) * gamma[:, None])
-    hits = np.sum(ends < radii[:, None], axis=1)
+    ends = d[:, None] + np.array([-0.5, 0.5]) * gamma[:, None]
+    found = [e[np.abs(e) < r] for e, r in zip(ends, radii)]
     if not ok.all():
-        d[~ok], gamma[~ok], hits[~ok] = _grown_band(low, ns[~ok], c[~ok], radii[~ok])
-    return d, gamma, hits, tuple(int(n) for n in ns[~ok])
+        d[~ok], gamma[~ok], band = _grown_band(low, ns[~ok], c[~ok], radii[~ok])
+        for i, delta in zip(np.flatnonzero(~ok), band):
+            found[i] = delta
+    return d, gamma, found, tuple(int(n) for n in ns[~ok])
 
 
 def pair_eigenvalues(
@@ -540,12 +546,12 @@ def pair_eigenvalues(
                 f"pairing disc n = {n} reaches {low.complete_below:.17g}, "
                 "past which the solve left eigenvalues out"
             )
-    d, gamma, hits, grown = _pair_rows(low, np.array(ns), np.array(radii))
+    d, gamma, found, grown = _pair_rows(low, np.array(ns), np.array(radii))
     rows = tuple(
         EigenPairRow(n, center(m, n), complex(d[n - 1]), complex(gamma[n - 1]), 0j, r, False)
-        for n, r in zip(ns, radii) if hits[n - 1] == 2
+        for n, r in zip(ns, radii) if len(found[n - 1]) == 2
     )
-    flagged = {n: int(hits[n - 1]) for n in ns if hits[n - 1] != 2}
+    flagged = {n: len(found[n - 1]) for n in ns if len(found[n - 1]) != 2}
     unrefined = tuple(n for n in grown if n not in flagged)
     return EigenPairTable(m, K, rows, flagged, unrefined=unrefined)
 
@@ -632,7 +638,7 @@ class DiscCensusRow:
     n: int
     radius: float
     hits: int
-    max_deviation: float  # largest |lambda - center| among the hits; nan if none
+    max_deviation: float  # largest |lambda + v(0) - center| among the hits; nan if none
 
 
 @dataclass(frozen=True)
@@ -660,44 +666,38 @@ def localization_report(
     """Empirical localization census against the localization-disc radii.
 
     n0_empirical is the smallest N such that every disc with N < n <= K/4
-    holds exactly two eigenvalues inside radius 3^m sqrt(2) C R (2n-1)^{m a};
-    the cone census counts eigenvalues left of ((2n0)^{2m}-(2n0)^m) pi^{2m}
-    with the cone opening M set just above the largest imaginary part seen,
-    so the left edge is inactive at truncation.
+    holds exactly two eigenvalues lambda + v(0) inside radius
+    3^m sqrt(2) C R (2n-1)^{m a}, read by _pair_rows at radius r + |v(0)| on
+    the low block cut for the largest disc.  The cone census counts the
+    eigenvalues left of ((2n0)^{2m}-(2n0)^m) pi^{2m}, from one eigvals of
+    the certified band holding them, with cone_M one above their largest
+    imaginary part (at least 1), so the left edge is inactive.
     """
     v_norm, v0 = normalize_zero_mode(v)
-    eigs = eigenvalues(build_T(v_norm, m, K))
-    vals = eigs.values + v0
-    n_max = K // 4
-
+    op = build_T(v_norm, m, K)
+    n_max = max(K // 4, 1)
+    radii = [localization_radius(m, alpha, C, R, n) for n in range(1, K // 4 + 1)]
+    low = _cut_block(op, n_max, localization_radius(m, alpha, C, R, n_max) + abs(v0))
+    _, _, found, _ = _pair_rows(low, np.arange(1, K // 4 + 1), np.array(radii) + abs(v0))
     rows = []
-    for n in range(1, n_max + 1):
-        r = localization_radius(m, alpha, C, R, n)
-        dev = np.abs(vals - center(m, n))
-        inside = dev < r
-        max_dev = float(np.max(dev[inside])) if inside.any() else math.nan
-        rows.append(DiscCensusRow(n=n, radius=r, hits=int(inside.sum()), max_deviation=max_dev))
-    # the raw values carry the rounding of the whole solve; the pair rows
-    # resolve each pair far below one ulp of c
-    ns = np.array([row.n for row in rows if row.hits == 2], dtype=int)
-    d, gamma, hits, _ = _pair_rows(eigs, ns, np.array([rows[n - 1].radius for n in ns]))
-    for n, dn, g in zip(ns[hits == 2], d[hits == 2], gamma[hits == 2]):
-        dev = max(abs(dn - g / 2.0 + v0), abs(dn + g / 2.0 + v0))
-        rows[n - 1] = replace(rows[n - 1], max_deviation=dev)
+    for n, (r, delta) in enumerate(zip(radii, found), start=1):
+        dev = np.abs(delta + v0)
+        dev = dev[dev < r]
+        rows.append(DiscCensusRow(n, r, len(dev), float(dev.max()) if len(dev) else math.nan))
     n0 = max((row.n for row in rows if row.hits != 2), default=0)
 
-    big_m = max(1.0, float(np.max(np.abs(vals.imag)))) + 1.0
     thresh = ((2.0 * n0) ** (2 * m) - (2.0 * n0) ** m) * math.pi ** (2 * m)
+    edge = thresh - v0.real
+    if edge >= low.complete_below:  # the cone reaches past the cut: grow it
+        low = _cut_block(op, n_max, edge - center(m, n_max))
+    band = _certified_band(low, max(n0, 1), edge)
+    try:
+        vals = np.linalg.eigvals(band + np.diag(unperturbed_eigenvalues(m, len(band) // 2))) + v0
+    except np.linalg.LinAlgError as exc:  # QR non-convergence
+        raise SolverError(f"cone eigensolve failed: {exc}") from exc
+    big_m = max(1.0, float(np.max(np.abs(vals.imag)))) + 1.0
     in_cone = (vals.real >= np.abs(vals.imag) - big_m) & (vals.real <= thresh)
     return LocalizationReport(
-        m=m,
-        alpha=alpha,
-        R=R,
-        C=C,
-        K=K,
-        n0_empirical=n0,
-        cone_count=int(in_cone.sum()),
-        cone_threshold=thresh,
-        cone_M=big_m,
-        disc_rows=tuple(rows),
+        m=m, alpha=alpha, R=R, C=C, K=K, n0_empirical=n0, cone_count=int(in_cone.sum()),
+        cone_threshold=thresh, cone_M=big_m, disc_rows=tuple(rows),
     )

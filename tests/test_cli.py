@@ -600,12 +600,34 @@ class TestRieszCheckCommand:
         assert footer["max_block"] > 2
 
     def test_eigensolve_is_certified(self, tmp_path, trig_potential, monkeypatch, capsys):
-        # localize is the one command that eigendecomposes the window
-        monkeypatch.setattr(eigensolver, "_residual_max", lambda mat, values, vectors: 1.0)
+        # no command eigendecomposes the window: localize reads its discs
+        # through the certified pair rows, and a failure of the band
+        # shift-invert that refused discs fall back to exits 4
+        def no_eig(a):
+            raise AssertionError("localize took an eigendecomposition")
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        out = str(tmp_path / "loc.csv")
+        trig = ["localize", "--m", "1", "--K", "32", "--n-max", "4",
+                "--potential", trig_potential, "--out", out]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eig", no_eig)
+            patch.setattr(np.linalg, "eigh", no_eig)
+            assert main(trig) == 0
+        # the cone's one eigvals of its band fails in LAPACK
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvals", singular)
+            assert main(trig) == 4
+        assert "cone eigensolve failed" in capsys.readouterr().err
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        pot = write_potential(tmp_path / "strong.json", STRONG)
         code = main(["localize", "--m", "1", "--K", "32", "--n-max", "4",
-                     "--potential", trig_potential, "--out", str(tmp_path / "loc.csv")])
+                     "--potential", pot, "--out", out])
         assert code == 4
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "band shift-invert failed" in err
 
     def test_shift_invert_failure_exit_4(self, tmp_path, monkeypatch, capsys):
         # LinAlgError is a ValueError; it must not read as a configuration error.

@@ -280,6 +280,33 @@ class TestLocalization:
         # read 3.9e-3 there), so the deviation is |v(0)| to that bound
         assert abs(rep.disc_rows[-1].max_deviation - abs(v0)) < 1e-9
 
+    @pytest.mark.parametrize("K", [512, 1024])
+    def test_m3_census_holds_at_large_windows(self, K):
+        # every disc holds its pair: the census reads the pair offsets, not
+        # an eigensolve of the whole window, whose rounding at m = 3 grows
+        # with ||T|| past the disc radii at these K
+        rep = localization_report(vseq(TRIG), 3, 0.0, 1.0, 1.1, K)
+        assert rep.n0_empirical == 0 and rep.cone_count == 0
+        assert [d.hits for d in rep.disc_rows] == [2] * (K // 4)
+
+    def test_zero_mode_moves_pairs_out_of_their_discs(self):
+        # v(0) = 6 shifts every pair by more than the radius 1.1 * 3 sqrt(2):
+        # membership is of lambda + v(0), though the discs are read in the
+        # normalized frame
+        rep = localization_report(vseq({**TRIG, 0: 6.0}), 1, 0.0, 1.0, 1.1, 32)
+        assert [d.hits for d in rep.disc_rows] == [0] * 8
+        assert all(math.isnan(d.max_deviation) for d in rep.disc_rows)
+        assert rep.n0_empirical == 8 and rep.cone_count == 16
+
+    def test_cone_past_the_census_cut(self):
+        # v(0) = -1000 leaves every disc empty, so the cone runs to
+        # thresh + 1000 ~ 1093 pi^2, past the cut that certifies the last
+        # disc (complete_below ~ 1089 pi^2): the cone's cut is grown, and
+        # its 24 eigenvalues are those of the modes 11 <= |p| <= 33 (the
+        # cone's left edge is at lambda ~ 998 ~ 101 pi^2)
+        rep = localization_report(vseq({**TRIG, 0: -1000.0}), 1, 0.0, 1.0, 1.1, 64)
+        assert rep.n0_empirical == 16 and rep.cone_count == 24
+
 
 TRIG = {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
 
