@@ -4,7 +4,8 @@
 The contour around index n is the circle of radius (2n-1)^m at the center
 (2n-1)^{2m} pi^{2m}; trapezoidal quadrature on it is spectrally accurate.
 Each check pits the quadrature route against an independent one: the pair
-mean against the eigensolver, the correction value against its residue sum.
+mean against the eigensolver, the correction values against the second-order
+truncation of the eigensolver's 2 x 2 resonant block.
 """
 
 import math
@@ -15,7 +16,7 @@ from hillgap import (
     ContourSpec,
     FourierSequence,
     build_T,
-    l_direct,
+    correction_values,
     low_block,
     normalize_zero_mode,
     q0_closed_form,
@@ -65,9 +66,10 @@ print("Tr Q0 =", abs(np.trace(q0)))
 
 # =============================================================================
 # The second-order resonant block carries the correction values on its
-# off-diagonal; one pass of the residue sum gives the same two numbers.
+# off-diagonal; the pair mechanism's 2 x 2 block, truncated at second order,
+# gives the same two numbers.
 
 s2 = script_S_2x2(v, m, n, K)
-l_plus, l_minus = l_direct(v, m, n)
-print("correction l+ (contour) =", s2[0, 1], " (residue) =", l_plus)
-print("correction l- (contour) =", s2[1, 0], " (residue) =", l_minus)
+(l_plus,), (l_minus,) = correction_values(v, m, [n])
+print("correction l+ (contour) =", s2[0, 1], " (pair block) =", l_plus)
+print("correction l- (contour) =", s2[1, 0], " (pair block) =", l_minus)

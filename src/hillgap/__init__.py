@@ -27,6 +27,7 @@ from .operator import (
 from .eigensolver import (
     compute_pair_table,
     converge_truncation,
+    correction_values,
     eigenvalues,
     localization_radius,
     localization_report,
@@ -36,7 +37,6 @@ from .eigensolver import (
 )
 from .riesz import (
     ContourSpec,
-    l_direct,
     q0_closed_form,
     q0_matrix,
     riesz_projector,

@@ -15,7 +15,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from . import riesz
 from .seqspace import (
     DecayFit,
     FourierSequence,
@@ -24,7 +23,7 @@ from .seqspace import (
     normalize_zero_mode,
     weighted_norm,
 )
-from .eigensolver import EigenPairRow, EigenPairTable, compute_pair_table
+from .eigensolver import EigenPairRow, EigenPairTable, compute_pair_table, correction_values
 from .operator import center, contour_radius
 
 __all__ = [
@@ -61,11 +60,11 @@ class PredictionRow:
 def predict_pairs(v_raw: FourierSequence, m: int, ns: Sequence[int]) -> dict[int, PredictionRow]:
     """Predictions from the raw potential (zero mode intact), by n: the pair
     center + v(0) -+ sqrt(v(-2(2n-1)) v(2(2n-1))), and the corrected variant
-    with v replaced by v + l on the resonant indices, l for every n from one
-    pass of riesz.l_direct."""
+    with v replaced by v + l on the resonant indices, l for every n from
+    correction_values, the second-order truncation of each pair's block."""
     shift = v_raw(0)
     v0, _ = normalize_zero_mode(v_raw)
-    l_plus, l_minus = riesz.l_direct(v0, m, ns)
+    l_plus, l_minus = correction_values(v0, m, ns)
     preds = {}
     for n, lp, lm in zip(ns, l_plus, l_minus):
         c = center(m, n)

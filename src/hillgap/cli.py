@@ -32,6 +32,7 @@ from .eigensolver import (
     compute_pair_table,
     confirm_window,
     converge_truncation,
+    correction_values,
     localization_report,
     low_block,
     mark_converged,
@@ -519,7 +520,7 @@ def run_riesz_check(cfg: RunConfig) -> int:
     table = pair_eigenvalues(low, n_max=cfg.n_max)
 
     rows, max_block, dense_contours = [], 0, []
-    l_plus, l_minus = riesz.l_direct(v, cfg.m, np.arange(2, cfg.n_max + 1))
+    l_plus, l_minus = correction_values(v, cfg.m, np.arange(2, cfg.n_max + 1))
     for n in range(2, cfg.n_max + 1):
         contour = ContourSpec(n=n, m=cfg.m, nodes=cfg.quad_nodes)
         trace = riesz.riesz_projector(low, contour)

@@ -1,31 +1,25 @@
 """Dense spectra of the truncated operators and eigenvalue-pair extraction.
 
 A caller that reads only the pairs n <= n_max takes low_block(op, n_max): it
-cuts the window at the modes |p| <= P (L) and decouples the rest (H) by a
-similarity: the low invariant subspace is the graph [I; X] of the H x L
-solution X of the Riccati equation T_HL + T_HH X = X (T_LL + T_LH X), found
-by a fixed point that divides by the exact gaps mu_h - mu_l.  P starts at
-2 n_max - 1 and doubles until an a-priori contraction and separation
-certificate holds (at most the whole window).  The low block is kept free
-of the diagonal of A^m, B_L = (T_LL - diag mu_L) + T_LH X; every eigenvalue
-left of complete_below is one of its, and reading a disc or contour that
-reaches it raises SolverError.
+cuts the window at the modes |p| <= P (L), P from 2 n_max - 1 doubling until
+an a-priori contraction and separation certificate holds (at most the whole
+window), and decouples the rest (H) by the graph [I; X] of the solution X of
+the Riccati equation T_HL + T_HH X = X (T_LL + T_LH X), a fixed point over
+the exact gaps mu_h - mu_l.  The low block B_L is free of the diagonal of
+A^m and in a mirror form that keeps the window's J T J = T^T (J: p -> -p);
+every eigenvalue left of complete_below is one of its, and reading a disc or
+contour that reaches it raises SolverError.
 
 Each pair is read from B_L by the same reduction one level down: its modes
-+-(2n-1) are decoupled from the rest of the block, all pairs by one batched
-fixed point, and the pair is the spectrum of the 2 x 2 block G_n left over.
-tau - c = tr G / 2 and gamma = sqrt((G11 - G22)^2 + 4 G12 G21) come from its
-entries, so gamma is rounded at its own scale, far below one ulp of the
-center.  Pairs the gaps do not certify (low n against a strong potential)
-are listed as unrefined and read from the smallest certified band
-|p| <= 2k - 1, by one shift-invert of it in the center-free frame at each
-pair's center; riesz.py reads the contours the gaps refuse the same way.
-
-localization_report reads its discs through the pair rows too, and its
-cone from one eigvals of a certified band.  Only eigenvalues() takes an
-eigendecomposition, of the whole window (the symmetric one when T is
-Hermitian up to the scale of B(v)), certified by the residuals of its
-eigenvectors against T; no command calls it.
++-(2n-1) are decoupled from the rest, all pairs by one batched fixed point,
+tau - c = tr G / 2 of the 2 x 2 block G_n left over, and gamma comes from the
+mirror identity F11 = F22 of the pair's Feshbach block (_pair_split), with no
+step that subtracts two numbers the size of tau - c.  Pairs the gaps do not
+certify are listed as unrefined and read from the smallest certified band
+|p| <= 2k - 1, by one shift-invert of it at each pair's center; riesz.py
+reads the contours the gaps refuse the same way, and localization_report its
+discs through the pair rows.  Only eigenvalues() eigendecomposes the whole
+window (symmetrically when T is Hermitian), certified by its residuals.
 """
 
 from __future__ import annotations
@@ -39,6 +33,7 @@ from .seqspace import FourierSequence, normalize_zero_mode
 from .operator import (
     MAX_HALF_WINDOW,
     TruncatedOperator,
+    build_B,
     build_T,
     center,
     contour_radius,
@@ -61,6 +56,7 @@ __all__ = [
     "mark_converged",
     "confirm_window",
     "converge_truncation",
+    "correction_values",
     "LocalizationReport",
     "localization_report",
     "localization_radius",
@@ -106,16 +102,17 @@ def lexicographic_order(values, tol_scale: float = ORDER_TOL_SCALE) -> np.ndarra
 @dataclass(frozen=True)
 class LowBlock:
     """The window of op cut at the modes |p| <= 2j - 1 (all of it when
-    j = K): matrix is the center-free low block B_L = (T_LL - diag mu_L) +
-    T_LH X left once the modes above are decoupled, beta >= ||B_L||_2, and
-    every eigenvalue of T left of complete_below is one of the block's.
-    hermitian says T is Hermitian up to the scale of B(v)."""
+    j = K): matrix is the center-free low block B_L left once the modes
+    above are decoupled (_decouple), beta >= ||B_L||_2, and every eigenvalue
+    of T left of complete_below is one of the block's.  hermitian says T is
+    Hermitian up to the scale of B(v); hop is _hop of T."""
 
     op: TruncatedOperator
     matrix: np.ndarray
     beta: float
     hermitian: bool
     complete_below: float
+    hop: int
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -222,23 +219,46 @@ def _gaps(m: int, p_high: np.ndarray, p_low: np.ndarray) -> np.ndarray:
     return (h2 - l2) * total * math.pi ** (2 * m)
 
 
-def _decouple(
-    mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.ndarray, beta: float
-):
+def _hop(mat: np.ndarray) -> int:
+    """Largest index distance (at least 1) the Toeplitz coupling of mat spans."""
+    return 1 + max(int(np.flatnonzero(a[1:]).max(initial=0)) for a in (mat[0], mat[:, 0]))
+
+
+def _fixed_point(update, z: np.ndarray, span: int, what: str):
+    """z <- update(z) on a (rows, groups, columns) array for at least span
+    steps, then until each group's step is at most RICCATI_TOL of its norm
+    (or zero); z, the last step norms and the steps, or SolverError.  The norm alone
+    stops before the long chains of a finite-support B(v) arrive, far below
+    it yet carrying a whole gap: span, twice the steps the longest chain
+    that matters takes to arrive, lets each settle at its own scale."""
+    span = min(span, RICCATI_MAX_STEPS)
+    for count in range(1, RICCATI_MAX_STEPS + 1):
+        new = update(z)
+        # squared Frobenius norm of each group's step and of its iterate, over the real view
+        step2, size2 = (np.einsum("ijk,ijk->j", a.view(float), a.view(float)) for a in (new - z, new))
+        z = new
+        if np.all(step2 <= RICCATI_TOL**2 * size2) and (count >= span or not step2.any()):
+            return z, np.sqrt(step2), count
+    raise SolverError(f"{what} did not settle in {RICCATI_MAX_STEPS} steps")
+
+
+def _decouple(mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.ndarray, beta: float):
     """Split the window into the modes q_lo <= |p| <= q_hi (L) and the rest
-    (H), each in window order, and return the center-free low block
-    B_LL + T_LH X and rho; mu is the diagonal of A^m (zero for a matrix
-    that is already center-free) and beta bounds ||B||_2.
+    (H), each in window order, and return the center-free low block and
+    rho; mu is the diagonal of A^m (zero for a matrix that is already
+    center-free) and beta bounds ||B||_2.
 
     X solves T_HL + T_HH X = X (T_LL + T_LH X), so [I; X] spans the low
-    invariant subspace and the similarity [I 0; -X I] T [I 0; X I] is block
-    upper triangular.  It is the fixed point
-    X <- -(T_HL + B_HH X - X (B_LL + T_LH X)) / (mu_h - mu_l), B = T - diag(mu),
-    stopped once a step falls below RICCATI_TOL ||X||_F; SolverError when it
-    does not within RICCATI_MAX_STEPS.  The high block D_H + B_HH - X T_LH
-    has its eigenvalues within rho = beta (1 + ||X||_F + step) of the
-    diagonal D_H (Bauer-Fike); at the certified rate <= 1/2 the last step
-    bounds the distance to the exact X."""
+    invariant subspace; it is the _fixed_point
+    X <- -(T_HL + B_HH X - X (B_LL + T_LH X)) / (mu_h - mu_l), B = T - diag(mu).
+    The high block D_H + B_HH - X T_LH has its eigenvalues within
+    rho = beta (1 + ||X||_F + step) of D_H (Bauer-Fike); at the certified
+    rate <= 1/2 the last step bounds the distance to the exact X.  The block
+    is the mirror form E^{1/2} (T_LL + T_LH X) E^{-1/2}, E = I + W X,
+    W = J X^T J ([I W] spans the left invariant subspace): it keeps
+    J T J = T^T, so a pair's Feshbach block read from it has F11 = F22.
+    E^{-1/2} is a binomial series and diag(mu_L)'s commutator is taken over
+    the exact gaps: products only, so small entries keep their scale."""
     low, high = _band(K, band)
     p = modes(K)
     gaps = _gaps(m, p[high], p[low])
@@ -247,19 +267,38 @@ def _decouple(
     b_hh = mat[np.ix_(high, high)]
     b_hh.flat[:: len(high) + 1] -= mu[high]
     b_ll = mat[np.ix_(low, low)] - np.diag(mu[low])
-    x = -t_hl / gaps
-    for _ in range(RICCATI_MAX_STEPS):
-        new = (x @ (b_ll + t_lh @ x) - t_hl - b_hh @ x) / gaps
-        step = float(np.linalg.norm(new - x))
-        x = new
-        if step <= RICCATI_TOL * np.linalg.norm(x):
+
+    def riccati(rows, rest):  # the fixed point's step on the rows of X, the others held
+        t_l, t_h, b_h, g = t_lh[:, rows], t_hl[rows] + rest, b_hh[rows][:, rows], gaps[rows]
+        live, s = t_l.any(axis=0), len(g) // 2  # the rows of X that T_LH reads; H's two sides
+        s = 0 if b_h[:s, s:].any() or b_h[s:, :s].any() else s  # apart, unless B_HH couples them
+        return lambda z: ((z[:, 0] @ (b_ll + t_l[:, live] @ z[live, 0]) - t_h - np.concatenate(
+            [b_h[:s, :s] @ z[:s, 0], b_h[s:, s:] @ z[s:, 0]])) / g)[:, None]
+
+    what = f"Riccati fixed point for the modes {band[0]} <= |p| <= {band[1]}"
+    x, last, count = _fixed_point(riccati(slice(None), 0.0), (-t_hl / gaps)[:, None], 0, what)
+    x = x[:, 0]
+    rho = beta * (1.0 + float(np.linalg.norm(x)) + float(last[0]))
+    if not len(high):
+        return b_ll, rho
+    # rows within two hops of L carry the chains across the band into T_LH X: they run on
+    near = np.any(t_hl != 0, axis=1) | np.any(t_lh != 0, axis=0)
+    near |= np.any(b_hh[:, near] != 0, axis=1)
+    span = 2 * -(-(band[1] + 1) // _hop(mat))
+    if span > count:
+        step = riccati(near, b_hh[near][:, ~near] @ x[~near])
+        x[near] = _fixed_point(step, x[near][:, None], span - count, what)[0][:, 0]
+    n = x[::-1, ::-1].T @ x  # W X
+    inv_root, term = np.eye(len(n), dtype=complex) - n / 2, -n / 2
+    for k in range(2, RICCATI_MAX_STEPS + 1):  # (I + N)^{-1/2}
+        term = (0.5 - k) / k * (term @ n)
+        inv_root = inv_root + term
+        if np.linalg.norm(term) <= np.finfo(float).eps * np.linalg.norm(n):
             break
     else:
-        raise SolverError(
-            f"Riccati fixed point for the modes {band[0]} <= |p| <= {band[1]} did not "
-            f"settle in {RICCATI_MAX_STEPS} steps"
-        )
-    return b_ll + t_lh @ x, beta * (1.0 + float(np.linalg.norm(x)) + step)
+        raise SolverError(f"the mirror form of the modes |p| <= {band[1]} did not converge")
+    root = inv_root + n @ inv_root
+    return (root @ (b_ll + t_lh @ x) - root * _gaps(m, p[low], p[low])) @ inv_root, rho
 
 
 def _grown_cut(mat, m, K, mu, beta, k, c, reach) -> tuple[int, np.ndarray, float]:
@@ -284,7 +323,7 @@ def _cut_block(op: TruncatedOperator, n_max: int, reach: float) -> LowBlock:
         raise ValueError("operator matrix carries non-finite entries")
     j, low, rho = _grown_cut(mat, m, K, mu, beta, min(n_max, K), center(m, n_max), reach)
     complete_below = center(m, j + 1) - rho if j < K else math.inf
-    return LowBlock(op, low, rho, hermitian, complete_below)
+    return LowBlock(op, low, rho, hermitian, complete_below, _hop(mat))
 
 
 def low_block(op: TruncatedOperator, n_max: int) -> LowBlock:
@@ -335,7 +374,7 @@ class EigenPairRow:
     """One pair as d_tau = tau - center(m, n) and gamma = lambda_hi -
     lambda_lo in the zero-mode-normalized frame, next to the zero mode v0
     split off before the solve; d_lo, d_hi and the absolute values derive
-    from them, so gamma keeps its precision far below one ulp of d_tau."""
+    from them, and gamma (_pair_split) keeps its digits below ulp(d_tau)."""
 
     n: int
     center: float
@@ -386,56 +425,34 @@ class EigenPairTable:
         raise KeyError(f"no paired row for n = {n}")
 
 
-def _check_disc_overlap(m: int, radius_rule, n_max: int):
-    for n in range(1, n_max):
-        if center(m, n + 1) - center(m, n) <= radius_rule(m, n) + radius_rule(m, n + 1):
-            raise PairingConfigError(
-                f"pairing discs for n = {n} and n = {n + 1} overlap"
-            )
-
-
-def _settle_pairs(b: np.ndarray, m: int, ns: np.ndarray) -> np.ndarray:
-    """The 2 x 2 blocks G_n = B_PP + B_PR Z_n (N, 2, 2) that the modes
-    +-(2n-1) (P) of the center-free block b keep once the rest (R) is
-    decoupled from them, for all n in ns at once: Z_n solves
-    B_RP + (D_R - c_n + B_RR) Z = Z G_n by the fixed point
-    Z <- (Z G - B_RP - B_RR Z) / (mu_r - c_n) over the gaps of _gaps.  Each
-    Z_n is a (2j, 2) column pair with zero rows P, so one product b Z serves
-    every pair.  The iteration stops once each step is at most
-    RICCATI_TOL ||Z_n||_F and reached no entry of Z still zero: a potential
-    of finite support couples the two modes only through chains of modes,
-    one longer per step, far below that tolerance yet carrying all of gamma.
-    SolverError when the steps have not settled in RICCATI_MAX_STEPS."""
-    j, count = len(b) // 2, len(ns)
+def _pair_frame(b: np.ndarray, m: int, ns: np.ndarray):
+    """For all n in ns: the rows (N, 2) of the modes -(2n-1), 2n-1 (P) of
+    the center-free block b, the gaps mu_r - c_n (2j, N, 1), infinite on the
+    rows P so that they stay zero, and the columns B_RP (2j, N, 2)."""
+    j = len(b) // 2
     rows = np.stack(resonant_rows(j, ns), axis=1)
-    pick = np.arange(count)[:, None]
     gaps = _gaps(m, modes(j), 2 * ns - 1)
-    gaps[rows, pick] = np.inf  # holds the rows in P at zero
-    gaps = gaps[:, :, None]
-    cols = np.ascontiguousarray(b[:, rows])  # (2j, N, 2): B_RP of each pair, B_PP in rows P
+    gaps[rows, np.arange(len(ns))[:, None]] = np.inf
+    return rows, gaps[:, :, None], np.ascontiguousarray(b[:, rows])
+
+
+def _settle_pairs(b: np.ndarray, m: int, ns: np.ndarray, span: int):
+    """The 2 x 2 blocks G_n = B_PP + B_PR Z_n (N, 2, 2) the modes +-(2n-1)
+    (P) of the center-free block b keep once the rest (R) is decoupled, Z
+    (2j, N, 2): B_RP + (D_R - c_n + B_RR) Z = Z G_n by the _fixed_point
+    Z <- (Z G - B_RP - B_RR Z) / (mu_r - c_n) from -B_RP / (mu_r - c_n), at
+    which G_n is the second-order truncation (correction_values), and the _pair_frame."""
+    rows, gaps, cols = _pair_frame(b, m, ns)
+    pick = np.arange(len(ns))[:, None]
     b_pp = cols[rows, pick]
-    z, reached = -cols / gaps, 0
-    for _ in range(RICCATI_MAX_STEPS):
-        bz = (b @ z.reshape(2 * j, -1)).reshape(z.shape)
-        new = np.empty(z.shape, complex)  # Z G per pair, written in the (2j, N, 2) layout
-        np.matmul(z.transpose(1, 0, 2), b_pp + bz[rows, pick], out=new.transpose(1, 0, 2))
-        new -= cols + bz
-        new /= gaps
-        # squared Frobenius norm of each pair's step and of its Z, over the real view
-        step2, size2 = (np.einsum("ijk,ijk->j", a.view(float), a.view(float))
-                        for a in (new - z, new))
-        z = new
-        settled = bool(np.all(step2 <= RICCATI_TOL**2 * size2))
-        nonzero = np.count_nonzero(z)
-        if settled and nonzero == reached:
-            break
-        reached = nonzero
-    if not settled:
-        raise SolverError(
-            f"Riccati fixed point for the pairs n <= {max(ns)} did not settle in "
-            f"{RICCATI_MAX_STEPS} steps"
-        )
-    return b_pp + b[rows] @ z.transpose(1, 0, 2)
+
+    def step(z):
+        bz = (b @ z.reshape(len(b), -1)).reshape(z.shape)
+        zg = z.transpose(1, 0, 2) @ (b_pp + bz[rows, pick])  # Z G per pair
+        return (zg.transpose(1, 0, 2) - cols - bz) / gaps
+
+    z = _fixed_point(step, -cols / gaps, span, f"Riccati fixed point for the pairs n <= {max(ns)}")[0]
+    return b_pp + b[rows] @ z.transpose(1, 0, 2), z, (rows, gaps, cols)
 
 
 def _oriented(d: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -447,16 +464,44 @@ def _oriented(d: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.where((major < 0) | ((major == 0) & (minor < 0)), -s, s)
 
 
-def _pair_split(g: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
-    """tau - c = tr G / 2 and gamma = sqrt((G11 - G22)^2 + 4 G12 G21) of each
-    2 x 2 block G, never from eigvals(G).  A Hermitian T has real pairs and
-    G is only similar to a Hermitian block: the rounding's imaginary parts
-    are dropped."""
+def _pair_split(b: np.ndarray, m: int, ns: np.ndarray, hop: int, hermitian: bool):
+    """tau - c = tr G / 2 (_settle_pairs) and gamma of each pair of the
+    center-free block b.  With A = D + b - c, R(d) = (d - A_QQ)^{-1} and
+    F(d) = A_PP + A_PQ R(d) A_QP, J T J = T^T makes F11 = F22, so the ends
+    solve d_+- = F11(d_+-) +- s(d_+-), s = sqrt(F12) sqrt(F21) (no
+    underflow, one branch at both ends), and the resolvent identity gives
+    gamma = (s(d_+) + s(d_-)) / (1 + h), h = [A_PQ R(d_+) R(d_-) A_QP]_11:
+    no step subtracts two numbers the size of tau - c.  F is read at the
+    ends d -+ sqrt(tr^2 G / 4 - det G), good to one ulp of tau - c.  A
+    Hermitian T has real pairs: the real part of d and the modulus of gamma."""
+    span = 2 * -(-(2 * int(ns.max()) - 1) // hop)  # twice the steps of the top pair's chain
+    g, z, (rows, gaps, cols) = _settle_pairs(b, m, ns, span)
     d = (g[:, 0, 0] + g[:, 1, 1]) / 2.0
-    disc = (g[:, 0, 0] - g[:, 1, 1]) ** 2 + 4.0 * g[:, 0, 1] * g[:, 1, 0]
+    half = np.sqrt((g[:, 0, 0] - g[:, 1, 1]) ** 2 + 4.0 * g[:, 0, 1] * g[:, 1, 0]) / 2.0
+    rhs, shifted = np.tile(cols, 2), gaps - (d[:, None] + np.stack([half, -half], axis=1)).repeat(2, 1)
+    # from Z of G: R(d_+-) A_QP differs from it by Z (G - d_+-) / gaps
+    z = _fixed_point(lambda z: -(rhs + (b @ z.reshape(len(b), -1)).reshape(z.shape)) / shifted,
+                     np.tile(z, 2), span, "pair resolvent")[0]
+    f = rhs[rows, np.arange(len(ns))[:, None]] + b[rows] @ z.transpose(1, 0, 2)  # F at both ends
+    s = [np.sqrt(f[:, 0, 1 + e]) * np.sqrt(f[:, 1, e]) for e in (0, 2)]
+    s[1] = np.where((s[1] * s[0].conj()).real < 0.0, -s[1], s[1])
+    # h, with A_PQ R(d_+) = (J R(d_+) A_QP J_P)^T by the mirror identity: no third solve
+    gamma = (s[0] + s[1]) / (1.0 + np.einsum("rn,rn->n", z[::-1, :, 1], z[:, :, 2]))
     if hermitian:
-        d, disc = d.real + 0j, np.maximum(disc.real, 0.0) + 0j
-    return d, _oriented(d, np.sqrt(disc))
+        return d.real + 0j, np.abs(gamma) + 0j
+    return d, _oriented(d, gamma)
+
+
+def correction_values(v: FourierSequence, m: int, ns) -> tuple[np.ndarray, np.ndarray]:
+    """(l_+, l_-) at +-2(2n-1) for each n in ns: the off-diagonal of
+    -B_PR B_RP / (mu_r - c_n), the second-order term of G_n at the start of
+    _settle_pairs, on B(v) over the window that holds every chain
+    +-(2n-1) -> p -> -+(2n-1), |p| <= S - (2n-1) for the support S of v."""
+    ns = np.asarray(ns, dtype=int).reshape(-1)
+    b = build_B(v, m, max(int(ns.max(initial=1)), max(map(abs, v.support()), default=0) // 2)).matrix
+    rows, gaps, cols = _pair_frame(b, m, ns)
+    l2 = 0.0 - b[rows] @ (cols / gaps).transpose(1, 0, 2)  # 0 - x: a zero imaginary part is +0
+    return l2[:, 1, 0], l2[:, 0, 1]
 
 
 def _certified_band(low: LowBlock, k: int, edge: float) -> np.ndarray:
@@ -501,16 +546,15 @@ def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray)
 
 def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray):
     """tau - c, gamma and the offsets lambda - c inside the disc of radius
-    radii[i] around center(m, ns[i]), and the ns read from the grown band.
-    A pair whose modes low.certifies apart from the rest of the block, its
-    disc clear of the rest's eigenvalues, is the spectrum of its G_n, with
-    offsets d -+ gamma / 2; the refused pairs take _grown_band."""
+    radii[i] around center(m, ns[i]), and the ns read from the grown band:
+    a pair whose modes low.certifies apart from the rest of the block is
+    read by _pair_split, offsets d -+ gamma / 2; the rest by _grown_band."""
     m = low.op.m
     c = np.array([center(m, n) for n in ns])
     ok = np.array([low.certifies((2 * n - 1,) * 2, cn, r) for n, cn, r in zip(ns, c, radii)], bool)
     d, gamma = np.zeros(len(ns), complex), np.zeros(len(ns), complex)
     if ok.any():
-        d[ok], gamma[ok] = _pair_split(_settle_pairs(low.matrix, m, ns[ok]), low.hermitian)
+        d[ok], gamma[ok] = _pair_split(low.matrix, m, ns[ok], low.hop, low.hermitian)
     ends = d[:, None] + np.array([-0.5, 0.5]) * gamma[:, None]
     found = [e[np.abs(e) < r] for e, r in zip(ends, radii)]
     if not ok.all():
@@ -537,7 +581,9 @@ def pair_eigenvalues(
         raise PairingConfigError(
             f"window K = {K} too small for n_max = {n_max} (need K >= 4 n_max)"
         )
-    _check_disc_overlap(m, radius_rule, n_max)
+    for n in range(1, n_max):
+        if center(m, n + 1) - center(m, n) <= radius_rule(m, n) + radius_rule(m, n + 1):
+            raise PairingConfigError(f"pairing discs for n = {n} and n = {n + 1} overlap")
     ns = range(1, n_max + 1)
     radii = [float(radius_rule(m, n)) for n in ns]
     for n, r in zip(ns, radii):

@@ -1,5 +1,6 @@
 """Contour-quadrature Riesz projectors, trace identities, and the
-second-order correction values l_+- computed two independent ways.
+second-order resonant block by quadrature (script_S_2x2, whose off-diagonal
+riesz-check compares with eigensolver.correction_values).
 
 Quadrature is the trapezoidal rule on the circle of radius (2n-1)^m around
 the unperturbed center, spectrally accurate for the analytic integrands at
@@ -26,17 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqspace import FourierSequence, Parity, ParityError
-from .eigensolver import (
-    LowBlock, SolverError, _certified_band, _pair_split, _settle_pairs, _shift_poles,
-)
-from .operator import (
-    build_B,
-    center,
-    contour_radius,
-    resonant_rows,
-    unperturbed_eigenvalues,
-)
+from .seqspace import FourierSequence
+from .eigensolver import LowBlock, SolverError, _certified_band, _pair_split, _shift_poles
+from .operator import build_B, center, contour_radius, resonant_rows, unperturbed_eigenvalues
 
 __all__ = [
     "ContourCollisionError",
@@ -46,7 +39,6 @@ __all__ = [
     "q0_matrix",
     "q0_closed_form",
     "script_S_2x2",
-    "l_direct",
 ]
 
 COLLISION_REL_TOL = 1e-6
@@ -119,17 +111,14 @@ class ProjectorPair:
 
 
 def _pair_poles(low: LowBlock, contour: ContourSpec) -> np.ndarray | None:
-    """Offsets from the center of the resonant pair's two eigenvalues, from
+    """Offsets from the center of the resonant pair's two eigenvalues, by
     the eigensolver's per-pair reduction of the low block, when the gaps
     certify the modes +-(2n-1) apart from the rest with the disc reaching
-    POLE_MARGIN rho: the other modes' Bauer-Fike discs and complete_below
-    then stay that far from the center.  None otherwise.  The center is
-    never added."""
+    POLE_MARGIN rho (the other modes' discs then stay that far); else None."""
     q = 2 * contour.n - 1
     if not low.certifies((q, q), contour.center, POLE_MARGIN * contour.radius):
         return None
-    g = _settle_pairs(low.matrix, low.op.m, np.array([contour.n]))
-    d, gamma = _pair_split(g, low.hermitian)
+    d, gamma = _pair_split(low.matrix, low.op.m, np.array([contour.n]), low.hop, low.hermitian)
     return d + np.array([-0.5, 0.5]) * gamma
 
 
@@ -138,21 +127,19 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
     P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda for the operator T = low.op,
     from its certified low block (eigensolver.low_block).
 
-    Tr (lambda - T)^{-1} = sum_k 1 / (lambda - lambda_k) over the
-    eigenvalues of T, summed at the offsets rho u_j - delta_k of the node
-    from each pole the contour can see.  A contour whose resonant pair
-    _pair_poles certifies sums over that pair alone.  Any other contour (a
-    pole planted near it, a potential strong against the gaps) sums over all
-    the poles of eigensolver._certified_band from n, cut with everything
-    left of center + POLE_MARGIN radius inside, read by _shift_poles at the
-    shift center + 2i radius (block = the band's size).  Either way every
-    pole left out sits at least POLE_MARGIN radii from the center, with a
-    trapezoid term <= 4^-nodes against an exact integral of zero.
+    Tr (lambda - T)^{-1} = sum_k 1 / (lambda - lambda_k) over the poles
+    the contour can see, at the offsets rho u_j - delta_k of each node.  A
+    contour whose resonant pair _pair_poles certifies sums over that pair
+    alone; any other (a pole planted near it, a potential strong against
+    the gaps) over all the poles of eigensolver._certified_band from n, cut
+    with everything left of center + POLE_MARGIN radius inside, read by
+    _shift_poles at center + 2i radius (block = the band's size).  Every
+    pole left out sits at least POLE_MARGIN radii away, with a trapezoid
+    term <= 4^-nodes against an exact integral of zero.
 
-    The contour is guarded on the poles it sums, so an eigenvalue within
-    COLLISION_REL_TOL radii of it raises ContourCollisionError.  A contour
-    that reaches low.complete_below, a Riccati fixed point that does not
-    settle, or a failed LAPACK call raises SolverError.
+    An eigenvalue within COLLISION_REL_TOL radii of the contour raises
+    ContourCollisionError; a contour that reaches low.complete_below, a
+    fixed point that does not settle or a failed LAPACK call, SolverError.
     """
     op = low.op
     if op.m != contour.m:
@@ -242,7 +229,8 @@ def script_S_2x2(
     (1/2 pi i) \\oint P0 (lambda - A^m)^{-1} B (lambda - A^m)^{-1} B P0 d lambda.
 
     Off-diagonal entries are the correction values, [0, 1] = l_+ and
-    [1, 0] = l_- of l_direct; diagonal entries the resonant self-energy.
+    [1, 0] = l_- of eigensolver.correction_values; diagonal entries the
+    resonant self-energy.
     """
     contour, lams, ws, b, d = _free_nodes(v, m, n, K, nodes)
     i_minus, i_plus = resonant_rows(K, n)
@@ -251,37 +239,3 @@ def script_S_2x2(
     cols = b[:, idx]          # and columns
     # the node sum folds into one weight per intermediate mode
     return (rows * ((ws / (lams - contour.center)) @ d)) @ cols
-
-
-def l_direct(v: FourierSequence, m: int, n: int | np.ndarray) -> tuple:
-    """Residue route to the correction values (l_+, l_-) at +-2(2n-1), both
-    from one pass over the potential's window:
-    l_+ = (1/pi^{2m}) sum_j v(2n-2j) v(2n+2j-2) / ((2n-1)^{2m} - (2j-1)^{2m})
-    over odd modes 2j-1 != +-(2n-1), and l_- the same sum with v reflected
-    through the origin, v(2j-2n) v(2-2n-2j).  n may be an array of indices;
-    the values then take its shape, all from one pass.
-
-    The denominator factors as ((2n-1)^m - (2j-1)^m)((2n-1)^m + (2j-1)^m),
-    so this is the odd-lattice form of the quadratic correction sequence.
-    Each is the exact integer (2n-1)^{2m} - (2j-1)^{2m}, rounded once.
-    """
-    if v.parity is not Parity.EVEN:
-        raise ParityError("potentials must live on the even lattice")
-    if v(0) != 0:
-        raise ValueError("the correction sequence requires v(0) = 0")
-    ns = np.asarray(n, dtype=int)
-    half = v.window // 2
-    coef = np.array([v(2 * k) for k in range(-half, half + 1)])
-
-    def at(k):  # v(2k), zero outside the window
-        inside = np.abs(k) <= half
-        return np.where(inside, coef[np.where(inside, k + half, 0)], 0.0)
-
-    t = np.arange(-half, half + 1)  # j - n
-    q = 2 * ns.reshape(-1, 1) - 1
-    p = q + 2 * t
-    den = (q.astype(object) ** (2 * m) - p.astype(object) ** (2 * m)).astype(float)
-    den[(p == q) | (p == -q)] = math.inf  # the resonant modes are left out
-    plus = np.sum(at(-t) * at(q + t) / den, axis=1) / math.pi ** (2 * m)
-    minus = np.sum(at(t) * at(-q - t) / den, axis=1) / math.pi ** (2 * m)
-    return plus.reshape(ns.shape)[()], minus.reshape(ns.shape)[()]

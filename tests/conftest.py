@@ -1,8 +1,11 @@
 import functools
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+
+from hillgap.seqspace import Parity, ParityError
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,6 +97,81 @@ def feshbach_pair():
     return _feshbach_pair
 
 
+def _feshbach_gap(coeffs, m, K, n, dps=80):
+    """(tau_n - center(m, n), gamma_n) of the window-K operator, in the
+    working precision, each end of the pair solved on its own.
+
+    With A = T - c, P = {+-(2n-1)} and the rest Q,
+    F(d) = A_PP + A_PQ (d - A_QQ)^{-1} A_QP, and the ends are the fixed
+    points d = f(d) -+ sqrt(e(d)^2 + F12 F21), f and e the mean and half
+    difference of F's diagonal, found by the secant method from d = 0.
+    (d - A_QQ)^{-1} A_QP comes from Gaussian elimination on the band of
+    A_QQ, without pivoting: its diagonal dominates.  gamma = hi - lo is
+    taken in the working precision, so a gap far below one ulp of the ends
+    keeps its digits."""
+    v = {k: mp.mpc(x) for k, x in coeffs.items() if k != 0 and x != 0}
+    width = max((abs(k) // 2 for k in v), default=0) + 1  # band of A_QQ, P's rows taken out
+    with mp.workdps(dps):
+        q = 2 * n - 1
+        p = [2 * k - 1 for k in range(-K + 1, K + 1) if abs(2 * k - 1) != q]
+        c = (q * mp.pi) ** (2 * m)
+        diag = [(x * mp.pi) ** (2 * m) - c for x in p]
+        band = [{j: -v[p[i] - p[j]] for j in range(max(0, i - width), min(len(p), i + width + 1))
+                 if p[i] - p[j] in v} for i in range(len(p))]
+        cols = [[v.get(x + q, mp.mpc(0)), v.get(x - q, mp.mpc(0))] for x in p]  # A_QP
+
+        def feshbach(d):
+            rows = [{**r, i: d - diag[i]} for i, r in enumerate(band)]
+            rhs = [list(r) for r in cols]
+            for k in range(len(p)):
+                for i in range(k + 1, min(len(p), k + width + 1)):
+                    if k in rows[i]:
+                        f = rows[i].pop(k) / rows[k][k]
+                        for j, a in rows[k].items():
+                            if j > k:
+                                rows[i][j] = rows[i].get(j, 0) - f * a
+                        rhs[i] = [x - f * y for x, y in zip(rhs[i], rhs[k])]
+            x = [None] * len(p)
+            for k in reversed(range(len(p))):
+                acc = rhs[k]
+                for j, a in rows[k].items():
+                    if j > k:
+                        acc = [s - a * y for s, y in zip(acc, x[j])]
+                x[k] = [s / rows[k][k] for s in acc]
+            # F over the modes (-(2n-1), 2n-1); v(0) = 0 is left out of v
+            return [[v.get(a - b, mp.mpc(0)) + mp.fsum(v.get(a - x, 0) * y[col] for x, y in zip(p, x))
+                     for col, b in enumerate((-q, q))] for a in (-q, q)]
+
+        def residual(d, sign):
+            f = feshbach(d)
+            e = (f[0][0] - f[1][1]) / 2
+            return (f[0][0] + f[1][1]) / 2 + sign * mp.sqrt(e * e + f[0][1] * f[1][0]) - d
+
+        ends = []
+        for sign in (-1, 1):
+            d0, g0 = mp.mpc(0), residual(mp.mpc(0), sign)
+            d1 = d0 + g0
+            for _ in range(30):
+                g1 = residual(d1, sign)
+                if abs(g1) <= mp.mpf(10) ** (5 - dps):
+                    break
+                d0, d1, g0 = d1, d1 - g1 * (d1 - d0) / (g1 - g0), g1
+            else:
+                raise RuntimeError("secant iteration did not converge")
+            ends.append(d1)
+        return complex((ends[0] + ends[1]) / 2), complex(ends[1] - ends[0])
+
+
+@pytest.fixture(scope="session")
+def feshbach_gap():
+    """(tau_n - center(m, n), gamma_n) of the window-K operator with Fourier
+    coefficients coeffs from a dps-digit two-end Feshbach solve
+    (_feshbach_gap): unlike feshbach_pair, which rounds each end to
+    binary64, it resolves a gap far below one ulp of tau - c.  Called as
+    feshbach_gap(coeffs, m, K, n, dps=80)."""
+    return _feshbach_gap
+
+
 @pytest.fixture
 def inv_calls(monkeypatch):
     """Shapes of the np.linalg.inv calls made while the test runs."""
@@ -105,3 +183,40 @@ def inv_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     return calls
+
+
+def l_direct(v, m, n):
+    """Residue oracle for the correction values (l_+, l_-) at +-2(2n-1),
+    both from one pass over the potential's window:
+    l_+ = (1/pi^{2m}) sum_j v(2n-2j) v(2n+2j-2) / ((2n-1)^{2m} - (2j-1)^{2m})
+    over odd modes 2j-1 != +-(2n-1), and l_- the same sum with v reflected
+    through the origin, v(2j-2n) v(2-2n-2j).  n may be an array of indices;
+    the values then take its shape, all from one pass.
+
+    The denominator factors as ((2n-1)^m - (2j-1)^m)((2n-1)^m + (2j-1)^m),
+    so this is the odd-lattice form of the quadratic correction sequence.
+    Each is the exact integer (2n-1)^{2m} - (2j-1)^{2m}, rounded once.  The
+    package reads the same values as the second-order truncation of its
+    pair block (eigensolver.correction_values); this sum shares no code
+    with it.
+    """
+    if v.parity is not Parity.EVEN:
+        raise ParityError("potentials must live on the even lattice")
+    if v(0) != 0:
+        raise ValueError("the correction sequence requires v(0) = 0")
+    ns = np.asarray(n, dtype=int)
+    half = v.window // 2
+    coef = np.array([v(2 * k) for k in range(-half, half + 1)])
+
+    def at(k):  # v(2k), zero outside the window
+        inside = np.abs(k) <= half
+        return np.where(inside, coef[np.where(inside, k + half, 0)], 0.0)
+
+    t = np.arange(-half, half + 1)  # j - n
+    q = 2 * ns.reshape(-1, 1) - 1
+    p = q + 2 * t
+    den = (q.astype(object) ** (2 * m) - p.astype(object) ** (2 * m)).astype(float)
+    den[(p == q) | (p == -q)] = math.inf  # the resonant modes are left out
+    plus = np.sum(at(-t) * at(q + t) / den, axis=1) / math.pi ** (2 * m)
+    minus = np.sum(at(t) * at(-q - t) / den, axis=1) / math.pi ** (2 * m)
+    return plus.reshape(ns.shape)[()], minus.reshape(ns.shape)[()]

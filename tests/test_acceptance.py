@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import l_direct
 
 import hillgap as hg
 from hillgap.cli import main as cli_main
@@ -145,7 +146,10 @@ def test_criterion_05_riesz_cross_oracles():
             tau_eig = table.row(n).tau
             ok = ok and abs(trace.tau - tau_eig) <= 1e-8 * (1 + abs(trace.tau))
             s2 = hg.script_S_2x2(v, 1, n, K, nodes=nodes)
-            ok = ok and abs(s2[0, 1] - hg.l_direct(v, 1, n)[0]) <= 1e-8
+            l_plus = l_direct(v, 1, n)[0]
+            ok = ok and abs(s2[0, 1] - l_plus) <= 1e-8
+            (truncated,), _ = hg.correction_values(v, 1, [n])
+            ok = ok and abs(truncated - l_plus) <= 1e-14 * abs(l_plus)
     record(5, "projector traces, first/second-order blocks, and tau/l cross-oracles (n in [2,16])", ok)
 
 

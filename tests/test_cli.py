@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import l_direct
 
 from hillgap import cli, eigensolver, riesz
 from hillgap.cli import RunConfig, main
@@ -426,6 +427,19 @@ class TestAsymptoticsCommand:
         assert footer["target_exponents"]["tau"] == f"{0.95:.17g}"
         assert footer["K"] == 96 and footer["confirm_K"] == 97
 
+    def test_m2_gap_remainders_resolved(self, tmp_path):
+        # trig has no v(+-2(2n-1)) from n = 3 on, so rem_gamma is |gamma|: from
+        # n = 6 on it lies below one ulp of tau - c, and must still be read
+        coeffs = {2: 1.0 + 0j, -2: 0.5 + 0j, 4: 0.3 + 0j, -4: 0.2j, 6: 0.1 + 0j}
+        pot = write_potential(tmp_path / "trig.json", coeffs)
+        out = tmp_path / "asym.csv"
+        assert main(["asymptotics", "--m", "2", "--K", "128", "--n-max", "32",
+                     "--potential", pot, "--out", str(out)]) == 0
+        _, rows, _ = read_csv(out)
+        rem = [float(r["rem_gamma"]) for r in rows if int(r["n"]) >= 6]
+        assert len(rem) == 27 and all(x > 0.0 for x in rem)
+        assert all(a > b for a, b in zip(rem, rem[1:]))
+
     def test_unsettled_riccati_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
         # one fixed-point step cannot settle X for the modes above the cut
         monkeypatch.setattr(eigensolver, "RICCATI_MAX_STEPS", 1)
@@ -538,7 +552,7 @@ class TestRieszCheckCommand:
         coeffs = {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2 + 0j, -4: 0.1j, 6: 0.1 + 0.05j}
         pot = write_potential(tmp_path / "m2.json", coeffs)
         v = FourierSequence.make(Parity.EVEN, coeffs)
-        assert riesz.l_direct(v, 2, 2)[0] != 0 and riesz.l_direct(v, 2, 3)[0] != 0
+        assert l_direct(v, 2, 2)[0] != 0 and l_direct(v, 2, 3)[0] != 0
         out = tmp_path / "rz.csv"
         args = ["riesz-check", "--m", "2", "--K", "32", "--n-max", "6",
                 "--potential", pot, "--out", str(out)]

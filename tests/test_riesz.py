@@ -3,10 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import _mp_eigenvalues
+from conftest import _mp_eigenvalues, l_direct
 
 from hillgap import eigensolver
-from hillgap.eigensolver import SolverError, eigenvalues, low_block, pair_eigenvalues
+from hillgap.eigensolver import (
+    SolverError, correction_values, eigenvalues, low_block, pair_eigenvalues,
+)
 from hillgap.operator import (
     TruncatedOperator,
     build_B,
@@ -18,7 +20,6 @@ from hillgap.operator import (
 from hillgap.riesz import (
     ContourCollisionError,
     ContourSpec,
-    l_direct,
     q0_closed_form,
     q0_matrix,
     riesz_projector,
@@ -386,6 +387,8 @@ def l_loop_reference(v, m, n):
 class TestCorrectionSequence:
     def test_zero_potential(self):
         assert l_direct(vseq({}), 1, 3)[0] == 0
+        assert correction_values(vseq({}), 1, [3])[0][0] == 0
+        assert [a.size for a in correction_values(vseq({2: 1.0}), 1, [])] == [0, 0]
 
     def test_two_mode_potential_vanishes(self):
         # support {+-2(2n-1)}: one candidate index is excluded as resonant,
@@ -394,6 +397,7 @@ class TestCorrectionSequence:
         q2 = 2 * (2 * n - 1)
         v = vseq({q2: 1.3, -q2: 0.7})
         assert l_direct(v, 1, n)[0] == 0
+        assert correction_values(v, 1, [n])[0][0] == 0
         s2 = script_S_2x2(v, 1, n, 32)
         assert abs(s2[0, 1]) <= 1e-10
         assert abs(s2[1, 0]) <= 1e-10
@@ -422,6 +426,11 @@ class TestCorrectionSequence:
             lp, lm = l_direct(v, m, n)
             rp, rm = l_direct(reflect_seq(v), m, n)
             assert np.array([lm, lp]).tobytes() == np.array([rp, rm]).tobytes()
+            # the pair block's truncation, and its mirror on the reflected potential
+            (gp,), (gm,) = correction_values(v, m, [n])
+            (hp,), (hm,) = correction_values(reflect_seq(v), m, [n])
+            for got, want in ((gp, lp), (gm, lm), (hm, lp), (hp, lm)):
+                assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_pass_matches_loop(self, m):
@@ -435,6 +444,16 @@ class TestCorrectionSequence:
                 assert abs(lp - want_p) <= 1e-15 * size_p
                 assert abs(lm - want_m) <= 1e-15 * size_m
                 assert l_direct(v, m, int(n)) == (lp, lm)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_pair_truncation_matches_residue_sum(self, m):
+        # the second-order truncation of the pair block, all n from one
+        # product, against the residue sum that shares no code with it
+        ns = np.arange(1, 20)
+        for seed, window in ((8, 24), (10, 78), (11, 2), (3, 64)):
+            v = random_potential(seed, window=window)
+            for got, want in zip(correction_values(v, m, ns), l_direct(v, m, ns)):
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     def test_exact_denominators_past_int64(self):
         # at m = 3 the modes |p| >= 1449 have p^6 > 2^63: n = 1 meets p = 3001,
