@@ -4,8 +4,16 @@ The truncated operator T = A^m + B(v) lives on the odd-mode window
 {2k-1 : -K+1 <= k <= K}; its eigenvalue pairs, localization discs, Riesz
 projector traces, and gap asymptotics are computed and checked against the
 closed-form predictions at desk scale.  The root exports the entry points;
-everything else is reached through the submodules.
+everything else is reached through the submodules.  Imported before numpy,
+the package sets OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is already set: at desk-scale windows a
+second BLAS thread saves little wall time and spins on another core.
 """
+
+import os
+
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .seqspace import (
     FourierSequence,

@@ -70,7 +70,7 @@ from .seqspace import (
     weighted_norm,
 )
 
-RIESZ_AUTO_K = 128  # the riesz-check window under --K auto
+RIESZ_AUTO_K = 128  # the smallest riesz-check window under --K auto
 
 TR_P_TOL = 1e-9
 Q0_TOL = 1e-9
@@ -136,11 +136,15 @@ def _validate_config(cfg: RunConfig):
     if cfg.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {cfg.n_max}")
     paired = cfg.command in ("spectrum", "asymptotics", "riesz-check", "alpha1")
-    K = RIESZ_AUTO_K if cfg.command == "riesz-check" and cfg.K == "auto" else cfg.K
+    K = _riesz_window(cfg) if cfg.command == "riesz-check" else cfg.K
     if paired and isinstance(K, int) and K < 4 * cfg.n_max:
         raise ConfigError(
             f"--K {K} too small for --n-max {cfg.n_max}: modes within a factor "
             "4 of the window edge are truncation-polluted (need K >= 4 n_max)"
+        )
+    if paired and isinstance(K, int) and K > MAX_HALF_WINDOW:
+        raise ConfigError(
+            f"--n-max {cfg.n_max} needs the window {K}, past the largest window {MAX_HALF_WINDOW}"
         )
     for flag, val in (("--R", cfg.R), ("--C", cfg.C), ("--epsilon", cfg.epsilon),
                       ("--debug-bound-scale", cfg.bound_scale)):
@@ -280,13 +284,16 @@ def _spectrum_table(cfg: RunConfig, v: FourierSequence):
     if cfg.K == "auto":
         _, table = converge_truncation(v, cfg.m, cfg.n_max)
         return table
-    table = compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max)
     # one confirming solve, at the window that holds every mode the potential
     # couples to the window K, sets the converged flags
     K_c = confirm_window(v, cfg.K)
-    if K_c <= MAX_HALF_WINDOW:
-        table = mark_converged(table, compute_pair_table(v, cfg.m, K_c, n_max=cfg.n_max))
-    return table
+    if K_c > MAX_HALF_WINDOW:
+        raise ConfigError(
+            f"--K {cfg.K} needs the confirming window {K_c}, past the largest "
+            f"window {MAX_HALF_WINDOW}"
+        )
+    table = compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max)
+    return mark_converged(table, compute_pair_table(v, cfg.m, K_c, n_max=cfg.n_max))
 
 
 SPECTRUM_COLUMNS = [
@@ -513,9 +520,13 @@ RIESZ_COLUMNS = [
 ]
 
 
+def _riesz_window(cfg: RunConfig) -> int:
+    return cfg.K if isinstance(cfg.K, int) else max(RIESZ_AUTO_K, 4 * cfg.n_max)
+
+
 def run_riesz_check(cfg: RunConfig) -> int:
     v, _ = normalize_zero_mode(load_potential(cfg.potential))
-    K = cfg.K if isinstance(cfg.K, int) else RIESZ_AUTO_K
+    K = _riesz_window(cfg)
     low = low_block(build_T(v, cfg.m, K), cfg.n_max)
     table = pair_eigenvalues(low, n_max=cfg.n_max)
 

@@ -29,6 +29,7 @@ WEAK_COMPLEX = {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2 + 0j, -4: 0.1j, 6: 0.1 + 0
 # strong against the low gaps c_n - c_{n-1}: at m = 1, K = 64 the Riesz pair
 # certificate refuses the contours n <= 10
 STRONG = {2: 60.0 + 0j, -2: 45j, 4: 30.0 + 0j}
+TRIG = {2: 1.0 + 0j, -2: 0.5 + 0j, 4: 0.3 + 0j, -4: 0.2j, 6: 0.1 + 0j}
 
 
 def write_potential(path, coeffs):
@@ -201,17 +202,39 @@ class TestConfirmWindow:
         assert footer["K"] == K and footer["confirm_K"] == confirm_K
         assert len(rows) == 4
 
-    def test_no_confirm_past_cap(self, tmp_path, solve_ks):
-        # K + S/2 = 1025 lies past the largest window: no confirm runs
+    def test_no_confirm_past_cap(self, tmp_path, solve_ks, capsys):
+        # K + S/2 = 1025 lies past the largest window: no confirm can run, so
+        # the window is refused before any solve rather than left unconfirmed
         pot = write_potential(tmp_path / "v.json", _spread(50))
         out = tmp_path / "s.csv"
         code = main(["spectrum", "--K", "1000", "--n-max", "4",
                      "--potential", pot, "--out", str(out)])
-        assert code == 0
-        assert solve_ks == [1000]
+        assert code == 2
+        assert solve_ks == []
+        assert not out.exists()
+        assert "--K 1000 needs the confirming window 1025, past the largest window 1024" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, n_max", [("spectrum", 8), ("asymptotics", 12)])
+    def test_trig_at_cap_refused(self, tmp_path, capsys, command, n_max):
+        # trig reaches S = 6, so K = 1024 would be confirmed at 1027
+        pot = write_potential(tmp_path / "v.json", TRIG)
+        out = tmp_path / "s.csv"
+        code = main([command, "--K", "1024", "--n-max", str(n_max),
+                     "--potential", pot, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "--K 1024 needs the confirming window 1027, past the largest window 1024" \
+            in capsys.readouterr().err
+
+    def test_trig_below_cap_confirmed(self, tmp_path):
+        pot = write_potential(tmp_path / "v.json", TRIG)
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--K", "1000", "--n-max", "8",
+                     "--potential", pot, "--out", str(out)]) == 0
         _, rows, footer = read_csv(out)
-        assert footer["confirm_K"] is None
-        assert len(rows) == 4 and all(r["converged"] == "false" for r in rows)
+        assert footer["K"] == 1000 and footer["confirm_K"] == 1003
+        assert len(rows) == 8 and all(r["converged"] == "true" for r in rows)
 
     def test_auto_reports_previous_window(self, tmp_path, trig_potential):
         out = tmp_path / "s.csv"
@@ -328,13 +351,20 @@ class TestConfigHandling:
                      "--potential", zero_potential, "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
-    def test_riesz_short_auto_window_exit_2_before_io(self, tmp_path, capsys):
-        # --K auto is the window 128 at riesz-check, too small for n_max 40:
-        # a configuration error, found before the missing potential is read
-        code = main(["riesz-check", "--n-max", "40", "--potential", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "o.csv")])
+    def test_riesz_short_window_exit_2_before_io(self, tmp_path, capsys):
+        # the window 128 is too small for n_max 40: a configuration error,
+        # found before the missing potential is read
+        code = main(["riesz-check", "--K", "128", "--n-max", "40",
+                     "--potential", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "config error: --K 128 too small" in capsys.readouterr().err
+
+    def test_riesz_auto_window_past_cap_exit_2_before_io(self, tmp_path, capsys):
+        # --K auto at riesz-check is max(128, 4 n_max): 1200 for n_max 300
+        code = main(["riesz-check", "--n-max", "300", "--potential", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "config error: --n-max 300 needs the window 1200" in capsys.readouterr().err
 
 
 # every option: its flag, the value given, and the value the config holds
@@ -535,6 +565,15 @@ class TestRieszCheckCommand:
         for r in rows:
             assert abs(float(r["re_tr_p"]) - 2.0) <= 1e-9
             assert float(r["l_diff"]) <= 1e-8
+
+    def test_auto_window_grows_with_n_max(self, tmp_path):
+        # --K auto reads the window max(128, 4 n_max): 160 here
+        pot = write_potential(tmp_path / "v.json", TRIG)
+        out = tmp_path / "rz.csv"
+        assert main(["riesz-check", "--n-max", "40", "--potential", pot, "--out", str(out)]) == 0
+        _, rows, footer = read_csv(out)
+        assert footer["all_hold"] is True
+        assert [int(r["n"]) for r in rows] == list(range(2, 41))
 
     def test_trig_agreement(self, tmp_path, trig_potential):
         out = tmp_path / "rz.csv"
