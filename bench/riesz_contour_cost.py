@@ -8,11 +8,12 @@ SRC at another checkout measures that checkout's route), builds the operator
 of each potential at order m for each K, certifies its spectrum once
 (untimed), and times riesz_projector on the n = 4 contour with 64 nodes.
 The weak trig potential leaves the contour's resonant pair certified
-(route "pair": a Riccati decoupling, no inverse); the strong one overwhelms
-the gaps at m = 1, so the pair certificate refuses its contour, whose poles
-come from one shift-invert of the smallest certified band of the low block
-(route "band"; checkouts before it took a shift-invert of the whole window
-there).  Prints one JSON object: for trig at the top level and for the
+(route "pair": a Riccati decoupling of the pair's two modes and a 2 x 2
+shift-invert; checkouts before it read the pair by the pair table's own
+reduction, with no inverse); the strong one overwhelms the gaps at m = 1,
+so the pair certificate refuses its contour, whose poles come from one
+shift-invert of the smallest certified band of the low block (route "band";
+checkouts before it took a shift-invert of the whole window there).  Prints one JSON object: for trig at the top level and for the
 strong potential under "strong", the median seconds per K over the
 repetitions, the K slope log2(t(K2) / t(K1)) / log2(K2 / K1) between
 neighbouring K, and per K the route and the number of eigenvalues the

@@ -33,7 +33,7 @@ v_raw = FourierSequence.make("even", {2: 0.6, -2: 0.6, 4: 0.5, -4: 0.5, 6: 0.4, 
 v, shift = normalize_zero_mode(v_raw)
 m, K, n = 1, 64, 3
 # the certified low block of T for the pairs n <= 16: the contours read
-# their poles, and the pair table its rows, from it
+# their poles, and the pair table its rows, from it by two separate routes
 low = low_block(build_T(v, m, K), 16)
 
 # =============================================================================
@@ -58,11 +58,13 @@ print("Tr Q = 2(tau - center) check:",
 
 # =============================================================================
 # The first-order window matrix collapses to two corner entries in closed
-# form; the quadrature reproduces it entrywise and is trace-free.
+# form, on the rows of the resonant modes 2n - 1 and -(2n - 1), the only
+# ones that hold a pole; the quadrature of those rows reproduces it
+# entrywise and is trace-free.
 
 q0 = q0_matrix(v, m, n, K)
 print("max |Q0 - closed form| =", np.max(np.abs(q0 - q0_closed_form(v, m, n, K))))
-print("Tr Q0 =", abs(np.trace(q0)))
+print("Tr Q0 =", abs(q0[0, K + n - 1] + q0[1, K - n]))
 
 # =============================================================================
 # The second-order resonant block carries the correction values on its

@@ -52,6 +52,7 @@ from .operator import (
     hs_norm_S,
     op_norm_S,
     resolvent_shifted_norm,
+    resonant_rows,
     vert_bound,
     vert_bound_combined,
     vert_min_n,
@@ -541,12 +542,12 @@ def run_riesz_check(cfg: RunConfig) -> int:
         q0 = riesz.q0_matrix(v, cfg.m, n, K, nodes=cfg.quad_nodes)
         closed = riesz.q0_closed_form(v, cfg.m, n, K)
         q0_defect = float(np.max(np.abs(q0 - closed)))
-        tr_q0 = abs(complex(np.trace(q0)))
+        tr_q0 = abs(complex(np.trace(q0[:, resonant_rows(K, n)[::-1]])))
         s2 = riesz.script_S_2x2(v, cfg.m, n, K, nodes=cfg.quad_nodes)
         l_diff = max(abs(s2[0, 1] - l_plus[n - 2]), abs(s2[1, 0] - l_minus[n - 2]))
         try:
             tau_diff = abs(trace.tr_q / 2.0 - table.row(n).d_tau)
-            tau_tol = TAU_XCHECK_TOL * (1.0 + abs(trace.tau))
+            tau_tol = TAU_XCHECK_TOL * (1.0 + contour.radius)
         except KeyError:
             tau_diff = math.nan
             tau_tol = math.inf

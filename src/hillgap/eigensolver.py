@@ -16,10 +16,11 @@ tau - c = tr G / 2 of the 2 x 2 block G_n left over, and gamma comes from the
 mirror identity F11 = F22 of the pair's Feshbach block (_pair_split), with no
 step that subtracts two numbers the size of tau - c.  Pairs the gaps do not
 certify are listed as unrefined and read from the smallest certified band
-|p| <= 2k - 1, by one shift-invert of it at each pair's center; riesz.py
-reads the contours the gaps refuse the same way, and localization_report its
-discs through the pair rows.  Only eigenvalues() eigendecomposes the whole
-window (symmetrically when T is Hermitian), certified by its residuals.
+|p| <= 2k - 1, by one shift-invert of it at each pair's center.  riesz.py
+shift-inverts such a band, or a contour's own two modes split off by
+_decouple, and never calls _pair_split; localization_report reads its discs
+through the pair rows.  Only eigenvalues() eigendecomposes the whole window
+(symmetrically when T is Hermitian), certified by its residuals.
 """
 
 from __future__ import annotations
@@ -512,15 +513,14 @@ def _certified_band(low: LowBlock, k: int, edge: float) -> np.ndarray:
     return _grown_cut(low.matrix, low.op.m, j, np.zeros(2 * j), low.beta, k, edge, 0.0)[1]
 
 
-def _shift_poles(band: np.ndarray, m: int, c: float, r: float) -> np.ndarray:
-    """Offsets from c of all the eigenvalues of the center-free band, as
-    2ir - 1 / nu over the eigenvalues nu of M = (c + 2ir - T)^{-1}.  M is
-    inverted in the center-free frame, diag((c - mu) + 2ir) - band, so
-    partial pivoting keeps the graded diagonal, and the poles near c, the
-    largest nu, are accurate at the scale of r.  SolverError when LAPACK
-    fails."""
+def _shift_poles(band: np.ndarray, mu: np.ndarray, c: float, r: float) -> np.ndarray:
+    """Offsets from c of all the eigenvalues of the center-free band, whose
+    modes carry the diagonal mu of A^m, as 2ir - 1 / nu over the eigenvalues
+    nu of M = (c + 2ir - T)^{-1}.  M is inverted in the center-free frame,
+    diag((c - mu) + 2ir) - band, so partial pivoting keeps the graded
+    diagonal, and the poles near c, the largest nu, are accurate at the
+    scale of r.  SolverError when LAPACK fails."""
     shift = 2j * r
-    mu = unperturbed_eigenvalues(m, len(band) // 2)
     try:
         return shift - 1.0 / np.linalg.eigvals(np.linalg.inv(np.diag((c - mu) + shift) - band))
     except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
@@ -533,9 +533,10 @@ def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray)
     the rest) whose poles _shift_poles reads at each pair's own center,
     paired by disc membership."""
     band = _certified_band(low, int(ns.max()), float(np.max(c + radii)))
+    mu = unperturbed_eigenvalues(low.op.m, len(band) // 2)
     d, s, found = np.zeros(len(ns), complex), np.zeros(len(ns), complex), []
     for i, (cn, r) in enumerate(zip(c, radii)):
-        delta = _shift_poles(band, low.op.m, cn, r)
+        delta = _shift_poles(band, mu, cn, r)
         if low.hermitian:
             delta = delta.real
         found.append(delta[np.abs(delta) < r])

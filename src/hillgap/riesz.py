@@ -6,18 +6,16 @@ Quadrature is the trapezoidal rule on the circle of radius (2n-1)^m around
 the unperturbed center, spectrally accurate for the analytic integrands at
 hand.  The perturbed projector is only ever read through its traces
 Tr P and Tr((T - center) P), as sums over the few eigenvalues the contour
-can see.  Where the gaps to the neighbouring centers certify it, the
-contour's two resonant modes are decoupled from the rest of the certified
-low block (eigensolver.low_block) by the eigensolver's per-pair reduction,
-and the pair's two eigenvalues come from a 2 x 2 block in the center-free
-frame: O(j^2) work per contour on a low block of 2j modes.  Elsewhere, as
-for the pair rows the gaps refuse, the poles are all the eigenvalues of the
-smallest certified band of the low block, from one shift-invert of it in
-the center-free frame.  Either way the poles summed are the ones checked
-against the contour: no eigendecomposition of the block guards it.  The
-error estimate comes from comparing the full rule against its half-node
-subset, which reuses the same node traces.
-Node order is fixed, so runs are bit reproducible.
+can see.  Every contour reads them by one route: a band of the certified
+low block (eigensolver.low_block) is decoupled from the rest, and one
+shift-invert of it in the center-free frame gives all its eigenvalues.
+Where the gaps certify it the band is the contour's two resonant modes, a
+2 x 2 block; elsewhere, the smallest certified band |p| <= 2k - 1.  No step
+is shared with the per-pair reduction that reads the pair table, so
+riesz-check compares two routes to tau.  The error estimate comes from
+comparing the full rule against its half-node subset, which reuses the
+same node traces.  q0 is read on its two resonant rows, the only ones with
+a pole.  Node order is fixed, so runs are bit reproducible.
 """
 
 from __future__ import annotations
@@ -28,8 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqspace import FourierSequence
-from .eigensolver import LowBlock, SolverError, _certified_band, _pair_split, _shift_poles
-from .operator import build_B, center, contour_radius, resonant_rows, unperturbed_eigenvalues
+from .eigensolver import LowBlock, SolverError, _certified_band, _decouple, _shift_poles
+from .operator import (
+    _check_even_potential, _coeff_lookup, center, contour_radius, modes, resonant_rows,
+    unperturbed_eigenvalues,
+)
 
 __all__ = [
     "ContourCollisionError",
@@ -92,10 +93,10 @@ class ContourSpec:
 class ProjectorPair:
     """Traces of the Riesz projector P of the perturbed operator: Tr P and
     Tr((T - center) P), their node-halving error estimate, the number of
-    eigenvalues they were summed over (block) and whether the pair
-    certificate refused the contour (dense), whose poles then came from the
-    band shift-invert.  The unperturbed traces are the constants Tr P0 = 2
-    and Tr((A^m - center) P0) = 0."""
+    eigenvalues they were summed over (block, the size of the band
+    shift-inverted) and whether the pair certificate refused the contour
+    (dense), whose band then grew past the resonant pair.  The unperturbed
+    traces are the constants Tr P0 = 2 and Tr((A^m - center) P0) = 0."""
 
     contour: ContourSpec
     tr_p: complex
@@ -110,30 +111,20 @@ class ProjectorPair:
         return self.contour.center + self.tr_q / 2.0
 
 
-def _pair_poles(low: LowBlock, contour: ContourSpec) -> np.ndarray | None:
-    """Offsets from the center of the resonant pair's two eigenvalues, by
-    the eigensolver's per-pair reduction of the low block, when the gaps
-    certify the modes +-(2n-1) apart from the rest with the disc reaching
-    POLE_MARGIN rho (the other modes' discs then stay that far); else None."""
-    q = 2 * contour.n - 1
-    if not low.certifies((q, q), contour.center, POLE_MARGIN * contour.radius):
-        return None
-    d, gamma = _pair_split(low.matrix, low.op.m, np.array([contour.n]), low.hop, low.hermitian)
-    return d + np.array([-0.5, 0.5]) * gamma
-
-
 def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
     """Traces of the quadrature projector
     P = (1/2 pi i) \\oint (lambda - T)^{-1} d lambda for the operator T = low.op,
     from its certified low block (eigensolver.low_block).
 
     Tr (lambda - T)^{-1} = sum_k 1 / (lambda - lambda_k) over the poles
-    the contour can see, at the offsets rho u_j - delta_k of each node.  A
-    contour whose resonant pair _pair_poles certifies sums over that pair
-    alone; any other (a pole planted near it, a potential strong against
-    the gaps) over all the poles of eigensolver._certified_band from n, cut
-    with everything left of center + POLE_MARGIN radius inside, read by
-    _shift_poles at center + 2i radius (block = the band's size).  Every
+    the contour can see, at the offsets rho u_j - delta_k of each node: all
+    the eigenvalues of one band of the low block, read by _shift_poles at
+    center + 2i radius (block = the band's size).  When low.certifies the
+    resonant modes +-(2n-1) apart from the rest with the disc reaching
+    POLE_MARGIN radii, the band is those two modes, split off by
+    _decouple; otherwise (a pole planted near the contour, a potential
+    strong against the gaps) it is eigensolver._certified_band from n,
+    cut with everything left of center + POLE_MARGIN radius inside.  Every
     pole left out sits at least POLE_MARGIN radii away, with a trapezoid
     term <= 4^-nodes against an exact integral of zero.
 
@@ -157,11 +148,16 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
     _, ws = contour.points()
     # rho u_j exactly: the weights are rho u_j / N with N a power of two
     offsets = contour.nodes * ws
-    delta = _pair_poles(low, contour)
-    dense = delta is None
+    q, reach = 2 * contour.n - 1, POLE_MARGIN * contour.radius
+    dense = not low.certifies((q, q), contour.center, reach)
     if dense:
-        band = _certified_band(low, contour.n, contour.center + POLE_MARGIN * contour.radius)
-        delta = _shift_poles(band, op.m, contour.center, contour.radius)
+        band = _certified_band(low, contour.n, contour.center + reach)
+        mu = unperturbed_eigenvalues(op.m, len(band) // 2)
+    else:
+        j = len(low.matrix) // 2
+        band = _decouple(low.matrix, op.m, j, (q, q), np.zeros(2 * j), low.beta)[0]
+        mu = np.full(2, contour.center)
+    delta = _shift_poles(band, mu, contour.center, contour.radius)
     bad = np.abs(np.abs(delta) - contour.radius) < COLLISION_REL_TOL * contour.radius
     if np.any(bad):
         culprit = complex(contour.center + delta[np.argmax(bad)])
@@ -183,41 +179,45 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
 
 
 def _free_nodes(v: FourierSequence, m: int, n: int, K: int, nodes: int):
-    """Contour, nodes lambda_j, weights, B(v) and free node resolvents
-    d[j, p] = 1 / (lambda_j - mu_p): what both quadratures below share."""
+    """Contour, nodes lambda_j, weights, the rows B_PR of B(v) at the
+    resonant modes P = (2n-1, -(2n-1)), read from v(p - p'), and free node
+    resolvents d[j, p] = 1 / (lambda_j - mu_p): what the quadratures below
+    share."""
     if v(0) != 0:
         raise ValueError("the free-resolvent quadratures require a zero-mode-normalized potential")
+    _check_even_potential(v)
     contour = ContourSpec(n=n, m=m, nodes=nodes)
     if n > K:
         raise ValueError(f"resonant modes +-{2 * n - 1} fall outside the window (K = {K})")
     lams, ws = contour.points()
     d = 1.0 / (lams[:, None] - unperturbed_eigenvalues(m, K)[None, :])
-    return contour, lams, ws, build_B(v, m, K).matrix, d
+    q = 2 * n - 1  # v(k) sits at index (k + 4K - 2) / 2 of the lookup table
+    rows = _coeff_lookup(v, K)[(np.array([[q], [-q]]) - modes(K) + 4 * K - 2) // 2]
+    return contour, lams, ws, rows, d
 
 
 def q0_matrix(
     v: FourierSequence, m: int, n: int, K: int, nodes: int = 64
 ) -> np.ndarray:
-    """First-order trace-window matrix by quadrature:
+    """The resonant rows, for the modes (2n-1, -(2n-1)), of the first-order
+    trace-window matrix by quadrature:
     (1/2 pi i) \\oint (lambda - c) (lambda - A^m)^{-1} B(v) (lambda - A^m)^{-1} d lambda.
+    Its other rows hold no pole inside the contour and vanish.
 
     Its closed form is q0_closed_form; riesz-check compares the two.
     """
-    contour, lams, ws, b, d = _free_nodes(v, m, n, K, nodes)
-    return ((d.T * (ws * (lams - contour.center))) @ d) * b
+    contour, lams, ws, rows, d = _free_nodes(v, m, n, K, nodes)
+    return ((d[:, resonant_rows(K, n)[::-1]].T * (ws * (lams - contour.center))) @ d) * rows
 
 
 def q0_closed_form(v: FourierSequence, m: int, n: int, K: int) -> np.ndarray:
-    """Exact form: entry (2n-1, -(2n-1)) = v(2(2n-1)), its mirror
-    v(-2(2n-1)), and zero everywhere else."""
-    dim = 2 * K
-    out = np.zeros((dim, dim), dtype=complex)
+    """Exact form of q0_matrix's two rows: entry (2n-1, -(2n-1)) =
+    v(2(2n-1)), its mirror v(-2(2n-1)), and zero everywhere else."""
+    out = np.zeros((2, 2 * K), dtype=complex)
     q = 2 * n - 1
     if n > K:
         raise ValueError(f"resonant modes +-{q} fall outside the window (K = {K})")
-    i_minus, i_plus = resonant_rows(K, n)
-    out[i_plus, i_minus] = v(2 * q)
-    out[i_minus, i_plus] = v(-2 * q)
+    out[[0, 1], resonant_rows(K, n)] = v(2 * q), v(-2 * q)
     return out
 
 
@@ -232,10 +232,7 @@ def script_S_2x2(
     [1, 0] = l_- of eigensolver.correction_values; diagonal entries the
     resonant self-energy.
     """
-    contour, lams, ws, b, d = _free_nodes(v, m, n, K, nodes)
-    i_minus, i_plus = resonant_rows(K, n)
-    idx = [i_plus, i_minus]
-    rows = b[idx, :]          # B restricted to the two resonant rows
-    cols = b[:, idx]          # and columns
-    # the node sum folds into one weight per intermediate mode
-    return (rows * ((ws / (lams - contour.center)) @ d)) @ cols
+    contour, lams, ws, rows, d = _free_nodes(v, m, n, K, nodes)
+    # the node sum folds into one weight per intermediate mode; B_RP is
+    # J B_PR^T J by the window's mirror identity J B J = B^T
+    return (rows * ((ws / (lams - contour.center)) @ d)) @ rows[::-1, ::-1].T

@@ -140,8 +140,8 @@ def test_criterion_05_riesz_cross_oracles():
             contour = hg.ContourSpec(n=n, m=1, nodes=nodes)
             trace = hg.riesz_projector(eigs, contour)
             ok = ok and abs(trace.tr_p - 2.0) <= 1e-9
-            q0 = hg.q0_matrix(v, 1, n, K, nodes=nodes)
-            ok = ok and abs(np.trace(q0)) <= 1e-9
+            q0 = hg.q0_matrix(v, 1, n, K, nodes=nodes)  # the rows of 2n - 1, -(2n - 1)
+            ok = ok and abs(q0[0, K + n - 1] + q0[1, K - n]) <= 1e-9
             ok = ok and np.max(np.abs(q0 - hg.q0_closed_form(v, 1, n, K))) <= 1e-9
             tau_eig = table.row(n).tau
             ok = ok and abs(trace.tau - tau_eig) <= 1e-8 * (1 + abs(trace.tau))

@@ -714,8 +714,9 @@ class TestRieszCheckCommand:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_certified_contours_call_no_inverse(self, tmp_path, inv_calls, monkeypatch, m):
-        # nor any eigendecomposition: the pairs and the contours' poles all
-        # come from the certified low block
+        # the pairs come from the certified low block with no inverse or
+        # eigendecomposition, and each contour's poles from one shift-invert
+        # of its own two modes, decoupled from the rest: a 2 x 2 block
         eig_calls = []
         for name in ("eig", "eigh", "eigvals"):
             def counted(a, _name=name, _fn=getattr(np.linalg, name)):
@@ -730,13 +731,13 @@ class TestRieszCheckCommand:
         _, rows, footer = read_csv(out)
         assert len(rows) == 7 and footer["all_hold"] is True
         assert footer["dense_contours"] == [] and footer["max_block"] == 2
-        assert inv_calls == [] and eig_calls == []
+        assert inv_calls == [(2, 2)] * 7 and eig_calls == ["eigvals"] * 7
 
     def test_strong_potential_lists_dense_contours(self, tmp_path, inv_calls):
         # the certificate refuses the low contours and pair rows, whose gaps
         # the potential overwhelms, and accepts the higher ones: one inverse of
-        # a certified band per refused contour and per refused pair row, and
-        # none of the whole window
+        # a certified band per refused pair row and per refused contour, one of
+        # the 2 x 2 block of each accepted contour, and none of the whole window
         pot = write_potential(tmp_path / "strong.json", STRONG)
         out = tmp_path / "rz.csv"
         main(["riesz-check", "--m", "1", "--K", "64", "--n-max", "16",
@@ -749,12 +750,37 @@ class TestRieszCheckCommand:
         # the lowest refused pairs leave their discs and are flagged
         refused = sorted(table.flagged) + list(table.unrefined)
         assert refused == list(range(1, 1 + len(refused))) and len(refused) < 16
-        assert 0 < len(dense) < len(rows) and len(shapes) == len(dense) + len(refused)
+        assert 0 < len(dense) < len(rows) and len(shapes) == len(refused) + len(rows)
         assert all(shape[0] < 128 for shape in shapes)
+        contours = shapes[len(refused):]  # the table is read before the contours
+        assert [n for n, shape in zip(range(2, 17), contours) if shape != (2, 2)] == dense
         assert dense == list(range(2, 2 + len(dense)))
         flags = {n: riesz.riesz_projector(low, riesz.ContourSpec(n=n, m=1)).dense
                  for n in range(2, 17)}
         assert dense == [n for n, flag in flags.items() if flag]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_broken_pair_route_fails(self, tmp_path, monkeypatch, capsys, m):
+        # the contours share no code with the pair rows' reduction: shifting
+        # every d_tau it returns by 1e-3 must show up in tau_diff
+        pair_split = eigensolver._pair_split
+
+        def shifted(*args):
+            d, gamma = pair_split(*args)
+            return d + 1e-3, gamma
+
+        monkeypatch.setattr(eigensolver, "_pair_split", shifted)
+        monkeypatch.setattr(riesz, "_pair_split", shifted, raising=False)
+        pot = write_potential(tmp_path / "trig.json", TRIG)
+        out = tmp_path / "rz.csv"
+        code = main(["riesz-check", "--m", str(m), "--K", "64", "--n-max", "8",
+                     "--potential", pot, "--out", str(out)])
+        assert code == 4
+        assert "solver failure" in capsys.readouterr().err
+        _, rows, footer = read_csv(out)
+        assert footer["all_hold"] is False
+        assert all(r["holds"] == "false" for r in rows)
+        assert all(float(r["tau_diff"]) == pytest.approx(1e-3, rel=1e-6) for r in rows)
 
     def test_q0_mismatch_exit_4(self, tmp_path, trig_potential, monkeypatch, capsys):
         closed_form = riesz.q0_closed_form

@@ -164,19 +164,20 @@ class TestRieszProjector:
 
     def test_strong_potential_certifies_high_contours(self, inv_calls):
         # the gaps c_n - c_{n-1} grow like n: the certificate refuses the low
-        # contours, which take the dense shift-invert (one inverse each), and
-        # decouples the pair of every higher one without an inverse
+        # contours, which take the dense shift-invert of a grown band, and
+        # decouples the pair of every higher one, shift-inverting its 2 x 2 block
         eigs = eigenvalues(build_T(vseq({2: 60.0, -2: 45j, 4: 30.0}), 1, 64))
         dense = []
         for n in range(1, 17):
             before = len(inv_calls)
             pair = assert_matches_full_eigvals(eigs, ContourSpec(n=n, m=1))
-            # the reference itself takes one inverse
-            assert len(inv_calls) - before == 1 + pair.dense
+            # the reference itself takes one inverse, after the projector's
+            assert len(inv_calls) - before == 2
             if pair.dense:
                 dense.append(n)
+                assert inv_calls[before][0] > 2
             else:
-                assert pair.block == 2
+                assert pair.block == 2 and inv_calls[before] == (2, 2)
         assert 0 < len(dense) < 16 and dense == list(range(1, len(dense) + 1))
 
     def test_refused_contour_and_pair_match_oracle(self, mpmath_pair):
@@ -298,18 +299,19 @@ class TestQ0Matrix:
     def test_n1_resonant_entries(self):
         c = 0.4 - 0.2j
         v = vseq({2: c, -2: c.conjugate()})
-        q0 = q0_matrix(v, 1, 1, 8)
+        q0 = q0_matrix(v, 1, 1, 8)  # the rows of the modes 1 and -1
         window = list(modes(8))
         i, j = window.index(1), window.index(-1)
-        assert q0[i, j] == pytest.approx(c, abs=1e-12)
-        assert q0[j, i] == pytest.approx(c.conjugate(), abs=1e-12)
+        assert q0.shape == (2, 16)
+        assert q0[0, j] == pytest.approx(c, abs=1e-12)
+        assert q0[1, i] == pytest.approx(c.conjugate(), abs=1e-12)
 
     def test_trace_zero_and_closed_form(self):
         for seed in (5, 6):
             v = random_potential(seed, window=40)
             for n in (2, 5):
-                q0 = q0_matrix(v, 1, n, 24)
-                assert abs(np.trace(q0)) <= 1e-9
+                q0 = q0_matrix(v, 1, n, 24)  # the rows of 2n - 1, -(2n - 1)
+                assert abs(np.trace(q0[:, resonant_rows(24, n)[::-1]])) <= 1e-9
                 assert np.max(np.abs(q0 - q0_closed_form(v, 1, n, 24))) <= 1e-9
 
     def test_matches_node_loop(self):
@@ -322,7 +324,9 @@ class TestQ0Matrix:
         for lam, w in zip(lams, ws):
             d = 1.0 / (lam - unperturbed_eigenvalues(1, 24))
             want += (w * (lam - contour.center)) * (d[:, None] * b * d[None, :])
-        assert np.max(np.abs(q0_matrix(v, 1, 2, 24) - want)) <= 1e-13
+        i_minus, i_plus = resonant_rows(24, 2)
+        assert np.max(np.abs(np.delete(want, [i_minus, i_plus], axis=0))) <= 1e-13
+        assert np.max(np.abs(q0_matrix(v, 1, 2, 24) - want[[i_plus, i_minus]])) <= 1e-13
 
     def test_no_resonant_mode_gives_zero(self):
         v = vseq({2: 1.0, -2: 1.0})
