@@ -53,8 +53,7 @@ print("quad tol           =", pair.quad_tol)
 table = pair_eigenvalues(low)
 print("tau (trace route)      =", pair.tau)
 print("tau (eigensolver route) =", table.row(n).tau)
-print("Tr Q = 2(tau - center) check:",
-      abs(pair.tr_q - 2 * (pair.tau - contour.center)))
+print("|tau (trace) - tau (table)| =", abs(pair.tau - table.row(n).tau))
 
 # =============================================================================
 # The first-order window matrix collapses to two corner entries in closed

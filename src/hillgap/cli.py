@@ -52,7 +52,6 @@ from .operator import (
     hs_norm_S,
     op_norm_S,
     resolvent_shifted_norm,
-    resonant_rows,
     vert_bound,
     vert_bound_combined,
     vert_min_n,
@@ -516,7 +515,7 @@ def run_lemmas(cfg: RunConfig) -> int:
 
 
 RIESZ_COLUMNS = [
-    "n", "re_tr_p", "im_tr_p", "tr_q0", "q0_defect",
+    "n", "re_tr_p", "im_tr_p", "q0_defect",
     "tau_diff", "l_diff", "quad_tol", "holds",
 ]
 
@@ -542,7 +541,6 @@ def run_riesz_check(cfg: RunConfig) -> int:
         q0 = riesz.q0_matrix(v, cfg.m, n, K, nodes=cfg.quad_nodes)
         closed = riesz.q0_closed_form(v, cfg.m, n, K)
         q0_defect = float(np.max(np.abs(q0 - closed)))
-        tr_q0 = abs(complex(np.trace(q0[:, resonant_rows(K, n)[::-1]])))
         s2 = riesz.script_S_2x2(v, cfg.m, n, K, nodes=cfg.quad_nodes)
         l_diff = max(abs(s2[0, 1] - l_plus[n - 2]), abs(s2[1, 0] - l_minus[n - 2]))
         try:
@@ -553,13 +551,12 @@ def run_riesz_check(cfg: RunConfig) -> int:
             tau_tol = math.inf
         holds = bool(
             abs(trace.tr_p - 2.0) <= TR_P_TOL
-            and tr_q0 <= Q0_TOL
             and q0_defect <= Q0_TOL
             and (math.isnan(tau_diff) or tau_diff <= tau_tol)
             and l_diff <= L_XCHECK_TOL
         )
         rows.append([
-            n, trace.tr_p.real, trace.tr_p.imag, float(tr_q0), q0_defect,
+            n, trace.tr_p.real, trace.tr_p.imag, q0_defect,
             float(tau_diff), float(l_diff), trace.quad_tol, holds,
         ])
     all_hold = all(r[-1] for r in rows)

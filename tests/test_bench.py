@@ -1,21 +1,41 @@
-"""Every script in bench/ runs at a tiny size and prints one JSON object."""
+"""bench/stage_cost.py runs at a small size and reports every case, K and run."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 REPO = Path(__file__).resolve().parent.parent
+CASES = {
+    "build_T", "cut", "pair", "table", "table_confirm", "table_2K", "table_support6",
+    "contour_trig", "contour_strong", "census_m1", "census_m2", "census_m3",
+    "spectrum", "asymptotics", "riesz-check",
+}
 
 
-@pytest.mark.parametrize("script", sorted((REPO / "bench").glob("*.py")), ids=lambda p: p.name)
-def test_runs_at_tiny_size(script):
+def test_stage_cost_at_small_size():
+    # K >= 48 gives asymptotics the rows its fit needs
+    src = str(REPO / "src")
     out = subprocess.run(
-        [sys.executable, str(script), "--K", "16", "32", "--reps", "1", "--src", str(REPO / "src")],
-        capture_output=True, text=True, timeout=60, check=True,
+        [sys.executable, str(REPO / "bench" / "stage_cost.py"), "--K", "48", "64", "--reps", "1",
+         "--src", src, "--baseline", src],
+        capture_output=True, text=True, timeout=120, check=True,
     )
     doc = json.loads(out.stdout)
-    assert doc["src"] == str(REPO / "src")
-    assert set(doc["seconds"]) == {"16", "32"}
+    assert {"cpu_count", "cpu_affinity", "python", "numpy", "blas", "env"} <= set(doc["machine"])
+    for name in ("src", "baseline"):
+        tree = doc[name]
+        assert tree["path"] == src
+        assert set(tree["threads_after_import"]) == set(doc["machine"]["env"])
+        assert set(tree["seconds"]) == CASES
+        for case in CASES:
+            assert all(tree["seconds"][case][K] > 0 for K in ("48", "64")), case
+            assert set(tree["facts"][case]) == {"48", "64"}, case
+            assert tree["k_slope"][case]["48-64"] is not None, case
+        assert tree["facts"]["table_2K"]["64"]["window"] == 128
+        assert tree["lemmas_seconds"] > 0
+        assert {r["case"] for r in tree["runs"]} == {
+            "stages", "spectrum", "asymptotics", "riesz-check", "lemmas"}
+        for r in tree["runs"]:
+            assert {"wall_s", "cpu_s", "max_rss_mb", "exit"} <= set(r)
+            assert r["exit"] == 0

@@ -273,15 +273,8 @@ class TestTauFromTraces:
                 tau_eig = table.row(n).tau
                 assert abs(res.tau - tau_eig) <= 1e-8 * (1 + abs(res.tau))
 
-    def test_trace_identity_q(self):
-        v = vseq({2: 0.7, -2: 0.7, 4: 0.3, -4: 0.3})
-        eigs = eigenvalues(build_T(v, 1, 24))
-        res = riesz_projector(eigs, ContourSpec(n=3, m=1))
-        c = 25 * PI2
-        assert res.tr_q == pytest.approx(2 * (res.tau - c), abs=max(1e-9, 10 * res.quad_tol))
-
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("potential", sorted(ORACLE_POTENTIALS))
     def test_high_precision_oracle(self, mpmath_pair, potential, m, n):
         # at m = 3 the pair sits 1e-9 to 1e-6 from a center of 7e5 to 1e8,
