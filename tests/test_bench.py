@@ -5,15 +5,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
-CASES = {
-    "build_T", "cut", "pair", "table", "table_confirm", "table_2K", "table_support6",
-    "contour_trig", "contour_strong", "census_m1", "census_m2", "census_m3",
-    "spectrum", "asymptotics", "riesz-check",
+# the cases of stage_cost.py, grouped by the single-stage script each group replaced
+GROUPS = {
+    "pair_solve_cost.py": {"build_T", "cut", "pair", "table", "table_support6"},
+    "confirm_window_cost.py": {"table", "table_confirm", "table_2K"},
+    "riesz_contour_cost.py": {"contour_trig", "contour_strong"},
+    "localize_cost.py": {"census_m1", "census_m2", "census_m3"},
+    "cli_process_cost.py": {"spectrum", "asymptotics", "riesz-check"},
 }
+CASES = set().union(*GROUPS.values())
+TREES = ("src", "baseline")
 
 
-def test_stage_cost_at_small_size():
+@pytest.fixture(scope="module")
+def doc():
     # K >= 48 gives asymptotics the rows its fit needs
     src = str(REPO / "src")
     out = subprocess.run(
@@ -21,21 +29,33 @@ def test_stage_cost_at_small_size():
          "--src", src, "--baseline", src],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    doc = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_stage_cost_at_small_size(doc):
+    src = str(REPO / "src")
     assert {"cpu_count", "cpu_affinity", "python", "numpy", "blas", "env"} <= set(doc["machine"])
-    for name in ("src", "baseline"):
+    for name in TREES:
         tree = doc[name]
         assert tree["path"] == src
         assert set(tree["threads_after_import"]) == set(doc["machine"]["env"])
         assert set(tree["seconds"]) == CASES
-        for case in CASES:
-            assert all(tree["seconds"][case][K] > 0 for K in ("48", "64")), case
-            assert set(tree["facts"][case]) == {"48", "64"}, case
-            assert tree["k_slope"][case]["48-64"] is not None, case
-        assert tree["facts"]["table_2K"]["64"]["window"] == 128
-        assert tree["lemmas_seconds"] > 0
         assert {r["case"] for r in tree["runs"]} == {
             "stages", "spectrum", "asymptotics", "riesz-check", "lemmas"}
         for r in tree["runs"]:
             assert {"wall_s", "cpu_s", "max_rss_mb", "exit"} <= set(r)
             assert r["exit"] == 0
+
+
+@pytest.mark.parametrize("script", sorted(GROUPS))
+def test_runs_at_tiny_size(doc, script):
+    for name in TREES:
+        tree = doc[name]
+        for case in GROUPS[script]:
+            assert all(tree["seconds"][case][K] > 0 for K in ("48", "64")), case
+            assert set(tree["facts"][case]) == {"48", "64"}, case
+            assert tree["k_slope"][case]["48-64"] is not None, case
+        if script == "confirm_window_cost.py":
+            assert tree["facts"]["table_2K"]["64"]["window"] == 128
+        if script == "cli_process_cost.py":
+            assert tree["lemmas_seconds"] > 0
