@@ -22,16 +22,26 @@ with n = K/4, one child times each library call after the import:
 
 and `python -m hillgap spectrum`, `asymptotics` and `riesz-check` run at
 `--K K --n-max K/4` on trig, each timed from spawn to exit; `lemmas` runs
-once per repetition at its defaults.  Trig is {2: 1, -2: 0.5, 4: 0.3,
--4: 0.2i, 6: 0.1}, STRONG {2: 60, -2: 45i, 4: 30}.  Every run's wall time,
-CPU time (user + sys) and max RSS come from wait4.
+once per repetition at its defaults, and so do the start-up cases, timed the
+same way:
+
+    interpreter           python -c "pass"
+    import_floor          python -c "import numpy, argparse, json", with
+                          OPENBLAS_NUM_THREADS=1 as hillgap sets it
+    import                python -c "import hillgap.cli"
+
+Trig is {2: 1, -2: 0.5, 4: 0.3, -4: 0.2i, 6: 0.1}, STRONG {2: 60, -2: 45i,
+4: 30}.  Every run's wall time, CPU time (user + sys) and max RSS come from
+wait4.
 
 Prints one JSON object: the machine facts, and per tree the median seconds of
-every case and K, the K slope log2(t(K2) / t(K1)) / log2(K2 / K1) between
-neighbouring K, the facts each case reports (window, rows and unrefined rows,
-route and block, n0 and cone count, exit code), every run, and the thread
-variables the tree's import leaves set.  A window past MAX_HALF_WINDOW is
-null.  An exit code of 1 (a crash, not a CLI verdict) fails the script.
+every case and K (of a start-up case, one number), the K slope
+log2(t(K2) / t(K1)) / log2(K2 / K1) between neighbouring K, hillgap's own
+import cost hillgap_import_s (import less import_floor), the facts each case
+reports (window, rows and unrefined rows, route and block, n0 and cone count,
+exit code), every run, and the thread variables the tree's import leaves set.
+A window past MAX_HALF_WINDOW is null.  An exit code of 1 (a crash, not a CLI
+verdict) fails the script.
 """
 
 from __future__ import annotations
@@ -51,6 +61,11 @@ TRIG = {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
 STRONG = {2: 60.0, -2: 45j, 4: 30.0}
 COMMANDS = ("spectrum", "asymptotics", "riesz-check")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+STARTUP = {  # case: (code, variables set for it)
+    "interpreter": ("pass", {}),
+    "import_floor": ("import numpy, argparse, json", {"OPENBLAS_NUM_THREADS": "1"}),
+    "import": ("import hillgap.cli", {}),
+}
 # the child imports hillgap before this file, and so before numpy, as the CLI does
 CHILD = "import runpy, sys, hillgap; runpy.run_path(%r)['stages'](int(sys.argv[1]))"
 
@@ -107,9 +122,10 @@ def stages(K: int) -> None:
     print(json.dumps({"threads": {k: os.environ.get(k) for k in THREAD_VARS}, "cases": cases}))
 
 
-def run(argv: list[str], src: str, cwd: str) -> tuple[dict, bytes]:
-    """One fresh process importing hillgap from src: its wait4 record and stdout."""
-    env = dict(os.environ, PYTHONPATH=src)
+def run(argv: list[str], src: str, cwd: str, extra: dict | None = None) -> tuple[dict, bytes]:
+    """One fresh process importing hillgap from src, with the variables extra
+    on top of this process's: its wait4 record and stdout."""
+    env = dict(os.environ, PYTHONPATH=src) | (extra or {})
     t0 = time.perf_counter()
     with subprocess.Popen(argv, env=env, cwd=cwd, stdin=subprocess.DEVNULL,
                           stdout=subprocess.PIPE) as proc:
@@ -132,6 +148,8 @@ def machine() -> dict:
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "env": {k: os.environ.get(k, "unset") for k in THREAD_VARS},
+        # set, every import byte-compiles the package afresh
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", "unset"),
     }
 
 
@@ -156,8 +174,8 @@ def main(argv=None) -> int:
         hillgap = [sys.executable, "-m", "hillgap"]
         child = [sys.executable, "-c", CHILD % str(Path(__file__).resolve())]
 
-        def measure(tree, rep, case, K, argv) -> tuple[dict, bytes]:
-            record, stdout = run(argv, trees[tree], work)
+        def measure(tree, rep, case, K, argv, extra=None) -> tuple[dict, bytes]:
+            record, stdout = run(argv, trees[tree], work, extra)
             runs[tree].append({"case": case, "K": K, "rep": rep} | record)
             return record, stdout
 
@@ -180,6 +198,9 @@ def main(argv=None) -> int:
                             "--out", out])
                         note(tree, cmd, K, record["wall_s"], {"exit": record["exit"]})
                 measure(tree, rep, "lemmas", None, hillgap + ["lemmas", "--out", out])
+                for case, (code, extra) in STARTUP.items():
+                    record, _ = measure(tree, rep, case, None, [sys.executable, "-c", code], extra)
+                    times[tree].setdefault(case, {}).setdefault(None, []).append(record["wall_s"])
 
     def slope(t1, t2, k1, k2):
         return None if t1 is None or t2 is None else math.log2(t2 / t1) / math.log2(k2 / k1)
@@ -190,12 +211,14 @@ def main(argv=None) -> int:
         seconds = {case: {K: None if None in ts else statistics.median(ts)
                           for K, ts in by_k.items()}
                    for case, by_k in times[name].items()}
+        seconds |= {case: seconds[case][None] for case in STARTUP}
         return {
             "path": trees[name], "threads_after_import": threads.get(name),
             "seconds": seconds,
             "k_slope": {case: {f"{k1}-{k2}": slope(by_k.get(k1), by_k.get(k2), k1, k2)
                                for k1, k2 in zip(ks, ks[1:])}
-                        for case, by_k in seconds.items()},
+                        for case, by_k in seconds.items() if case not in STARTUP},
+            "hillgap_import_s": seconds["import"] - seconds["import_floor"],
             "facts": facts[name],
             "lemmas_seconds": statistics.median(r["wall_s"] for r in runs[name]
                                                 if r["case"] == "lemmas"),

@@ -59,11 +59,10 @@ print("|tau (trace) - tau (table)| =", abs(pair.tau - table.row(n).tau))
 # The first-order window matrix collapses to two corner entries in closed
 # form, on the rows of the resonant modes 2n - 1 and -(2n - 1), the only
 # ones that hold a pole; the quadrature of those rows reproduces it
-# entrywise and is trace-free.
+# entrywise.
 
 q0 = q0_matrix(v, m, n, K)
 print("max |Q0 - closed form| =", np.max(np.abs(q0 - q0_closed_form(v, m, n, K))))
-print("Tr Q0 =", abs(q0[0, K + n - 1] + q0[1, K - n]))
 
 # =============================================================================
 # The second-order resonant block carries the correction values on its

@@ -36,7 +36,6 @@ from .eigensolver import (
     compute_pair_table,
     converge_truncation,
     correction_values,
-    eigenvalues,
     localization_radius,
     localization_report,
     low_block,

@@ -5,7 +5,8 @@ Exit codes partition the failure causes:
     0  success
     2  configuration or precondition violation
     3  file I/O (unreadable, malformed, or unwritable files)
-    4  solver failure (eigensolver residuals, cross-oracle mismatch)
+    4  solver failure (an unsettled fixed point, a disc or contour past the
+       certified block, a cross-oracle mismatch)
     5  a lemma-sweep bound failed
     6  an eigenvalue collides with a quadrature contour
 
@@ -296,6 +297,11 @@ def _spectrum_table(cfg: RunConfig, v: FourierSequence):
     return mark_converged(table, compute_pair_table(v, cfg.m, K_c, n_max=cfg.n_max))
 
 
+def _auto_window(table) -> dict:
+    """The windows --K auto solved and why it stopped; nothing for a fixed --K."""
+    return {"windows": list(table.windows), "stop": table.stop} if table.stop else {}
+
+
 SPECTRUM_COLUMNS = [
     "n", "re_lo", "im_lo", "re_hi", "im_hi",
     "re_tau", "im_tau", "re_gamma", "im_gamma", "converged",
@@ -321,6 +327,7 @@ def run_spectrum(cfg: RunConfig) -> int:
         "confirm_K": table.confirm_K,
         "flagged": {str(n): c for n, c in sorted(table.flagged.items())},
         "unrefined": list(table.unrefined),
+        **_auto_window(table),
     }
     write_table(cfg, SPECTRUM_COLUMNS, rows, footer=footer)
     return 0
@@ -374,6 +381,7 @@ def run_asymptotics(cfg: RunConfig) -> int:
             "gamma": rem_g.bounded_flag,
             "gamma_corr": rem_gc.bounded_flag,
         },
+        **_auto_window(table),
     }
     write_table(cfg, ASYMPTOTICS_COLUMNS, rows, footer=footer, exponents=exponents)
     return 0

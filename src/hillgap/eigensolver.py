@@ -19,8 +19,9 @@ certify are listed as unrefined and read from the smallest certified band
 |p| <= 2k - 1, by one shift-invert of it at each pair's center.  riesz.py
 shift-inverts such a band, or a contour's own two modes split off by
 _decouple, and never calls _pair_split; localization_report reads its discs
-through the pair rows.  Only eigenvalues() eigendecomposes the whole window
-(symmetrically when T is Hermitian), certified by its residuals.
+through the pair rows.  Nothing here eigendecomposes the window: the only
+eigenvalue solves are eigvals of a shift-inverted band (_shift_poles) and of
+the band that holds localization_report's cone.
 """
 
 from __future__ import annotations
@@ -46,12 +47,9 @@ from .operator import (
 __all__ = [
     "SolverError",
     "PairingConfigError",
-    "EigenList",
     "EigenPairRow",
     "EigenPairTable",
-    "lexicographic_order",
     "low_block",
-    "eigenvalues",
     "pair_eigenvalues",
     "compute_pair_table",
     "mark_converged",
@@ -64,7 +62,6 @@ __all__ = [
 ]
 
 ORDER_TOL_SCALE = 1e-9
-RESIDUAL_TOL = 1e-8
 HERMITIAN_REL_TOL = 1e-12
 CONVERGENCE_TOL = 1e-9
 BLOCK = 16  # rows or columns per slab in the passes that avoid dense temporaries
@@ -79,25 +76,6 @@ class SolverError(RuntimeError):
 
 class PairingConfigError(ValueError):
     """Pairing discs overlap or the window is too small for the request."""
-
-
-def lexicographic_order(values, tol_scale: float = ORDER_TOL_SCALE) -> np.ndarray:
-    """Permutation that sorts values by ascending real part; ties (within
-    tol_scale*(1+|lambda|)) are ordered by imaginary part."""
-    vals = np.asarray(values, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    i, n = 0, len(vals)
-    while i < n:
-        j = i + 1
-        while j < n and (
-            vals[j].real - vals[j - 1].real <= tol_scale * (1.0 + abs(vals[j]))
-        ):
-            j += 1
-        if j - i > 1:
-            order[i:j] = order[i:j][np.argsort(vals[i:j].imag, kind="stable")]
-        i = j
-    return order
 
 
 @dataclass(frozen=True)
@@ -121,20 +99,6 @@ class LowBlock:
     def certifies(self, band: tuple[int, int], c: float, reach: float) -> bool:
         j = len(self.matrix) // 2
         return _cut_certified(self.matrix, self.op.m, j, band, self.beta, c, reach)
-
-
-@dataclass(frozen=True)
-class EigenList(LowBlock):
-    """The whole window as a low block, with all 2K eigenvalues of T, with
-    multiplicity, lexicographically ordered and certified by residual_max."""
-
-    values: np.ndarray
-    trace_defect: float
-    residual_max: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.values.setflags(write=False)
 
 
 def _structure(mat: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
@@ -161,16 +125,6 @@ def _structure(mat: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
         cols += mag.sum(axis=0)
     beta = math.sqrt(float(np.max(rows)) * float(np.max(cols)))
     return beta, asym <= HERMITIAN_REL_TOL * (scale or 1.0)
-
-
-def _residual_max(mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
-    """Largest ||T v_j - lambda_j v_j|| / ||v_j||."""
-    worst = 0.0
-    for j in range(0, len(values), BLOCK):
-        v = vectors[:, j : j + BLOCK]
-        res = np.linalg.norm(mat @ v - v * values[j : j + BLOCK], axis=0)
-        worst = max(worst, float(np.max(res / np.linalg.norm(v, axis=0))))
-    return worst
 
 
 def _band(K: int, band: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -335,32 +289,6 @@ def low_block(op: TruncatedOperator, n_max: int) -> LowBlock:
     return _cut_block(op, n_max, contour_radius(op.m, n_max))
 
 
-def eigenvalues(op: TruncatedOperator) -> EigenList:
-    """All 2K eigenvalues of the window, with multiplicity, from one
-    eigendecomposition of T, the symmetric one of its Hermitian part when T
-    is Hermitian.  SolverError when the largest residual of an eigenvector
-    against T, relative to ||T||_F, exceeds RESIDUAL_TOL.
-    """
-    low = low_block(op, op.K)
-    mat = low.matrix + np.diag(unperturbed_eigenvalues(op.m, op.K))
-    try:
-        if low.hermitian:
-            vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-        else:
-            vals, vecs = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:  # QR non-convergence
-        raise SolverError(f"eigen decomposition failed: {exc}") from exc
-    scale = float(np.linalg.norm(op.matrix)) or 1.0
-    residual_max = _residual_max(op.matrix, vals, vecs) / scale
-    if residual_max > RESIDUAL_TOL:
-        raise SolverError(f"eigenvalue residual {residual_max:.3e} exceeds {RESIDUAL_TOL}")
-    vals = vals[lexicographic_order(vals)].astype(complex)
-    trace_defect = float(abs(vals.sum() - np.trace(mat)) / scale)
-    return EigenList(
-        **vars(low), values=vals, trace_defect=trace_defect, residual_max=residual_max
-    )
-
-
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------
@@ -418,6 +346,8 @@ class EigenPairTable:
     flagged: dict[int, int] = field(default_factory=dict)
     confirm_K: int | None = None  # the window the converged flags were compared against
     unrefined: tuple[int, ...] = ()  # rows read from the grown band, not their own 2 x 2 block
+    windows: tuple[int, ...] = ()  # every window converge_truncation solved, in order
+    stop: str | None = None  # why converge_truncation stopped: "converged" or "cap"
 
     def row(self, n: int) -> EigenPairRow:
         for r in self.rows:
@@ -457,9 +387,9 @@ def _settle_pairs(b: np.ndarray, m: int, ns: np.ndarray, span: int):
 
 
 def _oriented(d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """gamma = +-s, signed so that d -+ gamma / 2 come in the order that
-    lexicographic_order gives the pair: by real part, and by imaginary part
-    where the real parts tie within ORDER_TOL_SCALE."""
+    """gamma = +-s, signed so that d -+ gamma / 2 come in lexicographic
+    order: by real part, and by imaginary part where the real parts tie
+    within ORDER_TOL_SCALE (1 + |d| + |gamma| / 2)."""
     tie = np.abs(s.real) <= ORDER_TOL_SCALE * (1.0 + np.abs(d) + np.abs(s) / 2.0)
     major, minor = np.where(tie, s.imag, s.real), np.where(tie, s.real, s.imag)
     return np.where((major < 0) | ((major == 0) & (minor < 0)), -s, s)
@@ -569,7 +499,7 @@ def pair_eigenvalues(
     low: LowBlock, radius_rule=contour_radius, n_max: int | None = None
 ) -> EigenPairTable:
     """Pair table n <= n_max (default K/4, the trusted quarter of the
-    window) of a low block, such as an EigenList.  A disc of radius
+    window) of a low block.  A disc of radius
     radius_rule(m, n) around center(m, n) holding exactly two eigenvalues
     (_pair_rows) becomes a row without zero mode, anything else is flagged
     with its count.  A disc that reaches low.complete_below, past which the
@@ -663,7 +593,8 @@ def converge_truncation(
 ) -> tuple[int, EigenPairTable]:
     """Double the window until every paired eigenvalue with n <= n_max moves
     less than tol between consecutive windows; rows still moving when the
-    window cap is reached stay flagged unconverged."""
+    window cap is reached stay flagged unconverged.  The table records the
+    windows solved and why the doubling stopped ("converged" or "cap")."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     K = K_start if K_start is not None else max(32, 4 * n_max)
@@ -671,13 +602,16 @@ def converge_truncation(
         raise PairingConfigError(f"K_start = {K} too small for n_max = {n_max}")
 
     table = compute_pair_table(v, m, K, n_max=n_max)
+    windows, stop = [K], "cap"
     while 2 * K <= K_cap:
         K = 2 * K
+        windows.append(K)
         finer = compute_pair_table(v, m, K, n_max=n_max)
         table = mark_converged(finer, table, tol)
         if table.rows and all(r.converged for r in table.rows):
+            stop = "converged"
             break
-    return K, table
+    return K, replace(table, windows=tuple(windows), stop=stop)
 
 
 @dataclass(frozen=True)

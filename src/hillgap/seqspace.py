@@ -38,7 +38,9 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 MIN_FIT_POINTS = 5  # fewest strictly positive points a decay fit accepts
-MEMBERSHIP_BOUND_FACTOR = 10.0
+# the rise of r_n n^s a bounded sequence may show across its fit range; n^{1-s}
+# rises by 1.2 over the shortest fit range, n = 8..12
+MEMBERSHIP_BOUND_FACTOR = 1.1
 
 
 class Parity(str, enum.Enum):
@@ -350,21 +352,17 @@ def h_membership_bounded(
     fit_range: tuple[int, int] | None = None,
 ) -> bool:
     """Desk-scale membership surrogate for the class with decay exponent s:
-    sup_n r_n n^s must not exceed MEMBERSHIP_BOUND_FACTOR times the median
-    of r_n n^s."""
-    pts = list(points)
+    r_n n^s must not grow across the fit range.  With the points in n order,
+    the largest r_n n^s over the upper half must not exceed
+    MEMBERSHIP_BOUND_FACTOR times the largest over the lower half (an odd
+    middle point is in both), so a sequence that decays faster than n^-s is
+    bounded and one that grows is not."""
+    pts = sorted(points)
     if fit_range is not None:
         lo, hi = fit_range
         pts = [(n, r) for n, r in pts if lo <= n <= hi]
     if not pts:
         raise ValueError("no points to test")
     weighted = [r * float(n) ** s for n, r in pts]
-    top = max(weighted)
-    if top == 0.0:
-        return True
-    # np.median's middle, without its NaN check, which imports numpy.ma
-    s, k = sorted(weighted), len(weighted) // 2
-    med = s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2.0
-    if med == 0.0:
-        return False
-    return top <= MEMBERSHIP_BOUND_FACTOR * med
+    half = len(weighted) // 2
+    return max(weighted[half:]) <= MEMBERSHIP_BOUND_FACTOR * max(weighted[: len(weighted) - half])

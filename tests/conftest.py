@@ -5,7 +5,30 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from hillgap.eigensolver import ORDER_TOL_SCALE
 from hillgap.seqspace import Parity, ParityError
+
+
+def lex_sorted(values):
+    """values by ascending real part, real parts that tie within
+    ORDER_TOL_SCALE (1 + |lambda|) by imaginary part: the order in which a
+    pair row reports its two ends."""
+    vals = sorted(np.asarray(values, dtype=complex).tolist(), key=lambda z: z.real)
+    out, i = [], 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and vals[j].real - vals[j - 1].real <= ORDER_TOL_SCALE * (1 + abs(vals[j])):
+            j += 1
+        out += sorted(vals[i:j], key=lambda z: z.imag)
+        i = j
+    return np.array(out, dtype=complex)
+
+
+def window_spectrum(op):
+    """All 2K eigenvalues of the window, lex_sorted, from one np.linalg.eigvals
+    of T: a reference spectrum that shares no code with the low block or the
+    pair route."""
+    return lex_sorted(np.linalg.eigvals(op.matrix))
 
 
 @functools.lru_cache(maxsize=None)

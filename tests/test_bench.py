@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-# the cases of stage_cost.py, grouped by the single-stage script each group replaced
+# the cases of stage_cost.py, grouped by the single-stage script each group
+# replaced; the start-up cases are timed once per repetition, with no K
+STARTUP = {"interpreter", "import_floor", "import"}
 GROUPS = {
+    "startup": STARTUP,
     "pair_solve_cost.py": {"build_T", "cut", "pair", "table", "table_support6"},
     "confirm_window_cost.py": {"table", "table_confirm", "table_2K"},
     "riesz_contour_cost.py": {"contour_trig", "contour_strong"},
@@ -41,7 +44,7 @@ def test_stage_cost_at_small_size(doc):
         assert set(tree["threads_after_import"]) == set(doc["machine"]["env"])
         assert set(tree["seconds"]) == CASES
         assert {r["case"] for r in tree["runs"]} == {
-            "stages", "spectrum", "asymptotics", "riesz-check", "lemmas"}
+            "stages", "spectrum", "asymptotics", "riesz-check", "lemmas", *STARTUP}
         for r in tree["runs"]:
             assert {"wall_s", "cpu_s", "max_rss_mb", "exit"} <= set(r)
             assert r["exit"] == 0
@@ -51,7 +54,7 @@ def test_stage_cost_at_small_size(doc):
 def test_runs_at_tiny_size(doc, script):
     for name in TREES:
         tree = doc[name]
-        for case in GROUPS[script]:
+        for case in GROUPS[script] - STARTUP:
             assert all(tree["seconds"][case][K] > 0 for K in ("48", "64")), case
             assert set(tree["facts"][case]) == {"48", "64"}, case
             assert tree["k_slope"][case]["48-64"] is not None, case
@@ -59,3 +62,7 @@ def test_runs_at_tiny_size(doc, script):
             assert tree["facts"]["table_2K"]["64"]["window"] == 128
         if script == "cli_process_cost.py":
             assert tree["lemmas_seconds"] > 0
+        if script == "startup":
+            assert all(tree["seconds"][case] > 0 for case in STARTUP)
+            want = tree["seconds"]["import"] - tree["seconds"]["import_floor"]
+            assert tree["hillgap_import_s"] == want

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import l_direct
+from conftest import l_direct, window_spectrum
 
 from hillgap import cli, eigensolver, riesz
 from hillgap.cli import RunConfig, main
-from hillgap.eigensolver import eigenvalues, low_block, pair_eigenvalues
+from hillgap.eigensolver import low_block, pair_eigenvalues
 from hillgap.operator import MAX_HALF_WINDOW, build_T
 from hillgap.seqspace import (
     FourierSequence,
@@ -243,6 +243,21 @@ class TestConfirmWindow:
         footer = read_csv(out)[2]
         assert footer["K"] == 64 and footer["confirm_K"] == 32
 
+    @pytest.mark.parametrize("command, n_max, windows", [("spectrum", 10, [40, 80]),
+                                                         ("asymptotics", 12, [48, 96])])
+    def test_auto_reports_windows_and_stop(self, tmp_path, trig_potential, command, n_max, windows):
+        # --K auto lists every window it solved and why it stopped; a fixed
+        # --K solves no sequence of windows and reports neither
+        out = tmp_path / "s.csv"
+        assert main([command, "--n-max", str(n_max), "--potential", trig_potential,
+                     "--out", str(out)]) == 0
+        footer = read_csv(out)[2]
+        assert footer["windows"] == windows and footer["stop"] == "converged"
+        assert footer["K"] == windows[-1]
+        assert main([command, "--K", str(windows[-1]), "--n-max", str(n_max),
+                     "--potential", trig_potential, "--out", str(out)]) == 0
+        assert not {"windows", "stop"} & set(read_csv(out)[2])
+
     def test_m3_rows_match_oracle(self, mpmath_pair):
         # a non-Hermitian potential of support 16 at K = 16 is confirmed at
         # K = 24; against the doubled window the rounding of the K = 32 solve
@@ -447,6 +462,17 @@ class TestAsymptoticsCommand:
         assert all(float(r["rem_gamma"]) == 0.0 for r in rows)
         assert footer["bounded_flags"]["tau"] is True
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_trig_flags_every_class_bounded(self, tmp_path, trig_potential, m):
+        # every remainder decays far faster than its class asks (fitted
+        # slopes -2 to -420 against targets 0.5 to 2.95): none is flagged
+        out = tmp_path / "asym.csv"
+        assert main(["asymptotics", "--m", str(m), "--K", "128", "--n-max", "32",
+                     "--potential", trig_potential, "--out", str(out)]) == 0
+        footer = read_csv(out)[2]
+        assert all(float(footer[f"fitted_slope_{k}"]) < -2.0 for k in ("tau", "gamma"))
+        assert footer["bounded_flags"] == {"tau": True, "gamma": True, "gamma_corr": True}
+
     def test_trig_slopes_in_footer(self, tmp_path, trig_potential):
         out = tmp_path / "asym.csv"
         code = main(["asymptotics", "--m", "1", "--alpha", "0", "--K", "96",
@@ -480,8 +506,8 @@ class TestAsymptoticsCommand:
         assert "Riccati" in capsys.readouterr().err
 
     def test_no_numpy_ma_import(self, tmp_path, trig_potential):
-        # np.median's NaN check imports numpy.ma; the membership surrogate
-        # takes the middle of the sorted values instead
+        # np.median's NaN check imports numpy.ma; no step of asymptotics
+        # may take it
         out = tmp_path / "asym.csv"
         script = (
             "import sys\n"
@@ -513,7 +539,7 @@ class TestShortFit:
     def test_exit_2_before_solve(self, tmp_path, trig_potential, monkeypatch, capsys, argv):
         # too few rows for a decay fit is a configuration error, found before
         # any eigensolve
-        monkeypatch.setattr(eigensolver, "eigenvalues", _no_solve)
+        monkeypatch.setattr(eigensolver, "low_block", _no_solve)
         code = main(argv + ["--potential", trig_potential, "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "needs --n-max >= " in capsys.readouterr().err
@@ -830,7 +856,7 @@ class TestRieszCheckCommand:
 
         def edge_distance(a):
             v = FourierSequence.make(Parity.EVEN, {6: a, -6: a})
-            eigs = eigenvalues(build_T(v, 1, K)).values
+            eigs = window_spectrum(build_T(v, 1, K))
             i = int(np.argmin(np.abs(eigs - (c + rho))))
             return abs(eigs[i] - c) - rho
 

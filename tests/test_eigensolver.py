@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import lex_sorted, window_spectrum
 
 from hillgap import eigensolver
 from hillgap.eigensolver import (
     CONVERGENCE_TOL,
-    EigenList,
     PairingConfigError,
     SolverError,
     compute_pair_table,
     confirm_window,
     converge_truncation,
-    eigenvalues,
-    lexicographic_order,
     localization_report,
     low_block,
     mark_converged,
@@ -50,42 +48,23 @@ def random_potential(seed, window=32, m=1, alpha=0.0, radius=1.0, hermitian=Fals
     return make_potential(spec, SobolevParams(m=m, alpha=alpha))
 
 
-class TestLexicographicSort:
-    def test_total_order(self):
-        vals = [3 + 1j, 1 - 1j, 1 + 1j, 2 + 0j]
-        out = np.asarray(vals)[lexicographic_order(vals)]
-        assert list(out) == [1 - 1j, 1 + 1j, 2 + 0j, 3 + 1j]
-
-    def test_tie_band_orders_by_imag(self):
-        vals = [5.0 + 1e-12 + 2j, 5.0 - 1j]
-        out = np.asarray(vals)[lexicographic_order(vals)]
-        assert out[0].imag == -1 and out[1].imag == 2
-
-    def test_stability_under_tolerance_change(self):
-        rng = np.random.default_rng(0)
-        vals = rng.standard_normal(40) * 100 + 1j * rng.standard_normal(40)
-        a = vals[lexicographic_order(vals, tol_scale=1e-9)]
-        b = vals[lexicographic_order(vals, tol_scale=1e-8)]
-        gaps = np.diff(np.sort(vals.real))
-        if np.all(gaps > 10 * 1e-8 * (1 + np.max(np.abs(vals)))):
-            assert np.array_equal(a, b)
-
-
 class TestEigenvalues:
+    """Spectral identities of the window, on the reference spectrum."""
+
     def test_free_operator_doubles(self):
-        eigs = eigenvalues(build_T(vseq({}), 1, 8))
+        values = window_spectrum(build_T(vseq({}), 1, 8))
         mu = np.sort(unperturbed_eigenvalues(1, 8))
-        assert np.array_equal(eigs.values.real, mu)
-        assert np.all(eigs.values.imag == 0)
-        assert eigs.values[0] == pytest.approx(PI2, rel=1e-15)
+        assert np.array_equal(values.real, mu)
+        assert np.all(values.imag == 0)
+        assert values[0] == pytest.approx(PI2, rel=1e-15)
         # every unperturbed eigenvalue appears exactly twice
-        uniq, counts = np.unique(eigs.values.real, return_counts=True)
+        uniq, counts = np.unique(values.real, return_counts=True)
         assert np.all(counts == 2)
 
     def test_constant_potential_shifts(self):
-        base = eigenvalues(build_T(vseq({}), 1, 8))
-        shifted = eigenvalues(build_T(vseq({0: 5.0}), 1, 8))
-        assert np.allclose(shifted.values, base.values + 5.0, rtol=0, atol=1e-12)
+        base = window_spectrum(build_T(vseq({}), 1, 8))
+        shifted = window_spectrum(build_T(vseq({0: 5.0}), 1, 8))
+        assert np.allclose(shifted, base + 5.0, rtol=0, atol=1e-12)
 
     def test_first_gap_doubling_oracle(self):
         v = vseq({2: 1.0, -2: 1.0})
@@ -96,8 +75,8 @@ class TestEigenvalues:
         assert abs(r64.lambda_hi - r128.lambda_hi) <= 1e-10
         # first pair straddles pi^2 -+ 1 (the first semi-periodic gap of
         # 2 cos(2 pi x)); collect it with a slightly larger disc
-        e128 = eigenvalues(build_T(v, 1, 128))
-        lo, hi = e128.values[0].real, e128.values[1].real
+        e128 = window_spectrum(build_T(v, 1, 128))
+        lo, hi = e128[0].real, e128[1].real
         assert lo == pytest.approx(PI2 - 1, abs=0.05)
         assert hi == pytest.approx(PI2 + 1, abs=0.05)
 
@@ -105,39 +84,34 @@ class TestEigenvalues:
         for seed in (0, 1):
             v = random_potential(seed, window=40)
             op = build_T(v, 1, 16)
-            eigs = eigenvalues(op)
+            values = window_spectrum(op)
             want = np.sum(unperturbed_eigenvalues(1, 16)) + 2 * 16 * v(0)
             scale = abs(np.trace(op.matrix))
-            assert abs(eigs.values.sum() - want) <= 1e-9 * scale
+            assert abs(values.sum() - want) <= 1e-9 * scale
 
     def test_hermitian_path_real_output(self):
+        # the pair rows of the whole window of a Hermitian T are exactly real
         v = random_potential(7, hermitian=True)
-        eigs = eigenvalues(build_T(v, 1, 12))
-        assert np.all(eigs.values.imag == 0)
+        tab = pair_eigenvalues(low_block(build_T(v, 1, 12), 12))
+        assert tab.rows and tab.flagged == {}
+        assert all(r.d_tau.imag == 0 and r.gamma.imag == 0 for r in tab.rows)
 
     def test_shift_equivariance_complex(self):
         v = random_potential(3, window=24)
         c = 2.0 - 3.0j
-        base = eigenvalues(build_T(v, 1, 10))
-        shifted = eigenvalues(build_T(v.with_entry(0, v(0) + c), 1, 10))
-        moved = base.values + c
-        assert np.allclose(np.sort_complex(shifted.values), np.sort_complex(moved), atol=1e-9)
+        base = window_spectrum(build_T(v, 1, 10))
+        shifted = window_spectrum(build_T(v.with_entry(0, v(0) + c), 1, 10))
+        moved = base + c
+        assert np.allclose(np.sort_complex(shifted), np.sort_complex(moved), atol=1e-9)
 
     def test_conjugation_symmetry(self):
         v = random_potential(9, window=24)
         vbar = conjugate_seq(v)
-        a = eigenvalues(build_T(v, 1, 10)).values
-        b = eigenvalues(build_T(vbar, 1, 10)).values
+        a = window_spectrum(build_T(v, 1, 10))
+        b = window_spectrum(build_T(vbar, 1, 10))
         assert np.allclose(
             np.sort_complex(b), np.sort_complex(np.conj(a)), atol=1e-9
         )
-
-    def test_residual_certificate(self):
-        for m in (1, 2):
-            v = random_potential(4, window=24, m=m)
-            eigs = eigenvalues(build_T(v, m, 12))
-            assert np.any(eigs.values.imag != 0)  # the general, non-Hermitian path
-            assert eigs.residual_max <= 1e-8
 
 
 class TestPairing:
@@ -162,28 +136,29 @@ class TestPairing:
 
     def test_all_rows_present_for_small_real_potential(self):
         v = random_potential(2, window=60, hermitian=True)
-        tab = pair_eigenvalues(eigenvalues(build_T(v, 1, 32)))
+        tab = pair_eigenvalues(low_block(build_T(v, 1, 32), 32))
         missing = [n for n in range(2, 9) if n in tab.flagged]
         assert not missing
 
     def test_overlap_config_error(self):
-        eigs = eigenvalues(build_T(vseq({}), 1, 16))
+        low = low_block(build_T(vseq({}), 1, 16), 16)
         with pytest.raises(PairingConfigError):
-            pair_eigenvalues(eigs, lambda m, n: 1e6)
+            pair_eigenvalues(low, lambda m, n: 1e6)
 
     def test_window_too_small(self):
-        eigs = eigenvalues(build_T(vseq({}), 1, 8))
+        low = low_block(build_T(vseq({}), 1, 8), 8)
         with pytest.raises(PairingConfigError):
-            pair_eigenvalues(eigs, n_max=4)
+            pair_eigenvalues(low, n_max=4)
 
     def test_refinement_stays_in_disc(self):
         v = vseq({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0})
-        eigs = eigenvalues(build_T(v, 1, 32))
-        ref = pair_eigenvalues(eigs)
+        op = build_T(v, 1, 32)
+        ref = pair_eigenvalues(low_block(op, 32))
+        values = window_spectrum(op)
         assert ref.rows
         for rr in ref.rows:
             c = (2 * rr.n - 1) ** 2 * PI2
-            raw = eigs.values[np.abs(eigs.values - c) < rr.disc_radius_used]
+            raw = values[np.abs(values - c) < rr.disc_radius_used]
             assert len(raw) == 2
             assert abs(rr.lambda_lo - raw[0]) < 1e-6
             assert abs(rr.lambda_lo - c) < rr.disc_radius_used
@@ -207,6 +182,7 @@ class TestConvergeTruncation:
         K, tab = converge_truncation(v, 1, 4, tol=1e-300, K_cap=32)
         assert K == 32
         assert all(not r.converged for r in tab.rows)
+        assert tab.stop == "cap"
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_converged_rows_match_oracle(self, feshbach_pair, m):
@@ -324,7 +300,7 @@ class TestDecoupledSolve:
     )
     def test_cut_matches_whole_window_m1(self, v, K, n, real):
         op = build_T(v, 1, K)
-        whole = pair_eigenvalues(eigenvalues(op), n_max=n)
+        whole = pair_eigenvalues(low_block(op, K), n_max=n)
         low = low_block(op, n)
         cut = pair_eigenvalues(low, n_max=n)
         assert [r.n for r in cut.rows] == [r.n for r in whole.rows]
@@ -458,7 +434,7 @@ class TestBatchedRefinement:
     def test_pairs_match_per_pair_reference(self, m, name):
         v = self.POTENTIALS[name](m)
         op = build_T(v, m, 64)
-        for low in (eigenvalues(op), low_block(op, 16)):
+        for low in (low_block(op, 64), low_block(op, 16)):
             tab = pair_eigenvalues(low)
             assert len(tab.rows) == 16 and tab.unrefined == ()
             for row in tab.rows:
@@ -540,14 +516,14 @@ class TestPairReductionOracle:
         tab = compute_pair_table(v, 1, 64, n_max=16)
         grown = tab.unrefined + tuple(tab.flagged)
         assert 0 < len(grown) < 16
-        whole = eigenvalues(build_T(v, 1, 64)).values
+        whole = window_spectrum(build_T(v, 1, 64))
         for n in grown:
             c = center(1, n)
             hits = whole[np.abs(whole - c) < contour_radius(1, n)] - c
             assert tab.flagged.get(n, 2) == len(hits)
             if n in tab.unrefined:
                 r = tab.row(n)
-                lo, hi = hits[lexicographic_order(hits)]
+                lo, hi = lex_sorted(hits)
                 # the whole window rounds at ||T|| ~ 1.6e5, the band at its own scale
                 assert max(abs(r.d_lo - lo), abs(r.d_hi - hi)) <= 1e-9
                 assert not real or (r.d_tau.imag == 0 and r.gamma.imag == 0)
@@ -563,17 +539,21 @@ class TestSolverRouting:
 
 class TestNoDenseSolves:
     def test_certify_and_refine_without_solve_or_inv(self, monkeypatch):
+        # the pair route takes no dense solve or inverse; no route, the
+        # contours' and the census's shift-inverts included, eigendecomposes
         def forbidden(*args, **kwargs):
-            raise AssertionError("dense solve or inverse in the eigensolver")
+            raise AssertionError(f"np.linalg.{kernels} in the eigensolver")
 
-        monkeypatch.setattr(np.linalg, "solve", forbidden)
-        monkeypatch.setattr(np.linalg, "inv", forbidden)
         v = random_potential(6, window=120)
-        tab = compute_pair_table(v, 1, 64)
-        assert len(tab.rows) >= 12
-        K, conv = converge_truncation(v, 1, 8)
-        assert all(r.converged for r in conv.rows)
-        op = build_T(v, 1, 64)
-        first = eigenvalues(op).residual_max
-        assert first <= 1e-8
-        assert eigenvalues(op).residual_max == first
+        for kernels in (("solve", "inv"), ("eig", "eigh")):
+            with monkeypatch.context() as patch:
+                for name in kernels:
+                    patch.setattr(np.linalg, name, forbidden)
+                tab = compute_pair_table(v, 1, 64)
+                assert len(tab.rows) >= 12
+                K, conv = converge_truncation(v, 1, 8)
+                assert all(r.converged for r in conv.rows)
+                if "inv" not in kernels:
+                    pair = riesz_projector(low_block(build_T(v, 1, 64), 4), ContourSpec(n=4, m=1))
+                    assert abs(pair.tr_p - 2.0) <= 1e-9
+                    assert localization_report(v, 1, 0.0, 1.0, 1.1, 64).disc_rows

@@ -7,7 +7,7 @@ from conftest import _mp_eigenvalues, l_direct
 
 from hillgap import eigensolver
 from hillgap.eigensolver import (
-    SolverError, correction_values, eigenvalues, low_block, pair_eigenvalues,
+    SolverError, correction_values, low_block, pair_eigenvalues,
 )
 from hillgap.operator import (
     TruncatedOperator,
@@ -53,10 +53,10 @@ def random_potential(seed, window=24, radius=0.8):
     return make_potential(spec, SobolevParams(m=1, alpha=0.0))
 
 
-def full_eigvals_traces(eigs, contour):
+def full_eigvals_traces(low, contour):
     """The route the dominant block replaced: Tr P and Tr((T - c) P) summed
     over every eigenvalue of the shift-inverse M = (sigma - T)^{-1}."""
-    mat = eigs.op.matrix
+    mat = low.op.matrix
     _, ws = contour.points()
     offsets = contour.nodes * ws
     shift = 2j * contour.radius
@@ -65,9 +65,9 @@ def full_eigvals_traces(eigs, contour):
     return np.sum(ws * traces), np.sum(ws * traces * offsets)
 
 
-def assert_matches_full_eigvals(eigs, contour):
-    pair = riesz_projector(eigs, contour)
-    tr_p, tr_q = full_eigvals_traces(eigs, contour)
+def assert_matches_full_eigvals(low, contour):
+    pair = riesz_projector(low, contour)
+    tr_p, tr_q = full_eigvals_traces(low, contour)
     assert abs(pair.tr_p - tr_p) <= 1e-12
     assert abs(pair.tr_q - tr_q) <= 1e-12 * contour.radius
     return pair
@@ -97,8 +97,8 @@ class TestContourSpec:
 
 class TestRieszProjector:
     def test_zero_potential_exact(self):
-        eigs = eigenvalues(build_T(vseq({}), 1, 16))
-        pair = riesz_projector(eigs, ContourSpec(n=3, m=1))
+        low = low_block(build_T(vseq({}), 1, 16), 16)
+        pair = riesz_projector(low, ContourSpec(n=3, m=1))
         # the pair sits exactly at the center: Tr P = 2, Tr((T - c) P) = 0
         assert abs(pair.tr_p - 2.0) <= 1e-14
         assert abs(pair.tr_q) <= 1e-12
@@ -106,8 +106,8 @@ class TestRieszProjector:
     def test_trace_two_for_random_potentials(self):
         for seed in (0, 1):
             v = random_potential(seed)
-            eigs = eigenvalues(build_T(v, 1, 32))
-            pair = riesz_projector(eigs, ContourSpec(n=4, m=1))
+            low = low_block(build_T(v, 1, 32), 32)
+            pair = riesz_projector(low, ContourSpec(n=4, m=1))
             assert abs(pair.tr_p - 2.0) <= 1e-9
 
     def test_matches_dense_inverse_per_node(self):
@@ -117,7 +117,7 @@ class TestRieszProjector:
         contour = ContourSpec(n=3, m=1)
         lams, ws = contour.points()
         tr = np.array([np.trace(np.linalg.inv(lam * np.eye(32) - op.matrix)) for lam in lams])
-        pair = riesz_projector(eigenvalues(op), contour)
+        pair = riesz_projector(low_block(op, op.K), contour)
         assert abs(pair.tr_p - np.sum(ws * tr)) <= 1e-12
         assert abs(pair.tr_q - np.sum(ws * (lams - contour.center) * tr)) <= 1e-11
 
@@ -129,7 +129,7 @@ class TestRieszProjector:
         # nilpotent, so its trace vanishes
         v = vseq({2: 1.0, 4: 0.5 + 0.2j, 6: 0.3, 8: 0.1j})
         contour = ContourSpec(n=n, m=m)
-        pair = riesz_projector(eigenvalues(build_T(v, m, 32)), contour)
+        pair = riesz_projector(low_block(build_T(v, m, 32), 32), contour)
         assert abs(pair.tr_p - 2.0) <= 1e-12
         assert abs(pair.tr_q) <= 1e-12 * contour.radius
 
@@ -139,8 +139,8 @@ class TestRieszProjector:
         contour = ContourSpec(n=3, m=1)
         mat = build_T(random_potential(5), 1, 16).matrix.copy()
         mat[-1, -1] = contour.center + (0.3 + 0.1j) * contour.radius
-        eigs = eigenvalues(TruncatedOperator(1, 16, mat))
-        pair = assert_matches_full_eigvals(eigs, contour)
+        low = low_block(TruncatedOperator(1, 16, mat), 16)
+        pair = assert_matches_full_eigvals(low, contour)
         assert abs(pair.tr_p - 3.0) <= 1e-12
         assert pair.block > 2
 
@@ -152,25 +152,25 @@ class TestRieszProjector:
         contour = ContourSpec(n=3, m=1, nodes=16)
         mat = build_T(random_potential(5), 1, 16).matrix + 0.5j * contour.radius * np.eye(32)
         mat[-1, -1] = contour.center - 3.8j * contour.radius
-        eigs = eigenvalues(TruncatedOperator(1, 16, mat))
-        pair = assert_matches_full_eigvals(eigs, contour)
+        low = low_block(TruncatedOperator(1, 16, mat), 16)
+        pair = assert_matches_full_eigvals(low, contour)
         assert pair.block > 2
 
     def test_strong_potential_grows_block(self):
         v = vseq({2: 60.0, -2: 45j, 4: 30.0})
-        eigs = eigenvalues(build_T(v, 1, 32))
-        pairs = [assert_matches_full_eigvals(eigs, ContourSpec(n=n, m=1)) for n in (1, 2, 3)]
+        low = low_block(build_T(v, 1, 32), 32)
+        pairs = [assert_matches_full_eigvals(low, ContourSpec(n=n, m=1)) for n in (1, 2, 3)]
         assert max(p.block for p in pairs) > 2
 
     def test_strong_potential_certifies_high_contours(self, inv_calls):
         # the gaps c_n - c_{n-1} grow like n: the certificate refuses the low
         # contours, which take the dense shift-invert of a grown band, and
         # decouples the pair of every higher one, shift-inverting its 2 x 2 block
-        eigs = eigenvalues(build_T(vseq({2: 60.0, -2: 45j, 4: 30.0}), 1, 64))
+        low = low_block(build_T(vseq({2: 60.0, -2: 45j, 4: 30.0}), 1, 64), 64)
         dense = []
         for n in range(1, 17):
             before = len(inv_calls)
-            pair = assert_matches_full_eigvals(eigs, ContourSpec(n=n, m=1))
+            pair = assert_matches_full_eigvals(low, ContourSpec(n=n, m=1))
             # the reference itself takes one inverse, after the projector's
             assert len(inv_calls) - before == 2
             if pair.dense:
@@ -202,26 +202,26 @@ class TestRieszProjector:
         assert abs(table.row(4).d_tau - mpmath_pair(coeffs, 1, 16, 4)[0]) <= 1e-13
 
     def test_unsettled_pair_fixed_point_raises(self, monkeypatch):
-        eigs = eigenvalues(build_T(random_potential(3), 1, 32))
+        low = low_block(build_T(random_potential(3), 1, 32), 32)
         monkeypatch.setattr(eigensolver, "RICCATI_MAX_STEPS", 1)
         with pytest.raises(SolverError, match="Riccati"):
-            riesz_projector(eigs, ContourSpec(n=3, m=1))
+            riesz_projector(low, ContourSpec(n=3, m=1))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_random_potentials_stay_at_pair_block(self, m):
         for seed in (6, 7):
-            eigs = eigenvalues(build_T(random_potential(seed, radius=3.0), m, 32))
+            low = low_block(build_T(random_potential(seed, radius=3.0), m, 32), 32)
             for n in (1, 3, 6):
-                pair = assert_matches_full_eigvals(eigs, ContourSpec(n=n, m=m))
+                pair = assert_matches_full_eigvals(low, ContourSpec(n=n, m=m))
                 assert pair.block == 2
 
     def test_collision_error_carries_offender(self):
         # an eigenvalue of A^m sits exactly on a radius-crossing contour if
         # we shift the potential by the right constant
         v = vseq({0: float(2 * 3 - 1) ** 1})  # pushes the n=3 pair onto its contour
-        eigs = eigenvalues(build_T(v, 1, 16))
+        low = low_block(build_T(v, 1, 16), 16)
         with pytest.raises(ContourCollisionError) as err:
-            riesz_projector(eigs, ContourSpec(n=3, m=1))
+            riesz_projector(low, ContourSpec(n=3, m=1))
         assert err.value.offending is not None
 
     def test_dense_route_collision_carries_offender(self):
@@ -244,11 +244,11 @@ class TestRieszProjector:
         # the contour radius: quadrature error then decays like q^N with
         # q well inside (0, 1), and the node-halving defect bounds it
         v = vseq({2: 2.0, -2: 2.0, 6: 1.5, -6: 1.5})
-        eigs = eigenvalues(build_T(v, 1, 32))
+        low = low_block(build_T(v, 1, 32), 32)
         errs = []
-        ref = riesz_projector(eigs, ContourSpec(n=2, m=1, nodes=256))
+        ref = riesz_projector(low, ContourSpec(n=2, m=1, nodes=256))
         for nodes in (16, 32, 64):
-            pair = riesz_projector(eigs, ContourSpec(n=2, m=1, nodes=nodes))
+            pair = riesz_projector(low, ContourSpec(n=2, m=1, nodes=nodes))
             errs.append(max(abs(pair.tr_p - ref.tr_p), abs(pair.tr_q - ref.tr_q)))
             assert errs[-1] <= pair.quad_tol
         assert errs[0] > 1e-13  # above the floor, so the ratios are meaningful
@@ -258,18 +258,18 @@ class TestRieszProjector:
 
 class TestTauFromTraces:
     def test_zero_potential(self):
-        eigs = eigenvalues(build_T(vseq({}), 1, 16))
-        res = riesz_projector(eigs, ContourSpec(n=2, m=1))
+        low = low_block(build_T(vseq({}), 1, 16), 16)
+        res = riesz_projector(low, ContourSpec(n=2, m=1))
         assert res.tau.real == pytest.approx(9 * PI2, rel=1e-12)
         assert abs(res.tr_q) <= 1e-10
 
     def test_cross_oracle_against_eigensolver(self):
         for seed in (3, 4):
             v = random_potential(seed, window=40)
-            eigs = eigenvalues(build_T(v, 1, 32))
-            table = pair_eigenvalues(eigs)
+            low = low_block(build_T(v, 1, 32), 32)
+            table = pair_eigenvalues(low)
             for n in (2, 4, 6):
-                res = riesz_projector(eigs, ContourSpec(n=n, m=1))
+                res = riesz_projector(low, ContourSpec(n=n, m=1))
                 tau_eig = table.row(n).tau
                 assert abs(res.tau - tau_eig) <= 1e-8 * (1 + abs(res.tau))
 
@@ -282,8 +282,8 @@ class TestTauFromTraces:
         # Tr(T P) - c Tr(P) cancels it to rounding
         coeffs = ORACLE_POTENTIALS[potential]
         want = 2.0 * mpmath_pair(coeffs, m, 16, n)[0]
-        eigs = eigenvalues(build_T(vseq(coeffs), m, 16))
-        res = riesz_projector(eigs, ContourSpec(n=n, m=m))
+        low = low_block(build_T(vseq(coeffs), m, 16), 16)
+        res = riesz_projector(low, ContourSpec(n=n, m=m))
         assert abs(res.tr_p - 2.0) <= 1e-12
         assert abs(res.tr_q - want) <= 1e-3 * abs(want)
 
@@ -303,8 +303,10 @@ class TestQ0Matrix:
         for seed in (5, 6):
             v = random_potential(seed, window=40)
             for n in (2, 5):
-                q0 = q0_matrix(v, 1, n, 24)  # the rows of 2n - 1, -(2n - 1)
-                assert abs(np.trace(q0[:, resonant_rows(24, n)[::-1]])) <= 1e-9
+                # the rows of 2n - 1, -(2n - 1); its resonant diagonal entries
+                # are v(0) times a weight, zero as v(0) is, and the closed
+                # form bounds them with the rest of the two rows
+                q0 = q0_matrix(v, 1, n, 24)
                 assert np.max(np.abs(q0 - q0_closed_form(v, 1, n, 24))) <= 1e-9
 
     def test_matches_node_loop(self):

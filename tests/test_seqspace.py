@@ -15,6 +15,7 @@ from hillgap.seqspace import (
     conjugate_seq,
     convolve,
     decay_exponent,
+    h_membership_bounded,
     is_real_valued,
     make_potential,
     normalize_zero_mode,
@@ -332,3 +333,24 @@ class TestDecayExponent:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             decay_exponent([(1, 1.0), (2, 0.5), (3, 0.1)], (1, 3))
+
+
+class TestMembershipBounded:
+    S = 0.95
+
+    @pytest.mark.parametrize("lo, hi", [(8, 12), (8, 32), (1, 200)])
+    def test_growth_is_not_bounded(self, lo, hi):
+        # r_n = n^{1-s}: r_n n^s = n grows, over the shortest fit range too
+        pts = [(n, float(n) ** (1.0 - self.S)) for n in range(1, 201)]
+        assert not h_membership_bounded(pts, self.S, (lo, hi))
+
+    @pytest.mark.parametrize("excess", [0.0, 2.0, 200.0])
+    def test_decay_at_or_past_the_class_is_bounded(self, excess):
+        # r_n n^s flat or decaying: however fast r_n falls, it stays bounded
+        pts = [(n, float(n) ** (-self.S - excess)) for n in range(8, 33)]
+        assert h_membership_bounded(pts, self.S, (8, 32))
+
+    def test_zeros(self):
+        assert h_membership_bounded([(n, 0.0) for n in range(8, 33)], self.S)
+        # growth from exact zeros is growth
+        assert not h_membership_bounded([(n, float(n > 20)) for n in range(8, 33)], self.S)
