@@ -11,9 +11,10 @@ with n = K/4, one child times each library call after the import:
     build_T, cut, pair    build_T, low_block(op, n) and pair_eigenvalues on the
                           rough input: complex, support |k| <= 128, m = 1,
                           decay (1+2k)^-0.3 as in the asym-k256 workload, seed 11
-    table, table_confirm, table_2K
-                          compute_pair_table on the rough input at the windows
-                          K, confirm_window(v, K) and 2K
+    table, table_2K       compute_pair_table on the rough input at K and 2K
+    bar                   truncation_bars, the fixed-K verdict alone, on the
+                          rough input's pair_eigenvalues(bases=True) at K
+                          (null in a tree that has no truncation_bars)
     table_support6        compute_pair_table at K on the rough input of support 6
     contour_trig, contour_strong
                           riesz_projector on the n = 4 contour with 64 nodes,
@@ -37,9 +38,11 @@ wait4.
 Prints one JSON object: the machine facts, and per tree the median seconds of
 every case and K (of a start-up case, one number), the K slope
 log2(t(K2) / t(K1)) / log2(K2 / K1) between neighbouring K, hillgap's own
-import cost hillgap_import_s (import less import_floor), the facts each case
-reports (window, rows and unrefined rows, route and block, n0 and cone count,
-exit code), every run, and the thread variables the tree's import leaves set.
+import cost hillgap_import_s (the median over repetitions of import less
+import_floor, each pair timed back to back), the facts each case reports
+(window, rows and unrefined rows, converged rows and the largest bar, route
+and block, n0 and cone count, exit code), every run, and the thread
+variables the tree's import leaves set.
 A window past MAX_HALF_WINDOW is null.  An exit code of 1 (a crash, not a CLI
 verdict) fails the script.
 """
@@ -78,8 +81,12 @@ def stages(K: int) -> None:
         compute_pair_table, localization_report, low_block, make_potential,
         normalize_zero_mode, pair_eigenvalues, riesz_projector,
     )
-    from hillgap.eigensolver import confirm_window
     from hillgap.operator import MAX_HALF_WINDOW
+
+    try:
+        from hillgap.eigensolver import truncation_bars
+    except ImportError:  # a tree from before the bars
+        truncation_bars = None
 
     n, cases = K // 4, {}
 
@@ -108,7 +115,13 @@ def stages(K: int) -> None:
     low = timed("cut", lambda: low_block(op, n), lambda low: {"block": len(low.matrix)})
     timed("pair", lambda: pair_eigenvalues(low, n_max=n), rows)
     table("table", v, K)
-    table("table_confirm", v, confirm_window(v, K))
+    if truncation_bars is None:
+        cases["bar"] = [None, {}]
+    else:
+        based = pair_eigenvalues(low, n_max=n, bases=True)
+        timed("bar", lambda: truncation_bars(based, v), lambda t: rows(t) | {
+            "converged": sum(r.converged for r in t.rows),
+            "max_bar": max((r.bar for r in t.rows), default=0.0)})
     table("table_2K", v, 2 * K)
     table("table_support6", rough(6), K)
     for case, coeffs in (("contour_trig", TRIG), ("contour_strong", STRONG)):
@@ -212,13 +225,14 @@ def main(argv=None) -> int:
                           for K, ts in by_k.items()}
                    for case, by_k in times[name].items()}
         seconds |= {case: seconds[case][None] for case in STARTUP}
+        imports = zip(times[name]["import"][None], times[name]["import_floor"][None])
         return {
             "path": trees[name], "threads_after_import": threads.get(name),
             "seconds": seconds,
             "k_slope": {case: {f"{k1}-{k2}": slope(by_k.get(k1), by_k.get(k2), k1, k2)
                                for k1, k2 in zip(ks, ks[1:])}
                         for case, by_k in seconds.items() if case not in STARTUP},
-            "hillgap_import_s": seconds["import"] - seconds["import_floor"],
+            "hillgap_import_s": statistics.median(a - b for a, b in imports),
             "facts": facts[name],
             "lemmas_seconds": statistics.median(r["wall_s"] for r in runs[name]
                                                 if r["case"] == "lemmas"),

@@ -106,6 +106,7 @@ class RemainderReport:
     bounded_flag: bool
     exact_zero: bool
     n0_below_one: int | None = None
+    unrefined: tuple[int, ...] = ()  # alpha1_experiment: rows read from the grown band
 
     def pairs(self) -> list[tuple[int, float]]:
         return list(zip(self.ns, self.values))
@@ -252,4 +253,5 @@ def alpha1_experiment(
         bounded_flag=all(v < 1.0 for n, v in zip(ns, values) if n > n0),
         exact_zero=fit.exact_zero,
         n0_below_one=n0,
+        unrefined=table.unrefined,
     )

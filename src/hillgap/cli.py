@@ -31,12 +31,10 @@ from .eigensolver import (
     PairingConfigError,
     SolverError,
     compute_pair_table,
-    confirm_window,
     converge_truncation,
     correction_values,
     localization_report,
     low_block,
-    mark_converged,
     pair_eigenvalues,
 )
 from .operator import (
@@ -285,21 +283,17 @@ def _spectrum_table(cfg: RunConfig, v: FourierSequence):
     if cfg.K == "auto":
         _, table = converge_truncation(v, cfg.m, cfg.n_max)
         return table
-    # one confirming solve, at the window that holds every mode the potential
-    # couples to the window K, sets the converged flags
-    K_c = confirm_window(v, cfg.K)
-    if K_c > MAX_HALF_WINDOW:
-        raise ConfigError(
-            f"--K {cfg.K} needs the confirming window {K_c}, past the largest "
-            f"window {MAX_HALF_WINDOW}"
-        )
-    table = compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max)
-    return mark_converged(table, compute_pair_table(v, cfg.m, K_c, n_max=cfg.n_max))
+    # one solve: each row's truncation bar, read off it, sets its converged flag
+    return compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max, bars=True)
 
 
-def _auto_window(table) -> dict:
-    """The windows --K auto solved and why it stopped; nothing for a fixed --K."""
-    return {"windows": list(table.windows), "stop": table.stop} if table.stop else {}
+def _verdict(table) -> dict:
+    """What set the converged flags: under --K auto the window compared
+    against, the windows solved and why the doubling stopped; for a fixed
+    --K the largest truncation bar."""
+    if table.stop:
+        return {"confirm_K": table.confirm_K, "windows": list(table.windows), "stop": table.stop}
+    return {"max_trunc_bar": fmt(float(np.max([r.bar for r in table.rows], initial=0.0)))}
 
 
 SPECTRUM_COLUMNS = [
@@ -324,10 +318,9 @@ def run_spectrum(cfg: RunConfig) -> int:
     ]
     footer = {
         "K": table.K,
-        "confirm_K": table.confirm_K,
         "flagged": {str(n): c for n, c in sorted(table.flagged.items())},
         "unrefined": list(table.unrefined),
-        **_auto_window(table),
+        **_verdict(table),
     }
     write_table(cfg, SPECTRUM_COLUMNS, rows, footer=footer)
     return 0
@@ -370,7 +363,6 @@ def run_asymptotics(cfg: RunConfig) -> int:
     }
     footer = {
         "K": table.K,
-        "confirm_K": table.confirm_K,
         "unrefined": list(table.unrefined),
         "fitted_slope_tau": fmt(rem_tau.fitted_slope),
         "fitted_slope_gamma": fmt(rem_g.fitted_slope),
@@ -381,7 +373,7 @@ def run_asymptotics(cfg: RunConfig) -> int:
             "gamma": rem_g.bounded_flag,
             "gamma_corr": rem_gc.bounded_flag,
         },
-        **_auto_window(table),
+        **_verdict(table),
     }
     write_table(cfg, ASYMPTOTICS_COLUMNS, rows, footer=footer, exponents=exponents)
     return 0
@@ -399,6 +391,7 @@ def run_localize(cfg: RunConfig) -> int:
         for d in report.disc_rows
     ]
     footer = {
+        "K": report.K,
         "n0_empirical": report.n0_empirical,
         "cone_count": report.cone_count,
         "cone_threshold": fmt(report.cone_threshold),
@@ -585,6 +578,8 @@ def run_alpha1(cfg: RunConfig) -> int:
     report = asymptotics.alpha1_experiment(v, cfg.m, cfg.n_max, K=K)
     rows = [[n, val] for n, val in report.pairs()]
     footer = {
+        "K": K,
+        "unrefined": list(report.unrefined),
         "fitted_slope": fmt(report.fitted_slope),
         "n0_below_one": report.n0_below_one,
         "bounded": report.bounded_flag,

@@ -22,6 +22,11 @@ _decouple, and never calls _pair_split; localization_report reads its discs
 through the pair rows.  Nothing here eigendecomposes the window: the only
 eigenvalue solves are eigvals of a shift-inverted band (_shift_poles) and of
 the band that holds localization_report's cone.
+
+A fixed window's converged flags come from truncation_bars, read off the
+same solve: the first-order Schur term of the modes just past the window on
+each pair's block, through the pair's basis lifted from the low block.
+converge_truncation instead compares the tables of doubling windows.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .seqspace import FourierSequence, normalize_zero_mode
 from .operator import (
     MAX_HALF_WINDOW,
     TruncatedOperator,
+    _coeff_lookup,
     build_B,
     build_T,
     center,
@@ -52,8 +58,8 @@ __all__ = [
     "low_block",
     "pair_eigenvalues",
     "compute_pair_table",
+    "truncation_bars",
     "mark_converged",
-    "confirm_window",
     "converge_truncation",
     "correction_values",
     "LocalizationReport",
@@ -84,7 +90,8 @@ class LowBlock:
     j = K): matrix is the center-free low block B_L left once the modes
     above are decoupled (_decouple), beta >= ||B_L||_2, and every eigenvalue
     of T left of complete_below is one of the block's.  hermitian says T is
-    Hermitian up to the scale of B(v); hop is _hop of T."""
+    Hermitian up to the scale of B(v); hop is _hop of T; lift is the cut's
+    (X, E^{-1/2}) from _decouple (None at the whole window)."""
 
     op: TruncatedOperator
     matrix: np.ndarray
@@ -92,6 +99,7 @@ class LowBlock:
     hermitian: bool
     complete_below: float
     hop: int
+    lift: tuple | None = None
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -199,8 +207,9 @@ def _fixed_point(update, z: np.ndarray, span: int, what: str):
 
 def _decouple(mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.ndarray, beta: float):
     """Split the window into the modes q_lo <= |p| <= q_hi (L) and the rest
-    (H), each in window order, and return the center-free low block and
-    rho; mu is the diagonal of A^m (zero for a matrix that is already
+    (H), each in window order, and return the center-free low block, rho
+    and the lift (X, E^{-1/2}) below, by reference (None when H is empty);
+    mu is the diagonal of A^m (zero for a matrix that is already
     center-free) and beta bounds ||B||_2.
 
     X solves T_HL + T_HH X = X (T_LL + T_LH X), so [I; X] spans the low
@@ -211,7 +220,8 @@ def _decouple(mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.nda
     rate <= 1/2 the last step bounds the distance to the exact X.  The block
     is the mirror form E^{1/2} (T_LL + T_LH X) E^{-1/2}, E = I + W X,
     W = J X^T J ([I W] spans the left invariant subspace): it keeps
-    J T J = T^T, so a pair's Feshbach block read from it has F11 = F22.
+    J T J = T^T, so a pair's Feshbach block read from it has F11 = F22,
+    and [I; X] E^{-1/2} lifts its vectors to the window (_lift).
     E^{-1/2} is a binomial series and diag(mu_L)'s commutator is taken over
     the exact gaps: products only, so small entries keep their scale."""
     low, high = _band(K, band)
@@ -235,7 +245,7 @@ def _decouple(mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.nda
     x = x[:, 0]
     rho = beta * (1.0 + float(np.linalg.norm(x)) + float(last[0]))
     if not len(high):
-        return b_ll, rho
+        return b_ll, rho, None
     # rows within two hops of L carry the chains across the band into T_LH X: they run on
     near = np.any(t_hl != 0, axis=1) | np.any(t_lh != 0, axis=0)
     near |= np.any(b_hh[:, near] != 0, axis=1)
@@ -253,18 +263,36 @@ def _decouple(mat: np.ndarray, m: int, K: int, band: tuple[int, int], mu: np.nda
     else:
         raise SolverError(f"the mirror form of the modes |p| <= {band[1]} did not converge")
     root = inv_root + n @ inv_root
-    return (root @ (b_ll + t_lh @ x) - root * _gaps(m, p[low], p[low])) @ inv_root, rho
+    block = (root @ (b_ll + t_lh @ x) - root * _gaps(m, p[low], p[low])) @ inv_root
+    return block, rho, (x, inv_root)
 
 
-def _grown_cut(mat, m, K, mu, beta, k, c, reach) -> tuple[int, np.ndarray, float]:
-    """k, the center-free block of the modes |p| <= 2k - 1 of mat and its rho:
-    the cut starts at k and doubles (up to the whole window K) until
-    _cut_certified holds for the disc of radius reach around c, and
+def _grown_cut(mat, m, K, mu, beta, k, c, reach) -> tuple[int, np.ndarray, float, tuple | None]:
+    """k, the center-free block of the modes |p| <= 2k - 1 of mat, its rho
+    and its lift: the cut starts at k and doubles (up to the whole window K)
+    until _cut_certified holds for the disc of radius reach around c, and
     _decouple splits it off."""
     while k < K and not _cut_certified(mat, m, K, (1, 2 * k - 1), beta, c, reach):
         k = min(2 * k, K)
     # at the whole window H is empty: X has no rows and rho = beta
     return k, *_decouple(mat, m, K, (1, 2 * k - 1), mu, beta)
+
+
+def _lift(lift: tuple | None, K: int, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The window rows `rows` of [I; X] E^{-1/2} u, the lift to the window K
+    of the columns u (2j, c) of the block that _decouple cut at
+    |p| <= 2j - 1, lift = (X, E^{-1/2}) (None: the block is the window)."""
+    if lift is None:
+        return u[rows]
+    x, inv_root = lift
+    j = len(u) // 2
+    w = inv_root @ u
+    out = np.empty((len(rows), u.shape[1]), dtype=complex)
+    inside = (rows >= K - j) & (rows < K + j)  # the modes |p| <= 2j - 1
+    out[inside] = w[rows[inside] - (K - j)]
+    high = rows[~inside]  # X's rows are the window's without those
+    out[~inside] = x[np.where(high < K - j, high, high - 2 * j)] @ w
+    return out
 
 
 def _cut_block(op: TruncatedOperator, n_max: int, reach: float) -> LowBlock:
@@ -276,9 +304,9 @@ def _cut_block(op: TruncatedOperator, n_max: int, reach: float) -> LowBlock:
     beta, hermitian = _structure(mat, mu)
     if not math.isfinite(beta):
         raise ValueError("operator matrix carries non-finite entries")
-    j, low, rho = _grown_cut(mat, m, K, mu, beta, min(n_max, K), center(m, n_max), reach)
+    j, low, rho, lift = _grown_cut(mat, m, K, mu, beta, min(n_max, K), center(m, n_max), reach)
     complete_below = center(m, j + 1) - rho if j < K else math.inf
-    return LowBlock(op, low, rho, hermitian, complete_below, _hop(mat))
+    return LowBlock(op, low, rho, hermitian, complete_below, _hop(mat), lift)
 
 
 def low_block(op: TruncatedOperator, n_max: int) -> LowBlock:
@@ -303,7 +331,9 @@ class EigenPairRow:
     """One pair as d_tau = tau - center(m, n) and gamma = lambda_hi -
     lambda_lo in the zero-mode-normalized frame, next to the zero mode v0
     split off before the solve; d_lo, d_hi and the absolute values derive
-    from them, and gamma (_pair_split) keeps its digits below ulp(d_tau)."""
+    from them, and gamma (_pair_split) keeps its digits below ulp(d_tau).
+    bar is the truncation bar that set converged (truncation_bars), None
+    when another window's table set it."""
 
     n: int
     center: float
@@ -312,6 +342,7 @@ class EigenPairRow:
     v0: complex
     disc_radius_used: float
     converged: bool
+    bar: float | None = None
 
     def _absolute(self, d: complex) -> complex:
         lam = self.center + d
@@ -348,6 +379,8 @@ class EigenPairTable:
     unrefined: tuple[int, ...] = ()  # rows read from the grown band, not their own 2 x 2 block
     windows: tuple[int, ...] = ()  # every window converge_truncation solved, in order
     stop: str | None = None  # why converge_truncation stopped: "converged" or "cap"
+    # (low block, G (N, 2, 2), right bases (2j, N, 2)) of the pairs n <= N, for truncation_bars
+    basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def row(self, n: int) -> EigenPairRow:
         for r in self.rows:
@@ -397,30 +430,31 @@ def _oriented(d: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _pair_split(b: np.ndarray, m: int, ns: np.ndarray, hop: int, hermitian: bool):
     """tau - c = tr G / 2 (_settle_pairs) and gamma of each pair of the
-    center-free block b.  With A = D + b - c, R(d) = (d - A_QQ)^{-1} and
-    F(d) = A_PP + A_PQ R(d) A_QP, J T J = T^T makes F11 = F22, so the ends
-    solve d_+- = F11(d_+-) +- s(d_+-), s = sqrt(F12) sqrt(F21) (no
-    underflow, one branch at both ends), and the resolvent identity gives
+    center-free block b, then G and Z by reference.  With A = D + b - c,
+    R(d) = (d - A_QQ)^{-1} and F(d) = A_PP + A_PQ R(d) A_QP, J T J = T^T
+    makes F11 = F22, so the ends solve d_+- = F11(d_+-) +- s(d_+-),
+    s = sqrt(F12) sqrt(F21) (no underflow, one branch at both ends), and
+    the resolvent identity gives
     gamma = (s(d_+) + s(d_-)) / (1 + h), h = [A_PQ R(d_+) R(d_-) A_QP]_11:
     no step subtracts two numbers the size of tau - c.  F is read at the
     ends d -+ sqrt(tr^2 G / 4 - det G), good to one ulp of tau - c.  A
     Hermitian T has real pairs: the real part of d and the modulus of gamma."""
     span = 2 * -(-(2 * int(ns.max()) - 1) // hop)  # twice the steps of the top pair's chain
-    g, z, (rows, gaps, cols) = _settle_pairs(b, m, ns, span)
+    g, z0, (rows, gaps, cols) = _settle_pairs(b, m, ns, span)
     d = (g[:, 0, 0] + g[:, 1, 1]) / 2.0
     half = np.sqrt((g[:, 0, 0] - g[:, 1, 1]) ** 2 + 4.0 * g[:, 0, 1] * g[:, 1, 0]) / 2.0
     rhs, shifted = np.tile(cols, 2), gaps - (d[:, None] + np.stack([half, -half], axis=1)).repeat(2, 1)
     # from Z of G: R(d_+-) A_QP differs from it by Z (G - d_+-) / gaps
     z = _fixed_point(lambda z: -(rhs + (b @ z.reshape(len(b), -1)).reshape(z.shape)) / shifted,
-                     np.tile(z, 2), span, "pair resolvent")[0]
+                     np.tile(z0, 2), span, "pair resolvent")[0]
     f = rhs[rows, np.arange(len(ns))[:, None]] + b[rows] @ z.transpose(1, 0, 2)  # F at both ends
     s = [np.sqrt(f[:, 0, 1 + e]) * np.sqrt(f[:, 1, e]) for e in (0, 2)]
     s[1] = np.where((s[1] * s[0].conj()).real < 0.0, -s[1], s[1])
     # h, with A_PQ R(d_+) = (J R(d_+) A_QP J_P)^T by the mirror identity: no third solve
     gamma = (s[0] + s[1]) / (1.0 + np.einsum("rn,rn->n", z[::-1, :, 1], z[:, :, 2]))
     if hermitian:
-        return d.real + 0j, np.abs(gamma) + 0j
-    return d, _oriented(d, gamma)
+        return d.real + 0j, np.abs(gamma) + 0j, g, z0
+    return d, _oriented(d, gamma), g, z0
 
 
 def correction_values(v: FourierSequence, m: int, ns) -> tuple[np.ndarray, np.ndarray]:
@@ -435,75 +469,99 @@ def correction_values(v: FourierSequence, m: int, ns) -> tuple[np.ndarray, np.nd
     return l2[:, 1, 0], l2[:, 0, 1]
 
 
-def _certified_band(low: LowBlock, k: int, edge: float) -> np.ndarray:
-    """The center-free band |p| <= 2k' - 1 of the low block, k' the first of
-    k, 2k, ... whose cut _grown_cut certifies with everything left of edge
-    inside it."""
+def _certified_band(low: LowBlock, k: int, edge: float) -> tuple[np.ndarray, tuple | None]:
+    """The center-free band |p| <= 2k' - 1 of the low block and its lift, k'
+    the first of k, 2k, ... whose cut _grown_cut certifies with everything
+    left of edge inside it."""
     j = len(low.matrix) // 2
-    return _grown_cut(low.matrix, low.op.m, j, np.zeros(2 * j), low.beta, k, edge, 0.0)[1]
+    _, band, _, lift = _grown_cut(low.matrix, low.op.m, j, np.zeros(2 * j), low.beta, k, edge, 0.0)
+    return band, lift
 
 
-def _shift_poles(band: np.ndarray, mu: np.ndarray, c: float, r: float) -> np.ndarray:
+def _shift_poles(band: np.ndarray, mu: np.ndarray, c: float, r: float):
     """Offsets from c of all the eigenvalues of the center-free band, whose
     modes carry the diagonal mu of A^m, as 2ir - 1 / nu over the eigenvalues
-    nu of M = (c + 2ir - T)^{-1}.  M is inverted in the center-free frame,
-    diag((c - mu) + 2ir) - band, so partial pivoting keeps the graded
+    nu of M = (c + 2ir - T)^{-1}, and M.  M is inverted in the center-free
+    frame, diag((c - mu) + 2ir) - band, so partial pivoting keeps the graded
     diagonal, and the poles near c, the largest nu, are accurate at the
     scale of r.  SolverError when LAPACK fails."""
     shift = 2j * r
     try:
-        return shift - 1.0 / np.linalg.eigvals(np.linalg.inv(np.diag((c - mu) + shift) - band))
+        inv = np.linalg.inv(np.diag((c - mu) + shift) - band)
+        return shift - 1.0 / np.linalg.eigvals(inv), inv
     except np.linalg.LinAlgError as exc:  # singular shift or QR non-convergence
         raise SolverError(f"band shift-invert failed: {exc}") from exc
 
 
-def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray):
+def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray, bases: bool):
     """tau - c, gamma and the offsets inside each disc of the refused pairs
     ns, from one _certified_band (from max(ns), every refused disc left of
     the rest) whose poles _shift_poles reads at each pair's own center,
-    paired by disc membership."""
-    band = _certified_band(low, int(ns.max()), float(np.max(c + radii)))
-    mu = unperturbed_eigenvalues(low.op.m, len(band) // 2)
+    paired by disc membership.  With bases, also each pair's 2 x 2 block and
+    right basis in the low block as _pair_rows has them: two steps of the
+    shift-inverse M from the pair's modes P, scaled to the identity on P
+    and lifted from the band."""
+    band, lift = _certified_band(low, int(ns.max()), float(np.max(c + radii)))
+    k, j = len(band) // 2, len(low.matrix) // 2
+    mu = unperturbed_eigenvalues(low.op.m, k)
     d, s, found = np.zeros(len(ns), complex), np.zeros(len(ns), complex), []
-    for i, (cn, r) in enumerate(zip(c, radii)):
-        delta = _shift_poles(band, mu, cn, r)
+    g = np.zeros((len(ns), 2, 2), complex)
+    u = np.zeros((2 * j if bases else 0, len(ns), 2), complex)
+    for i, (n, cn, r) in enumerate(zip(ns, c, radii)):
+        delta, inv = _shift_poles(band, mu, cn, r)
         if low.hermitian:
             delta = delta.real
         found.append(delta[np.abs(delta) < r])
         if len(found[i]) == 2:
             d[i], s[i] = (found[i][0] + found[i][1]) / 2.0, found[i][1] - found[i][0]
-    return d, _oriented(d, s), found
+        if bases:
+            rows = list(resonant_rows(k, n))
+            x = inv @ inv[:, rows]
+            x = x @ np.linalg.inv(x[rows])
+            g[i], u[:, i] = band[rows] @ x, _lift(lift, j, x, np.arange(2 * j))
+    return d, _oriented(d, s), found, g, u
 
 
-def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray):
+def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray, bases: bool = False):
     """tau - c, gamma and the offsets lambda - c inside the disc of radius
     radii[i] around center(m, ns[i]), and the ns read from the grown band:
     a pair whose modes low.certifies apart from the rest of the block is
-    read by _pair_split, offsets d -+ gamma / 2; the rest by _grown_band."""
+    read by _pair_split, offsets d -+ gamma / 2; the rest by _grown_band.
+    Also each pair's 2 x 2 block G (N, 2, 2), and with bases its right
+    basis e_P + Z in the low block (2j, N, 2) for truncation_bars (no rows
+    without)."""
     m = low.op.m
     c = np.array([center(m, n) for n in ns])
     ok = np.array([low.certifies((2 * n - 1,) * 2, cn, r) for n, cn, r in zip(ns, c, radii)], bool)
     d, gamma = np.zeros(len(ns), complex), np.zeros(len(ns), complex)
+    g = np.zeros((len(ns), 2, 2), complex)
+    u = np.zeros((len(low.matrix) if bases else 0, len(ns), 2), complex)
     if ok.any():
-        d[ok], gamma[ok] = _pair_split(low.matrix, m, ns[ok], low.hop, low.hermitian)
+        d[ok], gamma[ok], g[ok], z = _pair_split(low.matrix, m, ns[ok], low.hop, low.hermitian)
+        if bases:
+            u[:, ok] = z
+            for col, row in enumerate(resonant_rows(len(low.matrix) // 2, ns[ok])):
+                u[row, np.flatnonzero(ok), col] = 1.0  # Z is zero on P
     ends = d[:, None] + np.array([-0.5, 0.5]) * gamma[:, None]
     found = [e[np.abs(e) < r] for e, r in zip(ends, radii)]
     if not ok.all():
-        d[~ok], gamma[~ok], band = _grown_band(low, ns[~ok], c[~ok], radii[~ok])
+        d[~ok], gamma[~ok], band, g[~ok], u[:, ~ok] = _grown_band(
+            low, ns[~ok], c[~ok], radii[~ok], bases)
         for i, delta in zip(np.flatnonzero(~ok), band):
             found[i] = delta
-    return d, gamma, found, tuple(int(n) for n in ns[~ok])
+    return d, gamma, found, tuple(int(n) for n in ns[~ok]), g, u
 
 
 def pair_eigenvalues(
-    low: LowBlock, radius_rule=contour_radius, n_max: int | None = None
+    low: LowBlock, radius_rule=contour_radius, n_max: int | None = None, bases: bool = False
 ) -> EigenPairTable:
     """Pair table n <= n_max (default K/4, the trusted quarter of the
     window) of a low block.  A disc of radius
     radius_rule(m, n) around center(m, n) holding exactly two eigenvalues
     (_pair_rows) becomes a row without zero mode, anything else is flagged
     with its count.  A disc that reaches low.complete_below, past which the
-    solve left eigenvalues out, raises SolverError.
+    solve left eigenvalues out, raises SolverError.  With bases the table
+    keeps each pair's block and right basis for truncation_bars.
     """
     m, K = low.op.m, low.op.K
     if n_max is None:
@@ -523,14 +581,15 @@ def pair_eigenvalues(
                 f"pairing disc n = {n} reaches {low.complete_below:.17g}, "
                 "past which the solve left eigenvalues out"
             )
-    d, gamma, found, grown = _pair_rows(low, np.array(ns), np.array(radii))
+    d, gamma, found, grown, g, u = _pair_rows(low, np.array(ns), np.array(radii), bases)
     rows = tuple(
         EigenPairRow(n, center(m, n), complex(d[n - 1]), complex(gamma[n - 1]), 0j, r, False)
         for n, r in zip(ns, radii) if len(found[n - 1]) == 2
     )
     flagged = {n: len(found[n - 1]) for n in ns if len(found[n - 1]) != 2}
     unrefined = tuple(n for n in grown if n not in flagged)
-    return EigenPairTable(m, K, rows, flagged, unrefined=unrefined)
+    return EigenPairTable(m, K, rows, flagged, unrefined=unrefined,
+                          basis=(low, g, u) if bases else None)
 
 
 def compute_pair_table(
@@ -539,16 +598,75 @@ def compute_pair_table(
     K: int,
     radius_rule=contour_radius,
     n_max: int | None = None,
+    bars: bool = False,
 ) -> EigenPairTable:
     """Spectrum pipeline: split off the zero mode, cut the truncated
     operator for the pairs n <= n_max (default K/4) and read each pair from
     the low block, with no eigendecomposition of it; the rows carry the zero
-    mode."""
+    mode.  With bars, truncation_bars sets the converged flags."""
     v_norm, v0 = normalize_zero_mode(v)
     if n_max is None:
         n_max = K // 4
-    table = pair_eigenvalues(low_block(build_T(v_norm, m, K), n_max), radius_rule, n_max=n_max)
+    low = low_block(build_T(v_norm, m, K), n_max)
+    table = pair_eigenvalues(low, radius_rule, n_max=n_max, bases=bars)
+    if bars:
+        table = truncation_bars(table, v_norm)
     return replace(table, rows=tuple(replace(r, v0=v0) for r in table.rows))
+
+
+def _displacement(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """How far the eigenvalues t +- sqrt(w) of each 2 x 2 block g (N, 2, 2)
+    move when dg is added, the larger of the two.  The moves are formed from
+    dg alone, with no difference of two eigenvalues, so a move far below
+    their ulp keeps its digits; the moved root takes the branch nearest the
+    old one, and a degenerate pair moves by sqrt(dw)."""
+    a, da = (g[:, 0, 0] - g[:, 1, 1]) / 2.0, (dg[:, 0, 0] - dg[:, 1, 1]) / 2.0
+    dw = da * (2.0 * a + da) + dg[:, 0, 1] * g[:, 1, 0] + (g[:, 0, 1] + dg[:, 0, 1]) * dg[:, 1, 0]
+    w = a * a + g[:, 0, 1] * g[:, 1, 0]
+    root, moved = np.sqrt(w), np.sqrt(w + dw)
+    total = root + np.where((moved * root.conj()).real < 0.0, -moved, moved)
+    dr = np.divide(dw, total, out=np.zeros_like(dw), where=total != 0)
+    dt = (dg[:, 0, 0] + dg[:, 1, 1]) / 2.0
+    return np.maximum(np.abs(dt + dr), np.abs(dt - dr))
+
+
+def truncation_bars(table: EigenPairTable, v: FourierSequence) -> EigenPairTable:
+    """Each row of a table that pair_eigenvalues(bases=True) made, with its
+    truncation bar and converged when the bar is below CONVERGENCE_TOL; v is
+    the potential of the window, zero mode split off.
+
+    B(v), supported on |k| <= S, couples the window K only to the modes O,
+    2K - 1 < |o| <= 2K - 1 + S.  Their first-order Schur term on a pair's
+    block is dG = Y^T T_WO (c - D_O)^{-1} T_OW X, from the right basis X of
+    the pair (its basis in the low block, lifted through the cut by _lift)
+    and the left basis Y = J X J_P that J T J = T^T gives, so that
+    Y^T T_WO = J_P (T_OW X)^T J_O.  The Neumann factor
+    1 / (1 - ||v||_l1 / (mu_{2K+1} - c)) stands for the orders it leaves
+    out, the chains among the modes past the window (infinite bar when
+    ||v||_l1 reaches the gap), and the bar is how far the two eigenvalues
+    of G + dG lie from those of G (_displacement).  It bounds truncation
+    alone: the row's own rounding, about eps |gamma|, is not in it."""
+    low, g, u = table.basis
+    m, K = low.op.m, low.op.K
+    ns = np.array([r.n for r in table.rows], dtype=int)
+    S = max(map(abs, v.support()), default=0)
+    bars = np.zeros(len(ns))
+    if S and len(ns):
+        g, u = g[ns - 1], u[:, ns - 1]
+        p, o = modes(K), modes(K + S // 2)
+        o, top = o[np.abs(o) > 2 * K - 1], np.flatnonzero(np.abs(p) > 2 * K - 1 - S)
+        span = 4 * (K + S // 2) - 2  # v(d) sits at index (d + span) // 2 of the lookup
+        t_ow = _coeff_lookup(v, K + S // 2)[(o[:, None] - p[top] + span) // 2]
+        q = (t_ow @ _lift(low.lift, K, u.reshape(len(u), -1), top)).reshape(len(o), len(ns), 2)
+        dg = -np.einsum("ona,onb->nab", q[::-1, :, ::-1], q / _gaps(m, o, 2 * ns - 1)[:, :, None])
+        dist = _gaps(m, np.array([2 * K + 1]), 2 * ns - 1)[0]  # mu_{2K+1} - c_n
+        l1 = sum(abs(x) for x in v.coeffs.values())
+        bars[:] = np.inf
+        ok = dist > l1
+        bars[ok] = _displacement(g[ok], dg[ok] * (dist / (dist - l1))[ok, None, None])
+    rows = tuple(replace(r, converged=bool(b < CONVERGENCE_TOL), bar=float(b))
+                 for r, b in zip(table.rows, bars))
+    return replace(table, rows=rows, basis=None)
 
 
 def mark_converged(
@@ -571,16 +689,6 @@ def mark_converged(
         crossed = max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo))
         rows.append(replace(r, converged=bool(min(direct, crossed) < tol)))
     return replace(table, rows=tuple(rows), flagged=dict(table.flagged), confirm_K=reference.K)
-
-
-def confirm_window(v: FourierSequence, K: int) -> int:
-    """Window whose pair table confirms that of window K.  With S the largest
-    |k| in the support of v, B(v) couples the modes |p| <= 2K - 1 directly
-    only to modes |q| <= 2K - 1 + S, all of which lie in the window K + S/2
-    (the zero mode couples nothing, so the window grows by at least one);
-    the doubled window 2K caps it."""
-    S = max((abs(k) for k in v.support()), default=0)
-    return min(2 * K, K + max(S // 2, 1))
 
 
 def converge_truncation(
@@ -659,7 +767,7 @@ def localization_report(
     n_max = max(K // 4, 1)
     radii = [localization_radius(m, alpha, C, R, n) for n in range(1, K // 4 + 1)]
     low = _cut_block(op, n_max, localization_radius(m, alpha, C, R, n_max) + abs(v0))
-    _, _, found, _ = _pair_rows(low, np.arange(1, K // 4 + 1), np.array(radii) + abs(v0))
+    found = _pair_rows(low, np.arange(1, K // 4 + 1), np.array(radii) + abs(v0))[2]
     rows = []
     for n, (r, delta) in enumerate(zip(radii, found), start=1):
         dev = np.abs(delta + v0)
@@ -671,7 +779,7 @@ def localization_report(
     edge = thresh - v0.real
     if edge >= low.complete_below:  # the cone reaches past the cut: grow it
         low = _cut_block(op, n_max, edge - center(m, n_max))
-    band = _certified_band(low, max(n0, 1), edge)
+    band = _certified_band(low, max(n0, 1), edge)[0]
     try:
         vals = np.linalg.eigvals(band + np.diag(unperturbed_eigenvalues(m, len(band) // 2))) + v0
     except np.linalg.LinAlgError as exc:  # QR non-convergence

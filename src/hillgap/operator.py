@@ -22,7 +22,6 @@ __all__ = [
     "center",
     "contour_radius",
     "resonant_rows",
-    "build_A",
     "build_B",
     "build_T",
     "ResolventFactors",
@@ -114,12 +113,6 @@ def _coeff_lookup(v: FourierSequence, K: int) -> np.ndarray:
         if abs(k) <= span:
             table[(k + span) // 2] = val
     return table
-
-
-def build_A(m: int, K: int) -> TruncatedOperator:
-    """The diagonal free operator A^m on the odd-mode window."""
-    _check_build_args(m, K)
-    return TruncatedOperator(m, K, np.diag(unperturbed_eigenvalues(m, K)).astype(complex))
 
 
 def _toeplitz(table: np.ndarray, K: int) -> np.ndarray:

@@ -151,13 +151,13 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
     q, reach = 2 * contour.n - 1, POLE_MARGIN * contour.radius
     dense = not low.certifies((q, q), contour.center, reach)
     if dense:
-        band = _certified_band(low, contour.n, contour.center + reach)
+        band = _certified_band(low, contour.n, contour.center + reach)[0]
         mu = unperturbed_eigenvalues(op.m, len(band) // 2)
     else:
         j = len(low.matrix) // 2
         band = _decouple(low.matrix, op.m, j, (q, q), np.zeros(2 * j), low.beta)[0]
         mu = np.full(2, contour.center)
-    delta = _shift_poles(band, mu, contour.center, contour.radius)
+    delta = _shift_poles(band, mu, contour.center, contour.radius)[0]
     bad = np.abs(np.abs(delta) - contour.radius) < COLLISION_REL_TOL * contour.radius
     if np.any(bad):
         culprit = complex(contour.center + delta[np.argmax(bad)])

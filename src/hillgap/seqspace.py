@@ -26,8 +26,6 @@ __all__ = [
     "PotentialSpec",
     "weighted_norm",
     "convolve",
-    "reflect_seq",
-    "conjugate_seq",
     "is_real_valued",
     "normalize_zero_mode",
     "make_potential",
@@ -111,11 +109,6 @@ class FourierSequence:
             self.parity, {k: factor * v for k, v in self.coeffs.items()}, self.window
         )
 
-    def with_entry(self, k: int, value: complex) -> "FourierSequence":
-        coeffs = dict(self.coeffs)
-        coeffs[k] = value
-        return FourierSequence.make(self.parity, coeffs, max(self.window, abs(k)))
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs.values())
 
@@ -194,20 +187,6 @@ def convolve(a: FourierSequence, b: FourierSequence) -> FourierSequence:
             k = ka + kb
             out[k] = out.get(k, 0.0 + 0.0j) + va * vb
     return FourierSequence.make(parity, out, a.window + b.window)
-
-
-def reflect_seq(a: FourierSequence) -> FourierSequence:
-    """Index reflection k -> -k (parity preserved)."""
-    return FourierSequence.make(a.parity, {-k: v for k, v in a.coeffs.items()}, a.window)
-
-
-def conjugate_seq(a: FourierSequence) -> FourierSequence:
-    """The conjugate sequence k -> conj(a(-k)) of an even-parity sequence."""
-    if a.parity is not Parity.EVEN:
-        raise ParityError("conjugate sequence is defined for even-parity potentials")
-    return FourierSequence.make(
-        a.parity, {-k: v.conjugate() for k, v in a.coeffs.items()}, a.window
-    )
 
 
 def is_real_valued(a: FourierSequence, tol: float = HERMITIAN_TOL) -> bool:

@@ -6,7 +6,32 @@ import numpy as np
 import pytest
 
 from hillgap.eigensolver import ORDER_TOL_SCALE
-from hillgap.seqspace import Parity, ParityError
+from hillgap.operator import TruncatedOperator, unperturbed_eigenvalues
+from hillgap.seqspace import FourierSequence, Parity, ParityError
+
+
+def build_A(m, K):
+    """The diagonal free operator A^m on the odd-mode window."""
+    return TruncatedOperator(m, K, np.diag(unperturbed_eigenvalues(m, K)).astype(complex))
+
+
+def reflect_seq(a):
+    """Index reflection k -> -k (parity preserved)."""
+    return FourierSequence.make(a.parity, {-k: v for k, v in a.coeffs.items()}, a.window)
+
+
+def conjugate_seq(a):
+    """The conjugate sequence k -> conj(a(-k)) of an even-parity sequence."""
+    if a.parity is not Parity.EVEN:
+        raise ParityError("conjugate sequence is defined for even-parity potentials")
+    return FourierSequence.make(
+        a.parity, {-k: v.conjugate() for k, v in a.coeffs.items()}, a.window
+    )
+
+
+def with_entry(a, k, value):
+    """a with its coefficient at k set to value."""
+    return FourierSequence.make(a.parity, {**a.coeffs, k: value}, max(a.window, abs(k)))
 
 
 def lex_sorted(values):

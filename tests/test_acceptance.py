@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import l_direct, window_spectrum
+from conftest import l_direct, window_spectrum, with_entry
 
 import hillgap as hg
 from hillgap.cli import main as cli_main
@@ -74,7 +74,7 @@ def test_criterion_02_exact_identities():
             ok = ok and abs(eigs.sum() - tr) <= 1e-9 * abs(tr)
             # shift equivariance under v(0) -> v(0) + c
             c = complex(rng.standard_normal(), rng.standard_normal())
-            shifted = window_spectrum(hg.build_T(v.with_entry(0, v(0) + c), m, 64))
+            shifted = window_spectrum(hg.build_T(with_entry(v, 0, v(0) + c), m, 64))
             moved = eigs + c
             scale = float(np.max(np.abs(eigs)))
             ok = ok and np.max(
@@ -232,6 +232,9 @@ def test_criterion_09_alpha1_experiment():
         f"limiting-scale ratios below 1 beyond n0 = {rep.n0_below_one} with slope {rep.fitted_slope:.2f} < 0",
         ok,
     )
+    # no pair of this potential certifies its own 2 x 2 block: the report
+    # names all 64 rows as read from the grown band
+    assert rep.unrefined == tuple(range(1, 65))
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import conjugate_seq, with_entry
 
 from hillgap import asymptotics
 from hillgap.asymptotics import (
@@ -27,7 +28,6 @@ from hillgap.seqspace import (
     PotentialFamily,
     PotentialSpec,
     SobolevParams,
-    conjugate_seq,
     make_potential,
     weighted_norm,
 )
@@ -109,7 +109,7 @@ class TestTauRemainder:
         # the centers do not see it at all
         v, tab = trig_table
         c = 2.5 - 0.5j
-        v2 = v.with_entry(0, c)
+        v2 = with_entry(v, 0, c)
         _, tab2 = converge_truncation(v2, 1, 24, K_start=96)
         assert [r.n for r in tab2.rows] == [r.n for r in tab.rows]
         offsets = [np.array([(r.d_lo, r.d_hi) for r in t.rows]) for t in (tab, tab2)]

@@ -9,12 +9,13 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 # the cases of stage_cost.py, grouped by the single-stage script each group
-# replaced; the start-up cases are timed once per repetition, with no K
+# replaced (the confirming window's group times the truncation bar that
+# replaced that window); the start-up cases are timed once per repetition, with no K
 STARTUP = {"interpreter", "import_floor", "import"}
 GROUPS = {
     "startup": STARTUP,
     "pair_solve_cost.py": {"build_T", "cut", "pair", "table", "table_support6"},
-    "confirm_window_cost.py": {"table", "table_confirm", "table_2K"},
+    "confirm_window_cost.py": {"table", "bar", "table_2K"},
     "riesz_contour_cost.py": {"contour_trig", "contour_strong"},
     "localize_cost.py": {"census_m1", "census_m2", "census_m3"},
     "cli_process_cost.py": {"spectrum", "asymptotics", "riesz-check"},
@@ -60,9 +61,11 @@ def test_runs_at_tiny_size(doc, script):
             assert tree["k_slope"][case]["48-64"] is not None, case
         if script == "confirm_window_cost.py":
             assert tree["facts"]["table_2K"]["64"]["window"] == 128
+            assert tree["facts"]["bar"]["64"]["rows"] == 16
+            assert {"converged", "max_bar"} <= set(tree["facts"]["bar"]["64"])
         if script == "cli_process_cost.py":
             assert tree["lemmas_seconds"] > 0
         if script == "startup":
             assert all(tree["seconds"][case] > 0 for case in STARTUP)
-            want = tree["seconds"]["import"] - tree["seconds"]["import_floor"]
-            assert tree["hillgap_import_s"] == want
+            paired = [r["wall_s"] for r in tree["runs"] if r["case"] in ("import_floor", "import")]
+            assert tree["hillgap_import_s"] == paired[1] - paired[0]  # one repetition

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import l_direct, window_spectrum
 
-from hillgap import cli, eigensolver, riesz
+from hillgap import asymptotics, cli, eigensolver, riesz
 from hillgap.cli import RunConfig, main
 from hillgap.eigensolver import low_block, pair_eigenvalues
 from hillgap.operator import MAX_HALF_WINDOW, build_T
@@ -130,23 +130,6 @@ class TestSpectrumCommand:
                      "--potential", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])
         assert code == 3
 
-    def test_confirm_window_is_certified(self, tmp_path, trig_potential, monkeypatch, capsys):
-        # the cut's Riccati fixed point fails to settle only above K = 16, so
-        # the K = 16 solve passes and the confirming window alone must stop
-        # the run
-        decouple = eigensolver._decouple
-
-        def unsettled_above_16(mat, m, K, *args):
-            if K > 16:
-                raise eigensolver.SolverError("Riccati fixed point did not settle")
-            return decouple(mat, m, K, *args)
-
-        monkeypatch.setattr(eigensolver, "_decouple", unsettled_above_16)
-        code = main(["spectrum", "--m", "1", "--K", "16", "--n-max", "4",
-                     "--potential", trig_potential, "--out", str(tmp_path / "s.csv")])
-        assert code == 4
-        assert "solver failure" in capsys.readouterr().err
-
     def test_json_format_mirror(self, tmp_path, zero_potential):
         out_csv = tmp_path / "a.csv"
         out_json = tmp_path / "a.json"
@@ -166,6 +149,10 @@ def _spread(S):
 
 
 class TestConfirmWindow:
+    """A fixed --K solves its window once, and each row's truncation bar,
+    read off that solve, sets its converged flag; --K auto compares
+    windows."""
+
     @pytest.fixture
     def solve_ks(self, monkeypatch):
         """The windows compute_pair_table is asked for; windows above 64 are
@@ -181,51 +168,51 @@ class TestConfirmWindow:
         return ks
 
     @pytest.mark.parametrize(
-        "coeffs, K, confirm_K",
+        "coeffs, K",
         [
-            ({2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}, 32, 35),
-            ({}, 16, 17),
-            ({0: 0.3}, 16, 17),
-            (_spread(40), 16, 32),
-            (_spread(48), 1000, MAX_HALF_WINDOW),
+            ({2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}, 32),
+            ({}, 16),
+            ({0: 0.3}, 16),
+            (_spread(40), 16),
+            (_spread(48), 1000),
         ],
         ids=["trig-S6", "zero", "zero-mode-only", "S-beyond-window", "at-cap"],
     )
-    def test_confirms_at_reach_of_potential(self, tmp_path, solve_ks, coeffs, K, confirm_K):
+    def test_confirms_at_reach_of_potential(self, tmp_path, solve_ks, coeffs, K):
+        # whatever the reach S of the potential, the bars read the modes
+        # 2K - 1 < |o| <= 2K - 1 + S off the one solve at K
         pot = write_potential(tmp_path / "v.json", {k: complex(x) for k, x in coeffs.items()})
         out = tmp_path / "s.csv"
         code = main(["spectrum", "--K", str(K), "--n-max", "4",
                      "--potential", pot, "--out", str(out)])
         assert code == 0
-        assert solve_ks == [K, confirm_K]
+        assert solve_ks == [K]
         _, rows, footer = read_csv(out)
-        assert footer["K"] == K and footer["confirm_K"] == confirm_K
+        assert footer["K"] == K and "confirm_K" not in footer
+        assert math.isfinite(float(footer["max_trunc_bar"]))
         assert len(rows) == 4
 
     def test_no_confirm_past_cap(self, tmp_path, solve_ks, capsys):
-        # K + S/2 = 1025 lies past the largest window: no confirm can run, so
-        # the window is refused before any solve rather than left unconfirmed
+        # a window past the largest one is refused before any solve
         pot = write_potential(tmp_path / "v.json", _spread(50))
         out = tmp_path / "s.csv"
-        code = main(["spectrum", "--K", "1000", "--n-max", "4",
+        code = main(["spectrum", "--K", str(MAX_HALF_WINDOW + 1), "--n-max", "4",
                      "--potential", pot, "--out", str(out)])
         assert code == 2
         assert solve_ks == []
         assert not out.exists()
-        assert "--K 1000 needs the confirming window 1025, past the largest window 1024" \
-            in capsys.readouterr().err
+        assert f"--K must be 'auto' or an integer in [1, {MAX_HALF_WINDOW}], got " \
+            f"{MAX_HALF_WINDOW + 1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, n_max", [("spectrum", 8), ("asymptotics", 12)])
     def test_trig_at_cap_refused(self, tmp_path, capsys, command, n_max):
-        # trig reaches S = 6, so K = 1024 would be confirmed at 1027
         pot = write_potential(tmp_path / "v.json", TRIG)
         out = tmp_path / "s.csv"
-        code = main([command, "--K", "1024", "--n-max", str(n_max),
+        code = main([command, "--K", str(MAX_HALF_WINDOW + 1), "--n-max", str(n_max),
                      "--potential", pot, "--out", str(out)])
         assert code == 2
         assert not out.exists()
-        assert "--K 1024 needs the confirming window 1027, past the largest window 1024" \
-            in capsys.readouterr().err
+        assert "--K must be 'auto' or an integer" in capsys.readouterr().err
 
     def test_trig_below_cap_confirmed(self, tmp_path):
         pot = write_potential(tmp_path / "v.json", TRIG)
@@ -233,7 +220,8 @@ class TestConfirmWindow:
         assert main(["spectrum", "--K", "1000", "--n-max", "8",
                      "--potential", pot, "--out", str(out)]) == 0
         _, rows, footer = read_csv(out)
-        assert footer["K"] == 1000 and footer["confirm_K"] == 1003
+        assert footer["K"] == 1000 and "confirm_K" not in footer
+        assert float(footer["max_trunc_bar"]) < eigensolver.CONVERGENCE_TOL
         assert len(rows) == 8 and all(r["converged"] == "true" for r in rows)
 
     def test_auto_reports_previous_window(self, tmp_path, trig_potential):
@@ -256,17 +244,17 @@ class TestConfirmWindow:
         assert footer["K"] == windows[-1]
         assert main([command, "--K", str(windows[-1]), "--n-max", str(n_max),
                      "--potential", trig_potential, "--out", str(out)]) == 0
-        assert not {"windows", "stop"} & set(read_csv(out)[2])
+        assert not {"windows", "stop", "confirm_K"} & set(read_csv(out)[2])
 
     def test_m3_rows_match_oracle(self, mpmath_pair):
-        # a non-Hermitian potential of support 16 at K = 16 is confirmed at
-        # K = 24; against the doubled window the rounding of the K = 32 solve
-        # flagged row 1, whose offsets are right to 5e-13
+        # a non-Hermitian potential of support 16 at K = 16: the bars flag
+        # every row, though against the doubled window the rounding of the
+        # K = 32 solve flagged row 1, whose offsets are right to 5e-13
         spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=2.0, seed=8)
         v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
         cfg = RunConfig(command="spectrum", m=3, K=16, n_max=4)
         table = cli._spectrum_table(cfg, v)
-        assert table.confirm_K == 24
+        assert table.confirm_K is None
         assert [r.converged for r in table.rows] == [True] * 4
         coeffs = dict(v.coeffs)
         for r in table.rows:
@@ -277,19 +265,18 @@ class TestConfirmWindow:
             assert min(direct, crossed) <= 1e-9
 
     def test_m3_row_beyond_k32_matches_oracle(self, feshbach_pair):
-        # support 16 at K = 64 is confirmed at K = 72; each window solves the
-        # pairs n <= 16 alone, so the doubled window confirms row 6 too, and
+        # support 16 at K = 64: each window solves the pairs n <= 16 alone,
+        # so the bar and the doubled window both flag row 6 converged, and
         # all three windows lie on the pairs of their exact operators
         spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=4.0, seed=1)
         v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
         cfg = RunConfig(command="spectrum", m=3, K=64, n_max=16)
         table = cli._spectrum_table(cfg, v)
-        assert table.confirm_K == 72
-        assert table.row(6).converged
+        assert table.row(6).converged and table.row(6).bar < eigensolver.CONVERGENCE_TOL
         doubled = eigensolver.compute_pair_table(v, 3, 128, n_max=16)
         assert eigensolver.mark_converged(table, doubled).row(6).converged
-        confirm = eigensolver.compute_pair_table(v, 3, 72, n_max=16)
-        for K, tab in ((64, table), (72, confirm), (128, doubled)):
+        reach = eigensolver.compute_pair_table(v, 3, 72, n_max=16)  # K + S/2 holds the modes O
+        for K, tab in ((64, table), (72, reach), (128, doubled)):
             r = tab.row(6)
             lo, hi = feshbach_pair(dict(v.coeffs), 3, K, 6, (r.d_lo, r.d_hi))
             assert max(abs(r.d_lo - lo), abs(r.d_hi - hi)) <= 1e-9
@@ -481,7 +468,8 @@ class TestAsymptoticsCommand:
         _, rows, footer = read_csv(out)
         assert float(footer["fitted_slope_tau"]) <= -0.9
         assert footer["target_exponents"]["tau"] == f"{0.95:.17g}"
-        assert footer["K"] == 96 and footer["confirm_K"] == 97
+        assert footer["K"] == 96 and "confirm_K" not in footer
+        assert float(footer["max_trunc_bar"]) < eigensolver.CONVERGENCE_TOL
 
     def test_m2_gap_remainders_resolved(self, tmp_path):
         # trig has no v(+-2(2n-1)) from n = 3 on, so rem_gamma is |gamma|: from
@@ -555,7 +543,15 @@ class TestLocalizeCommand:
         _, rows, footer = read_csv(out)
         assert footer["n0_empirical"] == 0
         assert footer["cone_count"] == 0
+        assert footer["K"] == 32
         assert all(r["holds"] == "true" for r in rows)
+
+    def test_footer_names_the_window_it_picks(self, tmp_path, trig_potential):
+        # without --K, localize solves the window max(32, 4 n_max)
+        out = tmp_path / "loc.csv"
+        assert main(["localize", "--n-max", "12", "--potential", trig_potential,
+                     "--out", str(out)]) == 0
+        assert read_csv(out)[2]["K"] == 48
 
 
 class TestLemmasCommand:
@@ -792,8 +788,8 @@ class TestRieszCheckCommand:
         pair_split = eigensolver._pair_split
 
         def shifted(*args):
-            d, gamma = pair_split(*args)
-            return d + 1e-3, gamma
+            d, gamma, *block = pair_split(*args)
+            return d + 1e-3, gamma, *block
 
         monkeypatch.setattr(eigensolver, "_pair_split", shifted)
         monkeypatch.setattr(riesz, "_pair_split", shifted, raising=False)
@@ -894,3 +890,6 @@ class TestAlpha1Command:
         _, rows, footer = read_csv(out)
         assert float(footer["fitted_slope"]) < 0
         assert int(footer["n0_below_one"]) <= 16
+        assert footer["K"] == 64
+        report = asymptotics.alpha1_experiment(FourierSequence.make("even", coeffs), 1, 16, K=64)
+        assert footer["unrefined"] == list(report.unrefined)

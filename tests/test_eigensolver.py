@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import lex_sorted, window_spectrum
+from conftest import conjugate_seq, lex_sorted, window_spectrum, with_entry
 
 from hillgap import eigensolver
 from hillgap.eigensolver import (
@@ -10,7 +10,6 @@ from hillgap.eigensolver import (
     PairingConfigError,
     SolverError,
     compute_pair_table,
-    confirm_window,
     converge_truncation,
     localization_report,
     low_block,
@@ -26,9 +25,7 @@ from hillgap.seqspace import (
     PotentialFamily,
     PotentialSpec,
     SobolevParams,
-    conjugate_seq,
     make_potential,
-    reflect_seq,
 )
 
 PI2 = math.pi**2
@@ -100,7 +97,7 @@ class TestEigenvalues:
         v = random_potential(3, window=24)
         c = 2.0 - 3.0j
         base = window_spectrum(build_T(v, 1, 10))
-        shifted = window_spectrum(build_T(v.with_entry(0, v(0) + c), 1, 10))
+        shifted = window_spectrum(build_T(with_entry(v, 0, v(0) + c), 1, 10))
         moved = base + c
         assert np.allclose(np.sort_complex(shifted), np.sort_complex(moved), atol=1e-9)
 
@@ -209,15 +206,65 @@ class TestConfirmWindow:
         ids=["trig", "two-cluster", "geometric", "rough-herm-S16", "rough-S64", "rough-S128"],
     )
     def test_m1_flags_match_doubled_window(self, v, K):
-        # at m = 1 the window K + S/2 and the doubled window flag the same rows
-        base = compute_pair_table(v, 1, K, n_max=K // 4)
-        K_c = confirm_window(v, K)
-        assert K_c < 2 * K
-        flags = [
-            [r.converged for r in mark_converged(base, compute_pair_table(v, 1, w, n_max=K // 4)).rows]
-            for w in (K_c, 2 * K)
-        ]
-        assert flags[0] == flags[1]
+        # at m = 1 the truncation bars of the one window K flag the same rows
+        # as a comparison with the doubled window
+        bars = compute_pair_table(v, 1, K, n_max=K // 4, bars=True)
+        doubled = mark_converged(compute_pair_table(v, 1, K, n_max=K // 4),
+                                 compute_pair_table(v, 1, 2 * K, n_max=K // 4))
+        assert [r.converged for r in bars.rows] == [r.converged for r in doubled.rows]
+        assert all(r.bar is not None for r in bars.rows)
+
+
+def _movement(r, p):
+    """How far the pair of row r lies from that of row p, as sets."""
+    direct = max(abs(r.d_lo - p.d_lo), abs(r.d_hi - p.d_hi))
+    return min(direct, max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo)))
+
+
+class TestTruncationBars:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bar_bounds_movement_to_4K(self, m, seed):
+        # on the paper's rough class (support 126 at K = 32) every row moves
+        # by more than 1e-13 between K and 4K, which holds every mode the
+        # bar reads; the bar bounds that move and is within 10 times it.  It
+        # bounds the truncation alone: at m = 2 the rows move by 1e-11, and
+        # the two rows' own rounding, about eps |gamma|, comes on top
+        v = random_potential(seed, window=126, m=m)
+        table = compute_pair_table(v, m, 32, n_max=8, bars=True)
+        ref = compute_pair_table(v, m, 128, n_max=8)
+        assert len(table.rows) == 8
+        for r in table.rows:
+            move = _movement(r, ref.row(r.n))
+            assert move > 1e-13
+            assert move - 2.0 * np.finfo(float).eps * abs(r.gamma) <= r.bar <= 10.0 * move
+
+    def test_support_128_converges_at_256(self):
+        # the window 256 reaches every mode 2K - 1 < |o| <= 2K - 1 + 128 only
+        # through chains of many hops: every bar is far below the tolerance
+        v = random_potential(11, window=128, alpha=0.25)
+        table = compute_pair_table(v, 1, 256, n_max=64, bars=True)
+        assert [r.n for r in table.rows] == list(range(1, 65))
+        assert all(r.converged and r.bar < 1e-20 for r in table.rows)
+
+    def test_unrefined_rows_bound_movement(self):
+        # strong against the low gaps, rows 3 to 5 are read from the grown
+        # band, and their bases come from its shift-inverse
+        v = vseq({2: 30.0, -2: 20.0, 40: 5.0, -40: 3j, 62: 2.0, -62: 1.0})
+        table = compute_pair_table(v, 1, 32, n_max=8, bars=True)
+        ref = compute_pair_table(v, 1, 128, n_max=8)
+        assert set(table.unrefined) >= {3, 4, 5}
+        for r in table.rows:
+            move = _movement(r, ref.row(r.n))
+            assert move <= r.bar <= 1.1 * move
+            assert not r.converged
+
+    def test_other_paths_form_no_basis(self):
+        # only the fixed-K verdict keeps bases; auto windows compare tables
+        v = vseq(TRIG)
+        assert compute_pair_table(v, 1, 32, n_max=8).basis is None
+        _, auto = converge_truncation(v, 1, 8)
+        assert auto.basis is None and all(r.bar is None for r in auto.rows)
 
 
 class TestLocalization:
@@ -415,7 +462,7 @@ def per_pair_reference(op, n):
     time, and the closed form on the 2 x 2 block that remains."""
     mu = unperturbed_eigenvalues(op.m, op.K)
     beta, _ = eigensolver._structure(op.matrix, mu)
-    g, _ = eigensolver._decouple(op.matrix, op.m, op.K, (2 * n - 1, 2 * n - 1), mu, beta)
+    g = eigensolver._decouple(op.matrix, op.m, op.K, (2 * n - 1, 2 * n - 1), mu, beta)[0]
     return (g[0, 0] + g[1, 1]) / 2.0, np.sqrt((g[0, 0] - g[1, 1]) ** 2 + 4.0 * g[0, 1] * g[1, 0])
 
 

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import build_A
 
 from hillgap.operator import (
     MAX_HALF_WINDOW,
     ExtRegion,
     SpectrumCollisionError,
     VertRegion,
-    build_A,
     build_B,
     build_resolvent_factors,
     build_T,

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import _mp_eigenvalues, l_direct
+from conftest import _mp_eigenvalues, l_direct, reflect_seq
 
 from hillgap import eigensolver
 from hillgap.eigensolver import (
@@ -32,7 +32,6 @@ from hillgap.seqspace import (
     PotentialSpec,
     SobolevParams,
     make_potential,
-    reflect_seq,
 )
 
 PI2 = math.pi**2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import conjugate_seq, reflect_seq
 
 from hillgap.seqspace import (
     FourierSequence,
@@ -12,14 +13,12 @@ from hillgap.seqspace import (
     PotentialFamily,
     PotentialSpec,
     SobolevParams,
-    conjugate_seq,
     convolve,
     decay_exponent,
     h_membership_bounded,
     is_real_valued,
     make_potential,
     normalize_zero_mode,
-    reflect_seq,
     weighted_norm,
 )
 
