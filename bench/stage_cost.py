@@ -12,9 +12,9 @@ with n = K/4, one child times each library call after the import:
                           rough input: complex, support |k| <= 128, m = 1,
                           decay (1+2k)^-0.3 as in the asym-k256 workload, seed 11
     table, table_2K       compute_pair_table on the rough input at K and 2K
-    bar                   truncation_bars, the fixed-K verdict alone, on the
-                          rough input's pair_eigenvalues(bases=True) at K
-                          (null in a tree that has no truncation_bars)
+    bar                   _truncation_bars, the fixed-K verdict alone, on the
+                          rough input's pairs and bases at K from _pair_table
+                          (null in a tree that has no _truncation_bars)
     table_support6        compute_pair_table at K on the rough input of support 6
     contour_trig, contour_strong
                           riesz_projector on the n = 4 contour with 64 nodes,
@@ -81,12 +81,12 @@ def stages(K: int) -> None:
         compute_pair_table, localization_report, low_block, make_potential,
         normalize_zero_mode, pair_eigenvalues, riesz_projector,
     )
-    from hillgap.operator import MAX_HALF_WINDOW
+    from hillgap.operator import MAX_HALF_WINDOW, contour_radius
 
     try:
-        from hillgap.eigensolver import truncation_bars
+        from hillgap.eigensolver import _pair_table, _truncation_bars
     except ImportError:  # a tree from before the bars
-        truncation_bars = None
+        _truncation_bars = None
 
     n, cases = K // 4, {}
 
@@ -115,11 +115,11 @@ def stages(K: int) -> None:
     low = timed("cut", lambda: low_block(op, n), lambda low: {"block": len(low.matrix)})
     timed("pair", lambda: pair_eigenvalues(low, n_max=n), rows)
     table("table", v, K)
-    if truncation_bars is None:
+    if _truncation_bars is None:
         cases["bar"] = [None, {}]
     else:
-        based = pair_eigenvalues(low, n_max=n, bases=True)
-        timed("bar", lambda: truncation_bars(based, v), lambda t: rows(t) | {
+        based = _pair_table(low, contour_radius, n, True)
+        timed("bar", lambda: _truncation_bars(based[0], v, low, *based[1:]), lambda t: rows(t) | {
             "converged": sum(r.converged for r in t.rows),
             "max_bar": max((r.bar for r in t.rows), default=0.0)})
     table("table_2K", v, 2 * K)

@@ -23,10 +23,11 @@ through the pair rows.  Nothing here eigendecomposes the window: the only
 eigenvalue solves are eigvals of a shift-inverted band (_shift_poles) and of
 the band that holds localization_report's cone.
 
-A fixed window's converged flags come from truncation_bars, read off the
-same solve: the first-order Schur term of the modes just past the window on
-each pair's block, through the pair's basis lifted from the low block.
-converge_truncation instead compares the tables of doubling windows.
+A fixed window's converged flags come from _truncation_bars, read off the
+same solve: the first-order Schur term of the modes past the window that
+B(v) couples to it, on each pair's block, through the pair's basis lifted
+from the low block.  converge_truncation instead compares the tables of
+doubling windows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .seqspace import FourierSequence, normalize_zero_mode
 from .operator import (
     MAX_HALF_WINDOW,
     TruncatedOperator,
-    _coeff_lookup,
     build_B,
     build_T,
     center,
@@ -58,7 +58,6 @@ __all__ = [
     "low_block",
     "pair_eigenvalues",
     "compute_pair_table",
-    "truncation_bars",
     "mark_converged",
     "converge_truncation",
     "correction_values",
@@ -70,6 +69,7 @@ __all__ = [
 ORDER_TOL_SCALE = 1e-9
 HERMITIAN_REL_TOL = 1e-12
 CONVERGENCE_TOL = 1e-9
+BAR_SAFETY = 2.0  # the truncation bar is this many times the first-order displacement
 BLOCK = 16  # rows or columns per slab in the passes that avoid dense temporaries
 RICCATI_RATE = 0.5  # a-priori contraction factor of the fixed point that a cut must certify
 RICCATI_TOL = 1e-14  # relative fixed-point step at which X has settled
@@ -332,7 +332,7 @@ class EigenPairRow:
     lambda_lo in the zero-mode-normalized frame, next to the zero mode v0
     split off before the solve; d_lo, d_hi and the absolute values derive
     from them, and gamma (_pair_split) keeps its digits below ulp(d_tau).
-    bar is the truncation bar that set converged (truncation_bars), None
+    bar is the truncation bar that set converged (_truncation_bars), None
     when another window's table set it."""
 
     n: int
@@ -379,8 +379,6 @@ class EigenPairTable:
     unrefined: tuple[int, ...] = ()  # rows read from the grown band, not their own 2 x 2 block
     windows: tuple[int, ...] = ()  # every window converge_truncation solved, in order
     stop: str | None = None  # why converge_truncation stopped: "converged" or "cap"
-    # (low block, G (N, 2, 2), right bases (2j, N, 2)) of the pairs n <= N, for truncation_bars
-    basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def row(self, n: int) -> EigenPairRow:
         for r in self.rows:
@@ -528,7 +526,7 @@ def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray, bases: bool = F
     a pair whose modes low.certifies apart from the rest of the block is
     read by _pair_split, offsets d -+ gamma / 2; the rest by _grown_band.
     Also each pair's 2 x 2 block G (N, 2, 2), and with bases its right
-    basis e_P + Z in the low block (2j, N, 2) for truncation_bars (no rows
+    basis e_P + Z in the low block (2j, N, 2) for _truncation_bars (no rows
     without)."""
     m = low.op.m
     c = np.array([center(m, n) for n in ns])
@@ -552,17 +550,10 @@ def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray, bases: bool = F
     return d, gamma, found, tuple(int(n) for n in ns[~ok]), g, u
 
 
-def pair_eigenvalues(
-    low: LowBlock, radius_rule=contour_radius, n_max: int | None = None, bases: bool = False
-) -> EigenPairTable:
-    """Pair table n <= n_max (default K/4, the trusted quarter of the
-    window) of a low block.  A disc of radius
-    radius_rule(m, n) around center(m, n) holding exactly two eigenvalues
-    (_pair_rows) becomes a row without zero mode, anything else is flagged
-    with its count.  A disc that reaches low.complete_below, past which the
-    solve left eigenvalues out, raises SolverError.  With bases the table
-    keeps each pair's block and right basis for truncation_bars.
-    """
+def _pair_table(low: LowBlock, radius_rule, n_max: int | None, bases: bool):
+    """pair_eigenvalues's table, each pair's 2 x 2 block G (N, 2, 2) and,
+    with bases, its right basis in the low block (2j, N, 2) for
+    _truncation_bars (no rows without)."""
     m, K = low.op.m, low.op.K
     if n_max is None:
         n_max = K // 4
@@ -588,8 +579,20 @@ def pair_eigenvalues(
     )
     flagged = {n: len(found[n - 1]) for n in ns if len(found[n - 1]) != 2}
     unrefined = tuple(n for n in grown if n not in flagged)
-    return EigenPairTable(m, K, rows, flagged, unrefined=unrefined,
-                          basis=(low, g, u) if bases else None)
+    return EigenPairTable(m, K, rows, flagged, unrefined=unrefined), g, u
+
+
+def pair_eigenvalues(
+    low: LowBlock, radius_rule=contour_radius, n_max: int | None = None
+) -> EigenPairTable:
+    """Pair table n <= n_max (default K/4, the trusted quarter of the
+    window) of a low block.  A disc of radius
+    radius_rule(m, n) around center(m, n) holding exactly two eigenvalues
+    (_pair_rows) becomes a row without zero mode, anything else is flagged
+    with its count.  A disc that reaches low.complete_below, past which the
+    solve left eigenvalues out, raises SolverError.
+    """
+    return _pair_table(low, radius_rule, n_max, False)[0]
 
 
 def compute_pair_table(
@@ -603,14 +606,14 @@ def compute_pair_table(
     """Spectrum pipeline: split off the zero mode, cut the truncated
     operator for the pairs n <= n_max (default K/4) and read each pair from
     the low block, with no eigendecomposition of it; the rows carry the zero
-    mode.  With bars, truncation_bars sets the converged flags."""
+    mode.  With bars, _truncation_bars sets the converged flags."""
     v_norm, v0 = normalize_zero_mode(v)
     if n_max is None:
         n_max = K // 4
     low = low_block(build_T(v_norm, m, K), n_max)
-    table = pair_eigenvalues(low, radius_rule, n_max=n_max, bases=bars)
+    table, g, u = _pair_table(low, radius_rule, n_max, bars)
     if bars:
-        table = truncation_bars(table, v_norm)
+        table = _truncation_bars(table, v_norm, low, g, u)
     return replace(table, rows=tuple(replace(r, v0=v0) for r in table.rows))
 
 
@@ -630,43 +633,68 @@ def _displacement(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(dt + dr), np.abs(dt - dr))
 
 
-def truncation_bars(table: EigenPairTable, v: FourierSequence) -> EigenPairTable:
-    """Each row of a table that pair_eigenvalues(bases=True) made, with its
-    truncation bar and converged when the bar is below CONVERGENCE_TOL; v is
-    the potential of the window, zero mode split off.
+def _outer_modes(K: int, keys: np.ndarray) -> np.ndarray:
+    """The modes o > 2K - 1 past the window K that B(v), supported on the
+    sorted keys, couples to it both ways: o = p + k and -o = p' + k' for
+    window modes p, p' and keys k > 0 > k'.  A key k reaches the modes
+    max(2K + 1, |k| - 2K + 1) <= |o| <= 2K - 1 + |k|, at most 2K of them."""
+    def reach(ks):  # sorted, each mode once (np.unique would import numpy.ma)
+        o = np.sort(np.concatenate(
+            [np.arange(max(2 * K + 1, k - 2 * K + 1), 2 * K + k, 2) for k in ks] + [keys[:0]]))
+        return o[np.diff(o, prepend=-1) > 0]
 
-    B(v), supported on |k| <= S, couples the window K only to the modes O,
-    2K - 1 < |o| <= 2K - 1 + S.  Their first-order Schur term on a pair's
-    block is dG = Y^T T_WO (c - D_O)^{-1} T_OW X, from the right basis X of
-    the pair (its basis in the low block, lifted through the cut by _lift)
-    and the left basis Y = J X J_P that J T J = T^T gives, so that
-    Y^T T_WO = J_P (T_OW X)^T J_O.  The Neumann factor
+    both = np.sort(np.concatenate([reach(keys[keys > 0]), reach(-keys[keys < 0])]))
+    return both[1:][both[1:] == both[:-1]]
+
+
+def _truncation_bars(table: EigenPairTable, v: FourierSequence, low: LowBlock,
+                     g: np.ndarray, u: np.ndarray) -> EigenPairTable:
+    """Each row of a table that _pair_table(bases=True) made from the low
+    block low, with G and the right bases u it returned, with its truncation
+    bar and converged when the bar is below CONVERGENCE_TOL; v is the
+    potential of the window, zero mode split off.
+
+    B(v) couples the window K to the modes O past it (_outer_modes).  Their
+    first-order Schur term on a pair's block is
+    dG = Y^T T_WO (c - D_O)^{-1} T_OW X, from the right basis X of the pair
+    (its basis in the low block, lifted through the cut by _lift) and the
+    left basis Y = J X J_P that J T J = T^T gives, so that
+    Y^T T_WO = J_P (T_OW X)^T J_O.  T_OW is read from v's support in slabs
+    of O, each holding its mirror, so memory stays bounded however far the
+    support reaches.  The Neumann factor
     1 / (1 - ||v||_l1 / (mu_{2K+1} - c)) stands for the orders it leaves
     out, the chains among the modes past the window (infinite bar when
-    ||v||_l1 reaches the gap), and the bar is how far the two eigenvalues
-    of G + dG lie from those of G (_displacement).  It bounds truncation
-    alone: the row's own rounding, about eps |gamma|, is not in it."""
-    low, g, u = table.basis
+    ||v||_l1 reaches the gap).  The bar is BAR_SAFETY times how far the two
+    eigenvalues of G + dG lie from those of G (_displacement): an estimate,
+    not a proof, whose factor keeps it above the row's move to a window
+    that holds every mode it reads on the inputs the tests measure."""
     m, K = low.op.m, low.op.K
     ns = np.array([r.n for r in table.rows], dtype=int)
-    S = max(map(abs, v.support()), default=0)
+    keys = np.array(sorted(k for k, x in v.coeffs.items() if x), dtype=int)
+    vals = np.array([v.coeffs[k] for k in keys], dtype=complex)
     bars = np.zeros(len(ns))
-    if S and len(ns):
-        g, u = g[ns - 1], u[:, ns - 1]
-        p, o = modes(K), modes(K + S // 2)
-        o, top = o[np.abs(o) > 2 * K - 1], np.flatnonzero(np.abs(p) > 2 * K - 1 - S)
-        span = 4 * (K + S // 2) - 2  # v(d) sits at index (d + span) // 2 of the lookup
-        t_ow = _coeff_lookup(v, K + S // 2)[(o[:, None] - p[top] + span) // 2]
-        q = (t_ow @ _lift(low.lift, K, u.reshape(len(u), -1), top)).reshape(len(o), len(ns), 2)
-        dg = -np.einsum("ona,onb->nab", q[::-1, :, ::-1], q / _gaps(m, o, 2 * ns - 1)[:, :, None])
+    if len(keys) and len(ns):
+        g, p, outer = g[ns - 1], modes(K), _outer_modes(K, keys)
+        top = np.flatnonzero(np.abs(p) > 2 * K - 1 - np.abs(keys).max())  # the rows that reach past
+        x = _lift(low.lift, K, u[:, ns - 1].reshape(len(u), -1), top)
+        dg = np.zeros((len(ns), 2, 2), complex)
+        step = max(1, 2**16 // len(top))  # a slab's T_OW holds about 2^17 entries
+        for i in range(0, len(outer), step):
+            o = np.concatenate([-outer[i : i + step][::-1], outer[i : i + step]])  # row -o mirrors o
+            diff = o[:, None] - p[top]
+            at = np.minimum(np.searchsorted(keys, diff), len(keys) - 1)
+            t_ow = np.where(keys[at] == diff, vals[at], 0.0)  # v(o - p)
+            live = t_ow.any(axis=0)
+            q = (t_ow[:, live] @ x[live]).reshape(len(o), len(ns), 2)
+            dg -= np.einsum("ona,onb->nab", q[::-1, :, ::-1], q / _gaps(m, o, 2 * ns - 1)[:, :, None])
         dist = _gaps(m, np.array([2 * K + 1]), 2 * ns - 1)[0]  # mu_{2K+1} - c_n
-        l1 = sum(abs(x) for x in v.coeffs.values())
+        l1 = float(np.abs(vals).sum())
         bars[:] = np.inf
         ok = dist > l1
-        bars[ok] = _displacement(g[ok], dg[ok] * (dist / (dist - l1))[ok, None, None])
+        bars[ok] = BAR_SAFETY * _displacement(g[ok], dg[ok] * (dist / (dist - l1))[ok, None, None])
     rows = tuple(replace(r, converged=bool(b < CONVERGENCE_TOL), bar=float(b))
                  for r, b in zip(table.rows, bars))
-    return replace(table, rows=rows, basis=None)
+    return replace(table, rows=rows)
 
 
 def mark_converged(

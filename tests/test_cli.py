@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -191,6 +192,27 @@ class TestConfirmWindow:
         assert footer["K"] == K and "confirm_K" not in footer
         assert math.isfinite(float(footer["max_trunc_bar"]))
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("far", [{40000: 1e-3}, {40000: 1e-3, -40000: 1e-3j}],
+                             ids=["one-sided", "both-sides"])
+    def test_support_far_past_window(self, tmp_path, far):
+        # a coefficient far past the window costs the bars no more than the
+        # modes it couples to the window: at K = 256 a dense coupling over
+        # |o| <= 2K - 1 + 40000 would hold 40000 x 512 entries (330 MB)
+        pot = write_potential(tmp_path / "v.json", {2: 0.5 + 0j, -2: 0.5 + 0j, **far})
+        out = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            code = main(["spectrum", "--K", "256", "--n-max", "64",
+                         "--potential", pot, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64e6
+        _, rows, footer = read_csv(out)
+        assert len(rows) == 64 and all(r["converged"] == "true" for r in rows)
+        assert float(footer["max_trunc_bar"]) < 1e-15
 
     def test_no_confirm_past_cap(self, tmp_path, solve_ks, capsys):
         # a window past the largest one is refused before any solve
