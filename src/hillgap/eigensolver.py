@@ -664,18 +664,22 @@ def _truncation_bars(table: EigenPairTable, v: FourierSequence, low: LowBlock,
     support reaches.  The Neumann factor
     1 / (1 - ||v||_l1 / (mu_{2K+1} - c)) stands for the orders it leaves
     out, the chains among the modes past the window (infinite bar when
-    ||v||_l1 reaches the gap).  The bar is BAR_SAFETY times how far the two
+    ||v||_l1 reaches the gap, or when v reaches past 2^62, where the modes
+    leave the int64 range).  The bar is BAR_SAFETY times how far the two
     eigenvalues of G + dG lie from those of G (_displacement): an estimate,
     not a proof, whose factor keeps it above the row's move to a window
     that holds every mode it reads on the inputs the tests measure."""
     m, K = low.op.m, low.op.K
     ns = np.array([r.n for r in table.rows], dtype=int)
-    keys = np.array(sorted(k for k, x in v.coeffs.items() if x), dtype=int)
-    vals = np.array([v.coeffs[k] for k in keys], dtype=complex)
+    reach = max((abs(k) for k, x in v.coeffs.items() if x), default=0)
     bars = np.zeros(len(ns))
-    if len(keys) and len(ns):
+    if reach >= 2**62:  # its modes leave the int64 range: no bar can be read
+        bars[:] = np.inf
+    elif reach and len(ns):
+        keys = np.array(sorted(k for k, x in v.coeffs.items() if x))
+        vals = np.array([v.coeffs[k] for k in keys], dtype=complex)
         g, p, outer = g[ns - 1], modes(K), _outer_modes(K, keys)
-        top = np.flatnonzero(np.abs(p) > 2 * K - 1 - np.abs(keys).max())  # the rows that reach past
+        top = np.flatnonzero(np.abs(p) > 2 * K - 1 - reach)  # the rows that reach past the window
         x = _lift(low.lift, K, u[:, ns - 1].reshape(len(u), -1), top)
         dg = np.zeros((len(ns), 2, 2), complex)
         step = max(1, 2**16 // len(top))  # a slab's T_OW holds about 2^17 entries

@@ -214,6 +214,17 @@ class TestConfirmWindow:
         assert len(rows) == 64 and all(r["converged"] == "true" for r in rows)
         assert float(footer["max_trunc_bar"]) < 1e-15
 
+    def test_support_past_int64_unconverged(self, tmp_path):
+        # the modes a coefficient at |k| >= 2^62 reaches leave the int64
+        # range: its bars are infinite and every row unconverged
+        pot = write_potential(tmp_path / "v.json", {2: 0.5 + 0j, -2: 0.5 + 0j, 2**62: 1e-3 + 0j})
+        out = tmp_path / "s.csv"
+        code = main(["spectrum", "--K", "64", "--n-max", "8", "--potential", pot, "--out", str(out)])
+        assert code == 0
+        _, rows, footer = read_csv(out)
+        assert len(rows) == 8 and all(r["converged"] == "false" for r in rows)
+        assert footer["max_trunc_bar"] == "inf"
+
     def test_no_confirm_past_cap(self, tmp_path, solve_ks, capsys):
         # a window past the largest one is refused before any solve
         pot = write_potential(tmp_path / "v.json", _spread(50))
