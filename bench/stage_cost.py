@@ -30,6 +30,8 @@ same way:
     import_floor          python -c "import numpy, argparse, json", with
                           OPENBLAS_NUM_THREADS=1 as hillgap sets it
     import                python -c "import hillgap.cli"
+    spectrum_tiny         python -m hillgap spectrum --K 8 --n-max 2 on trig,
+                          where start-up and the interpreter's exit dominate
 
 Trig is {2: 1, -2: 0.5, 4: 0.3, -4: 0.2i, 6: 0.1}, STRONG {2: 60, -2: 45i,
 4: 30}.  Every run's wall time, CPU time (user + sys) and max RSS come from
@@ -64,10 +66,12 @@ TRIG = {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
 STRONG = {2: 60.0, -2: 45j, 4: 30.0}
 COMMANDS = ("spectrum", "asymptotics", "riesz-check")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-STARTUP = {  # case: (code, variables set for it)
-    "interpreter": ("pass", {}),
-    "import_floor": ("import numpy, argparse, json", {"OPENBLAS_NUM_THREADS": "1"}),
-    "import": ("import hillgap.cli", {}),
+STARTUP = {  # case: (arguments to the interpreter, variables set for it)
+    "interpreter": (["-c", "pass"], {}),
+    "import_floor": (["-c", "import numpy, argparse, json"], {"OPENBLAS_NUM_THREADS": "1"}),
+    "import": (["-c", "import hillgap.cli"], {}),
+    # a command so small that start-up and the interpreter's exit are most of it
+    "spectrum_tiny": (["-m", "hillgap", "spectrum", "--K", "8", "--n-max", "2"], {}),
 }
 # the child imports hillgap before this file, and so before numpy, as the CLI does
 CHILD = "import runpy, sys, hillgap; runpy.run_path(%r)['stages'](int(sys.argv[1]))"
@@ -211,8 +215,9 @@ def main(argv=None) -> int:
                             "--out", out])
                         note(tree, cmd, K, record["wall_s"], {"exit": record["exit"]})
                 measure(tree, rep, "lemmas", None, hillgap + ["lemmas", "--out", out])
-                for case, (code, extra) in STARTUP.items():
-                    record, _ = measure(tree, rep, case, None, [sys.executable, "-c", code], extra)
+                for case, (args, extra) in STARTUP.items():
+                    io = ["--potential", str(pot), "--out", out] if args[0] == "-m" else []
+                    record, _ = measure(tree, rep, case, None, [sys.executable, *args, *io], extra)
                     times[tree].setdefault(case, {}).setdefault(None, []).append(record["wall_s"])
 
     def slope(t1, t2, k1, k2):

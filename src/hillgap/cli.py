@@ -12,7 +12,9 @@ Exit codes partition the failure causes:
 
 Floats are printed with 17 significant digits (binary64 round-trip exact);
 the JSON format mirrors the same strings so no consumer re-rounds them.
-Identical config and inputs produce byte-identical files.
+Identical config and inputs produce byte-identical files.  A handler imports
+the modules only its command reads (asymptotics, riesz, localization,
+lemmas) in its body, so a run loads and compiles no other command's code.
 """
 
 from __future__ import annotations
@@ -20,54 +22,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import get_type_hints
+from typing import NoReturn, get_type_hints
 
 import numpy as np
 
-from . import __version__, asymptotics, riesz
+from . import __version__
 from .eigensolver import (
-    PairingConfigError,
-    SolverError,
-    compute_pair_table,
-    converge_truncation,
-    correction_values,
-    localization_report,
-    low_block,
-    pair_eigenvalues,
+    ContourCollisionError, PairingConfigError, SolverError, compute_pair_table,
+    converge_truncation, correction_values, low_block, pair_eigenvalues,
 )
-from .operator import (
-    MAX_HALF_WINDOW,
-    ExtRegion,
-    VertRegion,
-    build_T,
-    build_resolvent_factors,
-    center,
-    contour_radius,
-    elementary_bounds_check,
-    eq506_margin,
-    ext_bound,
-    hs_norm_S,
-    op_norm_S,
-    resolvent_shifted_norm,
-    vert_bound,
-    vert_bound_combined,
-    vert_min_n,
-)
-from .riesz import ContourCollisionError, ContourSpec
-from .seqspace import (
-    MIN_FIT_POINTS,
-    FourierSequence,
-    Parity,
-    PotentialFamily,
-    PotentialSpec,
-    SobolevParams,
-    decay_exponent,
-    make_potential,
-    normalize_zero_mode,
-    weighted_norm,
-)
+from .operator import MAX_HALF_WINDOW, build_T
+from .seqspace import MIN_FIT_POINTS, FourierSequence, Parity, normalize_zero_mode
 
 RIESZ_AUTO_K = 128  # the smallest riesz-check window under --K auto
 
@@ -334,6 +302,8 @@ ASYMPTOTICS_COLUMNS = [
 
 
 def run_asymptotics(cfg: RunConfig) -> int:
+    from . import asymptotics
+
     v = load_potential(cfg.potential)
     _require_fit_rows(cfg, asymptotics.FIT_RANGE_START, normalize_zero_mode(v)[0].is_zero())
     table = _spectrum_table(cfg, v)
@@ -383,6 +353,8 @@ LOCALIZE_COLUMNS = ["n", "radius", "hits", "max_deviation", "holds"]
 
 
 def run_localize(cfg: RunConfig) -> int:
+    from .localization import localization_report
+
     v = load_potential(cfg.potential)
     K = cfg.K if isinstance(cfg.K, int) else max(32, 4 * cfg.n_max)
     report = localization_report(v, cfg.m, cfg.alpha, cfg.R, cfg.C, K)
@@ -401,118 +373,10 @@ def run_localize(cfg: RunConfig) -> int:
     return 0
 
 
-LEMMA_COLUMNS = ["check", "m", "alpha", "n", "computed", "bound", "holds", "reason"]
-LEMMA_ALPHAS = (0.0, 0.25, 0.5, 0.75)
-LEMMA_MS = (1, 2, 3)
-EXT_MS = (4.0, 16.0, 100.0)
-
-
-def _lemma_potential(m: int, alpha: float, seed: int, K: int) -> FourierSequence:
-    spec = PotentialSpec(
-        family=PotentialFamily.RANDOM_ROUGH,
-        params={"window": 4 * K - 2},
-        radius=1.0,
-        seed=seed,
-    )
-    return make_potential(spec, SobolevParams(m=m, alpha=alpha))
-
-
 def run_lemmas(cfg: RunConfig) -> int:
-    K = cfg.K if isinstance(cfg.K, int) else 64
-    scale = cfg.bound_scale
-    rows = []
-    failed = False
+    from . import lemmas
 
-    def add(check, m, alpha, n, computed, bound, reason=""):
-        nonlocal failed
-        if reason:
-            rows.append([check, m, fmt(alpha), n, "", "", "skip", reason])
-            return
-        holds = bool(computed <= bound * (1.0 + 1e-12))
-        failed = failed or not holds
-        rows.append([check, m, fmt(alpha), n, fmt(float(computed)), fmt(float(bound)), holds, ""])
-
-    # elementary lattice estimates over the full grid
-    for m in LEMMA_MS:
-        for alpha in LEMMA_ALPHAS:
-            for n in range(1, cfg.n_max + 1):
-                if n < m:
-                    add("elementary", m, alpha, n, None, None, reason="n < m precondition")
-                    continue
-                rep = elementary_bounds_check(m, alpha, n)
-                add("elementary_a", m, alpha, n, rep.sup_a, rep.bound_a * scale)
-                add("elementary_b", m, alpha, n, rep.sup_b, rep.bound_b * scale)
-                add("elementary_c", m, alpha, n, rep.sum_c, rep.bound_c * scale)
-
-    # strip resolvent comparison
-    for m in LEMMA_MS:
-        n_lo = math.ceil(vert_min_n(m))
-        for n in range(n_lo, min(64, cfg.n_max) + 1):
-            margin = eq506_margin(m, n, samples=32, K=K)
-            add("eq506", m, "", n, margin, 1.0 * scale)
-
-    # Hilbert-Schmidt bound on the left cone
-    for m in LEMMA_MS:
-        for alpha in LEMMA_ALPHAS:
-            v = _lemma_potential(m, alpha, cfg.seed, K)
-            v_norm = weighted_norm(v, -m * alpha, 0)
-            for big_m in EXT_MS:
-                worst = 0.0
-                for lam in ExtRegion(big_m).boundary_points(32):
-                    worst = max(worst, hs_norm_S(build_resolvent_factors(v, m, K, lam)))
-                bound = ext_bound(m, alpha, big_m, v_norm) * scale
-                add("ext_hs", m, alpha, int(big_m), worst, bound)
-
-    # operator-norm bound on the punctured strips, raw and combined forms
-    alpha = cfg.alpha
-    for m in LEMMA_MS:
-        v = _lemma_potential(m, alpha, cfg.seed, K)
-        v_norm = weighted_norm(v, -m * alpha, 0)
-        n_lo = max(math.ceil(vert_min_n(m)), m)
-        for n in sorted({n_lo, 8, 16}):
-            if not n_lo <= n <= K // 4:
-                continue
-            r_n = contour_radius(m, n)
-            worst = 0.0
-            for lam in VertRegion(n=n, r_n=r_n, m=m).boundary_points(32):
-                worst = max(worst, op_norm_S(build_resolvent_factors(v, m, K, lam)))
-            q = 2 * (2 * n - 1)
-            raw = vert_bound(m, alpha, n, r_n, v_norm, (v(q), v(-q)))
-            comb = vert_bound_combined(m, alpha, n, r_n, v_norm)
-            add("vert_raw", m, alpha, n, worst, raw * scale)
-            add("vert_combined", m, alpha, n, worst, comb * scale)
-
-    # diagonal resolvent norms between shifted spaces, scanned over n inside
-    # the window (the resonant mode 2n-1 must be covered for the sup to see
-    # the resonance)
-    for m in LEMMA_MS:
-        ns = list(range(8, min(64, K // 2) + 1, 2))
-        if len(ns) < 5:
-            add("shifted_decay_slope", m, "", 0, None, None, reason="window too small")
-            continue
-        flat = []
-        decay = []
-        for n in ns:
-            q = 2 * n - 1
-            lam = center(m, n) + contour_radius(m, n)
-            decay.append(
-                (n, resolvent_shifted_norm(m, lam, -1.0, -1.0, 0, 0, K))
-            )
-            # weights shifted to the resonant modes +-(2n-1), where the
-            # smoothing-vs-resolvent cancellation is uniform in n
-            flat.append(
-                (n, resolvent_shifted_norm(m, lam, 1.0, -1.0, q, -q, K))
-            )
-        slope = decay_exponent(decay, (ns[0], ns[-1])).slope
-        add("shifted_decay_slope", m, "", 0, abs(slope + m), 0.3 * scale)
-        vals = [x for _, x in flat]
-        add("shifted_flat_ratio", m, "", 0, max(vals) / min(vals), 10.0 * scale)
-
-    footer = {"failed": failed, "rows": len(rows)}
-    write_table(cfg, LEMMA_COLUMNS, rows, footer=footer)
-    if failed:
-        raise LemmaBoundFailure("at least one lemma bound failed")
-    return 0
+    return lemmas.run_lemmas(cfg)
 
 
 RIESZ_COLUMNS = [
@@ -526,6 +390,8 @@ def _riesz_window(cfg: RunConfig) -> int:
 
 
 def run_riesz_check(cfg: RunConfig) -> int:
+    from . import riesz
+
     v, _ = normalize_zero_mode(load_potential(cfg.potential))
     K = _riesz_window(cfg)
     low = low_block(build_T(v, cfg.m, K), cfg.n_max)
@@ -534,7 +400,7 @@ def run_riesz_check(cfg: RunConfig) -> int:
     rows, max_block, dense_contours = [], 0, []
     l_plus, l_minus = correction_values(v, cfg.m, np.arange(2, cfg.n_max + 1))
     for n in range(2, cfg.n_max + 1):
-        contour = ContourSpec(n=n, m=cfg.m, nodes=cfg.quad_nodes)
+        contour = riesz.ContourSpec(n=n, m=cfg.m, nodes=cfg.quad_nodes)
         trace = riesz.riesz_projector(low, contour)
         max_block = max(max_block, trace.block)
         if trace.dense:
@@ -572,6 +438,8 @@ ALPHA1_COLUMNS = ["n", "ratio"]
 
 
 def run_alpha1(cfg: RunConfig) -> int:
+    from . import asymptotics
+
     v = load_potential(cfg.potential)
     _require_fit_rows(cfg, 1, v.is_zero())
     K = cfg.K if isinstance(cfg.K, int) else 4 * cfg.n_max
@@ -708,5 +576,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The `hillgap` script and `python -m hillgap`: exit with main()'s code
+    through os._exit once stdout and stderr are flushed, skipping the
+    interpreter's teardown.  A command closes every file it writes before
+    main returns; an exception or argparse's SystemExit exits normally."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqspace import FourierSequence
-from .eigensolver import LowBlock, SolverError, _certified_band, _decouple, _shift_poles
+from .eigensolver import (
+    ContourCollisionError, LowBlock, SolverError, _certified_band, _decouple, _shift_poles,
+)
 from .operator import (
     _check_even_potential, _coeff_lookup, center, contour_radius, modes, resonant_rows,
     unperturbed_eigenvalues,
@@ -45,14 +47,6 @@ __all__ = [
 COLLISION_REL_TOL = 1e-6
 # a left-out pole sits >= 4 rho from the center: its trapezoid term is <= 4^-nodes
 POLE_MARGIN = 4.0
-
-
-class ContourCollisionError(RuntimeError):
-    """An eigenvalue sits (numerically) on the quadrature contour."""
-
-    def __init__(self, message, offending=None):
-        super().__init__(message)
-        self.offending = offending
 
 
 @dataclass(frozen=True)

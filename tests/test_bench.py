@@ -11,7 +11,7 @@ REPO = Path(__file__).resolve().parent.parent
 # the cases of stage_cost.py, grouped by the single-stage script each group
 # replaced (the confirming window's group times the truncation bar that
 # replaced that window); the start-up cases are timed once per repetition, with no K
-STARTUP = {"interpreter", "import_floor", "import"}
+STARTUP = {"interpreter", "import_floor", "import", "spectrum_tiny"}
 GROUPS = {
     "startup": STARTUP,
     "pair_solve_cost.py": {"build_T", "cut", "pair", "table", "table_support6"},

@@ -543,6 +543,81 @@ class TestAsymptoticsCommand:
         assert done.stdout.split() == ["0", "False"]
 
 
+# each command's window and fit length, small; the modules it must not load
+COMMAND_MODULES = {
+    "spectrum": (["--K", "16", "--n-max", "4"], ("riesz", "asymptotics", "localization", "lemmas")),
+    "asymptotics": (["--K", "48", "--n-max", "12"], ("riesz", "localization", "lemmas")),
+    "riesz-check": (["--K", "16", "--n-max", "4"], ("asymptotics", "localization", "lemmas")),
+}
+
+
+def _hillgap(args, **kwargs):
+    """The interpreter with the package from this tree, and stdout buffered
+    as a pipe buffers it unless PYTHONUNBUFFERED is set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60, **kwargs)
+
+
+class TestProcess:
+    @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+    def test_command_loads_only_its_modules(self, tmp_path, trig_potential, command):
+        flags, absent = COMMAND_MODULES[command]
+        argv = [command, *flags, "--potential", trig_potential, "--out", str(tmp_path / "o.csv")]
+        script = (
+            "import sys\n"
+            "from hillgap.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('hillgap.')))\n"
+        )
+        code, *loaded = _hillgap(["-c", script], check=True).stdout.split()
+        assert code == "0"
+        assert {"hillgap.cli", "hillgap.eigensolver"} <= set(loaded)
+        assert not {f"hillgap.{name}" for name in absent} & set(loaded)
+
+    def test_exit_0_writes_the_whole_table(self, tmp_path, trig_potential):
+        flags = ["spectrum", "--K", "16", "--n-max", "4", "--potential", trig_potential]
+        out, ref = tmp_path / "o.csv", tmp_path / "ref.csv"
+        done = _hillgap(["-m", "hillgap", *flags, "--out", str(out)])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert main(flags + ["--out", str(ref)]) == 0
+        tables = [[ln for ln in path.read_text().splitlines(keepends=True)
+                   if not ln.startswith("# config:")] for path in (out, ref)]
+        assert tables[0] == tables[1]
+        assert tables[0][-1].startswith("# footer:") and tables[0][-1].endswith("}\n")
+
+    def test_bad_config_exit_2(self, tmp_path, trig_potential):
+        done = _hillgap(["-m", "hillgap", "spectrum", "--alpha", "1.5", "--potential",
+                         trig_potential, "--out", str(tmp_path / "o.csv")])
+        assert done.returncode == 2
+        assert "config error: --alpha must lie in [0, 1]" in done.stderr
+
+    def test_unsettled_fixed_point_exit_4(self, tmp_path, trig_potential):
+        # as TestAsymptoticsCommand.test_unsettled_riccati_exit_4, through
+        # __main__ in a fresh process
+        argv = ["hillgap", "asymptotics", "--K", "96", "--n-max", "24",
+                "--potential", trig_potential, "--out", str(tmp_path / "o.csv")]
+        script = (
+            "import runpy, sys\n"
+            "from hillgap import eigensolver\n"
+            "eigensolver.RICCATI_MAX_STEPS = 1\n"
+            f"sys.argv = {argv!r}\n"
+            "runpy.run_module('hillgap', run_name='__main__')\n"
+        )
+        done = _hillgap(["-c", script])
+        assert done.returncode == 4
+        assert "solver failure: " in done.stderr and "Riccati" in done.stderr
+
+    def test_print_config_through_a_pipe(self, tmp_path):
+        # run() must flush the pipe's buffer before its hard exit
+        done = _hillgap(["-m", "hillgap", "lemmas", "--K", "48", "--out", "o.csv",
+                         "--print-config"], check=True)
+        assert done.stdout.endswith("}\n")
+        assert json.loads(done.stdout) == {**OPTION_DEFAULTS, "command": "lemmas", "K": 48,
+                                           "out": "o.csv"}
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("the eigensolve ran before the fit length was checked")
 

@@ -11,12 +11,12 @@ from hillgap.eigensolver import (
     SolverError,
     compute_pair_table,
     converge_truncation,
-    localization_report,
     low_block,
     mark_converged,
     pair_eigenvalues,
     localization_radius,
 )
+from hillgap.localization import localization_report
 from hillgap.operator import build_T, center, contour_radius, unperturbed_eigenvalues
 from hillgap.riesz import ContourSpec, riesz_projector
 from hillgap.seqspace import (

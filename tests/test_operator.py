@@ -4,29 +4,31 @@ import numpy as np
 import pytest
 from conftest import build_A
 
-from hillgap.operator import (
-    MAX_HALF_WINDOW,
+from hillgap.lemmas import (
     ExtRegion,
     SpectrumCollisionError,
     VertRegion,
-    build_B,
     build_resolvent_factors,
-    build_T,
-    center,
-    contour_radius,
     elementary_bounds_check,
     eq506_margin,
     ext_bound,
     factorization_residual,
     hs_norm_S,
-    modes,
     op_norm_S,
     resolvent_shifted_norm,
-    resonant_rows,
-    unperturbed_eigenvalues,
     vert_bound,
     vert_bound_combined,
     vert_min_n,
+)
+from hillgap.operator import (
+    MAX_HALF_WINDOW,
+    build_B,
+    build_T,
+    center,
+    contour_radius,
+    modes,
+    resonant_rows,
+    unperturbed_eigenvalues,
 )
 from hillgap.seqspace import (
     FourierSequence,

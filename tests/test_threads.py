@@ -14,7 +14,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 TRIG = [[2, 1.0, 0.0], [-2, 0.5, 0.0], [4, 0.3, 0.0], [-4, 0.0, 0.2], [6, 0.1, 0.0]]
 
 # a meta-path finder that finds nothing and records the thread variables at
-# the moment numpy is first imported, which is when OpenBLAS reads them
+# the moment numpy is first imported, which is when OpenBLAS reads them; the
+# module is imported first, then numpy, as a program that uses it would
 SPY = """
 import json, os, sys
 
@@ -28,6 +29,7 @@ class Spy:
 
 sys.meta_path.insert(0, Spy())
 import %s
+import numpy
 print(json.dumps(Spy.seen))
 """
 
