@@ -215,9 +215,9 @@ def main(argv=None) -> int:
                             "--out", out])
                         note(tree, cmd, K, record["wall_s"], {"exit": record["exit"]})
                 measure(tree, rep, "lemmas", None, hillgap + ["lemmas", "--out", out])
-                for case, (args, extra) in STARTUP.items():
-                    io = ["--potential", str(pot), "--out", out] if args[0] == "-m" else []
-                    record, _ = measure(tree, rep, case, None, [sys.executable, *args, *io], extra)
+                for case, (flags, extra) in STARTUP.items():
+                    io = ["--potential", str(pot), "--out", out] if flags[0] == "-m" else []
+                    record, _ = measure(tree, rep, case, None, [sys.executable, *flags, *io], extra)
                     times[tree].setdefault(case, {}).setdefault(None, []).append(record["wall_s"])
 
     def slope(t1, t2, k1, k2):

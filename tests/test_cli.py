@@ -609,7 +609,7 @@ class TestProcess:
         assert done.returncode == 4
         assert "solver failure: " in done.stderr and "Riccati" in done.stderr
 
-    def test_print_config_through_a_pipe(self, tmp_path):
+    def test_print_config_through_a_pipe(self):
         # run() must flush the pipe's buffer before its hard exit
         done = _hillgap(["-m", "hillgap", "lemmas", "--K", "48", "--out", "o.csv",
                          "--print-config"], check=True)
