@@ -81,9 +81,8 @@ def stages(K: int) -> None:
     """Time the in-process cases at window K; print the times, their facts
     and the thread variables as one JSON object."""
     from hillgap import (
-        ContourSpec, FourierSequence, PotentialFamily, PotentialSpec, SobolevParams, build_T,
-        compute_pair_table, localization_report, low_block, make_potential,
-        normalize_zero_mode, pair_eigenvalues, riesz_projector,
+        ContourSpec, FourierSequence, build_T, compute_pair_table, localization_report, low_block,
+        normalize_zero_mode, pair_eigenvalues, riesz_projector, rough_potential,
     )
     from hillgap.operator import MAX_HALF_WINDOW, contour_radius
 
@@ -101,8 +100,7 @@ def stages(K: int) -> None:
         return out
 
     def rough(support):
-        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": support}, radius=1.0, seed=11)
-        return normalize_zero_mode(make_potential(spec, SobolevParams(m=1, alpha=0.25)))[0]
+        return normalize_zero_mode(rough_potential(1, 0.25, support, radius=1.0, seed=11))[0]
 
     def rows(table):
         return {"rows": len(table.rows), "unrefined": list(table.unrefined)}
@@ -129,10 +127,10 @@ def stages(K: int) -> None:
     table("table_2K", v, 2 * K)
     table("table_support6", rough(6), K)
     for case, coeffs in (("contour_trig", TRIG), ("contour_strong", STRONG)):
-        low = low_block(build_T(FourierSequence.make("even", coeffs), 1, K), n)
+        low = low_block(build_T(FourierSequence(coeffs), 1, K), n)
         timed(case, lambda: riesz_projector(low, ContourSpec(n=4, m=1, nodes=64)),
               lambda p: {"route": "band" if p.dense else "pair", "block": p.block})
-    trig = FourierSequence.make("even", TRIG)
+    trig = FourierSequence(TRIG)
     for m in (1, 2, 3):
         timed(f"census_m{m}", lambda: localization_report(trig, m, 0.0, 1.0, 1.1, K),
               lambda r: {"n0": r.n0_empirical, "cone_count": r.cone_count})

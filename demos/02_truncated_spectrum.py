@@ -22,14 +22,14 @@ PI2 = math.pi**2
 # =============================================================================
 # With v = 0 the spectrum is exactly the double sequence (2n-1)^{2m} pi^{2m}.
 
-free = np.sort(np.linalg.eigvals(build_T(FourierSequence.zero(), 1, 8).matrix).real)
+free = np.sort(np.linalg.eigvals(build_T(FourierSequence({}), 1, 8).matrix).real)
 print("free spectrum head:", np.round(free[:4] / PI2, 10), "x pi^2")
 
 # =============================================================================
 # The classic first gap: V(x) = 2 cos(2 pi x) has v(+-2) = 1, and the first
 # semi-periodic pair sits near pi^2 -+ 1.
 
-v = FourierSequence.make("even", {2: 1.0, -2: 1.0})
+v = FourierSequence({2: 1.0, -2: 1.0})
 op = build_T(v, 1, 64)
 eigs = np.sort(np.linalg.eigvals(op.matrix).real)
 print("first pair:", eigs[0], eigs[1])

@@ -4,26 +4,12 @@ disc of radius 3^m sqrt(2) C R (2n-1)^{m alpha} around its center, and each
 disc holds exactly two eigenvalues.
 """
 
-from hillgap import (
-    PotentialFamily,
-    PotentialSpec,
-    SobolevParams,
-    localization_report,
-    make_potential,
-    localization_radius,
-    weighted_norm,
-)
+from hillgap import localization_radius, localization_report, rough_potential, weighted_norm
 
 # A complex rough potential on the unit ball of h^{-m alpha}:
 
 m, alpha, R, C, K = 1, 0.5, 1.0, 1.1, 64
-spec = PotentialSpec(
-    family=PotentialFamily.RANDOM_ROUGH,
-    params={"window": 4 * K - 2},
-    radius=R,
-    seed=7,
-)
-v = make_potential(spec, SobolevParams(m=m, alpha=alpha))
+v = rough_potential(m, alpha, support=4 * K - 2, radius=R, seed=7)
 print("||v|| =", weighted_norm(v, -m * alpha))
 
 # The census scans every disc up to K/4 (the quarter of the window that is

@@ -29,7 +29,7 @@ from hillgap import (
 # coefficients on both residue classes mod 4, so the second-order
 # correction below is nonzero (a potential supported on indices = 2 mod 4
 # alone can never reach the resonant index 4n-2 with a two-step sum)
-v_raw = FourierSequence.make("even", {2: 0.6, -2: 0.6, 4: 0.5, -4: 0.5, 6: 0.4, -6: 0.4})
+v_raw = FourierSequence({2: 0.6, -2: 0.6, 4: 0.5, -4: 0.5, 6: 0.4, -6: 0.4})
 v, shift = normalize_zero_mode(v_raw)
 m, K, n = 1, 64, 3
 # the certified low block of T for the pairs n <= 16: the contours read

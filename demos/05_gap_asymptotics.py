@@ -11,7 +11,7 @@ from hillgap import (
     converge_truncation,
     gamma_remainder,
     one_term_check,
-    predict_pair,
+    predict_pairs,
     tau_remainder,
 )
 
@@ -22,7 +22,7 @@ coeffs = {0: 0.3}
 for k in range(1, 33):
     coeffs[2 * k] = 0.6**k
     coeffs[-2 * k] = 0.6**k
-v = FourierSequence.make("even", coeffs)
+v = FourierSequence(coeffs)
 
 K, table = converge_truncation(v, m=1, n_max=16, K_start=64)
 print("window:", K, "| converged rows:", sum(r.converged for r in table.rows))
@@ -31,7 +31,7 @@ print("window:", K, "| converged rows:", sum(r.converged for r in table.rows))
 
 print("\n  n   predicted pair            computed pair")
 for n in (2, 4, 6):
-    pred = predict_pair(v, 1, n)
+    pred = predict_pairs(v, 1, [n])[n]
     row = table.row(n)
     print(f"  {n}  ({pred.predicted_pair[0].real:12.6f}, {pred.predicted_pair[1].real:12.6f})"
           f"   ({row.lambda_lo.real:12.6f}, {row.lambda_hi.real:12.6f})")

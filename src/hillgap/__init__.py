@@ -20,10 +20,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 __version__ = "0.1.0"
 
 _EXPORTS = {  # submodule: the names the root exports from it
-    "seqspace": (
-        "FourierSequence", "PotentialFamily", "PotentialSpec", "SobolevParams", "convolve",
-        "is_real_valued", "make_potential", "normalize_zero_mode", "weighted_norm",
-    ),
+    "seqspace": ("FourierSequence", "normalize_zero_mode", "rough_potential", "weighted_norm"),
     "operator": ("build_T",),
     "lemmas": ("SpectrumCollisionError", "elementary_bounds_check", "factorization_residual"),
     "eigensolver": (
@@ -33,7 +30,7 @@ _EXPORTS = {  # submodule: the names the root exports from it
     "localization": ("localization_report",),
     "riesz": ("ContourSpec", "q0_closed_form", "q0_matrix", "riesz_projector", "script_S_2x2"),
     "asymptotics": (
-        "alpha1_experiment", "gamma_remainder", "one_term_check", "predict_pair",
+        "alpha1_experiment", "gamma_remainder", "one_term_check", "predict_pairs",
         "tau_remainder",
     ),
 }

@@ -10,7 +10,6 @@ over a window that excludes the pre-asymptotic head (n < 8 by default).
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -28,9 +27,7 @@ from .operator import center, contour_radius
 
 __all__ = [
     "PredictionRow",
-    "predict_pair",
     "predict_pairs",
-    "RemainderKind",
     "RemainderReport",
     "tau_remainder",
     "gamma_remainder",
@@ -83,22 +80,8 @@ def predict_pairs(v_raw: FourierSequence, m: int, ns: Sequence[int]) -> dict[int
     return preds
 
 
-def predict_pair(v_raw: FourierSequence, m: int, n: int) -> PredictionRow:
-    """predict_pairs for the single pair n."""
-    return predict_pairs(v_raw, m, [n])[n]
-
-
-class RemainderKind(enum.Enum):
-    TAU = "TauRemainder"
-    GAMMA = "GammaRemainder"
-    GAMMA_CORRECTED = "GammaRemainderCorrected"
-    ONE_TERM = "OneTerm"
-    ALPHA_ONE = "AlphaOne"
-
-
 @dataclass(frozen=True)
 class RemainderReport:
-    kind: RemainderKind
     ns: tuple[int, ...]
     values: tuple[float, ...]
     target_exponent: float
@@ -150,9 +133,7 @@ def tau_remainder(
     values = tuple(abs(r.d_tau + (r.v0 - shift)) for r in rows)
     target = m * (1.0 - 2.0 * alpha) - epsilon
     fit, bounded = _fit(ns, values, target, fit_range)
-    return RemainderReport(
-        RemainderKind.TAU, ns, values, target, fit.slope, bounded, fit.exact_zero
-    )
+    return RemainderReport(ns, values, target, fit.slope, bounded, fit.exact_zero)
 
 
 def gamma_remainder(
@@ -187,10 +168,7 @@ def gamma_remainder(
     else:
         target = m * (0.5 - alpha)
     fit, bounded = _fit(ns, values, target, fit_range)
-    kind = RemainderKind.GAMMA_CORRECTED if corrected else RemainderKind.GAMMA
-    return RemainderReport(
-        kind, ns, values, target, fit.slope, bounded, fit.exact_zero
-    )
+    return RemainderReport(ns, values, target, fit.slope, bounded, fit.exact_zero)
 
 
 def one_term_check(
@@ -209,9 +187,7 @@ def one_term_check(
     bound = 3.0**m * math.sqrt(2.0) * C * R
     bounded = all(val <= bound for val in values)
     fit, _ = _fit(ns, values, 0.0, fit_range)
-    return RemainderReport(
-        RemainderKind.ONE_TERM, ns, values, 0.0, fit.slope, bounded, fit.exact_zero
-    )
+    return RemainderReport(ns, values, 0.0, fit.slope, bounded, fit.exact_zero)
 
 
 def alpha1_experiment(
@@ -245,7 +221,6 @@ def alpha1_experiment(
             n0 = n
     fit = decay_exponent(list(zip(ns, values)), (min(ns), max(ns)))
     return RemainderReport(
-        RemainderKind.ALPHA_ONE,
         ns,
         values,
         float(m),

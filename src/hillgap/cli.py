@@ -35,7 +35,7 @@ from .eigensolver import (
     converge_truncation, correction_values, low_block, pair_eigenvalues,
 )
 from .operator import MAX_HALF_WINDOW, build_T
-from .seqspace import MIN_FIT_POINTS, FourierSequence, Parity, normalize_zero_mode
+from .seqspace import MIN_FIT_POINTS, FourierSequence, normalize_zero_mode
 
 RIESZ_AUTO_K = 128  # the smallest riesz-check window under --K auto
 
@@ -201,7 +201,7 @@ def load_potential(path: str) -> FourierSequence:
         if k in coeffs:
             raise PotentialFileError(f"{where}: duplicate index {k}")
         coeffs[k] = val
-    return FourierSequence.make(Parity.EVEN, coeffs)
+    return FourierSequence(coeffs)
 
 
 def write_table(cfg: RunConfig, columns, rows, footer=None, exponents=None):
@@ -260,7 +260,8 @@ def _verdict(table) -> dict:
     against, the windows solved and why the doubling stopped; for a fixed
     --K the largest truncation bar."""
     if table.stop:
-        return {"confirm_K": table.confirm_K, "windows": list(table.windows), "stop": table.stop}
+        confirm_K = table.windows[-2] if len(table.windows) > 1 else None
+        return {"confirm_K": confirm_K, "windows": list(table.windows), "stop": table.stop}
     return {"max_trunc_bar": fmt(float(np.max([r.bar for r in table.rows], initial=0.0)))}
 
 

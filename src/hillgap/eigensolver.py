@@ -375,7 +375,6 @@ class EigenPairTable:
     K: int
     rows: tuple[EigenPairRow, ...]
     flagged: dict[int, int] = field(default_factory=dict)
-    confirm_K: int | None = None  # the window the converged flags were compared against
     unrefined: tuple[int, ...] = ()  # rows read from the grown band, not their own 2 x 2 block
     windows: tuple[int, ...] = ()  # every window converge_truncation solved, in order
     stop: str | None = None  # why converge_truncation stopped: "converged" or "cap"
@@ -706,8 +705,7 @@ def mark_converged(
 ) -> EigenPairTable:
     """Flag each row of table converged when the offsets of the same pair
     in reference (the table at another window) lie within tol.  Rows
-    missing from reference are unconverged, and the result records the
-    reference window as confirm_K.  Pairs are compared as sets:
+    missing from reference are unconverged.  Pairs are compared as sets:
     the lexicographic label assignment of a near-degenerate pair may flip
     between windows without the values themselves moving."""
     rows = []
@@ -720,7 +718,7 @@ def mark_converged(
         direct = max(abs(r.d_lo - p.d_lo), abs(r.d_hi - p.d_hi))
         crossed = max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo))
         rows.append(replace(r, converged=bool(min(direct, crossed) < tol)))
-    return replace(table, rows=tuple(rows), flagged=dict(table.flagged), confirm_K=reference.K)
+    return replace(table, rows=tuple(rows), flagged=dict(table.flagged))
 
 
 def converge_truncation(

@@ -14,13 +14,9 @@ import numpy as np
 
 from .cli import LemmaBoundFailure, RunConfig, fmt, write_table
 from .operator import (
-    _check_build_args, _check_even_potential, build_B, build_T, center, contour_radius, modes,
-    unperturbed_eigenvalues,
+    _check_build_args, build_B, build_T, center, contour_radius, modes, unperturbed_eigenvalues,
 )
-from .seqspace import (
-    FourierSequence, PotentialFamily, PotentialSpec, SobolevParams, decay_exponent,
-    make_potential, weighted_norm,
-)
+from .seqspace import FourierSequence, decay_exponent, rough_potential, weighted_norm
 
 COLLISION_TOL = 1e-10  # relative to 1 + |lambda| + mu
 
@@ -64,7 +60,6 @@ def build_resolvent_factors(
     truncated unperturbed spectrum.
     """
     _check_build_args(m, K)
-    _check_even_potential(v)
     if v(0) != 0:
         raise ValueError("resolvent factors require a zero-mode-normalized potential")
     lam = complex(lam)
@@ -354,13 +349,7 @@ EXT_MS = (4.0, 16.0, 100.0)
 
 
 def _lemma_potential(m: int, alpha: float, seed: int, K: int) -> FourierSequence:
-    spec = PotentialSpec(
-        family=PotentialFamily.RANDOM_ROUGH,
-        params={"window": 4 * K - 2},
-        radius=1.0,
-        seed=seed,
-    )
-    return make_potential(spec, SobolevParams(m=m, alpha=alpha))
+    return rough_potential(m, alpha, 4 * K - 2, radius=1.0, seed=seed)
 
 
 def run_lemmas(cfg: RunConfig) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqspace import FourierSequence, Parity, ParityError
+from .seqspace import FourierSequence
 
 __all__ = [
     "TruncatedOperator",
@@ -79,11 +79,6 @@ class TruncatedOperator:
         return modes(self.K)
 
 
-def _check_even_potential(v: FourierSequence):
-    if v.parity is not Parity.EVEN:
-        raise ParityError("potentials must live on the even lattice")
-
-
 def _coeff_lookup(v: FourierSequence, K: int) -> np.ndarray:
     """Coefficients v(d) over even differences d in [-(4K-2), 4K-2]."""
     span = 4 * K - 2
@@ -105,7 +100,6 @@ def build_B(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
     """The convolution operator B(v), Toeplitz along the odd lattice:
     entry (2k-1, 2j-1) = v(2k-2j)."""
     _check_build_args(m, K)
-    _check_even_potential(v)
     return TruncatedOperator(m, K, _toeplitz(_coeff_lookup(v, K), K))
 
 
@@ -115,7 +109,6 @@ def build_T(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
     Adding +0.0 to the coefficient table turns -0.0 into +0.0 the way the
     zeros of A^m do, so the matrix is bit for bit the sum A^m + B(v)."""
     _check_build_args(m, K)
-    _check_even_potential(v)
     mat = _toeplitz(_coeff_lookup(v, K) + 0.0, K)
     mat.flat[:: 2 * K + 1] += unperturbed_eigenvalues(m, K)
     return TruncatedOperator(m, K, mat)

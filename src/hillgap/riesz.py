@@ -30,8 +30,7 @@ from .eigensolver import (
     ContourCollisionError, LowBlock, SolverError, _certified_band, _decouple, _shift_poles,
 )
 from .operator import (
-    _check_even_potential, _coeff_lookup, center, contour_radius, modes, resonant_rows,
-    unperturbed_eigenvalues,
+    _coeff_lookup, center, contour_radius, modes, resonant_rows, unperturbed_eigenvalues,
 )
 
 __all__ = [
@@ -179,7 +178,6 @@ def _free_nodes(v: FourierSequence, m: int, n: int, K: int, nodes: int):
     share."""
     if v(0) != 0:
         raise ValueError("the free-resolvent quadratures require a zero-mode-normalized potential")
-    _check_even_potential(v)
     contour = ContourSpec(n=n, m=m, nodes=nodes)
     if n > K:
         raise ValueError(f"resonant modes +-{2 * n - 1} fall outside the window (K = {K})")

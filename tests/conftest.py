@@ -7,7 +7,7 @@ import pytest
 
 from hillgap.eigensolver import ORDER_TOL_SCALE
 from hillgap.operator import TruncatedOperator, unperturbed_eigenvalues
-from hillgap.seqspace import FourierSequence, Parity, ParityError
+from hillgap.seqspace import FourierSequence
 
 
 def build_A(m, K):
@@ -16,22 +16,18 @@ def build_A(m, K):
 
 
 def reflect_seq(a):
-    """Index reflection k -> -k (parity preserved)."""
-    return FourierSequence.make(a.parity, {-k: v for k, v in a.coeffs.items()}, a.window)
+    """Index reflection k -> -k."""
+    return FourierSequence({-k: v for k, v in a.coeffs.items()})
 
 
 def conjugate_seq(a):
-    """The conjugate sequence k -> conj(a(-k)) of an even-parity sequence."""
-    if a.parity is not Parity.EVEN:
-        raise ParityError("conjugate sequence is defined for even-parity potentials")
-    return FourierSequence.make(
-        a.parity, {-k: v.conjugate() for k, v in a.coeffs.items()}, a.window
-    )
+    """The conjugate sequence k -> conj(a(-k))."""
+    return FourierSequence({-k: v.conjugate() for k, v in a.coeffs.items()})
 
 
 def with_entry(a, k, value):
     """a with its coefficient at k set to value."""
-    return FourierSequence.make(a.parity, {**a.coeffs, k: value}, max(a.window, abs(k)))
+    return FourierSequence({**a.coeffs, k: value})
 
 
 def lex_sorted(values):
@@ -235,7 +231,7 @@ def inv_calls(monkeypatch):
 
 def l_direct(v, m, n):
     """Residue oracle for the correction values (l_+, l_-) at +-2(2n-1),
-    both from one pass over the potential's window:
+    both from one pass over the potential's support:
     l_+ = (1/pi^{2m}) sum_j v(2n-2j) v(2n+2j-2) / ((2n-1)^{2m} - (2j-1)^{2m})
     over odd modes 2j-1 != +-(2n-1), and l_- the same sum with v reflected
     through the origin, v(2j-2n) v(2-2n-2j).  n may be an array of indices;
@@ -248,15 +244,13 @@ def l_direct(v, m, n):
     pair block (eigensolver.correction_values); this sum shares no code
     with it.
     """
-    if v.parity is not Parity.EVEN:
-        raise ParityError("potentials must live on the even lattice")
     if v(0) != 0:
         raise ValueError("the correction sequence requires v(0) = 0")
     ns = np.asarray(n, dtype=int)
-    half = v.window // 2
+    half = max(map(abs, v.coeffs), default=0) // 2
     coef = np.array([v(2 * k) for k in range(-half, half + 1)])
 
-    def at(k):  # v(2k), zero outside the window
+    def at(k):  # v(2k), zero outside the support
         inside = np.abs(k) <= half
         return np.where(inside, coef[np.where(inside, k + half, 0)], 0.0)
 

@@ -23,20 +23,6 @@ def record(num, desc, ok):
     assert ok, f"criterion {num} failed: {desc}"
 
 
-def vseq(coeffs):
-    return hg.FourierSequence.make("even", coeffs)
-
-
-def rough_potential(seed, m, alpha, K, radius=1.0, hermitian=False):
-    spec = hg.PotentialSpec(
-        hg.PotentialFamily.RANDOM_ROUGH,
-        {"window": 4 * K - 2, "hermitian": hermitian},
-        radius=radius,
-        seed=seed,
-    )
-    return hg.make_potential(spec, hg.SobolevParams(m=m, alpha=alpha))
-
-
 def table_with_flags(v, m, K, n_max):
     """Pair table at the stated window, convergence-flagged against the
     doubled window."""
@@ -48,7 +34,7 @@ def table_with_flags(v, m, K, n_max):
 def test_criterion_01_unperturbed_spectrum():
     t0 = time.monotonic()
     ok = True
-    v = vseq({})
+    v = hg.FourierSequence({})
     for m in (1, 2, 3):
         table = hg.compute_pair_table(v, m, 64)
         for r in table.rows:
@@ -66,7 +52,7 @@ def test_criterion_02_exact_identities():
     rng = np.random.default_rng(0xC2)
     for m in (1, 2):
         for seed in range(20):
-            v = rough_potential(seed, m, 0.0, 16, radius=1.0)
+            v = hg.rough_potential(m, 0.0, 4 * 16 - 2, 1.0, seed=seed)
             op = hg.build_T(v, m, 64)
             eigs = window_spectrum(op)
             # trace identity
@@ -116,7 +102,7 @@ def test_criterion_04_disc_localization():
     for m in (1, 2):
         for alpha in (0.0, 0.5, 0.75):
             for seed in range(8):
-                v = rough_potential(seed, m, alpha, K, radius=1.0)
+                v = hg.rough_potential(m, alpha, 4 * K - 2, 1.0, seed=seed)
                 rep = hg.localization_report(v, m, alpha, 1.0, 1.1, K)
                 ok = ok and rep.n0_empirical < K // 4
                 worst_n0 = max(worst_n0, rep.n0_empirical)
@@ -130,8 +116,8 @@ def test_criterion_04_disc_localization():
 def test_criterion_05_riesz_cross_oracles():
     ok = True
     K, nodes = 128, 64
-    trig = vseq({2: 0.6, -2: 0.6, 6: 0.4, -6: 0.4})
-    rand = rough_potential(17, 1, 0.0, 24, radius=0.8)
+    trig = hg.FourierSequence({2: 0.6, -2: 0.6, 6: 0.4, -6: 0.4})
+    rand = hg.rough_potential(1, 0.0, 4 * 24 - 2, 0.8, seed=17)
     for v_raw in (trig, rand):
         v, c = hg.normalize_zero_mode(v_raw)
         low = hg.low_block(hg.build_T(v, 1, K), K)
@@ -154,7 +140,7 @@ def test_criterion_05_riesz_cross_oracles():
 
 @pytest.fixture(scope="module")
 def two_cluster_table():
-    v = vseq({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0})
+    v = hg.FourierSequence({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0})
     return v, table_with_flags(v, 1, 256, 64)
 
 
@@ -188,7 +174,7 @@ def test_criterion_08_real_valued_ordering(two_cluster_table):
     for k in range(1, 33):
         geo[2 * k] = 0.6**k
         geo[-2 * k] = 0.6**k
-    v_geo = vseq(geo)
+    v_geo = hg.FourierSequence(geo)
     table_geo = table_with_flags(v_geo, 1, 128, 32)
     checked_sign_rows = 0
     for v, table in ((v_trig, table_trig), (v_geo, table_geo)):
@@ -221,7 +207,7 @@ def test_criterion_09_alpha1_experiment():
     for k in range(1, 256):
         coeffs[2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
         coeffs[-2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
-    v = vseq(coeffs)
+    v = hg.FourierSequence(coeffs)
     rep = hg.alpha1_experiment(v, 1, 64, K=256)
     ok = rep.n0_below_one is not None and rep.n0_below_one <= 32
     ok = ok and rep.fitted_slope < 0

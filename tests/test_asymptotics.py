@@ -7,11 +7,9 @@ from conftest import conjugate_seq, with_entry
 
 from hillgap import asymptotics
 from hillgap.asymptotics import (
-    RemainderKind,
     alpha1_experiment,
     gamma_remainder,
     one_term_check,
-    predict_pair,
     predict_pairs,
     tau_remainder,
 )
@@ -21,35 +19,22 @@ from hillgap.eigensolver import (
     localization_radius,
     mark_converged,
 )
-from hillgap.seqspace import (
-    DecayFit,
-    FourierSequence,
-    Parity,
-    PotentialFamily,
-    PotentialSpec,
-    SobolevParams,
-    make_potential,
-    weighted_norm,
-)
+from hillgap.seqspace import DecayFit, FourierSequence, rough_potential, weighted_norm
 
 PI2 = math.pi**2
 TRIG = {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
 
 
-def vseq(coeffs):
-    return FourierSequence.make(Parity.EVEN, coeffs)
-
-
 @pytest.fixture(scope="module")
 def trig_table():
-    v = vseq({2: 1.0, -2: 1.0})
+    v = FourierSequence({2: 1.0, -2: 1.0})
     _, tab = converge_truncation(v, 1, 24, K_start=96)
     return v, tab
 
 
 class TestPredictPair:
     def test_constant_potential(self):
-        row = predict_pair(vseq({0: 5.0}), 1, 2)
+        row = predict_pairs(FourierSequence({0: 5.0}), 1, [2])[2]
         assert row.shift == 5.0
         assert row.root_term == 0
         c = 9 * PI2
@@ -59,38 +44,38 @@ class TestPredictPair:
         theta = 0.7
         q = 2 * (2 * 3 - 1)
         r = 0.8
-        v = vseq({q: r * cmath.exp(1j * theta), -q: r * cmath.exp(-1j * theta)})
-        row = predict_pair(v, 1, 3)
+        v = FourierSequence({q: r * cmath.exp(1j * theta), -q: r * cmath.exp(-1j * theta)})
+        row = predict_pairs(v, 1, [3])[3]
         assert row.root_term == pytest.approx(r, rel=1e-12)
         assert abs(row.root_term.imag) <= 1e-15
 
     def test_principal_branch(self):
         q = 2 * (2 * 2 - 1)
-        v = vseq({q: 1.0, -q: -1.0})
-        row = predict_pair(v, 1, 2)
+        v = FourierSequence({q: 1.0, -q: -1.0})
+        row = predict_pairs(v, 1, [2])[2]
         assert row.root_term == pytest.approx(1j, rel=1e-12)
 
     def test_zero_mode_does_not_feed_correction(self):
-        v1 = vseq({2: 1.0, -2: 1.0})
-        v2 = vseq({0: 3.0, 2: 1.0, -2: 1.0})
-        r1 = predict_pair(v1, 1, 2)
-        r2 = predict_pair(v2, 1, 2)
+        v1 = FourierSequence({2: 1.0, -2: 1.0})
+        v2 = FourierSequence({0: 3.0, 2: 1.0, -2: 1.0})
+        r1 = predict_pairs(v1, 1, [2])[2]
+        r2 = predict_pairs(v2, 1, [2])[2]
         assert r1.root_term_corr == r2.root_term_corr
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_all_rows_at_once_match_one_at_a_time(self, m):
-        v = vseq({0: 0.5, **TRIG, 10: 0.2 - 0.1j, -14: 0.3})
+        v = FourierSequence({0: 0.5, **TRIG, 10: 0.2 - 0.1j, -14: 0.3})
         preds = predict_pairs(v, m, range(1, 9))
         assert list(preds) == list(range(1, 9))
         for n, row in preds.items():
-            one = predict_pair(v, m, n)
+            one = predict_pairs(v, m, [n])[n]
             assert (row.center, row.shift, row.root_term) == (one.center, one.shift, one.root_term)
             assert abs(row.root_term_corr - one.root_term_corr) <= 1e-15 * abs(one.root_term_corr)
 
 
 class TestTauRemainder:
     def test_zero_potential_exact(self):
-        v = vseq({})
+        v = FourierSequence({})
         _, tab = converge_truncation(v, 1, 8)
         rep = tau_remainder(tab, v, 1, 0.0)
         assert rep.exact_zero
@@ -100,7 +85,6 @@ class TestTauRemainder:
     def test_trig_slope(self, trig_table):
         v, tab = trig_table
         rep = tau_remainder(tab, v, 1, 0.0)
-        assert rep.kind is RemainderKind.TAU
         assert rep.target_exponent == pytest.approx(0.95)
         assert rep.fitted_slope <= -0.9
 
@@ -126,14 +110,14 @@ class TestTauRemainder:
         # keep; the K = 16 window pairs four rows, too few for the slope
         # fit, which is stubbed out
         want = abs(mpmath_pair(TRIG, m, 16, n)[0])
-        v = vseq(TRIG)
+        v = FourierSequence(TRIG)
         tab = mark_converged(compute_pair_table(v, m, 16), compute_pair_table(v, m, 32))
         monkeypatch.setattr(asymptotics, "_fit", lambda *args: (DecayFit(math.nan, False), True))
         got = dict(tau_remainder(tab, v, m, 0.0).pairs())[n]
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_requires_converged_rows(self):
-        v = vseq({2: 1.0, -2: 1.0})
+        v = FourierSequence({2: 1.0, -2: 1.0})
         tab = compute_pair_table(v, 1, 32)  # nothing marked converged
         with pytest.raises(ValueError):
             tau_remainder(tab, v, 1, 0.0)
@@ -146,8 +130,7 @@ class TestTauRemainder:
 
         collected = {}
         for seed in range(4):
-            spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 510}, 1.0, seed=seed)
-            v = make_potential(spec, SobolevParams(m=1, alpha=0.75))
+            v = rough_potential(1, 0.75, 510, 1.0, seed=seed)
             _, tab = converge_truncation(v, 1, 20, tol=5e-3, K_start=96, K_cap=192)
             rep = tau_remainder(tab, v, 1, 0.75)
             assert rep.target_exponent == pytest.approx(1 * (1 - 1.5) - 0.05)
@@ -170,13 +153,13 @@ class TestTauRemainder:
 
 class TestGammaRemainder:
     def test_zero_potential(self):
-        v = vseq({})
+        v = FourierSequence({})
         _, tab = converge_truncation(v, 1, 8)
         rep = gamma_remainder(tab, v, 1, 0.0)
         assert rep.exact_zero
 
     def test_first_gap_and_decay(self):
-        v = vseq({2: 1.0, -2: 1.0})
+        v = FourierSequence({2: 1.0, -2: 1.0})
         tab = compute_pair_table(
             v, 1, 128, lambda m, n: localization_radius(m, 0.0, 1.1, 1.5, n)
         )
@@ -192,13 +175,12 @@ class TestGammaRemainder:
         rep = gamma_remainder(tab, v, 1, 0.0)
         # swapping the two resonant coefficients leaves the product under
         # the square root unchanged
-        swapped = vseq({2: v(-2), -2: v(2)})
+        swapped = FourierSequence({2: v(-2), -2: v(2)})
         rep2 = gamma_remainder(tab, swapped, 1, 0.0)
         assert rep.values == rep2.values
 
     def test_conjugation_invariance(self):
-        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 32}, 0.8, seed=13)
-        v = make_potential(spec, SobolevParams(m=1, alpha=0.0))
+        v = rough_potential(1, 0.0, 32, 0.8, seed=13)
         vbar = conjugate_seq(v)
         _, tab = converge_truncation(v, 1, 12)
         _, tabbar = converge_truncation(vbar, 1, 12)
@@ -209,7 +191,6 @@ class TestGammaRemainder:
     def test_corrected_targets(self, trig_table):
         v, tab = trig_table
         rep_c = gamma_remainder(tab, v, 1, 0.0, corrected=True)
-        assert rep_c.kind is RemainderKind.GAMMA_CORRECTED
         assert rep_c.target_exponent == pytest.approx(0.95)
         rep_half = gamma_remainder(tab, v, 1, 0.6)
         assert rep_half.target_exponent == pytest.approx(1 * (1 - 1.2) - 0.05)
@@ -224,14 +205,13 @@ class TestGammaRemainder:
 
 class TestOneTerm:
     def test_zero_potential(self):
-        v = vseq({})
+        v = FourierSequence({})
         _, tab = converge_truncation(v, 1, 8)
         rep = one_term_check(tab, 1, 0.0, 1.0, 1.1)
         assert rep.exact_zero and rep.bounded_flag
 
     def test_rough_alpha_half_bounded(self):
-        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 80}, 1.0, seed=2)
-        v = make_potential(spec, SobolevParams(m=1, alpha=0.5))
+        v = rough_potential(1, 0.5, 80, 1.0, seed=2)
         _, tab = converge_truncation(v, 1, 16, K_start=64)
         rep = one_term_check(tab, 1, 0.5, 1.0, 1.1)
         assert rep.bounded_flag
@@ -243,8 +223,9 @@ class TestOneTerm:
         for k in range(1, 41):
             coeffs[2 * k] = np.exp(2j * np.pi * rng.random())
             coeffs[-2 * k] = np.exp(2j * np.pi * rng.random())
-        spec = PotentialSpec(PotentialFamily.EXPLICIT, {"coeffs": coeffs}, radius=1.0)
-        v = make_potential(spec, SobolevParams(m=1, alpha=0.0))
+        v = FourierSequence(coeffs)
+        scale = 1.0 / weighted_norm(v, 0.0)  # onto the unit sphere of l2
+        v = FourierSequence({k: scale * c for k, c in v.coeffs.items()})
         _, tab = converge_truncation(v, 1, 16, K_start=64)
         rep = one_term_check(tab, 1, 0.0, 1.0, 1.1)
         assert abs(rep.fitted_slope) <= 0.3
@@ -252,7 +233,7 @@ class TestOneTerm:
 
 class TestAlpha1:
     def test_zero_potential(self):
-        rep = alpha1_experiment(vseq({}), 1, 8)
+        rep = alpha1_experiment(FourierSequence({}), 1, 8)
         assert rep.exact_zero
         assert rep.n0_below_one == 0
 
@@ -262,10 +243,9 @@ class TestAlpha1:
         for k in range(1, 129):
             coeffs[2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
             coeffs[-2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
-        v = vseq(coeffs)
+        v = FourierSequence(coeffs)
         assert math.isfinite(weighted_norm(v, -1.0))
         rep = alpha1_experiment(v, 1, 32, K=128)
-        assert rep.kind is RemainderKind.ALPHA_ONE
         assert rep.n0_below_one is not None and rep.n0_below_one <= 32
         assert rep.fitted_slope < 0
         tail = [val for n, val in rep.pairs() if n > max(rep.n0_below_one, 8)]
@@ -277,7 +257,7 @@ class TestAlpha1:
         for k in range(1, 65):
             q[2 * k] = (1 + k) ** -1.2 * np.exp(2j * np.pi * rng.random())
             q[-2 * k] = (1 + k) ** -1.2 * np.exp(2j * np.pi * rng.random())
-        spec = PotentialSpec(PotentialFamily.DERIVATIVE_TYPE, {"q": q})
-        v = make_potential(spec, SobolevParams(m=1, alpha=1.0))
+        # v = q', a derivative-type potential: v(k) = i 2 pi (k/2) q(k)
+        v = FourierSequence({k: 1j * math.pi * k * complex(qk) for k, qk in q.items()})
         rep = alpha1_experiment(v, 1, 16, K=64)
         assert rep.fitted_slope < 0

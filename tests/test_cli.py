@@ -15,14 +15,7 @@ from hillgap import asymptotics, cli, eigensolver, riesz
 from hillgap.cli import RunConfig, main
 from hillgap.eigensolver import low_block, pair_eigenvalues
 from hillgap.operator import MAX_HALF_WINDOW, build_T
-from hillgap.seqspace import (
-    FourierSequence,
-    Parity,
-    PotentialFamily,
-    PotentialSpec,
-    SobolevParams,
-    make_potential,
-)
+from hillgap.seqspace import FourierSequence, rough_potential
 
 REPO = Path(__file__).resolve().parent.parent
 PI2 = math.pi**2
@@ -283,11 +276,10 @@ class TestConfirmWindow:
         # a non-Hermitian potential of support 16 at K = 16: the bars flag
         # every row, though against the doubled window the rounding of the
         # K = 32 solve flagged row 1, whose offsets are right to 5e-13
-        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=2.0, seed=8)
-        v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
+        v = rough_potential(3, 0.0, 16, 2.0, seed=8)
         cfg = RunConfig(command="spectrum", m=3, K=16, n_max=4)
         table = cli._spectrum_table(cfg, v)
-        assert table.confirm_K is None
+        assert table.windows == ()
         assert [r.converged for r in table.rows] == [True] * 4
         coeffs = dict(v.coeffs)
         for r in table.rows:
@@ -301,8 +293,7 @@ class TestConfirmWindow:
         # support 16 at K = 64: each window solves the pairs n <= 16 alone,
         # so the bar and the doubled window both flag row 6 converged, and
         # all three windows lie on the pairs of their exact operators
-        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=4.0, seed=1)
-        v = make_potential(spec, SobolevParams(m=3, alpha=0.0))
+        v = rough_potential(3, 0.0, 16, 4.0, seed=1)
         cfg = RunConfig(command="spectrum", m=3, K=64, n_max=16)
         table = cli._spectrum_table(cfg, v)
         assert table.row(6).converged and table.row(6).bar < eigensolver.CONVERGENCE_TOL
@@ -720,7 +711,7 @@ class TestRieszCheckCommand:
         # mod 4, so the correction values l compared below are nonzero
         coeffs = {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2 + 0j, -4: 0.1j, 6: 0.1 + 0.05j}
         pot = write_potential(tmp_path / "m2.json", coeffs)
-        v = FourierSequence.make(Parity.EVEN, coeffs)
+        v = FourierSequence(coeffs)
         assert l_direct(v, 2, 2)[0] != 0 and l_direct(v, 2, 3)[0] != 0
         out = tmp_path / "rz.csv"
         args = ["riesz-check", "--m", "2", "--K", "32", "--n-max", "6",
@@ -875,7 +866,7 @@ class TestRieszCheckCommand:
         shapes = list(inv_calls)
         _, rows, footer = read_csv(out)
         dense = footer["dense_contours"]
-        low = low_block(build_T(FourierSequence.make(Parity.EVEN, STRONG), 1, 64), 16)
+        low = low_block(build_T(FourierSequence(STRONG), 1, 64), 16)
         table = pair_eigenvalues(low, n_max=16)
         # the lowest refused pairs leave their discs and are flagged
         refused = sorted(table.flagged) + list(table.unrefined)
@@ -959,7 +950,7 @@ class TestRieszCheckCommand:
         rho = float(2 * n - 1)
 
         def edge_distance(a):
-            v = FourierSequence.make(Parity.EVEN, {6: a, -6: a})
+            v = FourierSequence({6: a, -6: a})
             eigs = window_spectrum(build_T(v, 1, K))
             i = int(np.argmin(np.abs(eigs - (c + rho))))
             return abs(eigs[i] - c) - rho
@@ -999,5 +990,5 @@ class TestAlpha1Command:
         assert float(footer["fitted_slope"]) < 0
         assert int(footer["n0_below_one"]) <= 16
         assert footer["K"] == 64
-        report = asymptotics.alpha1_experiment(FourierSequence.make("even", coeffs), 1, 16, K=64)
+        report = asymptotics.alpha1_experiment(FourierSequence(coeffs), 1, 16, K=64)
         assert footer["unrefined"] == list(report.unrefined)

@@ -19,37 +19,16 @@ from hillgap.eigensolver import (
 from hillgap.localization import localization_report
 from hillgap.operator import build_T, center, contour_radius, unperturbed_eigenvalues
 from hillgap.riesz import ContourSpec, riesz_projector
-from hillgap.seqspace import (
-    FourierSequence,
-    Parity,
-    PotentialFamily,
-    PotentialSpec,
-    SobolevParams,
-    make_potential,
-)
+from hillgap.seqspace import FourierSequence, rough_potential
 
 PI2 = math.pi**2
-
-
-def vseq(coeffs):
-    return FourierSequence.make(Parity.EVEN, coeffs)
-
-
-def random_potential(seed, window=32, m=1, alpha=0.0, radius=1.0, hermitian=False):
-    spec = PotentialSpec(
-        PotentialFamily.RANDOM_ROUGH,
-        {"window": window, "hermitian": hermitian},
-        radius=radius,
-        seed=seed,
-    )
-    return make_potential(spec, SobolevParams(m=m, alpha=alpha))
 
 
 class TestEigenvalues:
     """Spectral identities of the window, on the reference spectrum."""
 
     def test_free_operator_doubles(self):
-        values = window_spectrum(build_T(vseq({}), 1, 8))
+        values = window_spectrum(build_T(FourierSequence({}), 1, 8))
         mu = np.sort(unperturbed_eigenvalues(1, 8))
         assert np.array_equal(values.real, mu)
         assert np.all(values.imag == 0)
@@ -59,12 +38,12 @@ class TestEigenvalues:
         assert np.all(counts == 2)
 
     def test_constant_potential_shifts(self):
-        base = window_spectrum(build_T(vseq({}), 1, 8))
-        shifted = window_spectrum(build_T(vseq({0: 5.0}), 1, 8))
+        base = window_spectrum(build_T(FourierSequence({}), 1, 8))
+        shifted = window_spectrum(build_T(FourierSequence({0: 5.0}), 1, 8))
         assert np.allclose(shifted, base + 5.0, rtol=0, atol=1e-12)
 
     def test_first_gap_doubling_oracle(self):
-        v = vseq({2: 1.0, -2: 1.0})
+        v = FourierSequence({2: 1.0, -2: 1.0})
         t64 = compute_pair_table(v, 1, 64, n_max=2)
         t128 = compute_pair_table(v, 1, 128, n_max=2)
         r64, r128 = t64.row(2), t128.row(2)
@@ -79,7 +58,7 @@ class TestEigenvalues:
 
     def test_trace_identity(self):
         for seed in (0, 1):
-            v = random_potential(seed, window=40)
+            v = rough_potential(1, 0.0, 40, 1.0, seed=seed)
             op = build_T(v, 1, 16)
             values = window_spectrum(op)
             want = np.sum(unperturbed_eigenvalues(1, 16)) + 2 * 16 * v(0)
@@ -88,13 +67,13 @@ class TestEigenvalues:
 
     def test_hermitian_path_real_output(self):
         # the pair rows of the whole window of a Hermitian T are exactly real
-        v = random_potential(7, hermitian=True)
+        v = rough_potential(1, 0.0, 32, 1.0, seed=7, hermitian=True)
         tab = pair_eigenvalues(low_block(build_T(v, 1, 12), 12))
         assert tab.rows and tab.flagged == {}
         assert all(r.d_tau.imag == 0 and r.gamma.imag == 0 for r in tab.rows)
 
     def test_shift_equivariance_complex(self):
-        v = random_potential(3, window=24)
+        v = rough_potential(1, 0.0, 24, 1.0, seed=3)
         c = 2.0 - 3.0j
         base = window_spectrum(build_T(v, 1, 10))
         shifted = window_spectrum(build_T(with_entry(v, 0, v(0) + c), 1, 10))
@@ -102,7 +81,7 @@ class TestEigenvalues:
         assert np.allclose(np.sort_complex(shifted), np.sort_complex(moved), atol=1e-9)
 
     def test_conjugation_symmetry(self):
-        v = random_potential(9, window=24)
+        v = rough_potential(1, 0.0, 24, 1.0, seed=9)
         vbar = conjugate_seq(v)
         a = window_spectrum(build_T(v, 1, 10))
         b = window_spectrum(build_T(vbar, 1, 10))
@@ -113,7 +92,7 @@ class TestEigenvalues:
 
 class TestPairing:
     def test_zero_potential_rows(self):
-        tab = compute_pair_table(vseq({}), 1, 32)
+        tab = compute_pair_table(FourierSequence({}), 1, 32)
         for r in tab.rows:
             c = (2 * r.n - 1) ** 2 * PI2
             assert r.lambda_lo == r.lambda_hi == pytest.approx(c, rel=1e-14)
@@ -125,30 +104,30 @@ class TestPairing:
         )
 
     def test_pair_invariants(self):
-        v = random_potential(12, window=40)
+        v = rough_potential(1, 0.0, 40, 1.0, seed=12)
         tab = compute_pair_table(v, 1, 32)
         for r in tab.rows:
             assert r.tau == pytest.approx((r.lambda_lo + r.lambda_hi) / 2, rel=1e-12)
             assert r.gamma == pytest.approx(r.lambda_hi - r.lambda_lo, rel=1e-12)
 
     def test_all_rows_present_for_small_real_potential(self):
-        v = random_potential(2, window=60, hermitian=True)
+        v = rough_potential(1, 0.0, 60, 1.0, seed=2, hermitian=True)
         tab = pair_eigenvalues(low_block(build_T(v, 1, 32), 32))
         missing = [n for n in range(2, 9) if n in tab.flagged]
         assert not missing
 
     def test_overlap_config_error(self):
-        low = low_block(build_T(vseq({}), 1, 16), 16)
+        low = low_block(build_T(FourierSequence({}), 1, 16), 16)
         with pytest.raises(PairingConfigError):
             pair_eigenvalues(low, lambda m, n: 1e6)
 
     def test_window_too_small(self):
-        low = low_block(build_T(vseq({}), 1, 8), 8)
+        low = low_block(build_T(FourierSequence({}), 1, 8), 8)
         with pytest.raises(PairingConfigError):
             pair_eigenvalues(low, n_max=4)
 
     def test_refinement_stays_in_disc(self):
-        v = vseq({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0})
+        v = FourierSequence({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0})
         op = build_T(v, 1, 32)
         ref = pair_eigenvalues(low_block(op, 32))
         values = window_spectrum(op)
@@ -163,19 +142,19 @@ class TestPairing:
 
 class TestConvergeTruncation:
     def test_zero_potential_converges_immediately(self):
-        K, tab = converge_truncation(vseq({}), 1, 4)
+        K, tab = converge_truncation(FourierSequence({}), 1, 4)
         assert K <= 64
         assert all(r.converged for r in tab.rows)
 
     def test_trig_polynomial(self):
-        v = vseq({2: 1.0, -2: 1.0})
+        v = FourierSequence({2: 1.0, -2: 1.0})
         K, tab = converge_truncation(v, 1, 10)
         assert K <= 128
         assert all(r.converged for r in tab.rows)
         assert len(tab.rows) >= 9  # n = 1 may sit on the disc edge
 
     def test_cap_flags_unconverged(self):
-        v = random_potential(5, window=40)
+        v = rough_potential(1, 0.0, 40, 1.0, seed=5)
         K, tab = converge_truncation(v, 1, 4, tol=1e-300, K_cap=32)
         assert K == 32
         assert all(not r.converged for r in tab.rows)
@@ -185,7 +164,7 @@ class TestConvergeTruncation:
     def test_converged_rows_match_oracle(self, feshbach_pair, m):
         # a converged flag compares two windows' solves; each flagged row
         # must also lie within the tolerance of the exact pair of its window
-        K, tab = converge_truncation(vseq(TRIG), m, 4)
+        K, tab = converge_truncation(FourierSequence(TRIG), m, 4)
         assert [r.converged for r in tab.rows] == [True] * 4
         for r in tab.rows:
             lo, hi = feshbach_pair(TRIG, m, K, r.n, (r.d_lo, r.d_hi))
@@ -196,12 +175,12 @@ class TestConfirmWindow:
     @pytest.mark.parametrize(
         "v, K",
         [
-            (vseq({2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}), 32),
-            (vseq({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0}), 128),
-            (vseq({0: 0.3, **{s * 2 * k: 0.6**k for k in range(1, 33) for s in (1, -1)}}), 128),
-            (random_potential(1, window=16, hermitian=True), 64),
-            (random_potential(2, window=64, radius=4.0), 64),
-            (random_potential(1, window=128), 128),
+            (FourierSequence({2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}), 32),
+            (FourierSequence({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0}), 128),
+            (FourierSequence({0: 0.3, **{s * 2 * k: 0.6**k for k in range(1, 33) for s in (1, -1)}}), 128),
+            (rough_potential(1, 0.0, 16, 1.0, seed=1, hermitian=True), 64),
+            (rough_potential(1, 0.0, 64, 4.0, seed=2), 64),
+            (rough_potential(1, 0.0, 128, 1.0, seed=1), 128),
         ],
         ids=["trig", "two-cluster", "geometric", "rough-herm-S16", "rough-S64", "rough-S128"],
     )
@@ -229,7 +208,7 @@ class TestTruncationBars:
         # by more than 1e-13 between K and 4K, which holds every mode the
         # bar reads; the bar lies between 1 and 10 times that move (about 2
         # times: BAR_SAFETY over a first-order term within 3e-4 of the move)
-        v = random_potential(seed, window=126, m=m)
+        v = rough_potential(m, 0.0, 126, 1.0, seed=seed)
         table = compute_pair_table(v, m, 32, n_max=8, bars=True)
         ref = compute_pair_table(v, m, 128, n_max=8)
         assert len(table.rows) == 8
@@ -241,7 +220,7 @@ class TestTruncationBars:
     def test_support_128_converges_at_256(self):
         # the window 256 reaches every mode 2K - 1 < |o| <= 2K - 1 + 128 only
         # through chains of many hops: every bar is far below the tolerance
-        v = random_potential(11, window=128, alpha=0.25)
+        v = rough_potential(1, 0.25, 128, 1.0, seed=11)
         table = compute_pair_table(v, 1, 256, n_max=64, bars=True)
         assert [r.n for r in table.rows] == list(range(1, 65))
         assert all(r.converged and r.bar < 1e-20 for r in table.rows)
@@ -250,7 +229,7 @@ class TestTruncationBars:
         # v(+-1000) is past the window K = 32 (|k| <= 4K - 2 = 126) and
         # couples each pair to the modes +-(2n - 1) +- 1000, all inside the
         # window 544: the bar reads them off the one solve at 32
-        v = vseq({2: 0.5, -2: 0.5, 1000: 0.5, -1000: 0.5j})
+        v = FourierSequence({2: 0.5, -2: 0.5, 1000: 0.5, -1000: 0.5j})
         table = compute_pair_table(v, 1, 32, n_max=8, bars=True)
         ref = compute_pair_table(v, 1, 544, n_max=8)
         assert len(table.rows) == 8
@@ -262,7 +241,7 @@ class TestTruncationBars:
     def test_unrefined_rows_bound_movement(self):
         # strong against the low gaps, rows 3 to 5 are read from the grown
         # band, and their bases come from its shift-inverse
-        v = vseq({2: 30.0, -2: 20.0, 40: 5.0, -40: 3j, 62: 2.0, -62: 1.0})
+        v = FourierSequence({2: 30.0, -2: 20.0, 40: 5.0, -40: 3j, 62: 2.0, -62: 1.0})
         table = compute_pair_table(v, 1, 32, n_max=8, bars=True)
         ref = compute_pair_table(v, 1, 128, n_max=8)
         assert set(table.unrefined) >= {3, 4, 5}
@@ -273,7 +252,7 @@ class TestTruncationBars:
 
     def test_other_paths_carry_no_bar(self):
         # only the fixed-K verdict forms bars; auto windows compare tables
-        v = vseq(TRIG)
+        v = FourierSequence(TRIG)
         assert all(r.bar is None for r in compute_pair_table(v, 1, 32, n_max=8).rows)
         _, auto = converge_truncation(v, 1, 8)
         assert all(r.bar is None for r in auto.rows)
@@ -281,18 +260,18 @@ class TestTruncationBars:
 
 class TestLocalization:
     def test_zero_potential(self):
-        rep = localization_report(vseq({}), 1, 0.0, 1.0, 1.1, 32)
+        rep = localization_report(FourierSequence({}), 1, 0.0, 1.0, 1.1, 32)
         assert rep.n0_empirical == 0
         assert rep.cone_count == 0
 
     def test_census_matches_n0(self):
         for seed in (1, 3):
-            v = random_potential(seed, window=80, hermitian=True)
+            v = rough_potential(1, 0.0, 80, 1.0, seed=seed, hermitian=True)
             rep = localization_report(v, 1, 0.0, 1.0, 1.1, 64)
             assert rep.cone_count == 2 * rep.n0_empirical
 
     def test_disc_membership_complex(self):
-        v = random_potential(8, window=80, alpha=0.5)
+        v = rough_potential(1, 0.5, 80, 1.0, seed=8)
         rep = localization_report(v, 1, 0.5, 1.0, 1.1, 64)
         for d in rep.disc_rows:
             if d.n > rep.n0_empirical:
@@ -304,8 +283,8 @@ class TestLocalization:
         # at m = 3 the raw eigenvalues sit ulp(c) ~ 1e-4 off the pair, so the
         # deviation of a two-hit disc comes from the center-shifted offsets
         coeffs = {0: v0, 2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
-        rep = localization_report(vseq(coeffs), 3, 0.0, 1.0, 1.1, 64)
-        tab = compute_pair_table(vseq(coeffs), 3, 64)
+        rep = localization_report(FourierSequence(coeffs), 3, 0.0, 1.0, 1.1, 64)
+        tab = compute_pair_table(FourierSequence(coeffs), 3, 64)
         assert [d.hits for d in rep.disc_rows] == [2] * 16
         for d in rep.disc_rows:
             r = tab.row(d.n)
@@ -320,7 +299,7 @@ class TestLocalization:
         # every disc holds its pair: the census reads the pair offsets, not
         # an eigensolve of the whole window, whose rounding at m = 3 grows
         # with ||T|| past the disc radii at these K
-        rep = localization_report(vseq(TRIG), 3, 0.0, 1.0, 1.1, K)
+        rep = localization_report(FourierSequence(TRIG), 3, 0.0, 1.0, 1.1, K)
         assert rep.n0_empirical == 0 and rep.cone_count == 0
         assert [d.hits for d in rep.disc_rows] == [2] * (K // 4)
 
@@ -328,7 +307,7 @@ class TestLocalization:
         # v(0) = 6 shifts every pair by more than the radius 1.1 * 3 sqrt(2):
         # membership is of lambda + v(0), though the discs are read in the
         # normalized frame
-        rep = localization_report(vseq({**TRIG, 0: 6.0}), 1, 0.0, 1.0, 1.1, 32)
+        rep = localization_report(FourierSequence({**TRIG, 0: 6.0}), 1, 0.0, 1.0, 1.1, 32)
         assert [d.hits for d in rep.disc_rows] == [0] * 8
         assert all(math.isnan(d.max_deviation) for d in rep.disc_rows)
         assert rep.n0_empirical == 8 and rep.cone_count == 16
@@ -339,7 +318,7 @@ class TestLocalization:
         # disc (complete_below ~ 1089 pi^2): the cone's cut is grown, and
         # its 24 eigenvalues are those of the modes 11 <= |p| <= 33 (the
         # cone's left edge is at lambda ~ 998 ~ 101 pi^2)
-        rep = localization_report(vseq({**TRIG, 0: -1000.0}), 1, 0.0, 1.0, 1.1, 64)
+        rep = localization_report(FourierSequence({**TRIG, 0: -1000.0}), 1, 0.0, 1.0, 1.1, 64)
         assert rep.n0_empirical == 16 and rep.cone_count == 24
 
 
@@ -350,10 +329,10 @@ class TestDecoupledSolve:
     @pytest.mark.parametrize(
         "v, K, n, real",
         [
-            (vseq(TRIG), 32, 8, False),
-            (random_potential(2, window=60, hermitian=True), 64, 8, True),
-            (random_potential(3, window=64), 64, 8, False),
-            (vseq({2: 60.0, -2: 45j, 4: 30.0}), 64, 4, False),
+            (FourierSequence(TRIG), 32, 8, False),
+            (rough_potential(1, 0.0, 60, 1.0, seed=2, hermitian=True), 64, 8, True),
+            (rough_potential(1, 0.0, 64, 1.0, seed=3), 64, 8, False),
+            (FourierSequence({2: 60.0, -2: 45j, 4: 30.0}), 64, 4, False),
         ],
         ids=["trig", "rough-herm", "rough-complex", "strong"],
     )
@@ -370,7 +349,7 @@ class TestDecoupledSolve:
         assert low.hermitian == real
 
     def test_strong_potential_grows_the_cut(self):
-        v = vseq({2: 60.0, -2: 45j, 4: 30.0})
+        v = FourierSequence({2: 60.0, -2: 45j, 4: 30.0})
         # the cut starts at the modes |p| <= 7 and doubles until certified
         assert len(low_block(build_T(v, 1, 64), 4).matrix) > 8
         # in a window too small to certify any cut, the whole window is solved
@@ -378,14 +357,14 @@ class TestDecoupledSolve:
         assert len(low.matrix) == 16 and low.complete_below == math.inf
 
     def test_pairing_past_complete_below_raises(self):
-        low = low_block(build_T(vseq(TRIG), 1, 64), 2)
+        low = low_block(build_T(FourierSequence(TRIG), 1, 64), 2)
         assert center(1, 2) < low.complete_below < center(1, 16)
         assert len(pair_eigenvalues(low, n_max=2).rows) == 2
         with pytest.raises(SolverError, match="left eigenvalues out"):
             pair_eigenvalues(low, n_max=16)
 
     def test_contour_past_complete_below_raises(self):
-        low = low_block(build_T(vseq(TRIG), 1, 64), 2)
+        low = low_block(build_T(FourierSequence(TRIG), 1, 64), 2)
         assert riesz_projector(low, ContourSpec(n=2, m=1)).block == 2
         with pytest.raises(SolverError, match="left eigenvalues out"):
             riesz_projector(low, ContourSpec(n=8, m=1))
@@ -397,13 +376,12 @@ class TestHighPrecisionOracle:
         want = {n: mpmath_pair(coeffs, 1, 16, n, dps=60)[1] for n in (3, 4)}
         assert abs(want[3]) == pytest.approx(1.4294e-9, rel=1e-3)
         assert abs(want[4]) == pytest.approx(1.01907e-15, rel=1e-3)
-        tab = compute_pair_table(vseq(coeffs), 1, 16)
+        tab = compute_pair_table(FourierSequence(coeffs), 1, 16)
         for n in (3, 4):
             assert abs(tab.row(n).gamma) == pytest.approx(abs(want[n]), rel=0.01)
 
     def test_feshbach_matches_dense_eigensolve(self, mpmath_pair, feshbach_pair):
-        spec = PotentialSpec(PotentialFamily.RANDOM_ROUGH, {"window": 16}, radius=2.0, seed=8)
-        coeffs = dict(make_potential(spec, SobolevParams(m=3, alpha=0.0)).coeffs)
+        coeffs = dict(rough_potential(3, 0.0, 16, 2.0, seed=8).coeffs)
         for n in (1, 2, 3, 4):
             d_tau, gamma = mpmath_pair(coeffs, 3, 16, n)
             want = sorted((d_tau - gamma / 2, d_tau + gamma / 2), key=lambda z: (z.real, z.imag))
@@ -416,7 +394,7 @@ class TestHighPrecisionOracle:
         # support 64 at m = 3: a solve of all 2K modes rounds at ||T||, about
         # 4e15 at K = 64, far above these pairs; solved alone, the pairs
         # n <= 5 are rounded at the scale of their own block in every window
-        v = random_potential(1, window=64, m=3, hermitian=hermitian)
+        v = rough_potential(3, 0.0, 64, 1.0, seed=1, hermitian=hermitian)
         coeffs = dict(v.coeffs)
         floor = 4 * np.spacing(center(3, 1))
         prev = None
@@ -441,7 +419,7 @@ class TestHighPrecisionOracle:
         g = 0.3
         moves, prev = [], None
         for K in (32, 64, 128):
-            v = vseq({2 * l: g for l in range(-(2 * K - 1), 2 * K)})
+            v = FourierSequence({2 * l: g for l in range(-(2 * K - 1), 2 * K)})
             r = compute_pair_table(v, m, K, n_max=2).row(2)
             odd, other = sorted((r.d_lo + r.v0, r.d_hi + r.v0), key=abs)
             assert abs(odd) <= 1e-12
@@ -455,14 +433,14 @@ class TestHighPrecisionOracle:
         coeffs = {2: 1.0, -2: 0.2j}
         want = mpmath_pair(coeffs, 1, 12, 3, dps=60)[1]
         assert abs(want) == pytest.approx(2.5570755e-11, rel=1e-6)
-        got = compute_pair_table(vseq(coeffs), 1, 12).row(3).gamma
+        got = compute_pair_table(FourierSequence(coeffs), 1, 12).row(3).gamma
         # the labels of a pair this narrow are set by the imaginary parts
         assert min(abs(got - want), abs(got + want)) <= 1e-13
 
     def test_one_sided_potential_gaps_vanish(self):
         # v(k) = 0 for k < 0 makes T triangular in the mode order: every
         # pair is a double eigenvalue at its center (a Jordan block)
-        tab = compute_pair_table(vseq({2: 1.0, 6: 0.5}), 1, 16)
+        tab = compute_pair_table(FourierSequence({2: 1.0, 6: 0.5}), 1, 16)
         assert len(tab.rows) == 4
         for r in tab.rows:
             assert abs(r.gamma) <= 1e-15
@@ -483,9 +461,9 @@ class TestBatchedRefinement:
     route on the whole window."""
 
     POTENTIALS = {
-        "trig": lambda m: vseq(TRIG),
-        "rough-herm": lambda m: random_potential(2, window=60, m=m, hermitian=True),
-        "rough-complex": lambda m: random_potential(3, window=64, m=m),
+        "trig": lambda m: FourierSequence(TRIG),
+        "rough-herm": lambda m: rough_potential(m, 0.0, 60, 1.0, seed=2, hermitian=True),
+        "rough-complex": lambda m: rough_potential(m, 0.0, 64, 1.0, seed=3),
     }
 
     @pytest.mark.parametrize("name", sorted(POTENTIALS))
@@ -520,12 +498,12 @@ class TestBatchedRefinement:
         # Weak, each pair is read exactly from its own 2 x 2 block; strong
         # against the low gaps, those pairs refuse their own reduction, take
         # the grown band and are listed
-        weak = compute_pair_table(vseq({2: 1.0}), 1, 32)
+        weak = compute_pair_table(FourierSequence({2: 1.0}), 1, 32)
         assert weak.unrefined == ()
         assert all(r.d_tau == 0 and r.gamma == 0 for r in weak.rows)
-        tab = compute_pair_table(vseq({2: 20.0}), 1, 32)
+        tab = compute_pair_table(FourierSequence({2: 20.0}), 1, 32)
         assert tab.unrefined == (1, 2) and len(tab.rows) == 8
-        conv = mark_converged(tab, compute_pair_table(vseq({2: 20.0}), 1, 64))
+        conv = mark_converged(tab, compute_pair_table(FourierSequence({2: 20.0}), 1, 64))
         assert conv.unrefined == tab.unrefined
 
 
@@ -550,7 +528,7 @@ class TestPairReductionOracle:
     def test_rows_match_oracle(self, mpmath_pair, m, name):
         # trig's gamma at m = 3, n = 4 is 4.8e-22 against tau - c = 3.8e-9
         coeffs = self.POTENTIALS[name]
-        tab = compute_pair_table(vseq(coeffs), m, 16)
+        tab = compute_pair_table(FourierSequence(coeffs), m, 16)
         assert [r.n for r in tab.rows] == [1, 2, 3, 4]
         for r in tab.rows:
             d_tau, gamma = mpmath_pair(coeffs, m, 16, r.n, dps=60)
@@ -571,7 +549,7 @@ class TestPairReductionOracle:
         # strong against the low gaps, the low pairs refuse their own
         # reduction; read from one eigvals of a grown band, they must agree
         # with the eigenvalues of the whole window
-        v = vseq(coeffs)
+        v = FourierSequence(coeffs)
         tab = compute_pair_table(v, 1, 64, n_max=16)
         grown = tab.unrefined + tuple(tab.flagged)
         assert 0 < len(grown) < 16
@@ -592,7 +570,7 @@ class TestSolverRouting:
     def test_non_hermitian_potential_at_m2_takes_general_path(self):
         # asymmetry is judged against B(v), not the (4K)^{2m} diagonal, so
         # the pair stays c +- sqrt(0.2i) instead of a symmetrized real one
-        tab = compute_pair_table(vseq({2: 1.0, -2: 0.2j}), 2, 256, n_max=2)
+        tab = compute_pair_table(FourierSequence({2: 1.0, -2: 0.2j}), 2, 256, n_max=2)
         assert abs(tab.row(1).gamma.imag) > 0.3
 
 
@@ -603,7 +581,7 @@ class TestNoDenseSolves:
         def forbidden(*args, **kwargs):
             raise AssertionError(f"np.linalg.{kernels} in the eigensolver")
 
-        v = random_potential(6, window=120)
+        v = rough_potential(1, 0.0, 120, 1.0, seed=6)
         for kernels in (("solve", "inv"), ("eig", "eigh")):
             with monkeypatch.context() as patch:
                 for name in kernels:

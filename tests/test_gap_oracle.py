@@ -15,7 +15,7 @@ import pytest
 
 from hillgap.cli import main
 from hillgap.eigensolver import compute_pair_table
-from hillgap.seqspace import FourierSequence, Parity
+from hillgap.seqspace import FourierSequence
 
 
 def hermitian_rough():
@@ -42,7 +42,7 @@ def test_gaps_match_two_end_oracle(feshbach_gap, name, m):
     # K = 32 cuts the window at the pairs' own edge (n_max = 8), so the
     # last rows also test the cut's mirror form
     coeffs = POTENTIALS[name]
-    table = compute_pair_table(FourierSequence.make(Parity.EVEN, coeffs), m, 32)
+    table = compute_pair_table(FourierSequence(coeffs), m, 32)
     assert len(table.rows) >= 7
     for r in table.rows:
         _, want = feshbach_gap(coeffs, m, 32, r.n)
@@ -57,7 +57,7 @@ def test_cut_edge_gap(feshbach_gap):
     # cut's edge, 60 decades below one ulp of tau - c; the oracle needs 110
     # digits to hold 12 of them
     coeffs = {2: 1.0, -2: 1.0}
-    table = compute_pair_table(FourierSequence.make(Parity.EVEN, coeffs), 1, 64, n_max=12)
+    table = compute_pair_table(FourierSequence(coeffs), 1, 64, n_max=12)
     for n in (10, 11, 12):
         _, want = feshbach_gap(coeffs, 1, 64, n, dps=110)
         got = table.row(n).gamma
@@ -68,7 +68,7 @@ def test_gaps_do_not_underflow():
     # at m = 2 the trig gaps fall from 1e-20 (n = 5) to 1e-252 (n = 32);
     # 4 G12 G21, or F12 F21, is below the smallest double from n = 23 on,
     # while each factor and the gap itself are normal numbers
-    table = compute_pair_table(FourierSequence.make(Parity.EVEN, POTENTIALS["trig"]), 2, 128,
+    table = compute_pair_table(FourierSequence(POTENTIALS["trig"]), 2, 128,
                                n_max=32)
     gaps = [abs(table.row(n).gamma) for n in range(3, 32)]
     assert all(g > 0.0 for g in gaps)

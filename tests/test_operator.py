@@ -30,28 +30,9 @@ from hillgap.operator import (
     resonant_rows,
     unperturbed_eigenvalues,
 )
-from hillgap.seqspace import (
-    FourierSequence,
-    Parity,
-    ParityError,
-    PotentialFamily,
-    PotentialSpec,
-    SobolevParams,
-    make_potential,
-    weighted_norm,
-)
+from hillgap.seqspace import FourierSequence, rough_potential, weighted_norm
 
 PI2 = math.pi**2
-
-
-def random_potential(seed, window=32, m=1, alpha=0.0, radius=1.0, hermitian=False):
-    spec = PotentialSpec(
-        PotentialFamily.RANDOM_ROUGH,
-        {"window": window, "hermitian": hermitian},
-        radius=radius,
-        seed=seed,
-    )
-    return make_potential(spec, SobolevParams(m=m, alpha=alpha))
 
 
 class TestBuild:
@@ -68,7 +49,7 @@ class TestBuild:
             assert np.array_equal(np.diag(a.matrix).real, p ** (2 * m) * math.pi ** (2 * m))
 
     def test_B_toeplitz_stencil(self):
-        v = FourierSequence.make(Parity.EVEN, {2: 1.0, -2: 1.0})
+        v = FourierSequence({2: 1.0, -2: 1.0})
         b = build_B(v, 1, 2).matrix
         want = np.array(
             [
@@ -82,58 +63,57 @@ class TestBuild:
         assert np.array_equal(b, want)
 
     def test_B_toeplitz_property(self):
-        v = random_potential(3, window=24)
+        v = rough_potential(1, 0.0, 24, 1.0, seed=3)
         b = build_B(v, 1, 8).matrix
         for off in range(-5, 6):
             d = np.diagonal(b, offset=off)
             assert np.all(d == d[0])
 
     def test_B_hermitian_iff_v_hermitian(self):
-        vh = random_potential(5, hermitian=True)
+        vh = rough_potential(1, 0.0, 32, 1.0, seed=5, hermitian=True)
         b = build_B(vh, 1, 8).matrix
         assert np.max(np.abs(b - b.conj().T)) <= 1e-14
-        vn = random_potential(5, hermitian=False)
+        vn = rough_potential(1, 0.0, 32, 1.0, seed=5)
         bn = build_B(vn, 1, 8).matrix
         assert np.max(np.abs(bn - bn.conj().T)) > 1e-8
 
     def test_T_is_sum(self):
-        v = random_potential(1)
+        v = rough_potential(1, 0.0, 32, 1.0, seed=1)
         t = build_T(v, 2, 6)
         assert np.array_equal(t.matrix, build_A(2, 6).matrix + build_B(v, 2, 6).matrix)
 
     def test_T_is_sum_bit_for_bit(self):
         # conjugates of real coefficients carry -0.0 imaginary parts; the sum
         # with the zeros of A^m turns them into +0.0, and so must build_T
-        v = FourierSequence.make(
-            Parity.EVEN, {0: 0.5, 2: 1.0, -2: complex(1.0).conjugate(), 4: -0.0, -4: 0.25j}
-        )
+        v = FourierSequence({0: 0.5, 2: 1.0, -2: complex(1.0).conjugate(), 4: -0.0, -4: 0.25j})
         for m, K in ((1, 5), (3, 8)):
             want = build_A(m, K).matrix + build_B(v, m, K).matrix
             assert build_T(v, m, K).matrix.tobytes() == want.tobytes()
 
     def test_odd_parity_rejected(self):
-        with pytest.raises(ParityError):
-            build_B(FourierSequence.make(Parity.ODD, {1: 1.0}), 1, 4)
+        # an odd-lattice coefficient cannot reach build_B: the potential refuses it
+        with pytest.raises(ValueError, match="even lattice"):
+            build_B(FourierSequence({1: 1.0}), 1, 4)
 
 
 class TestResolventFactors:
     def test_zero_potential(self):
-        f = build_resolvent_factors(FourierSequence.zero(), 1, 4, 2.0 + 1.0j)
+        f = build_resolvent_factors(FourierSequence({}), 1, 4, 2.0 + 1.0j)
         assert np.all(f.s_lam == 0)
         assert np.allclose(np.abs(f.i_lam), 1.0, atol=1e-15)
 
     def test_a_half_example(self):
-        f = build_resolvent_factors(FourierSequence.zero(), 1, 2, 2 * PI2)
+        f = build_resolvent_factors(FourierSequence({}), 1, 2, 2 * PI2)
         want = [math.sqrt(7) * math.pi, math.pi, math.pi, math.sqrt(7) * math.pi]
         assert np.allclose(f.a_half, want, rtol=1e-15)
 
     def test_factorization_residual_zero_potential(self):
-        res = factorization_residual(FourierSequence.zero(), 1, 8, 3.0 + 0.5j)
+        res = factorization_residual(FourierSequence({}), 1, 8, 3.0 + 0.5j)
         assert res <= 1e-13 * (3.5 + unperturbed_eigenvalues(1, 8).max())
 
     def test_factorization_residual_random(self):
         rng = np.random.default_rng(11)
-        v = random_potential(11, window=40)
+        v = rough_potential(1, 0.0, 40, 1.0, seed=11)
         t_max = float(np.max(np.abs(build_T(v, 1, 16).matrix)))
         for _ in range(10):
             lam = complex(rng.uniform(-50, 2000), rng.uniform(-30, 30))
@@ -145,33 +125,33 @@ class TestResolventFactors:
 
     def test_collision_error(self):
         with pytest.raises(SpectrumCollisionError):
-            build_resolvent_factors(FourierSequence.zero(), 1, 4, PI2)
+            build_resolvent_factors(FourierSequence({}), 1, 4, PI2)
 
     def test_zero_mode_required(self):
-        v = FourierSequence.make(Parity.EVEN, {0: 1.0, 2: 1.0})
+        v = FourierSequence({0: 1.0, 2: 1.0})
         with pytest.raises(ValueError):
             build_resolvent_factors(v, 1, 4, 2.0)
 
 
 class TestNorms:
     def test_zero(self):
-        f = build_resolvent_factors(FourierSequence.zero(), 1, 4, 1.0 + 1.0j)
+        f = build_resolvent_factors(FourierSequence({}), 1, 4, 1.0 + 1.0j)
         assert hs_norm_S(f) == 0.0
         assert op_norm_S(f) == 0.0
 
     def test_rank_one_equality(self):
         # K = 1 with a single one-sided coefficient: S has one nonzero entry
-        v = FourierSequence.make(Parity.EVEN, {2: 2.0})
+        v = FourierSequence({2: 2.0})
         f = build_resolvent_factors(v, 1, 1, 2.0)
         assert np.count_nonzero(f.s_lam) == 1
         assert op_norm_S(f) == pytest.approx(hs_norm_S(f), rel=1e-10)
 
     def test_op_below_hs_and_matches_svd(self):
         cases = [
-            (random_potential(seed, window=24), 1, 8, 37.0 + 5.0j) for seed in range(6)
+            (rough_potential(1, 0.0, 24, 1.0, seed=seed), 1, 8, 37.0 + 5.0j) for seed in range(6)
         ]
         # small-norm regime: ||S|| ~ 6e-6 on the m = 3 strip boundary
-        small = FourierSequence.make(Parity.EVEN, {2: 1, -2: 0.5j, 4: 0.3, -6: 0.2})
+        small = FourierSequence({2: 1, -2: 0.5j, 4: 0.3, -6: 0.2})
         cases.append((small, 3, 32, center(3, 4) + contour_radius(3, 4)))
         for v, m, K, lam in cases:
             f = build_resolvent_factors(v, m, K, lam)
@@ -196,7 +176,7 @@ class TestExtBound:
         # the Hilbert-Schmidt norm of the truncated S is dominated by the
         # full-lattice sum the cone estimate controls
         for m, alpha in [(1, 0.0), (1, 0.5), (2, 0.25)]:
-            v = random_potential(9, window=60, m=m, alpha=alpha)
+            v = rough_potential(m, alpha, 60, 1.0, seed=9)
             v_norm = weighted_norm(v, -m * alpha)
             for M in (4.0, 16.0):
                 bound = ext_bound(m, alpha, M, v_norm)
@@ -223,7 +203,7 @@ class TestVertBound:
     def test_op_norm_below_bound_on_boundary(self):
         m, alpha, n = 1, 0.0, 10
         r_n = 19.0
-        v = random_potential(21, window=80, m=m, alpha=alpha)
+        v = rough_potential(m, alpha, 80, 1.0, seed=21)
         v_norm = weighted_norm(v, 0.0)
         q = 2 * (2 * n - 1)
         raw = vert_bound(m, alpha, n, r_n, v_norm, (v(q), v(-q)))
@@ -348,7 +328,7 @@ class TestExactDiagonal:
         # and K = 1024 a float power rounds some |p|^6 > 2^53 differently
         # for p and -p, and differently from the center
         K = MAX_HALF_WINDOW
-        diag = build_T(FourierSequence.zero(), m, K).matrix.diagonal()
+        diag = build_T(FourierSequence({}), m, K).matrix.diagonal()
         assert np.array_equal(diag, diag[::-1])
         ns = np.arange(1, K + 1)
         centers = np.array([center(m, n) for n in ns])

@@ -25,31 +25,13 @@ from hillgap.riesz import (
     riesz_projector,
     script_S_2x2,
 )
-from hillgap.seqspace import (
-    FourierSequence,
-    Parity,
-    PotentialFamily,
-    PotentialSpec,
-    SobolevParams,
-    make_potential,
-)
+from hillgap.seqspace import FourierSequence, rough_potential
 
 PI2 = math.pi**2
 ORACLE_POTENTIALS = {
     "trig": {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1},
     "complex": {2: 0.6 + 0.1j, -2: 0.3 - 0.2j, 4: 0.2, -4: 0.1j, 6: 0.1 + 0.05j},
 }
-
-
-def vseq(coeffs):
-    return FourierSequence.make(Parity.EVEN, coeffs)
-
-
-def random_potential(seed, window=24, radius=0.8):
-    spec = PotentialSpec(
-        PotentialFamily.RANDOM_ROUGH, {"window": window}, radius=radius, seed=seed
-    )
-    return make_potential(spec, SobolevParams(m=1, alpha=0.0))
 
 
 def full_eigvals_traces(low, contour):
@@ -96,7 +78,7 @@ class TestContourSpec:
 
 class TestRieszProjector:
     def test_zero_potential_exact(self):
-        low = low_block(build_T(vseq({}), 1, 16), 16)
+        low = low_block(build_T(FourierSequence({}), 1, 16), 16)
         pair = riesz_projector(low, ContourSpec(n=3, m=1))
         # the pair sits exactly at the center: Tr P = 2, Tr((T - c) P) = 0
         assert abs(pair.tr_p - 2.0) <= 1e-14
@@ -104,14 +86,14 @@ class TestRieszProjector:
 
     def test_trace_two_for_random_potentials(self):
         for seed in (0, 1):
-            v = random_potential(seed)
+            v = rough_potential(1, 0.0, 24, 0.8, seed=seed)
             low = low_block(build_T(v, 1, 32), 32)
             pair = riesz_projector(low, ContourSpec(n=4, m=1))
             assert abs(pair.tr_p - 2.0) <= 1e-9
 
     def test_matches_dense_inverse_per_node(self):
         # the route it replaced, one dense inverse per node, as the reference
-        v = random_potential(2)
+        v = rough_potential(1, 0.0, 24, 0.8, seed=2)
         op = build_T(v, 1, 16)
         contour = ContourSpec(n=3, m=1)
         lams, ws = contour.points()
@@ -126,7 +108,7 @@ class TestRieszProjector:
         # v(-k) = 0 leaves every eigenvalue at its unperturbed value, and each
         # resonant pair is a 2x2 Jordan block: P has trace 2 and (T - c) P is
         # nilpotent, so its trace vanishes
-        v = vseq({2: 1.0, 4: 0.5 + 0.2j, 6: 0.3, 8: 0.1j})
+        v = FourierSequence({2: 1.0, 4: 0.5 + 0.2j, 6: 0.3, 8: 0.1j})
         contour = ContourSpec(n=n, m=m)
         pair = riesz_projector(low_block(build_T(v, m, 32), 32), contour)
         assert abs(pair.tr_p - 2.0) <= 1e-12
@@ -136,7 +118,7 @@ class TestRieszProjector:
         # a far diagonal entry moved inside the n = 3 contour puts a third
         # eigenvalue there: the pair's block must grow to take it in
         contour = ContourSpec(n=3, m=1)
-        mat = build_T(random_potential(5), 1, 16).matrix.copy()
+        mat = build_T(rough_potential(1, 0.0, 24, 0.8, seed=5), 1, 16).matrix.copy()
         mat[-1, -1] = contour.center + (0.3 + 0.1j) * contour.radius
         low = low_block(TruncatedOperator(1, 16, mat), 16)
         pair = assert_matches_full_eigvals(low, contour)
@@ -149,14 +131,15 @@ class TestRieszProjector:
         # converges fast but leaves out an eigenvalue of M above 1 / (6 rho),
         # whose trapezoid term at 16 nodes is 3.8^-16 ~ 5e-10
         contour = ContourSpec(n=3, m=1, nodes=16)
-        mat = build_T(random_potential(5), 1, 16).matrix + 0.5j * contour.radius * np.eye(32)
+        mat = build_T(rough_potential(1, 0.0, 24, 0.8, seed=5), 1, 16).matrix
+        mat = mat + 0.5j * contour.radius * np.eye(32)
         mat[-1, -1] = contour.center - 3.8j * contour.radius
         low = low_block(TruncatedOperator(1, 16, mat), 16)
         pair = assert_matches_full_eigvals(low, contour)
         assert pair.block > 2
 
     def test_strong_potential_grows_block(self):
-        v = vseq({2: 60.0, -2: 45j, 4: 30.0})
+        v = FourierSequence({2: 60.0, -2: 45j, 4: 30.0})
         low = low_block(build_T(v, 1, 32), 32)
         pairs = [assert_matches_full_eigvals(low, ContourSpec(n=n, m=1)) for n in (1, 2, 3)]
         assert max(p.block for p in pairs) > 2
@@ -165,7 +148,7 @@ class TestRieszProjector:
         # the gaps c_n - c_{n-1} grow like n: the certificate refuses the low
         # contours, which take the dense shift-invert of a grown band, and
         # decouples the pair of every higher one, shift-inverting its 2 x 2 block
-        low = low_block(build_T(vseq({2: 60.0, -2: 45j, 4: 30.0}), 1, 64), 64)
+        low = low_block(build_T(FourierSequence({2: 60.0, -2: 45j, 4: 30.0}), 1, 64), 64)
         dense = []
         for n in range(1, 17):
             before = len(inv_calls)
@@ -184,7 +167,7 @@ class TestRieszProjector:
         # whose poles a shift-invert of the certified band reads near c to
         # the scale of rho: both agree with a 30-digit eigensolve of the window
         coeffs = {2: 60.0, -2: 45j, 4: 30.0}
-        op = build_T(vseq(coeffs), 1, 16)
+        op = build_T(FourierSequence(coeffs), 1, 16)
         contour = ContourSpec(n=3, m=1)
         pair = riesz_projector(low_block(op, 3), contour)
         assert pair.dense
@@ -201,7 +184,7 @@ class TestRieszProjector:
         assert abs(table.row(4).d_tau - mpmath_pair(coeffs, 1, 16, 4)[0]) <= 1e-13
 
     def test_unsettled_pair_fixed_point_raises(self, monkeypatch):
-        low = low_block(build_T(random_potential(3), 1, 32), 32)
+        low = low_block(build_T(rough_potential(1, 0.0, 24, 0.8, seed=3), 1, 32), 32)
         monkeypatch.setattr(eigensolver, "RICCATI_MAX_STEPS", 1)
         with pytest.raises(SolverError, match="Riccati"):
             riesz_projector(low, ContourSpec(n=3, m=1))
@@ -209,7 +192,7 @@ class TestRieszProjector:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_random_potentials_stay_at_pair_block(self, m):
         for seed in (6, 7):
-            low = low_block(build_T(random_potential(seed, radius=3.0), m, 32), 32)
+            low = low_block(build_T(rough_potential(1, 0.0, 24, 3.0, seed=seed), m, 32), 32)
             for n in (1, 3, 6):
                 pair = assert_matches_full_eigvals(low, ContourSpec(n=n, m=m))
                 assert pair.block == 2
@@ -217,7 +200,7 @@ class TestRieszProjector:
     def test_collision_error_carries_offender(self):
         # an eigenvalue of A^m sits exactly on a radius-crossing contour if
         # we shift the potential by the right constant
-        v = vseq({0: float(2 * 3 - 1) ** 1})  # pushes the n=3 pair onto its contour
+        v = FourierSequence({0: float(2 * 3 - 1) ** 1})  # pushes the n=3 pair onto its contour
         low = low_block(build_T(v, 1, 16), 16)
         with pytest.raises(ContourCollisionError) as err:
             riesz_projector(low, ContourSpec(n=3, m=1))
@@ -229,7 +212,7 @@ class TestRieszProjector:
         # so the pair certificate refuses the contour and the dense route's
         # poles sigma - 1 / nu must catch it
         contour = ContourSpec(n=3, m=1)
-        mat = build_T(random_potential(5), 1, 16).matrix.copy()
+        mat = build_T(rough_potential(1, 0.0, 24, 0.8, seed=5), 1, 16).matrix.copy()
         mat[-1, :] = mat[:, -1] = 0.0
         mat[-1, -1] = contour.center + contour.radius
         low = low_block(TruncatedOperator(1, 16, mat), 3)
@@ -242,7 +225,7 @@ class TestRieszProjector:
         # a potential strong enough that the pair sits at a good fraction of
         # the contour radius: quadrature error then decays like q^N with
         # q well inside (0, 1), and the node-halving defect bounds it
-        v = vseq({2: 2.0, -2: 2.0, 6: 1.5, -6: 1.5})
+        v = FourierSequence({2: 2.0, -2: 2.0, 6: 1.5, -6: 1.5})
         low = low_block(build_T(v, 1, 32), 32)
         errs = []
         ref = riesz_projector(low, ContourSpec(n=2, m=1, nodes=256))
@@ -257,14 +240,14 @@ class TestRieszProjector:
 
 class TestTauFromTraces:
     def test_zero_potential(self):
-        low = low_block(build_T(vseq({}), 1, 16), 16)
+        low = low_block(build_T(FourierSequence({}), 1, 16), 16)
         res = riesz_projector(low, ContourSpec(n=2, m=1))
         assert res.tau.real == pytest.approx(9 * PI2, rel=1e-12)
         assert abs(res.tr_q) <= 1e-10
 
     def test_cross_oracle_against_eigensolver(self):
         for seed in (3, 4):
-            v = random_potential(seed, window=40)
+            v = rough_potential(1, 0.0, 40, 0.8, seed=seed)
             low = low_block(build_T(v, 1, 32), 32)
             table = pair_eigenvalues(low)
             for n in (2, 4, 6):
@@ -281,7 +264,7 @@ class TestTauFromTraces:
         # Tr(T P) - c Tr(P) cancels it to rounding
         coeffs = ORACLE_POTENTIALS[potential]
         want = 2.0 * mpmath_pair(coeffs, m, 16, n)[0]
-        low = low_block(build_T(vseq(coeffs), m, 16), 16)
+        low = low_block(build_T(FourierSequence(coeffs), m, 16), 16)
         res = riesz_projector(low, ContourSpec(n=n, m=m))
         assert abs(res.tr_p - 2.0) <= 1e-12
         assert abs(res.tr_q - want) <= 1e-3 * abs(want)
@@ -290,7 +273,7 @@ class TestTauFromTraces:
 class TestQ0Matrix:
     def test_n1_resonant_entries(self):
         c = 0.4 - 0.2j
-        v = vseq({2: c, -2: c.conjugate()})
+        v = FourierSequence({2: c, -2: c.conjugate()})
         q0 = q0_matrix(v, 1, 1, 8)  # the rows of the modes 1 and -1
         window = list(modes(8))
         i, j = window.index(1), window.index(-1)
@@ -300,7 +283,7 @@ class TestQ0Matrix:
 
     def test_trace_zero_and_closed_form(self):
         for seed in (5, 6):
-            v = random_potential(seed, window=40)
+            v = rough_potential(1, 0.0, 40, 0.8, seed=seed)
             for n in (2, 5):
                 # the rows of 2n - 1, -(2n - 1); its resonant diagonal entries
                 # are v(0) times a weight, zero as v(0) is, and the closed
@@ -310,7 +293,7 @@ class TestQ0Matrix:
 
     def test_matches_node_loop(self):
         # the single product against the per-node sum it replaced
-        v = random_potential(5, window=40)
+        v = rough_potential(1, 0.0, 40, 0.8, seed=5)
         contour = ContourSpec(n=2, m=1)
         b = build_B(v, 1, 24).matrix
         lams, ws = contour.points()
@@ -323,17 +306,17 @@ class TestQ0Matrix:
         assert np.max(np.abs(q0_matrix(v, 1, 2, 24) - want[[i_plus, i_minus]])) <= 1e-13
 
     def test_no_resonant_mode_gives_zero(self):
-        v = vseq({2: 1.0, -2: 1.0})
+        v = FourierSequence({2: 1.0, -2: 1.0})
         q0 = q0_matrix(v, 1, 4, 16)  # needs modes at +-14; v has none
         assert np.max(np.abs(q0)) <= 1e-12
 
     def test_zero_mode_required(self):
         with pytest.raises(ValueError):
-            q0_matrix(vseq({0: 1.0}), 1, 1, 8)
+            q0_matrix(FourierSequence({0: 1.0}), 1, 1, 8)
 
     def test_resonant_modes_outside_window(self):
         # n = 9 needs modes +-17, beyond the K = 8 window
-        v = vseq({2: 1.0, -2: 1.0})
+        v = FourierSequence({2: 1.0, -2: 1.0})
         for quadrature in (q0_matrix, script_S_2x2):
             with pytest.raises(ValueError, match="outside the window"):
                 quadrature(v, 1, 9, 8)
@@ -345,7 +328,7 @@ def l_residue_oracle(v, m, n):
     q = 2 * n - 1
     c = float(q) ** (2 * m) * math.pi ** (2 * m)
     total = 0.0 + 0.0j
-    span = v.window + 2 * abs(q) + 2
+    span = max(map(abs, v.coeffs), default=0) + 2 * abs(q) + 2
     for qp in range(-span, span + 1, 2):
         qq = qp + 1  # odd modes
         if qq in (q, -q):
@@ -367,7 +350,8 @@ def l_loop_reference(v, m, n):
     scale = math.pi ** (2 * m)
     sums = [0j, 0j]
     sizes = [0.0, 0.0]
-    for j in range(n - v.window // 2, n + v.window // 2 + 1):
+    half = max(map(abs, v.coeffs), default=0) // 2
+    for j in range(n - half, n + half + 1):
         p = 2 * j - 1
         if p in (q, -q):
             continue
@@ -384,16 +368,16 @@ def l_loop_reference(v, m, n):
 
 class TestCorrectionSequence:
     def test_zero_potential(self):
-        assert l_direct(vseq({}), 1, 3)[0] == 0
-        assert correction_values(vseq({}), 1, [3])[0][0] == 0
-        assert [a.size for a in correction_values(vseq({2: 1.0}), 1, [])] == [0, 0]
+        assert l_direct(FourierSequence({}), 1, 3)[0] == 0
+        assert correction_values(FourierSequence({}), 1, [3])[0][0] == 0
+        assert [a.size for a in correction_values(FourierSequence({2: 1.0}), 1, [])] == [0, 0]
 
     def test_two_mode_potential_vanishes(self):
         # support {+-2(2n-1)}: one candidate index is excluded as resonant,
         # the other hits a vanishing coefficient
         n = 3
         q2 = 2 * (2 * n - 1)
-        v = vseq({q2: 1.3, -q2: 0.7})
+        v = FourierSequence({q2: 1.3, -q2: 0.7})
         assert l_direct(v, 1, n)[0] == 0
         assert correction_values(v, 1, [n])[0][0] == 0
         s2 = script_S_2x2(v, 1, n, 32)
@@ -401,7 +385,7 @@ class TestCorrectionSequence:
         assert abs(s2[1, 0]) <= 1e-10
 
     def test_matches_residue_oracle(self):
-        v = random_potential(7, window=32)
+        v = rough_potential(1, 0.0, 32, 0.8, seed=7)
         for n in (2, 3, 5):
             got_plus, got_minus = l_direct(v, 1, n)
             want = l_residue_oracle(v, 1, n)
@@ -410,7 +394,7 @@ class TestCorrectionSequence:
             assert got_minus == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_matches_contour_route(self):
-        v = vseq({2: 0.5, -2: 0.5, 4: 0.25 + 0.1j, -4: 0.25 - 0.1j, 10: 0.3, -10: 0.3})
+        v = FourierSequence({2: 0.5, -2: 0.5, 4: 0.25 + 0.1j, -4: 0.25 - 0.1j, 10: 0.3, -10: 0.3})
         for n in (2, 3, 4):
             s2 = script_S_2x2(v, 1, n, 32)
             assert abs(s2[0, 1] - l_direct(v, 1, n)[0]) <= 1e-10
@@ -419,7 +403,7 @@ class TestCorrectionSequence:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_minus_entry_is_reflected_plus_entry(self, m):
         # one pass gives l_- bit for bit as the l_+ of the reflected potential
-        v = random_potential(8, window=24)
+        v = rough_potential(1, 0.0, 24, 0.8, seed=8)
         for n in (2, 4, 7):
             lp, lm = l_direct(v, m, n)
             rp, rm = l_direct(reflect_seq(v), m, n)
@@ -435,7 +419,7 @@ class TestCorrectionSequence:
         # all n at once against the per-n loop, and each n on its own
         ns = np.arange(1, 20)
         for seed, window in ((8, 24), (10, 78), (11, 2)):
-            v = random_potential(seed, window=window)
+            v = rough_potential(1, 0.0, window, 0.8, seed=seed)
             plus, minus = l_direct(v, m, ns)
             for n, lp, lm in zip(ns, plus, minus):
                 want_p, want_m, size_p, size_m = l_loop_reference(v, m, int(n))
@@ -449,7 +433,7 @@ class TestCorrectionSequence:
         # product, against the residue sum that shares no code with it
         ns = np.arange(1, 20)
         for seed, window in ((8, 24), (10, 78), (11, 2), (3, 64)):
-            v = random_potential(seed, window=window)
+            v = rough_potential(1, 0.0, window, 0.8, seed=seed)
             for got, want in zip(correction_values(v, m, ns), l_direct(v, m, ns)):
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -457,7 +441,7 @@ class TestCorrectionSequence:
         # at m = 3 the modes |p| >= 1449 have p^6 > 2^63: n = 1 meets p = 3001,
         # where q^6 - p^6 itself overflows an int64, and n = 750 meets
         # q, p = 1499, 1501, where a float p^6 loses the difference to cancellation
-        v = vseq({2: 0.3, -2: 0.7, 3000: 0.4 + 0.2j, -3000: 0.5j, 3002: 0.25, -3002: 0.1j})
+        v = FourierSequence({2: 0.3, -2: 0.7, 3000: 0.4 + 0.2j, -3000: 0.5j, 3002: 0.25, -3002: 0.1j})
         plus, minus = l_direct(v, 3, np.array([1, 750, 751]))
         for n, lp, lm in zip((1, 750, 751), plus, minus):
             want_p, want_m, size_p, size_m = l_loop_reference(v, 3, n)
@@ -468,7 +452,7 @@ class TestCorrectionSequence:
     @pytest.mark.parametrize("m", [1, 2])
     def test_script_S_matches_node_loop(self, m):
         # the single product against the per-node sum it replaced
-        v = random_potential(9, window=24)
+        v = rough_potential(1, 0.0, 24, 0.8, seed=9)
         n, K = 3, 24
         contour = ContourSpec(n=n, m=m)
         b = build_B(v, m, K).matrix
@@ -481,11 +465,11 @@ class TestCorrectionSequence:
         assert np.max(np.abs(script_S_2x2(v, m, n, K) - want)) <= 1e-13
 
     def test_script_S_zero_potential(self):
-        s2 = script_S_2x2(vseq({}), 1, 2, 16)
+        s2 = script_S_2x2(FourierSequence({}), 1, 2, 16)
         assert np.max(np.abs(s2)) == 0.0
 
     def test_higher_order_m(self):
-        v = random_potential(9, window=24)
+        v = rough_potential(1, 0.0, 24, 0.8, seed=9)
         for m in (2, 3):
             s2 = script_S_2x2(v, m, 2, 16)
             l_plus, l_minus = l_direct(v, m, 2)
