@@ -16,6 +16,11 @@ with n = K/4, one child times each library call after the import:
                           rough input's pairs and bases at K from _pair_table
                           (null in a tree that has no _truncation_bars)
     table_support6        compute_pair_table at K on the rough input of support 6
+    criterion09           compute_pair_table at K = 256 only (null at any other
+                          K) with n_max = 64 and three times the contour radius,
+                          as alpha1_experiment reads it, on the seeded potential
+                          of tests/test_acceptance.py's criterion 09: support
+                          |k| <= 510, modulus (2k)^0.4, phases from seed 0xA1
     contour_trig, contour_strong
                           riesz_projector on the n = 4 contour with 64 nodes,
                           read from low_block(op, n) as riesz-check reads it
@@ -42,9 +47,9 @@ every case and K (of a start-up case, one number), the K slope
 log2(t(K2) / t(K1)) / log2(K2 / K1) between neighbouring K, hillgap's own
 import cost hillgap_import_s (the median over repetitions of import less
 import_floor, each pair timed back to back), the facts each case reports
-(window, rows and unrefined rows, converged rows and the largest bar, route
-and block, n0 and cone count, exit code), every run, and the thread
-variables the tree's import leaves set.
+(window, rows and unrefined rows or their count, converged rows and the
+largest bar, route and block, n0 and cone count, exit code), every run, and
+the thread variables the tree's import leaves set.
 A window past MAX_HALF_WINDOW is null.  An exit code of 1 (a crash, not a CLI
 verdict) fails the script.
 """
@@ -80,6 +85,8 @@ CHILD = "import runpy, sys, hillgap; runpy.run_path(%r)['stages'](int(sys.argv[1
 def stages(K: int) -> None:
     """Time the in-process cases at window K; print the times, their facts
     and the thread variables as one JSON object."""
+    import numpy as np
+
     from hillgap import (
         ContourSpec, FourierSequence, build_T, compute_pair_table, localization_report, low_block,
         normalize_zero_mode, pair_eigenvalues, riesz_projector, rough_potential,
@@ -120,12 +127,25 @@ def stages(K: int) -> None:
     if _truncation_bars is None:
         cases["bar"] = [None, {}]
     else:
-        based = _pair_table(low, contour_radius, n, True)
+        try:
+            based = _pair_table(low, contour_radius, n)
+        except TypeError:  # a tree whose _pair_table takes a flag to build the bases
+            based = _pair_table(low, contour_radius, n, True)
         timed("bar", lambda: _truncation_bars(based[0], v, low, *based[1:]), lambda t: rows(t) | {
             "converged": sum(r.converged for r in t.rows),
             "max_bar": max((r.bar for r in t.rows), default=0.0)})
     table("table_2K", v, 2 * K)
     table("table_support6", rough(6), K)
+    if K == 256:
+        rng, wild = np.random.default_rng(0xA1), {}
+        for k in range(1, 256):
+            wild[2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
+            wild[-2 * k] = (2 * k) ** 0.4 * np.exp(2j * np.pi * rng.random())
+        timed("criterion09", lambda: compute_pair_table(
+            FourierSequence(wild), 1, K, radius_rule=lambda m, n: 3 * contour_radius(m, n), n_max=64),
+            lambda t: {"rows": len(t.rows), "unrefined": len(t.unrefined)})
+    else:
+        cases["criterion09"] = [None, {}]
     for case, coeffs in (("contour_trig", TRIG), ("contour_strong", STRONG)):
         low = low_block(build_T(FourierSequence(coeffs), 1, K), n)
         timed(case, lambda: riesz_projector(low, ContourSpec(n=4, m=1, nodes=64)),

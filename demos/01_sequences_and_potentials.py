@@ -23,12 +23,10 @@ try:
 except ValueError as exc:
     print("odd index refused:", exc)
 
-# The weighted norm uses <k> = 1 + |k|; s = 0 is the plain l2 norm, and a
-# shift evaluates the weight at k + shift.
+# The weighted norm uses <k> = 1 + |k|; s = 0 is the plain l2 norm.
 
 print("||v||_{h^0}  =", weighted_norm(v, 0.0))
 print("||v||_{h^1}  =", weighted_norm(v, 1.0), "= 3 sqrt(2) =", 3 * math.sqrt(2))
-print("||v||_{h^-1}, shift 2 =", weighted_norm(v, -1.0, shift=2))
 
 # =============================================================================
 # A constant in the potential only shifts the spectrum; downstream code works

@@ -107,12 +107,10 @@ def _deviation(r: EigenPairRow) -> float:
     return max(abs(r.d_lo + r.v0), abs(r.d_hi + r.v0))
 
 
-def _fit(ns, values, target, fit_range) -> tuple[DecayFit, bool]:
-    """Decay fit and membership flag over fit_range, which defaults to the
-    rows from FIT_RANGE_START on."""
+def _fit(ns, values, target) -> tuple[DecayFit, bool]:
+    """Decay fit and membership flag over the rows from FIT_RANGE_START on."""
     points = list(zip(ns, values))
-    if fit_range is None:
-        fit_range = (min(FIT_RANGE_START, max(ns)), max(ns))
+    fit_range = (min(FIT_RANGE_START, max(ns)), max(ns))
     return decay_exponent(points, fit_range), h_membership_bounded(points, target, fit_range)
 
 
@@ -122,7 +120,6 @@ def tau_remainder(
     m: int,
     alpha: float,
     epsilon: float = DEFAULT_EPSILON,
-    fit_range: tuple[int, int] | None = None,
 ) -> RemainderReport:
     """Remainder of the pair mean: |tau_n - (2n-1)^{2m} pi^{2m} - v(0)|,
     read from the pair's offsets, classified against the exponent
@@ -132,7 +129,7 @@ def tau_remainder(
     ns = tuple(r.n for r in rows)
     values = tuple(abs(r.d_tau + (r.v0 - shift)) for r in rows)
     target = m * (1.0 - 2.0 * alpha) - epsilon
-    fit, bounded = _fit(ns, values, target, fit_range)
+    fit, bounded = _fit(ns, values, target)
     return RemainderReport(ns, values, target, fit.slope, bounded, fit.exact_zero)
 
 
@@ -143,7 +140,6 @@ def gamma_remainder(
     alpha: float,
     corrected: bool = False,
     epsilon: float = DEFAULT_EPSILON,
-    fit_range: tuple[int, int] | None = None,
     predictions: dict[int, PredictionRow] | None = None,
 ) -> RemainderReport:
     """Remainder of the pair gap: min over signs of |gamma_n +- 2 root|,
@@ -167,7 +163,7 @@ def gamma_remainder(
         target = m * (1.0 - 2.0 * alpha) - epsilon
     else:
         target = m * (0.5 - alpha)
-    fit, bounded = _fit(ns, values, target, fit_range)
+    fit, bounded = _fit(ns, values, target)
     return RemainderReport(ns, values, target, fit.slope, bounded, fit.exact_zero)
 
 
@@ -177,7 +173,6 @@ def one_term_check(
     alpha: float,
     R: float,
     C: float,
-    fit_range: tuple[int, int] | None = None,
 ) -> RemainderReport:
     """Scaled one-term deviations |lambda - center| / (2n-1)^{m alpha}; the
     bounded flag demands every value stay below 3^m sqrt(2) C R."""
@@ -186,7 +181,7 @@ def one_term_check(
     values = tuple(_deviation(r) / float(2 * r.n - 1) ** (m * alpha) for r in rows)
     bound = 3.0**m * math.sqrt(2.0) * C * R
     bounded = all(val <= bound for val in values)
-    fit, _ = _fit(ns, values, 0.0, fit_range)
+    fit, _ = _fit(ns, values, 0.0)
     return RemainderReport(ns, values, 0.0, fit.slope, bounded, fit.exact_zero)
 
 
@@ -203,7 +198,7 @@ def alpha1_experiment(
     sequence together with an empirical index beyond which every ratio stays
     below one.
     """
-    if not math.isfinite(weighted_norm(v, -float(m), 0)):
+    if not math.isfinite(weighted_norm(v, -float(m))):
         raise ValueError("potential must have a finite h^{-m} norm")
     if K is None:
         K = 4 * n_max

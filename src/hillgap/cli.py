@@ -57,10 +57,10 @@ class LemmaBoundFailure(RuntimeError):
     pass
 
 
-def _option(default, help=None, flag=None):
+def _option(default, help=None):
     """A RunConfig field that is also a config-file key and the flag
-    --name ('-' for '_') unless flag spells it otherwise."""
-    return field(default=default, metadata={"help": help, "flag": flag})
+    --name ('-' for '_')."""
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass
@@ -78,10 +78,6 @@ class RunConfig:
     format: str = _option("csv", "csv or json")
     out: str | None = _option(None, "output table path")
     potential: str | None = _option(None, "potential JSON file")
-    bound_scale: float = _option(
-        1.0, "testing aid: scales the lemma-sweep bounds by this factor",
-        flag="--debug-bound-scale",
-    )
 
     def echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -104,6 +100,8 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError(f"--n-max must be >= 1, got {cfg.n_max}")
     paired = cfg.command in ("spectrum", "asymptotics", "riesz-check", "alpha1")
     K = _riesz_window(cfg) if cfg.command == "riesz-check" else cfg.K
+    if K == "auto" and cfg.command in ("spectrum", "asymptotics"):
+        K = 2 * max(32, 4 * cfg.n_max)  # converge_truncation's first confirming window
     if paired and isinstance(K, int) and K < 4 * cfg.n_max:
         raise ConfigError(
             f"--K {K} too small for --n-max {cfg.n_max}: modes within a factor "
@@ -113,8 +111,7 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError(
             f"--n-max {cfg.n_max} needs the window {K}, past the largest window {MAX_HALF_WINDOW}"
         )
-    for flag, val in (("--R", cfg.R), ("--C", cfg.C), ("--epsilon", cfg.epsilon),
-                      ("--debug-bound-scale", cfg.bound_scale)):
+    for flag, val in (("--R", cfg.R), ("--C", cfg.C), ("--epsilon", cfg.epsilon)):
         if not math.isfinite(val):
             raise ConfigError(f"{flag} must be finite, got {val}")
     if cfg.R <= 0:
@@ -133,8 +130,6 @@ def _validate_config(cfg: RunConfig):
         raise ConfigError(f"command {cfg.command} requires --potential")
     if cfg.out is None:
         raise ConfigError("an output path is required (--out)")
-    if cfg.bound_scale <= 0:
-        raise ConfigError("--debug-bound-scale must be positive")
     if cfg.command == "riesz-check" and cfg.n_max < 2:
         raise ConfigError("riesz-check needs --n-max >= 2")
 
@@ -483,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     for f in OPTIONS:
         kind = hints[f.name]
         parser.add_argument(
-            f.metadata["flag"] or "--" + f.name.replace("_", "-"),
+            "--" + f.name.replace("_", "-"),
             dest=f.name,
             type=kind if kind in (int, float) else None,
             help=f.metadata["help"],

@@ -340,7 +340,6 @@ class EigenPairRow:
     d_tau: complex
     gamma: complex
     v0: complex
-    disc_radius_used: float
     converged: bool
     bar: float | None = None
 
@@ -490,20 +489,20 @@ def _shift_poles(band: np.ndarray, mu: np.ndarray, c: float, r: float):
         raise SolverError(f"band shift-invert failed: {exc}") from exc
 
 
-def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray, bases: bool):
+def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray):
     """tau - c, gamma and the offsets inside each disc of the refused pairs
     ns, from one _certified_band (from max(ns), every refused disc left of
     the rest) whose poles _shift_poles reads at each pair's own center,
-    paired by disc membership.  With bases, also each pair's 2 x 2 block and
-    right basis in the low block as _pair_rows has them: two steps of the
-    shift-inverse M from the pair's modes P, scaled to the identity on P
-    and lifted from the band."""
+    paired by disc membership; also each pair's 2 x 2 block and right basis
+    in the low block as _pair_rows has them: two steps of the shift-inverse
+    M from the pair's modes P, scaled to the identity on P and lifted from
+    the band."""
     band, lift = _certified_band(low, int(ns.max()), float(np.max(c + radii)))
     k, j = len(band) // 2, len(low.matrix) // 2
     mu = unperturbed_eigenvalues(low.op.m, k)
     d, s, found = np.zeros(len(ns), complex), np.zeros(len(ns), complex), []
     g = np.zeros((len(ns), 2, 2), complex)
-    u = np.zeros((2 * j if bases else 0, len(ns), 2), complex)
+    u = np.zeros((2 * j, len(ns), 2), complex)
     for i, (n, cn, r) in enumerate(zip(ns, c, radii)):
         delta, inv = _shift_poles(band, mu, cn, r)
         if low.hermitian:
@@ -511,48 +510,47 @@ def _grown_band(low: LowBlock, ns: np.ndarray, c: np.ndarray, radii: np.ndarray,
         found.append(delta[np.abs(delta) < r])
         if len(found[i]) == 2:
             d[i], s[i] = (found[i][0] + found[i][1]) / 2.0, found[i][1] - found[i][0]
-        if bases:
-            rows = list(resonant_rows(k, n))
-            x = inv @ inv[:, rows]
-            x = x @ np.linalg.inv(x[rows])
-            g[i], u[:, i] = band[rows] @ x, _lift(lift, j, x, np.arange(2 * j))
+        rows = list(resonant_rows(k, n))
+        x = inv @ inv[:, rows]
+        x = x @ np.linalg.inv(x[rows])
+        g[i], u[:, i] = band[rows] @ x, _lift(lift, j, x, np.arange(2 * j))
     return d, _oriented(d, s), found, g, u
 
 
-def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray, bases: bool = False):
+def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray):
     """tau - c, gamma and the offsets lambda - c inside the disc of radius
     radii[i] around center(m, ns[i]), and the ns read from the grown band:
     a pair whose modes low.certifies apart from the rest of the block is
     read by _pair_split, offsets d -+ gamma / 2; the rest by _grown_band.
-    Also each pair's 2 x 2 block G (N, 2, 2), and with bases its right
-    basis e_P + Z in the low block (2j, N, 2) for _truncation_bars (no rows
-    without)."""
+    Also each pair's 2 x 2 block G (N, 2, 2) and its right basis e_P + Z in
+    the low block (2j, N, 2) for _truncation_bars."""
     m = low.op.m
     c = np.array([center(m, n) for n in ns])
     ok = np.array([low.certifies((2 * n - 1,) * 2, cn, r) for n, cn, r in zip(ns, c, radii)], bool)
     d, gamma = np.zeros(len(ns), complex), np.zeros(len(ns), complex)
     g = np.zeros((len(ns), 2, 2), complex)
-    u = np.zeros((len(low.matrix) if bases else 0, len(ns), 2), complex)
+    u = np.zeros((len(low.matrix), len(ns), 2), complex)
     if ok.any():
-        d[ok], gamma[ok], g[ok], z = _pair_split(low.matrix, m, ns[ok], low.hop, low.hermitian)
-        if bases:
-            u[:, ok] = z
-            for col, row in enumerate(resonant_rows(len(low.matrix) // 2, ns[ok])):
-                u[row, np.flatnonzero(ok), col] = 1.0  # Z is zero on P
+        d[ok], gamma[ok], g[ok], u[:, ok] = _pair_split(low.matrix, m, ns[ok], low.hop, low.hermitian)
+        for col, row in enumerate(resonant_rows(len(low.matrix) // 2, ns[ok])):
+            u[row, np.flatnonzero(ok), col] = 1.0  # Z is zero on P
     ends = d[:, None] + np.array([-0.5, 0.5]) * gamma[:, None]
     found = [e[np.abs(e) < r] for e, r in zip(ends, radii)]
     if not ok.all():
-        d[~ok], gamma[~ok], band, g[~ok], u[:, ~ok] = _grown_band(
-            low, ns[~ok], c[~ok], radii[~ok], bases)
+        d[~ok], gamma[~ok], band, g[~ok], u[:, ~ok] = _grown_band(low, ns[~ok], c[~ok], radii[~ok])
         for i, delta in zip(np.flatnonzero(~ok), band):
             found[i] = delta
     return d, gamma, found, tuple(int(n) for n in ns[~ok]), g, u
 
 
-def _pair_table(low: LowBlock, radius_rule, n_max: int | None, bases: bool):
-    """pair_eigenvalues's table, each pair's 2 x 2 block G (N, 2, 2) and,
-    with bases, its right basis in the low block (2j, N, 2) for
-    _truncation_bars (no rows without)."""
+def _pair_table(low: LowBlock, radius_rule, n_max: int | None):
+    """The table of the pairs n <= n_max (default K/4, the trusted quarter
+    of the window) of a low block, each pair's 2 x 2 block G (N, 2, 2) and
+    its right basis in the low block (2j, N, 2) for _truncation_bars.  A
+    disc of radius radius_rule(m, n) around center(m, n) holding exactly two
+    eigenvalues (_pair_rows) becomes a row without zero mode, anything else
+    is flagged with its count.  A disc that reaches low.complete_below, past
+    which the solve left eigenvalues out, raises SolverError."""
     m, K = low.op.m, low.op.K
     if n_max is None:
         n_max = K // 4
@@ -571,27 +569,20 @@ def _pair_table(low: LowBlock, radius_rule, n_max: int | None, bases: bool):
                 f"pairing disc n = {n} reaches {low.complete_below:.17g}, "
                 "past which the solve left eigenvalues out"
             )
-    d, gamma, found, grown, g, u = _pair_rows(low, np.array(ns), np.array(radii), bases)
+    d, gamma, found, grown, g, u = _pair_rows(low, np.array(ns), np.array(radii))
     rows = tuple(
-        EigenPairRow(n, center(m, n), complex(d[n - 1]), complex(gamma[n - 1]), 0j, r, False)
-        for n, r in zip(ns, radii) if len(found[n - 1]) == 2
+        EigenPairRow(n, center(m, n), complex(d[n - 1]), complex(gamma[n - 1]), 0j, False)
+        for n in ns if len(found[n - 1]) == 2
     )
     flagged = {n: len(found[n - 1]) for n in ns if len(found[n - 1]) != 2}
     unrefined = tuple(n for n in grown if n not in flagged)
     return EigenPairTable(m, K, rows, flagged, unrefined=unrefined), g, u
 
 
-def pair_eigenvalues(
-    low: LowBlock, radius_rule=contour_radius, n_max: int | None = None
-) -> EigenPairTable:
-    """Pair table n <= n_max (default K/4, the trusted quarter of the
-    window) of a low block.  A disc of radius
-    radius_rule(m, n) around center(m, n) holding exactly two eigenvalues
-    (_pair_rows) becomes a row without zero mode, anything else is flagged
-    with its count.  A disc that reaches low.complete_below, past which the
-    solve left eigenvalues out, raises SolverError.
-    """
-    return _pair_table(low, radius_rule, n_max, False)[0]
+def pair_eigenvalues(low: LowBlock, n_max: int | None = None) -> EigenPairTable:
+    """Pair table n <= n_max (default K/4) of a low block, each pair read
+    in the disc of radius contour_radius(m, n) (_pair_table)."""
+    return _pair_table(low, contour_radius, n_max)[0]
 
 
 def compute_pair_table(
@@ -610,7 +601,7 @@ def compute_pair_table(
     if n_max is None:
         n_max = K // 4
     low = low_block(build_T(v_norm, m, K), n_max)
-    table, g, u = _pair_table(low, radius_rule, n_max, bars)
+    table, g, u = _pair_table(low, radius_rule, n_max)
     if bars:
         table = _truncation_bars(table, v_norm, low, g, u)
     return replace(table, rows=tuple(replace(r, v0=v0) for r in table.rows))
@@ -648,7 +639,7 @@ def _outer_modes(K: int, keys: np.ndarray) -> np.ndarray:
 
 def _truncation_bars(table: EigenPairTable, v: FourierSequence, low: LowBlock,
                      g: np.ndarray, u: np.ndarray) -> EigenPairTable:
-    """Each row of a table that _pair_table(bases=True) made from the low
+    """Each row of a table that _pair_table made from the low
     block low, with G and the right bases u it returned, with its truncation
     bar and converged when the bar is below CONVERGENCE_TOL; v is the
     potential of the window, zero mode split off.

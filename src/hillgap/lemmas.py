@@ -157,7 +157,6 @@ class ElementaryBoundsReport:
     m: int
     alpha: float
     n: int
-    cutoff: int
     sup_a: float
     bound_a: float
     sup_b: float
@@ -167,9 +166,7 @@ class ElementaryBoundsReport:
     all_hold: bool
 
 
-def elementary_bounds_check(
-    m: int, alpha: float, n: int, cutoff: int | None = None
-) -> ElementaryBoundsReport:
+def elementary_bounds_check(m: int, alpha: float, n: int) -> ElementaryBoundsReport:
     """Evaluate the three elementary lattice estimates against their bounds.
 
     (a) sup_{k != +-n} <k>^{m a} / |k^{2m} - n^{2m}|^{1/2} <= 3^{m a} n^{m(a-1+1/(2m))}
@@ -178,15 +175,12 @@ def elementary_bounds_check(
 
     The sum in (c) uses the first power of the gap; with the square root it
     diverges already for m = 1, so the first power is the only reading under
-    which the estimate can hold.  Sups and the sum run over |k| <= cutoff and
+    which the estimate can hold.  Sups and the sum run over |k| <= 16 n and
     certified tail bounds are added, so the check is conservative.
     """
     if n < m:
         raise ValueError(f"requires n >= m, got n = {n}, m = {m}")
-    if cutoff is None:
-        cutoff = 16 * n
-    if cutoff < 16 * n:
-        raise ValueError(f"cutoff must be >= 16 n = {16 * n}, got {cutoff}")
+    cutoff = 16 * n
 
     k = np.arange(-cutoff, cutoff + 1)
     k = k[(k != n) & (k != -n)].astype(float)
@@ -199,7 +193,7 @@ def elementary_bounds_check(
     sup_b = float(np.max(wb / root_gap))
     sum_c = float(np.sum(1.0 / gap))
 
-    # certified tails for |k| > cutoff >= 16 n
+    # certified tails for |k| > cutoff
     ratio = (n / cutoff) ** (2 * m)
     safety = 1.0 / (1.0 - ratio)
     kc = float(cutoff + 1)
@@ -228,19 +222,16 @@ def elementary_bounds_check(
         sup_a <= bound_a * slack and sup_b <= bound_b * slack and sum_c <= bound_c * slack
     )
     return ElementaryBoundsReport(
-        m, alpha, n, cutoff, sup_a, bound_a, sup_b, bound_b, sum_c, bound_c, all_hold
+        m, alpha, n, sup_a, bound_a, sup_b, bound_b, sum_c, bound_c, all_hold
     )
 
 
-def eq506_margin(m: int, n: int, samples: int = 32, K: int = 64) -> float:
+def eq506_margin(m: int, n: int, K: int = 64) -> float:
     """Worst ratio of 1/|lambda - k^{2m} pi^{2m}| against its gap comparison
-    (3/pi^{2m}) / |k^{2m} - (2n-1)^{2m}|, over sampled strip-boundary lambda
-    and every odd k != +-(2n-1) in the window.  At most 1 when the
-    comparison holds."""
-    if n < vert_min_n(m):
-        raise ValueError(f"strip index n = {n} below the admissible threshold for m = {m}")
-    region = VertRegion(n=n, r_n=contour_radius(m, n), m=m)
-    pts = region.boundary_points(samples)
+    (3/pi^{2m}) / |k^{2m} - (2n-1)^{2m}|, over the strip-boundary points
+    lambda of vert_boundary and every odd k != +-(2n-1) in the window.  At
+    most 1 when the comparison holds."""
+    pts = vert_boundary(m, n, contour_radius(m, n))
     ks = modes(K).astype(float)
     off = np.abs(np.abs(ks) - (2 * n - 1)) > 0.5
     ks = ks[off]
@@ -276,70 +267,29 @@ def resolvent_shifted_norm(
 # spectral regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtRegion:
-    """Left cone Ext_M = {Re lambda <= |Im lambda| - M}."""
-
-    M: float
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"Ext region requires M >= 1, got {self.M}")
-
-    def contains(self, lam: complex) -> bool:
-        return lam.real <= abs(lam.imag) - self.M
-
-    def boundary_points(self, count: int) -> np.ndarray:
-        """Points on the cone boundary Re = |Im| - M, clustered near the apex
-        (the apex lambda = -M is always included)."""
-        half = max(1, (count - 1) // 2)
-        ts = self.M * (2.0 ** np.arange(half) / 2.0 ** (half - 1)) * 4.0
-        ts = np.concatenate([[0.0], ts, -ts])[:count]
-        return np.array([complex(abs(t) - self.M, t) for t in ts])
+def ext_boundary(M: float) -> np.ndarray:
+    """31 points on the boundary Re = |Im| - M of the left cone
+    Ext_M = {Re lambda <= |Im lambda| - M}, clustered near the apex lambda = -M
+    (included)."""
+    if M < 1:
+        raise ValueError(f"Ext region requires M >= 1, got {M}")
+    ts = M * (2.0 ** np.arange(15) / 2.0**14) * 4.0
+    ts = np.concatenate([[0.0], ts, -ts])
+    return (np.abs(ts) - M) + 1j * ts
 
 
-@dataclass(frozen=True)
-class VertRegion:
-    """Punctured vertical strip around (2n-1)^{2m} pi^{2m}: |Re z| bounded by
-    (2n-1)^m pi^{2m}, |z| >= r_n."""
-
-    n: int
-    r_n: float
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("strip index must be >= 1")
-        if not 0.0 < self.r_n < self.half_width:
-            raise ValueError(
-                f"r_n = {self.r_n} outside (0, (2n-1)^m pi^(2m)) for n = {self.n}"
-            )
-
-    @property
-    def center(self) -> float:
-        return center(self.m, self.n)
-
-    @property
-    def half_width(self) -> float:
-        return contour_radius(self.m, self.n) * math.pi ** (2 * self.m)
-
-    def contains(self, lam: complex) -> bool:
-        z = complex(lam) - self.center
-        return abs(z.real) <= self.half_width and abs(z) >= self.r_n
-
-    def boundary_points(self, count: int) -> np.ndarray:
-        """Samples of the region boundary: the removed circle |z| = r_n plus
-        the two vertical edges (nearest-to-axis points included)."""
-        n_circle = max(4, count // 2)
-        theta = 2.0 * math.pi * np.arange(n_circle) / n_circle
-        circle = self.center + self.r_n * np.exp(1j * theta)
-        n_line = max(1, (count - n_circle) // 4)
-        ims = self.half_width * 2.0 ** np.arange(n_line) / 2.0 ** (n_line - 1)
-        ims = np.concatenate([[0.0], ims, -ims])
-        lines = np.concatenate(
-            [self.center + self.half_width + 1j * ims, self.center - self.half_width + 1j * ims]
-        )
-        return np.concatenate([circle, lines])
+def vert_boundary(m: int, n: int, r_n: float) -> np.ndarray:
+    """34 points on the boundary of the punctured vertical strip around
+    c = (2n-1)^{2m} pi^{2m}, |Re (lambda - c)| <= (2n-1)^m pi^{2m} and
+    |lambda - c| >= r_n: 16 on the removed circle and 9 on each vertical
+    edge, the nearest-to-axis points included."""
+    _check_vert_args(m, n, r_n)
+    c, half_width = center(m, n), contour_radius(m, n) * math.pi ** (2 * m)
+    theta = 2.0 * math.pi * np.arange(16) / 16
+    ims = half_width * 2.0 ** np.arange(4) / 2.0**3
+    ims = np.concatenate([[0.0], ims, -ims])
+    return np.concatenate([c + r_n * np.exp(1j * theta), c + half_width + 1j * ims,
+                           c - half_width + 1j * ims])
 
 
 LEMMA_COLUMNS = ["check", "m", "alpha", "n", "computed", "bound", "holds", "reason"]
@@ -354,7 +304,6 @@ def _lemma_potential(m: int, alpha: float, seed: int, K: int) -> FourierSequence
 
 def run_lemmas(cfg: RunConfig) -> int:
     K = cfg.K if isinstance(cfg.K, int) else 64
-    scale = cfg.bound_scale
     rows = []
     failed = False
 
@@ -375,47 +324,45 @@ def run_lemmas(cfg: RunConfig) -> int:
                     add("elementary", m, alpha, n, None, None, reason="n < m precondition")
                     continue
                 rep = elementary_bounds_check(m, alpha, n)
-                add("elementary_a", m, alpha, n, rep.sup_a, rep.bound_a * scale)
-                add("elementary_b", m, alpha, n, rep.sup_b, rep.bound_b * scale)
-                add("elementary_c", m, alpha, n, rep.sum_c, rep.bound_c * scale)
+                add("elementary_a", m, alpha, n, rep.sup_a, rep.bound_a)
+                add("elementary_b", m, alpha, n, rep.sup_b, rep.bound_b)
+                add("elementary_c", m, alpha, n, rep.sum_c, rep.bound_c)
 
     # strip resolvent comparison
     for m in LEMMA_MS:
         n_lo = math.ceil(vert_min_n(m))
         for n in range(n_lo, min(64, cfg.n_max) + 1):
-            margin = eq506_margin(m, n, samples=32, K=K)
-            add("eq506", m, "", n, margin, 1.0 * scale)
+            add("eq506", m, "", n, eq506_margin(m, n, K=K), 1.0)
 
     # Hilbert-Schmidt bound on the left cone
     for m in LEMMA_MS:
         for alpha in LEMMA_ALPHAS:
             v = _lemma_potential(m, alpha, cfg.seed, K)
-            v_norm = weighted_norm(v, -m * alpha, 0)
+            v_norm = weighted_norm(v, -m * alpha)
             for big_m in EXT_MS:
                 worst = 0.0
-                for lam in ExtRegion(big_m).boundary_points(32):
+                for lam in ext_boundary(big_m):
                     worst = max(worst, hs_norm_S(build_resolvent_factors(v, m, K, lam)))
-                bound = ext_bound(m, alpha, big_m, v_norm) * scale
-                add("ext_hs", m, alpha, int(big_m), worst, bound)
+                add("ext_hs", m, alpha, int(big_m), worst, ext_bound(m, alpha, big_m, v_norm))
 
     # operator-norm bound on the punctured strips, raw and combined forms
     alpha = cfg.alpha
     for m in LEMMA_MS:
         v = _lemma_potential(m, alpha, cfg.seed, K)
-        v_norm = weighted_norm(v, -m * alpha, 0)
+        v_norm = weighted_norm(v, -m * alpha)
         n_lo = max(math.ceil(vert_min_n(m)), m)
         for n in sorted({n_lo, 8, 16}):
             if not n_lo <= n <= K // 4:
                 continue
             r_n = contour_radius(m, n)
             worst = 0.0
-            for lam in VertRegion(n=n, r_n=r_n, m=m).boundary_points(32):
+            for lam in vert_boundary(m, n, r_n):
                 worst = max(worst, op_norm_S(build_resolvent_factors(v, m, K, lam)))
             q = 2 * (2 * n - 1)
             raw = vert_bound(m, alpha, n, r_n, v_norm, (v(q), v(-q)))
             comb = vert_bound_combined(m, alpha, n, r_n, v_norm)
-            add("vert_raw", m, alpha, n, worst, raw * scale)
-            add("vert_combined", m, alpha, n, worst, comb * scale)
+            add("vert_raw", m, alpha, n, worst, raw)
+            add("vert_combined", m, alpha, n, worst, comb)
 
     # diagonal resolvent norms between shifted spaces, scanned over n inside
     # the window (the resonant mode 2n-1 must be covered for the sup to see
@@ -439,9 +386,9 @@ def run_lemmas(cfg: RunConfig) -> int:
                 (n, resolvent_shifted_norm(m, lam, 1.0, -1.0, q, -q, K))
             )
         slope = decay_exponent(decay, (ns[0], ns[-1])).slope
-        add("shifted_decay_slope", m, "", 0, abs(slope + m), 0.3 * scale)
+        add("shifted_decay_slope", m, "", 0, abs(slope + m), 0.3)
         vals = [x for _, x in flat]
-        add("shifted_flat_ratio", m, "", 0, max(vals) / min(vals), 10.0 * scale)
+        add("shifted_flat_ratio", m, "", 0, max(vals) / min(vals), 10.0)
 
     footer = {"failed": failed, "rows": len(rows)}
     write_table(cfg, LEMMA_COLUMNS, rows, footer=footer)

@@ -27,10 +27,6 @@ class DiscCensusRow:
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    m: int
-    alpha: float
-    R: float
-    C: float
     K: int
     n0_empirical: int
     cone_count: int
@@ -82,6 +78,6 @@ def localization_report(
     big_m = max(1.0, float(np.max(np.abs(vals.imag)))) + 1.0
     in_cone = (vals.real >= np.abs(vals.imag) - big_m) & (vals.real <= thresh)
     return LocalizationReport(
-        m=m, alpha=alpha, R=R, C=C, K=K, n0_empirical=n0, cone_count=int(in_cone.sum()),
+        K=K, n0_empirical=n0, cone_count=int(in_cone.sum()),
         cone_threshold=thresh, cone_M=big_m, disc_rows=tuple(rows),
     )

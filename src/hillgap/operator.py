@@ -74,10 +74,6 @@ class TruncatedOperator:
             )
         self.matrix.setflags(write=False)
 
-    @property
-    def modes(self) -> np.ndarray:
-        return modes(self.K)
-
 
 def _coeff_lookup(v: FourierSequence, K: int) -> np.ndarray:
     """Coefficients v(d) over even differences d in [-(4K-2), 4K-2]."""

@@ -62,14 +62,14 @@ class FourierSequence:
         return all(v == 0 for v in self.coeffs.values())
 
 
-def weighted_norm(a: FourierSequence, s: float, shift: int = 0) -> float:
-    """Shifted weighted l2 norm (sum_k <k+shift>^{2s} |a(k)|^2)^{1/2}.
+def weighted_norm(a: FourierSequence, s: float) -> float:
+    """Weighted l2 norm (sum_k <k>^{2s} |a(k)|^2)^{1/2}.
 
     The empty sequence has norm 0.
     """
     total = 0.0
     for k, v in a.coeffs.items():
-        w = 1.0 + abs(k + shift)
+        w = 1.0 + abs(k)
         total += w ** (2.0 * s) * (v.real * v.real + v.imag * v.imag)
     return math.sqrt(total)
 
@@ -147,7 +147,7 @@ def decay_exponent(
 def h_membership_bounded(
     points: Iterable[tuple[int, float]],
     s: float,
-    fit_range: tuple[int, int] | None = None,
+    fit_range: tuple[int, int],
 ) -> bool:
     """Desk-scale membership surrogate for the class with decay exponent s:
     r_n n^s must not grow across the fit range.  With the points in n order,
@@ -155,10 +155,8 @@ def h_membership_bounded(
     MEMBERSHIP_BOUND_FACTOR times the largest over the lower half (an odd
     middle point is in both), so a sequence that decays faster than n^-s is
     bounded and one that grows is not."""
-    pts = sorted(points)
-    if fit_range is not None:
-        lo, hi = fit_range
-        pts = [(n, r) for n, r in pts if lo <= n <= hi]
+    lo, hi = fit_range
+    pts = [(n, r) for n, r in sorted(points) if lo <= n <= hi]
     if not pts:
         raise ValueError("no points to test")
     weighted = [r * float(n) ** s for n, r in pts]

@@ -147,9 +147,9 @@ def two_cluster_table():
 def test_criterion_06_gap_asymptotics(two_cluster_table):
     v, table = two_cluster_table
     ok = all(r.converged for r in table.rows)
-    rep = hg.gamma_remainder(table, v, 1, 0.0, corrected=False, fit_range=(8, 64))
+    rep = hg.gamma_remainder(table, v, 1, 0.0, corrected=False)  # fit over n = 8..64
     ok = ok and rep.fitted_slope <= -0.3
-    rep_corr = hg.gamma_remainder(table, v, 1, 0.0, corrected=True, fit_range=(8, 64))
+    rep_corr = hg.gamma_remainder(table, v, 1, 0.0, corrected=True)
     pairs = zip(rep_corr.values, rep.values)
     frac = np.mean([1.0 if a <= b else 0.0 for a, b in pairs])
     ok = ok and frac >= 0.8
@@ -162,8 +162,8 @@ def test_criterion_06_gap_asymptotics(two_cluster_table):
 
 def test_criterion_07_mean_asymptotics(two_cluster_table):
     v, table = two_cluster_table
-    rep = hg.tau_remainder(table, v, 1, 0.0, fit_range=(8, 64))
-    ok = rep.fitted_slope <= -0.7
+    rep = hg.tau_remainder(table, v, 1, 0.0)  # every row converged: the fit is over n = 8..64
+    ok = all(r.converged for r in table.rows) and rep.fitted_slope <= -0.7
     record(7, f"pair-mean remainder slope {rep.fitted_slope:.2f} <= -0.7", ok)
 
 

@@ -19,7 +19,9 @@ from hillgap.eigensolver import (
     localization_radius,
     mark_converged,
 )
-from hillgap.seqspace import DecayFit, FourierSequence, rough_potential, weighted_norm
+from hillgap.seqspace import (
+    DecayFit, FourierSequence, decay_exponent, rough_potential, weighted_norm,
+)
 
 PI2 = math.pi**2
 TRIG = {2: 1.0, -2: 0.5, 4: 0.3, -4: 0.2j, 6: 0.1}
@@ -126,8 +128,6 @@ class TestTauRemainder:
         # the remainder class is a weighted-l2 statement, so single draws
         # wobble; the family-averaged remainder shows the predicted decay
         # and every draw passes the membership rule
-        from hillgap.seqspace import decay_exponent
-
         collected = {}
         for seed in range(4):
             v = rough_potential(1, 0.75, 510, 1.0, seed=seed)
@@ -166,8 +166,8 @@ class TestGammaRemainder:
         r1 = tab.row(1)
         assert abs(r1.gamma) == pytest.approx(2.0, abs=0.5)
         _, ctab = converge_truncation(v, 1, 32, K_start=128)
-        rep = gamma_remainder(ctab, v, 1, 0.0, fit_range=(2, 32))
-        assert rep.fitted_slope <= -0.4
+        rep = gamma_remainder(ctab, v, 1, 0.0)
+        assert decay_exponent(rep.pairs(), (2, 32)).slope <= -0.4
         assert rep.target_exponent == pytest.approx(0.5)
 
     def test_sign_resolution_swap_invariance(self, trig_table):

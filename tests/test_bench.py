@@ -20,7 +20,8 @@ GROUPS = {
     "localize_cost.py": {"census_m1", "census_m2", "census_m3"},
     "cli_process_cost.py": {"spectrum", "asymptotics", "riesz-check"},
 }
-CASES = set().union(*GROUPS.values())
+# criterion 09's table runs at K = 256 only
+CASES = set().union(*GROUPS.values()) | {"criterion09"}
 TREES = ("src", "baseline")
 
 
@@ -49,6 +50,13 @@ def test_stage_cost_at_small_size(doc):
         for r in tree["runs"]:
             assert {"wall_s", "cpu_s", "max_rss_mb", "exit"} <= set(r)
             assert r["exit"] == 0
+
+
+def test_criterion09_null_off_256(doc):
+    for name in TREES:
+        tree = doc[name]
+        assert tree["seconds"]["criterion09"] == {"48": None, "64": None}
+        assert tree["k_slope"]["criterion09"] == {"48-64": None}
 
 
 @pytest.mark.parametrize("script", sorted(GROUPS))

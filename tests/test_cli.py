@@ -343,7 +343,6 @@ class TestConfigHandling:
             (["localize", "--R", "nan"], None, "--R"),
             (["asymptotics", "--epsilon", "nan"], None, "--epsilon"),
             (["localize", "--C", "inf"], None, "--C"),
-            (["lemmas", "--debug-bound-scale", "nan"], None, "--debug-bound-scale"),
             (["spectrum"], {"alpha": "x"}, "'alpha'"),
             (["spectrum"], {"n_max": 2.5}, "'n_max'"),
             (["lemmas"], {"seed": "a"}, "'seed'"),
@@ -352,7 +351,7 @@ class TestConfigHandling:
             (["spectrum"], {"m": True}, "'m'"),
         ],
         ids=[
-            "R-nan", "epsilon-nan", "C-inf", "bound_scale-nan", "file-alpha-str",
+            "R-nan", "epsilon-nan", "C-inf", "file-alpha-str",
             "file-n_max-float", "file-seed-str", "file-K-float", "file-out-int",
             "file-m-bool",
         ],
@@ -392,6 +391,21 @@ class TestConfigHandling:
         assert code == 2
         assert "config error: --n-max 300 needs the window 1200" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "asymptotics"])
+    def test_auto_window_past_cap_exit_2_before_solve(self, tmp_path, trig_potential,
+                                                      monkeypatch, capsys, command):
+        # --K auto starts at max(32, 4 n_max) and confirms at twice that:
+        # n_max 129 needs the window 1032, so no --n-max above 128 can be confirmed
+        def solve(*args, **kwargs):
+            raise AssertionError("a window past the cap was solved")
+
+        monkeypatch.setattr(cli, "converge_truncation", solve)
+        monkeypatch.setattr(cli, "compute_pair_table", solve)
+        io = ["--potential", trig_potential, "--out", str(tmp_path / "o.csv")]
+        assert main([command, "--n-max", "129"] + io) == 2
+        assert "config error: --n-max 129 needs the window 1032" in capsys.readouterr().err
+        assert main([command, "--n-max", "128", "--print-config"] + io) == 0
+
 
 # every option: its flag, the value given, and the value the config holds
 OPTION_FLAGS = {
@@ -407,12 +421,11 @@ OPTION_FLAGS = {
     "format": ("--format", "json", "json"),
     "out": ("--out", "o.json", "o.json"),
     "potential": ("--potential", "p.json", "p.json"),
-    "bound_scale": ("--debug-bound-scale", "0.5", 0.5),
 }
 OPTION_DEFAULTS = {
     "m": 1, "alpha": 0.0, "K": "auto", "n_max": 16, "R": 1.0, "C": 1.1,
     "epsilon": 0.05, "seed": 0, "quad_nodes": 64, "format": "csv", "out": None,
-    "potential": None, "bound_scale": 1.0,
+    "potential": None,
 }
 
 
@@ -666,13 +679,16 @@ class TestLemmasCommand:
         assert any(r["check"] == "ext_hs" for r in rows)
         assert any(r["check"] == "vert_raw" for r in rows)
 
-    def test_corrupt_bound_exit_5(self, tmp_path):
+    def test_corrupt_bound_exit_5(self, tmp_path, monkeypatch):
+        from hillgap import lemmas
+
+        monkeypatch.setattr(lemmas, "ext_bound", lambda *args: 0.0)
         out = tmp_path / "lem.csv"
-        code = main(["lemmas", "--K", "32", "--n-max", "12",
-                     "--debug-bound-scale", "0.01", "--out", str(out)])
+        code = main(["lemmas", "--K", "32", "--n-max", "12", "--out", str(out)])
         assert code == 5
         _, rows, footer = read_csv(out)
         assert footer["failed"] is True
+        assert {r["check"] for r in rows if r["holds"] == "false"} == {"ext_hs"}
 
 
 class TestRieszCheckCommand:
@@ -857,8 +873,10 @@ class TestRieszCheckCommand:
     def test_strong_potential_lists_dense_contours(self, tmp_path, inv_calls):
         # the certificate refuses the low contours and pair rows, whose gaps
         # the potential overwhelms, and accepts the higher ones: one inverse of
-        # a certified band per refused pair row and per refused contour, one of
-        # the 2 x 2 block of each accepted contour, and none of the whole window
+        # a certified band per refused pair row, then one 2 x 2 inverse that
+        # scales the row's basis, one of a certified band per refused contour,
+        # one of the 2 x 2 block of each accepted contour, and none of the
+        # whole window
         pot = write_potential(tmp_path / "strong.json", STRONG)
         out = tmp_path / "rz.csv"
         main(["riesz-check", "--m", "1", "--K", "64", "--n-max", "16",
@@ -871,9 +889,10 @@ class TestRieszCheckCommand:
         # the lowest refused pairs leave their discs and are flagged
         refused = sorted(table.flagged) + list(table.unrefined)
         assert refused == list(range(1, 1 + len(refused))) and len(refused) < 16
-        assert 0 < len(dense) < len(rows) and len(shapes) == len(refused) + len(rows)
+        assert 0 < len(dense) < len(rows) and len(shapes) == 2 * len(refused) + len(rows)
         assert all(shape[0] < 128 for shape in shapes)
-        contours = shapes[len(refused):]  # the table is read before the contours
+        assert shapes[1 : 2 * len(refused) : 2] == [(2, 2)] * len(refused)
+        contours = shapes[2 * len(refused):]  # the table is read before the contours
         assert [n for n, shape in zip(range(2, 17), contours) if shape != (2, 2)] == dense
         assert dense == list(range(2, 2 + len(dense)))
         flags = {n: riesz.riesz_projector(low, riesz.ContourSpec(n=n, m=1)).dense

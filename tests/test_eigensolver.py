@@ -117,9 +117,8 @@ class TestPairing:
         assert not missing
 
     def test_overlap_config_error(self):
-        low = low_block(build_T(FourierSequence({}), 1, 16), 16)
         with pytest.raises(PairingConfigError):
-            pair_eigenvalues(low, lambda m, n: 1e6)
+            compute_pair_table(FourierSequence({}), 1, 16, lambda m, n: 1e6)
 
     def test_window_too_small(self):
         low = low_block(build_T(FourierSequence({}), 1, 8), 8)
@@ -134,10 +133,10 @@ class TestPairing:
         assert ref.rows
         for rr in ref.rows:
             c = (2 * rr.n - 1) ** 2 * PI2
-            raw = values[np.abs(values - c) < rr.disc_radius_used]
+            raw = values[np.abs(values - c) < contour_radius(1, rr.n)]
             assert len(raw) == 2
             assert abs(rr.lambda_lo - raw[0]) < 1e-6
-            assert abs(rr.lambda_lo - c) < rr.disc_radius_used
+            assert abs(rr.lambda_lo - c) < contour_radius(1, rr.n)
 
 
 class TestConvergeTruncation:

@@ -5,19 +5,19 @@ import pytest
 from conftest import build_A
 
 from hillgap.lemmas import (
-    ExtRegion,
     SpectrumCollisionError,
-    VertRegion,
     build_resolvent_factors,
     elementary_bounds_check,
     eq506_margin,
     ext_bound,
+    ext_boundary,
     factorization_residual,
     hs_norm_S,
     op_norm_S,
     resolvent_shifted_norm,
     vert_bound,
     vert_bound_combined,
+    vert_boundary,
     vert_min_n,
 )
 from hillgap.operator import (
@@ -40,7 +40,7 @@ class TestBuild:
         a = build_A(1, 2)
         want = np.diag([9 * PI2, PI2, PI2, 9 * PI2])
         assert np.allclose(a.matrix, want, rtol=0, atol=0)
-        assert list(a.modes) == [-3, -1, 1, 3]
+        assert list(modes(a.K)) == [-3, -1, 1, 3]
 
     def test_A_diagonal_general(self):
         for m in (1, 2, 3):
@@ -180,7 +180,7 @@ class TestExtBound:
             v_norm = weighted_norm(v, -m * alpha)
             for M in (4.0, 16.0):
                 bound = ext_bound(m, alpha, M, v_norm)
-                for lam in ExtRegion(M).boundary_points(16):
+                for lam in ext_boundary(M):
                     f = build_resolvent_factors(v, m, 16, lam)
                     assert hs_norm_S(f) <= bound
 
@@ -208,9 +208,8 @@ class TestVertBound:
         q = 2 * (2 * n - 1)
         raw = vert_bound(m, alpha, n, r_n, v_norm, (v(q), v(-q)))
         comb = vert_bound_combined(m, alpha, n, r_n, v_norm)
-        region = VertRegion(n=n, r_n=r_n, m=m)
         worst = 0.0
-        for lam in region.boundary_points(32):
+        for lam in vert_boundary(m, n, r_n):
             f = build_resolvent_factors(v, m, 32, lam)
             worst = max(worst, op_norm_S(f))
         assert worst <= raw
@@ -235,18 +234,16 @@ class TestElementaryBounds:
             assert rep.sup_b == pytest.approx(rep.sup_a, rel=1e-14)
 
     def test_sum_c_against_enumeration_oracle(self):
-        m, n, cutoff = 1, 10, 160
+        m, n, cutoff = 1, 10, 160  # the check sums |k| <= 16 n
         ks = [k for k in range(-cutoff, cutoff + 1) if abs(k) != n]
         direct = sum(1.0 / abs(k ** (2 * m) - n ** (2 * m)) for k in ks)
-        rep = elementary_bounds_check(m, 0.0, n, cutoff)
+        rep = elementary_bounds_check(m, 0.0, n)
         assert rep.sum_c >= direct  # tail only adds
         assert rep.sum_c == pytest.approx(direct, rel=0.05)
 
     def test_precondition(self):
         with pytest.raises(ValueError):
             elementary_bounds_check(3, 0.0, 2)
-        with pytest.raises(ValueError):
-            elementary_bounds_check(1, 0.0, 10, cutoff=100)
 
     def test_sweep_small(self):
         for m in (1, 2, 3):
@@ -257,10 +254,10 @@ class TestElementaryBounds:
 
 class TestEq506:
     def test_m1_n5(self):
-        assert eq506_margin(1, 5, samples=32, K=64) <= 1 + 1e-12
+        assert eq506_margin(1, 5, K=64) <= 1 + 1e-12
 
     def test_margin_below_one(self):
-        assert eq506_margin(1, 8, samples=16, K=32) <= 1.0
+        assert eq506_margin(1, 8, K=32) <= 1.0
 
     def test_threshold(self):
         with pytest.raises(ValueError):
@@ -268,7 +265,7 @@ class TestEq506:
 
     def test_resonant_modes_excluded(self):
         # the comparison is vacuous at k = +-(2n-1); margin must stay finite
-        assert math.isfinite(eq506_margin(1, 5, samples=8, K=16))
+        assert math.isfinite(eq506_margin(1, 5, K=16))
 
 
 class TestShiftedResolventNorm:
@@ -303,22 +300,25 @@ class TestShiftedResolventNorm:
 
 
 class TestRegions:
-    def test_ext_contains(self):
-        r = ExtRegion(4.0)
-        assert r.contains(-5.0 + 0j)
-        assert r.contains(1.0 + 6.0j)
-        assert not r.contains(0.0 + 1.0j)
-        for lam in r.boundary_points(16):
+    def test_ext_boundary_on_cone(self):
+        pts = ext_boundary(4.0)
+        assert -4.0 in pts  # the apex
+        for lam in pts:
             assert abs(lam.real - (abs(lam.imag) - 4.0)) < 1e-12
+        with pytest.raises(ValueError):
+            ext_boundary(0.5)
 
-    def test_vert_contains_boundary(self):
-        reg = VertRegion(n=5, r_n=9.0, m=1)
-        for lam in reg.boundary_points(32):
-            assert reg.contains(lam)
+    def test_vert_boundary_on_circle_or_edges(self):
+        c, half_width = 81 * PI2, 9 * PI2
+        pts = vert_boundary(1, 5, 9.0)
+        on_circle = np.isclose(np.abs(pts - c), 9.0, rtol=1e-12)
+        on_edge = np.isclose(np.abs(pts.real - c), half_width, rtol=1e-12)
+        assert on_circle.sum() == 16 and on_edge.sum() == 18
+        assert np.all(on_circle | (on_edge & (np.abs(pts - c) >= 9.0)))
 
     def test_vert_invariant(self):
         with pytest.raises(ValueError):
-            VertRegion(n=5, r_n=9.0**2 * PI2 * 10, m=1)
+            vert_boundary(1, 5, 9.0**2 * PI2 * 10)
 
 
 class TestExactDiagonal:
