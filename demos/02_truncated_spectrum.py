@@ -51,9 +51,10 @@ for r in table.rows[:5]:
     print(f"n={r.n}: tau-c = {r.d_tau.real:+.6e}   gamma = {abs(r.gamma):.3e}")
 
 # =============================================================================
-# Truncation control: double the window until the reported pairs stop moving.
+# Truncation control: double the window from 32 until the reported pairs
+# stop moving.
 
-K_final, table = converge_truncation(v, 1, n_max=8, tol=1e-9)
+K_final, table = converge_truncation(v, 1, n_max=8, K=32)
 print("converged window K =", K_final,
       "| all rows converged:", all(r.converged for r in table.rows))
 print("windows solved:", table.windows, "| stopped:", table.stop)

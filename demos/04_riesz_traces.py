@@ -50,7 +50,7 @@ print("quad tol           =", pair.quad_tol)
 # =============================================================================
 # The pair mean via traces agrees with the disc-paired eigenvalues.
 
-table = pair_eigenvalues(low)
+table = pair_eigenvalues(low, n_max=16)
 print("tau (trace route)      =", pair.tau)
 print("tau (eigensolver route) =", table.row(n).tau)
 print("|tau (trace) - tau (table)| =", abs(pair.tau - table.row(n).tau))

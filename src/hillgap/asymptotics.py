@@ -15,7 +15,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .seqspace import (
-    DecayFit,
     FourierSequence,
     decay_exponent,
     h_membership_bounded,
@@ -87,7 +86,6 @@ class RemainderReport:
     target_exponent: float
     fitted_slope: float
     bounded_flag: bool
-    exact_zero: bool
     n0_below_one: int | None = None
     unrefined: tuple[int, ...] = ()  # alpha1_experiment: rows read from the grown band
 
@@ -107,8 +105,8 @@ def _deviation(r: EigenPairRow) -> float:
     return max(abs(r.d_lo + r.v0), abs(r.d_hi + r.v0))
 
 
-def _fit(ns, values, target) -> tuple[DecayFit, bool]:
-    """Decay fit and membership flag over the rows from FIT_RANGE_START on."""
+def _fit(ns, values, target) -> tuple[float, bool]:
+    """Decay slope and membership flag over the rows from FIT_RANGE_START on."""
     points = list(zip(ns, values))
     fit_range = (min(FIT_RANGE_START, max(ns)), max(ns))
     return decay_exponent(points, fit_range), h_membership_bounded(points, target, fit_range)
@@ -129,8 +127,7 @@ def tau_remainder(
     ns = tuple(r.n for r in rows)
     values = tuple(abs(r.d_tau + (r.v0 - shift)) for r in rows)
     target = m * (1.0 - 2.0 * alpha) - epsilon
-    fit, bounded = _fit(ns, values, target)
-    return RemainderReport(ns, values, target, fit.slope, bounded, fit.exact_zero)
+    return RemainderReport(ns, values, target, *_fit(ns, values, target))
 
 
 def gamma_remainder(
@@ -163,8 +160,7 @@ def gamma_remainder(
         target = m * (1.0 - 2.0 * alpha) - epsilon
     else:
         target = m * (0.5 - alpha)
-    fit, bounded = _fit(ns, values, target)
-    return RemainderReport(ns, values, target, fit.slope, bounded, fit.exact_zero)
+    return RemainderReport(ns, values, target, *_fit(ns, values, target))
 
 
 def one_term_check(
@@ -181,15 +177,14 @@ def one_term_check(
     values = tuple(_deviation(r) / float(2 * r.n - 1) ** (m * alpha) for r in rows)
     bound = 3.0**m * math.sqrt(2.0) * C * R
     bounded = all(val <= bound for val in values)
-    fit, _ = _fit(ns, values, 0.0)
-    return RemainderReport(ns, values, 0.0, fit.slope, bounded, fit.exact_zero)
+    return RemainderReport(ns, values, 0.0, _fit(ns, values, 0.0)[0], bounded)
 
 
 def alpha1_experiment(
     v: FourierSequence,
     m: int,
     n_max: int,
-    K: int | None = None,
+    K: int,
 ) -> RemainderReport:
     """Limiting-scale experiment: ratios |lambda - center| / (2n-1)^m for a
     potential that is only required to have a finite h^{-m} norm.
@@ -200,8 +195,6 @@ def alpha1_experiment(
     """
     if not math.isfinite(weighted_norm(v, -float(m))):
         raise ValueError("potential must have a finite h^{-m} norm")
-    if K is None:
-        K = 4 * n_max
     table = compute_pair_table(
         v, m, K, radius_rule=lambda m, n: 3.0 * contour_radius(m, n), n_max=n_max
     )
@@ -214,14 +207,12 @@ def alpha1_experiment(
     for n, val in zip(ns, values):
         if val >= 1.0:
             n0 = n
-    fit = decay_exponent(list(zip(ns, values)), (min(ns), max(ns)))
     return RemainderReport(
         ns,
         values,
         float(m),
-        fit.slope,
+        decay_exponent(list(zip(ns, values)), (min(ns), max(ns))),
         bounded_flag=all(v < 1.0 for n, v in zip(ns, values) if n > n0),
-        exact_zero=fit.exact_zero,
         n0_below_one=n0,
         unrefined=table.unrefined,
     )

@@ -37,8 +37,6 @@ from .eigensolver import (
 from .operator import MAX_HALF_WINDOW, build_T
 from .seqspace import MIN_FIT_POINTS, FourierSequence, normalize_zero_mode
 
-RIESZ_AUTO_K = 128  # the smallest riesz-check window under --K auto
-
 TR_P_TOL = 1e-9
 Q0_TOL = 1e-9
 TAU_XCHECK_TOL = 1e-8
@@ -85,6 +83,24 @@ class RunConfig:
 
 OPTIONS = fields(RunConfig)[1:]  # every field but the command
 
+# the window each command solves under --K auto, from n_max; spectrum and
+# asymptotics start the doubling there and confirm at twice it
+AUTO_WINDOW = {
+    "spectrum": lambda n_max: max(32, 4 * n_max),
+    "asymptotics": lambda n_max: max(32, 4 * n_max),
+    "localize": lambda n_max: max(32, 4 * n_max),
+    "riesz-check": lambda n_max: max(128, 4 * n_max),
+    "alpha1": lambda n_max: 4 * n_max,
+    "lemmas": lambda n_max: 64,
+}
+DOUBLING = ("spectrum", "asymptotics")
+PAIRED = ("spectrum", "asymptotics", "riesz-check", "alpha1")  # need K >= 4 n_max
+
+
+def _window(cfg: RunConfig) -> int:
+    """The window the command solves: --K, or its AUTO_WINDOW."""
+    return cfg.K if isinstance(cfg.K, int) else AUTO_WINDOW[cfg.command](cfg.n_max)
+
 
 def _validate_config(cfg: RunConfig):
     if not isinstance(cfg.m, int) or cfg.m < 1:
@@ -98,16 +114,15 @@ def _validate_config(cfg: RunConfig):
             )
     if cfg.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {cfg.n_max}")
-    paired = cfg.command in ("spectrum", "asymptotics", "riesz-check", "alpha1")
-    K = _riesz_window(cfg) if cfg.command == "riesz-check" else cfg.K
-    if K == "auto" and cfg.command in ("spectrum", "asymptotics"):
-        K = 2 * max(32, 4 * cfg.n_max)  # converge_truncation's first confirming window
-    if paired and isinstance(K, int) and K < 4 * cfg.n_max:
+    K = _window(cfg)
+    if cfg.command in PAIRED and K < 4 * cfg.n_max:
         raise ConfigError(
             f"--K {K} too small for --n-max {cfg.n_max}: modes within a factor "
             "4 of the window edge are truncation-polluted (need K >= 4 n_max)"
         )
-    if paired and isinstance(K, int) and K > MAX_HALF_WINDOW:
+    if cfg.K == "auto" and cfg.command in DOUBLING:
+        K = 2 * K  # the first confirming window
+    if K > MAX_HALF_WINDOW:
         raise ConfigError(
             f"--n-max {cfg.n_max} needs the window {K}, past the largest window {MAX_HALF_WINDOW}"
         )
@@ -244,8 +259,7 @@ def write_table(cfg: RunConfig, columns, rows, footer=None, exponents=None):
 
 def _spectrum_table(cfg: RunConfig, v: FourierSequence):
     if cfg.K == "auto":
-        _, table = converge_truncation(v, cfg.m, cfg.n_max)
-        return table
+        return converge_truncation(v, cfg.m, cfg.n_max, _window(cfg))[1]
     # one solve: each row's truncation bar, read off it, sets its converged flag
     return compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max, bars=True)
 
@@ -352,8 +366,7 @@ def run_localize(cfg: RunConfig) -> int:
     from .localization import localization_report
 
     v = load_potential(cfg.potential)
-    K = cfg.K if isinstance(cfg.K, int) else max(32, 4 * cfg.n_max)
-    report = localization_report(v, cfg.m, cfg.alpha, cfg.R, cfg.C, K)
+    report = localization_report(v, cfg.m, cfg.alpha, cfg.R, cfg.C, _window(cfg))
     rows = [
         [d.n, d.radius, d.hits, d.max_deviation, d.hits == 2]
         for d in report.disc_rows
@@ -372,7 +385,7 @@ def run_localize(cfg: RunConfig) -> int:
 def run_lemmas(cfg: RunConfig) -> int:
     from . import lemmas
 
-    return lemmas.run_lemmas(cfg)
+    return lemmas.run_lemmas(cfg, _window(cfg))
 
 
 RIESZ_COLUMNS = [
@@ -381,15 +394,11 @@ RIESZ_COLUMNS = [
 ]
 
 
-def _riesz_window(cfg: RunConfig) -> int:
-    return cfg.K if isinstance(cfg.K, int) else max(RIESZ_AUTO_K, 4 * cfg.n_max)
-
-
 def run_riesz_check(cfg: RunConfig) -> int:
     from . import riesz
 
     v, _ = normalize_zero_mode(load_potential(cfg.potential))
-    K = _riesz_window(cfg)
+    K = _window(cfg)
     low = low_block(build_T(v, cfg.m, K), cfg.n_max)
     table = pair_eigenvalues(low, n_max=cfg.n_max)
 
@@ -438,8 +447,8 @@ def run_alpha1(cfg: RunConfig) -> int:
 
     v = load_potential(cfg.potential)
     _require_fit_rows(cfg, 1, v.is_zero())
-    K = cfg.K if isinstance(cfg.K, int) else 4 * cfg.n_max
-    report = asymptotics.alpha1_experiment(v, cfg.m, cfg.n_max, K=K)
+    K = _window(cfg)
+    report = asymptotics.alpha1_experiment(v, cfg.m, cfg.n_max, K)
     rows = [[n, val] for n, val in report.pairs()]
     footer = {
         "K": K,

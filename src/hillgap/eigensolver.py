@@ -543,17 +543,14 @@ def _pair_rows(low: LowBlock, ns: np.ndarray, radii: np.ndarray):
     return d, gamma, found, tuple(int(n) for n in ns[~ok]), g, u
 
 
-def _pair_table(low: LowBlock, radius_rule, n_max: int | None):
-    """The table of the pairs n <= n_max (default K/4, the trusted quarter
-    of the window) of a low block, each pair's 2 x 2 block G (N, 2, 2) and
-    its right basis in the low block (2j, N, 2) for _truncation_bars.  A
-    disc of radius radius_rule(m, n) around center(m, n) holding exactly two
+def _pair_table(low: LowBlock, radius_rule, n_max: int):
+    """The table of the pairs n <= n_max of a low block, each pair's 2 x 2
+    block G (N, 2, 2) and its right basis in the low block (2j, N, 2) for
+    _truncation_bars.  A disc of radius radius_rule(m, n) around center(m, n) holding exactly two
     eigenvalues (_pair_rows) becomes a row without zero mode, anything else
     is flagged with its count.  A disc that reaches low.complete_below, past
     which the solve left eigenvalues out, raises SolverError."""
     m, K = low.op.m, low.op.K
-    if n_max is None:
-        n_max = K // 4
     if K < 4 * n_max:
         raise PairingConfigError(
             f"window K = {K} too small for n_max = {n_max} (need K >= 4 n_max)"
@@ -579,9 +576,9 @@ def _pair_table(low: LowBlock, radius_rule, n_max: int | None):
     return EigenPairTable(m, K, rows, flagged, unrefined=unrefined), g, u
 
 
-def pair_eigenvalues(low: LowBlock, n_max: int | None = None) -> EigenPairTable:
-    """Pair table n <= n_max (default K/4) of a low block, each pair read
-    in the disc of radius contour_radius(m, n) (_pair_table)."""
+def pair_eigenvalues(low: LowBlock, n_max: int) -> EigenPairTable:
+    """Pair table n <= n_max of a low block, each pair read in the disc of
+    radius contour_radius(m, n) (_pair_table)."""
     return _pair_table(low, contour_radius, n_max)[0]
 
 
@@ -594,9 +591,10 @@ def compute_pair_table(
     bars: bool = False,
 ) -> EigenPairTable:
     """Spectrum pipeline: split off the zero mode, cut the truncated
-    operator for the pairs n <= n_max (default K/4) and read each pair from
-    the low block, with no eigendecomposition of it; the rows carry the zero
-    mode.  With bars, _truncation_bars sets the converged flags."""
+    operator for the pairs n <= n_max (default K/4, the trusted quarter of
+    the window) and read each pair from the low block, with no
+    eigendecomposition of it; the rows carry the zero mode.  With bars,
+    _truncation_bars sets the converged flags."""
     v_norm, v0 = normalize_zero_mode(v)
     if n_max is None:
         n_max = K // 4
@@ -691,14 +689,12 @@ def _truncation_bars(table: EigenPairTable, v: FourierSequence, low: LowBlock,
     return replace(table, rows=rows)
 
 
-def mark_converged(
-    table: EigenPairTable, reference: EigenPairTable, tol: float = CONVERGENCE_TOL
-) -> EigenPairTable:
+def mark_converged(table: EigenPairTable, reference: EigenPairTable) -> EigenPairTable:
     """Flag each row of table converged when the offsets of the same pair
-    in reference (the table at another window) lie within tol.  Rows
-    missing from reference are unconverged.  Pairs are compared as sets:
-    the lexicographic label assignment of a near-degenerate pair may flip
-    between windows without the values themselves moving."""
+    in reference (the table at another window) lie within CONVERGENCE_TOL.
+    Rows missing from reference are unconverged.  Pairs are compared as
+    sets: the lexicographic label assignment of a near-degenerate pair may
+    flip between windows without the values themselves moving."""
     rows = []
     for r in table.rows:
         try:
@@ -708,35 +704,23 @@ def mark_converged(
             continue
         direct = max(abs(r.d_lo - p.d_lo), abs(r.d_hi - p.d_hi))
         crossed = max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo))
-        rows.append(replace(r, converged=bool(min(direct, crossed) < tol)))
+        rows.append(replace(r, converged=bool(min(direct, crossed) < CONVERGENCE_TOL)))
     return replace(table, rows=tuple(rows), flagged=dict(table.flagged))
 
 
-def converge_truncation(
-    v: FourierSequence,
-    m: int,
-    n_max: int,
-    tol: float = CONVERGENCE_TOL,
-    K_start: int | None = None,
-    K_cap: int = MAX_HALF_WINDOW,
-) -> tuple[int, EigenPairTable]:
-    """Double the window until every paired eigenvalue with n <= n_max moves
-    less than tol between consecutive windows; rows still moving when the
-    window cap is reached stay flagged unconverged.  The table records the
-    windows solved and why the doubling stopped ("converged" or "cap")."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    K = K_start if K_start is not None else max(32, 4 * n_max)
-    if K < 4 * n_max:
-        raise PairingConfigError(f"K_start = {K} too small for n_max = {n_max}")
-
+def converge_truncation(v: FourierSequence, m: int, n_max: int, K: int) -> tuple[int, EigenPairTable]:
+    """Double the window from the caller's K until every paired eigenvalue
+    with n <= n_max moves less than CONVERGENCE_TOL between consecutive
+    windows (mark_converged); rows still moving when the next window would
+    pass MAX_HALF_WINDOW stay unconverged.  The final window and its table,
+    which records the windows solved and why the doubling stopped
+    ("converged" or "cap")."""
     table = compute_pair_table(v, m, K, n_max=n_max)
     windows, stop = [K], "cap"
-    while 2 * K <= K_cap:
+    while 2 * K <= MAX_HALF_WINDOW:
         K = 2 * K
         windows.append(K)
-        finer = compute_pair_table(v, m, K, n_max=n_max)
-        table = mark_converged(finer, table, tol)
+        table = mark_converged(compute_pair_table(v, m, K, n_max=n_max), table)
         if table.rows and all(r.converged for r in table.rows):
             stop = "converged"
             break

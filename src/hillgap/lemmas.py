@@ -154,9 +154,6 @@ def vert_bound_combined(
 
 @dataclass(frozen=True)
 class ElementaryBoundsReport:
-    m: int
-    alpha: float
-    n: int
     sup_a: float
     bound_a: float
     sup_b: float
@@ -221,9 +218,7 @@ def elementary_bounds_check(m: int, alpha: float, n: int) -> ElementaryBoundsRep
     all_hold = (
         sup_a <= bound_a * slack and sup_b <= bound_b * slack and sum_c <= bound_c * slack
     )
-    return ElementaryBoundsReport(
-        m, alpha, n, sup_a, bound_a, sup_b, bound_b, sum_c, bound_c, all_hold
-    )
+    return ElementaryBoundsReport(sup_a, bound_a, sup_b, bound_b, sum_c, bound_c, all_hold)
 
 
 def eq506_margin(m: int, n: int, K: int = 64) -> float:
@@ -302,8 +297,8 @@ def _lemma_potential(m: int, alpha: float, seed: int, K: int) -> FourierSequence
     return rough_potential(m, alpha, 4 * K - 2, radius=1.0, seed=seed)
 
 
-def run_lemmas(cfg: RunConfig) -> int:
-    K = cfg.K if isinstance(cfg.K, int) else 64
+def run_lemmas(cfg: RunConfig, K: int) -> int:
+    """The lemma sweep of the `lemmas` command on the window K."""
     rows = []
     failed = False
 
@@ -385,7 +380,7 @@ def run_lemmas(cfg: RunConfig) -> int:
             flat.append(
                 (n, resolvent_shifted_norm(m, lam, 1.0, -1.0, q, -q, K))
             )
-        slope = decay_exponent(decay, (ns[0], ns[-1])).slope
+        slope = decay_exponent(decay, (ns[0], ns[-1]))
         add("shifted_decay_slope", m, "", 0, abs(slope + m), 0.3)
         vals = [x for _, x in flat]
         add("shifted_flat_ratio", m, "", 0, max(vals) / min(vals), 10.0)

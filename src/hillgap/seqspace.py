@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "weighted_norm",
     "normalize_zero_mode",
     "rough_potential",
-    "DecayFit",
     "decay_exponent",
     "h_membership_bounded",
 ]
@@ -114,17 +113,12 @@ def rough_potential(
     return FourierSequence({k: radius / norm * val for k, val in v.coeffs.items()}) if norm else v
 
 
-class DecayFit(NamedTuple):
-    slope: float
-    exact_zero: bool
-
-
 def decay_exponent(
     points: Iterable[tuple[int, float]], fit_range: tuple[int, int]
-) -> DecayFit:
+) -> float:
     """Least-squares slope of log r_n against log n over n in fit_range.
 
-    An all-zero sequence is flagged exact with slope -inf.  Otherwise at
+    An all-zero sequence (an exact zero) has slope -inf.  Otherwise at
     least MIN_FIT_POINTS strictly positive points are required.
     """
     lo, hi = fit_range
@@ -132,7 +126,7 @@ def decay_exponent(
     if not sel:
         raise ValueError(f"no points inside the fit range [{lo}, {hi}]")
     if all(r == 0.0 for _, r in sel):
-        return DecayFit(-math.inf, True)
+        return -math.inf
     pos = [(n, r) for n, r in sel if r > 0.0]
     if len(pos) < MIN_FIT_POINTS:
         raise ValueError(
@@ -141,7 +135,7 @@ def decay_exponent(
     x = np.log([float(n) for n, _ in pos])
     y = np.log([r for _, r in pos])
     slope, _ = np.polyfit(x, y, 1)
-    return DecayFit(float(slope), False)
+    return float(slope)
 
 
 def h_membership_bounded(

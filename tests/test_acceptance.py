@@ -28,7 +28,7 @@ def table_with_flags(v, m, K, n_max):
     doubled window."""
     base = hg.compute_pair_table(v, m, K, n_max=n_max)
     confirm = hg.compute_pair_table(v, m, 2 * K, n_max=n_max)
-    return hg.mark_converged(base, confirm, 1e-9)
+    return hg.mark_converged(base, confirm)
 
 
 def test_criterion_01_unperturbed_spectrum():

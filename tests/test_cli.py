@@ -384,27 +384,38 @@ class TestConfigHandling:
         assert code == 2
         assert "config error: --K 128 too small" in capsys.readouterr().err
 
-    def test_riesz_auto_window_past_cap_exit_2_before_io(self, tmp_path, capsys):
-        # --K auto at riesz-check is max(128, 4 n_max): 1200 for n_max 300
-        code = main(["riesz-check", "--n-max", "300", "--potential", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert "config error: --n-max 300 needs the window 1200" in capsys.readouterr().err
+    # the first --n-max whose --K auto window (doubled where the doubling
+    # confirms it) passes the largest window, and that window; None: the
+    # window does not grow with n_max
+    FIRST_REFUSED = {
+        "spectrum": (129, 1032), "asymptotics": (129, 1032), "riesz-check": (257, 1028),
+        "localize": (257, 1028), "alpha1": (257, 1028), "lemmas": None,
+    }
 
-    @pytest.mark.parametrize("command", ["spectrum", "asymptotics"])
+    @pytest.mark.parametrize("command", list(cli.HANDLERS))
     def test_auto_window_past_cap_exit_2_before_solve(self, tmp_path, trig_potential,
                                                       monkeypatch, capsys, command):
-        # --K auto starts at max(32, 4 n_max) and confirms at twice that:
-        # n_max 129 needs the window 1032, so no --n-max above 128 can be confirmed
+        # every command's --K auto window is checked before the potential is
+        # read: past the cap it exits 2 whether or not the file exists
         def solve(*args, **kwargs):
             raise AssertionError("a window past the cap was solved")
 
-        monkeypatch.setattr(cli, "converge_truncation", solve)
-        monkeypatch.setattr(cli, "compute_pair_table", solve)
-        io = ["--potential", trig_potential, "--out", str(tmp_path / "o.csv")]
-        assert main([command, "--n-max", "129"] + io) == 2
-        assert "config error: --n-max 129 needs the window 1032" in capsys.readouterr().err
-        assert main([command, "--n-max", "128", "--print-config"] + io) == 0
+        for name in ("converge_truncation", "compute_pair_table", "build_T"):
+            monkeypatch.setattr(cli, name, solve)
+        monkeypatch.setattr("hillgap.localization.localization_report", solve)
+        monkeypatch.setattr(asymptotics, "alpha1_experiment", solve)
+        out = ["--out", str(tmp_path / "o.csv")]
+        refused = self.FIRST_REFUSED[command]
+        if refused is None:  # lemmas: the window 64 at any n_max
+            assert main([command, "--n-max", "100000", "--print-config"] + out) == 0
+            return
+        n_max, window = refused
+        for pot in (trig_potential, str(tmp_path / "nope.json")):
+            assert main([command, "--n-max", str(n_max), "--potential", pot] + out) == 2
+            assert (f"config error: --n-max {n_max} needs the window {window}, past the "
+                    f"largest window {MAX_HALF_WINDOW}") in capsys.readouterr().err
+        assert main([command, "--n-max", str(n_max - 1), "--print-config",
+                     "--potential", trig_potential] + out) == 0
 
 
 # every option: its flag, the value given, and the value the config holds

@@ -68,7 +68,7 @@ class TestEigenvalues:
     def test_hermitian_path_real_output(self):
         # the pair rows of the whole window of a Hermitian T are exactly real
         v = rough_potential(1, 0.0, 32, 1.0, seed=7, hermitian=True)
-        tab = pair_eigenvalues(low_block(build_T(v, 1, 12), 12))
+        tab = pair_eigenvalues(low_block(build_T(v, 1, 12), 12), n_max=3)
         assert tab.rows and tab.flagged == {}
         assert all(r.d_tau.imag == 0 and r.gamma.imag == 0 for r in tab.rows)
 
@@ -112,7 +112,7 @@ class TestPairing:
 
     def test_all_rows_present_for_small_real_potential(self):
         v = rough_potential(1, 0.0, 60, 1.0, seed=2, hermitian=True)
-        tab = pair_eigenvalues(low_block(build_T(v, 1, 32), 32))
+        tab = pair_eigenvalues(low_block(build_T(v, 1, 32), 32), n_max=8)
         missing = [n for n in range(2, 9) if n in tab.flagged]
         assert not missing
 
@@ -128,7 +128,7 @@ class TestPairing:
     def test_refinement_stays_in_disc(self):
         v = FourierSequence({2: 1.0, -2: 1.0, 6: 1.0, -6: 1.0})
         op = build_T(v, 1, 32)
-        ref = pair_eigenvalues(low_block(op, 32))
+        ref = pair_eigenvalues(low_block(op, 32), n_max=8)
         values = window_spectrum(op)
         assert ref.rows
         for rr in ref.rows:
@@ -141,32 +141,38 @@ class TestPairing:
 
 class TestConvergeTruncation:
     def test_zero_potential_converges_immediately(self):
-        K, tab = converge_truncation(FourierSequence({}), 1, 4)
+        K, tab = converge_truncation(FourierSequence({}), 1, 4, 32)
         assert K <= 64
         assert all(r.converged for r in tab.rows)
 
     def test_trig_polynomial(self):
         v = FourierSequence({2: 1.0, -2: 1.0})
-        K, tab = converge_truncation(v, 1, 10)
+        K, tab = converge_truncation(v, 1, 10, 40)
         assert K <= 128
         assert all(r.converged for r in tab.rows)
         assert len(tab.rows) >= 9  # n = 1 may sit on the disc edge
 
-    def test_cap_flags_unconverged(self):
+    def test_cap_flags_unconverged(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "CONVERGENCE_TOL", 1e-300)
+        monkeypatch.setattr(eigensolver, "MAX_HALF_WINDOW", 32)
         v = rough_potential(1, 0.0, 40, 1.0, seed=5)
-        K, tab = converge_truncation(v, 1, 4, tol=1e-300, K_cap=32)
+        K, tab = converge_truncation(v, 1, 4, 32)
         assert K == 32
         assert all(not r.converged for r in tab.rows)
         assert tab.stop == "cap"
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_converged_rows_match_oracle(self, feshbach_pair, m):
-        # a converged flag compares two windows' solves; each flagged row
-        # must also lie within the tolerance of the exact pair of its window
-        K, tab = converge_truncation(FourierSequence(TRIG), m, 4)
-        assert [r.converged for r in tab.rows] == [True] * 4
-        for r in tab.rows:
-            lo, hi = feshbach_pair(TRIG, m, K, r.n, (r.d_lo, r.d_hi))
+        # on a complex potential the doubling from the window 32 stops on its
+        # own verdict; a converged flag compares two windows' solves, and each
+        # flagged row must also lie within the tolerance of the exact pair of
+        # the final window
+        K, tab = converge_truncation(FourierSequence(TRIG), m, 8, 32)
+        assert tab.stop == "converged"
+        assert [r.converged for r in tab.rows] == [True] * 8
+        for n in (1, 2, 3, 4, 8):
+            r = tab.row(n)
+            lo, hi = feshbach_pair(TRIG, m, K, n, (r.d_lo, r.d_hi))
             assert max(abs(r.d_lo - lo), abs(r.d_hi - hi)) < CONVERGENCE_TOL
 
 
@@ -253,7 +259,7 @@ class TestTruncationBars:
         # only the fixed-K verdict forms bars; auto windows compare tables
         v = FourierSequence(TRIG)
         assert all(r.bar is None for r in compute_pair_table(v, 1, 32, n_max=8).rows)
-        _, auto = converge_truncation(v, 1, 8)
+        _, auto = converge_truncation(v, 1, 8, 32)
         assert all(r.bar is None for r in auto.rows)
 
 
@@ -471,7 +477,7 @@ class TestBatchedRefinement:
         v = self.POTENTIALS[name](m)
         op = build_T(v, m, 64)
         for low in (low_block(op, 64), low_block(op, 16)):
-            tab = pair_eigenvalues(low)
+            tab = pair_eigenvalues(low, n_max=16)
             assert len(tab.rows) == 16 and tab.unrefined == ()
             for row in tab.rows:
                 d, s = per_pair_reference(op, row.n)
@@ -587,7 +593,7 @@ class TestNoDenseSolves:
                     patch.setattr(np.linalg, name, forbidden)
                 tab = compute_pair_table(v, 1, 64)
                 assert len(tab.rows) >= 12
-                K, conv = converge_truncation(v, 1, 8)
+                K, conv = converge_truncation(v, 1, 8, 32)
                 assert all(r.converged for r in conv.rows)
                 if "inv" not in kernels:
                     pair = riesz_projector(low_block(build_T(v, 1, 64), 4), ContourSpec(n=4, m=1))

@@ -249,7 +249,7 @@ class TestTauFromTraces:
         for seed in (3, 4):
             v = rough_potential(1, 0.0, 40, 0.8, seed=seed)
             low = low_block(build_T(v, 1, 32), 32)
-            table = pair_eigenvalues(low)
+            table = pair_eigenvalues(low, n_max=8)
             for n in (2, 4, 6):
                 res = riesz_projector(low, ContourSpec(n=n, m=1))
                 tau_eig = table.row(n).tau
