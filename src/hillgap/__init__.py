@@ -25,7 +25,7 @@ _EXPORTS = {  # submodule: the names the root exports from it
     "lemmas": ("SpectrumCollisionError", "elementary_bounds_check", "factorization_residual"),
     "eigensolver": (
         "compute_pair_table", "converge_truncation", "correction_values",
-        "localization_radius", "low_block", "mark_converged", "pair_eigenvalues",
+        "localization_radius", "low_block", "pair_eigenvalues",
     ),
     "localization": ("localization_report",),
     "riesz": ("ContourSpec", "q0_closed_form", "q0_matrix", "riesz_projector", "script_S_2x2"),

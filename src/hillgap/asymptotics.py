@@ -21,7 +21,9 @@ from .seqspace import (
     normalize_zero_mode,
     weighted_norm,
 )
-from .eigensolver import EigenPairRow, EigenPairTable, compute_pair_table, correction_values
+from .eigensolver import (
+    CONVERGENCE_TOL, EigenPairRow, EigenPairTable, compute_pair_table, correction_values,
+)
 from .operator import center, contour_radius
 
 __all__ = [
@@ -96,7 +98,12 @@ class RemainderReport:
 def _converged_rows(table: EigenPairTable):
     rows = [r for r in table.rows if r.converged]
     if not rows:
-        raise ValueError("no converged rows in the pair table")
+        bars = [r.bar for r in table.rows if r.bar is not None]
+        worst = f"the largest truncation bar {max(bars):.2g}" if bars else "no truncation bar"
+        raise ValueError(
+            f"no converged rows in the pair table at K = {table.K}: its {len(table.rows)} "
+            f"rows carry {worst}, against CONVERGENCE_TOL = {CONVERGENCE_TOL:g}"
+        )
     return rows
 
 

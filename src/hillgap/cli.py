@@ -84,16 +84,15 @@ class RunConfig:
 OPTIONS = fields(RunConfig)[1:]  # every field but the command
 
 # the window each command solves under --K auto, from n_max; spectrum and
-# asymptotics start the doubling there and confirm at twice it
+# asymptotics start the doubling there
 AUTO_WINDOW = {
-    "spectrum": lambda n_max: max(32, 4 * n_max),
-    "asymptotics": lambda n_max: max(32, 4 * n_max),
+    "spectrum": lambda n_max: max(64, 8 * n_max),
+    "asymptotics": lambda n_max: max(64, 8 * n_max),
     "localize": lambda n_max: max(32, 4 * n_max),
     "riesz-check": lambda n_max: max(128, 4 * n_max),
     "alpha1": lambda n_max: 4 * n_max,
     "lemmas": lambda n_max: 64,
 }
-DOUBLING = ("spectrum", "asymptotics")
 PAIRED = ("spectrum", "asymptotics", "riesz-check", "alpha1")  # need K >= 4 n_max
 
 
@@ -120,8 +119,6 @@ def _validate_config(cfg: RunConfig):
             f"--K {K} too small for --n-max {cfg.n_max}: modes within a factor "
             "4 of the window edge are truncation-polluted (need K >= 4 n_max)"
         )
-    if cfg.K == "auto" and cfg.command in DOUBLING:
-        K = 2 * K  # the first confirming window
     if K > MAX_HALF_WINDOW:
         raise ConfigError(
             f"--n-max {cfg.n_max} needs the window {K}, past the largest window {MAX_HALF_WINDOW}"
@@ -258,20 +255,19 @@ def write_table(cfg: RunConfig, columns, rows, footer=None, exponents=None):
 # ---------------------------------------------------------------------------
 
 def _spectrum_table(cfg: RunConfig, v: FourierSequence):
+    # each row's truncation bar, read off the solve, sets its converged flag
     if cfg.K == "auto":
         return converge_truncation(v, cfg.m, cfg.n_max, _window(cfg))[1]
-    # one solve: each row's truncation bar, read off it, sets its converged flag
     return compute_pair_table(v, cfg.m, cfg.K, n_max=cfg.n_max, bars=True)
 
 
 def _verdict(table) -> dict:
-    """What set the converged flags: under --K auto the window compared
-    against, the windows solved and why the doubling stopped; for a fixed
-    --K the largest truncation bar."""
+    """What set the converged flags: the largest truncation bar, and under
+    --K auto the windows solved and why the doubling stopped."""
+    verdict = {"max_trunc_bar": fmt(float(np.max([r.bar for r in table.rows], initial=0.0)))}
     if table.stop:
-        confirm_K = table.windows[-2] if len(table.windows) > 1 else None
-        return {"confirm_K": confirm_K, "windows": list(table.windows), "stop": table.stop}
-    return {"max_trunc_bar": fmt(float(np.max([r.bar for r in table.rows], initial=0.0)))}
+        verdict.update(windows=list(table.windows), stop=table.stop)
+    return verdict
 
 
 SPECTRUM_COLUMNS = [

@@ -23,11 +23,11 @@ through the pair rows.  Nothing eigendecomposes the window: the only
 eigenvalue solves are eigvals of a shift-inverted band (_shift_poles) and,
 in localization.py, of the band that holds the cone.
 
-A fixed window's converged flags come from _truncation_bars, read off the
-same solve: the first-order Schur term of the modes past the window that
-B(v) couples to it, on each pair's block, through the pair's basis lifted
-from the low block.  converge_truncation instead compares the tables of
-doubling windows.
+A window's converged flags come from _truncation_bars, read off the same
+solve: the first-order Schur term of the modes past the window that B(v)
+couples to it, on each pair's block, through the pair's basis lifted from
+the low block.  converge_truncation doubles the window until every row's
+bar is below CONVERGENCE_TOL.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "low_block",
     "pair_eigenvalues",
     "compute_pair_table",
-    "mark_converged",
     "converge_truncation",
     "correction_values",
     "localization_radius",
@@ -333,7 +332,7 @@ class EigenPairRow:
     split off before the solve; d_lo, d_hi and the absolute values derive
     from them, and gamma (_pair_split) keeps its digits below ulp(d_tau).
     bar is the truncation bar that set converged (_truncation_bars), None
-    when another window's table set it."""
+    on a table read without bars."""
 
     n: int
     center: float
@@ -689,39 +688,18 @@ def _truncation_bars(table: EigenPairTable, v: FourierSequence, low: LowBlock,
     return replace(table, rows=rows)
 
 
-def mark_converged(table: EigenPairTable, reference: EigenPairTable) -> EigenPairTable:
-    """Flag each row of table converged when the offsets of the same pair
-    in reference (the table at another window) lie within CONVERGENCE_TOL.
-    Rows missing from reference are unconverged.  Pairs are compared as
-    sets: the lexicographic label assignment of a near-degenerate pair may
-    flip between windows without the values themselves moving."""
-    rows = []
-    for r in table.rows:
-        try:
-            p = reference.row(r.n)
-        except KeyError:
-            rows.append(replace(r, converged=False))
-            continue
-        direct = max(abs(r.d_lo - p.d_lo), abs(r.d_hi - p.d_hi))
-        crossed = max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo))
-        rows.append(replace(r, converged=bool(min(direct, crossed) < CONVERGENCE_TOL)))
-    return replace(table, rows=tuple(rows), flagged=dict(table.flagged))
-
-
 def converge_truncation(v: FourierSequence, m: int, n_max: int, K: int) -> tuple[int, EigenPairTable]:
-    """Double the window from the caller's K until every paired eigenvalue
-    with n <= n_max moves less than CONVERGENCE_TOL between consecutive
-    windows (mark_converged); rows still moving when the next window would
-    pass MAX_HALF_WINDOW stay unconverged.  The final window and its table,
-    which records the windows solved and why the doubling stopped
-    ("converged" or "cap")."""
-    table = compute_pair_table(v, m, K, n_max=n_max)
-    windows, stop = [K], "cap"
-    while 2 * K <= MAX_HALF_WINDOW:
-        K = 2 * K
+    """Double the window from the caller's K, one solve with bars each,
+    until every paired eigenvalue with n <= n_max has its truncation bar
+    below CONVERGENCE_TOL, or the next window would pass MAX_HALF_WINDOW.
+    The final window and its table, which records the windows solved and
+    why the doubling stopped ("converged" or "cap")."""
+    windows = []
+    while True:
+        table = compute_pair_table(v, m, K, n_max=n_max, bars=True)
         windows.append(K)
-        table = mark_converged(compute_pair_table(v, m, K, n_max=n_max), table)
-        if table.rows and all(r.converged for r in table.rows):
-            stop = "converged"
+        converged = bool(table.rows) and all(r.converged for r in table.rows)
+        if converged or 2 * K > MAX_HALF_WINDOW:
             break
-    return K, replace(table, windows=tuple(windows), stop=stop)
+        K = 2 * K
+    return K, replace(table, windows=tuple(windows), stop="converged" if converged else "cap")

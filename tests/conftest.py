@@ -1,11 +1,12 @@
 import functools
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from hillgap.eigensolver import ORDER_TOL_SCALE
+from hillgap.eigensolver import CONVERGENCE_TOL, ORDER_TOL_SCALE, EigenPairTable
 from hillgap.operator import TruncatedOperator, unperturbed_eigenvalues
 from hillgap.seqspace import FourierSequence
 
@@ -50,6 +51,25 @@ def window_spectrum(op):
     of T: a reference spectrum that shares no code with the low block or the
     pair route."""
     return lex_sorted(np.linalg.eigvals(op.matrix))
+
+
+def mark_converged(table: EigenPairTable, reference: EigenPairTable) -> EigenPairTable:
+    """Flag each row of table converged when the offsets of the same pair
+    in reference (the table at another window) lie within CONVERGENCE_TOL.
+    Rows missing from reference are unconverged.  Pairs are compared as
+    sets: the lexicographic label assignment of a near-degenerate pair may
+    flip between windows without the values themselves moving."""
+    rows = []
+    for r in table.rows:
+        try:
+            p = reference.row(r.n)
+        except KeyError:
+            rows.append(replace(r, converged=False))
+            continue
+        direct = max(abs(r.d_lo - p.d_lo), abs(r.d_hi - p.d_hi))
+        crossed = max(abs(r.d_lo - p.d_hi), abs(r.d_hi - p.d_lo))
+        rows.append(replace(r, converged=bool(min(direct, crossed) < CONVERGENCE_TOL)))
+    return replace(table, rows=tuple(rows), flagged=dict(table.flagged))
 
 
 @functools.lru_cache(maxsize=None)

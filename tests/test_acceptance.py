@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import l_direct, window_spectrum, with_entry
+from conftest import l_direct, mark_converged, window_spectrum, with_entry
 
 import hillgap as hg
 from hillgap.cli import main as cli_main
@@ -28,7 +28,7 @@ def table_with_flags(v, m, K, n_max):
     doubled window."""
     base = hg.compute_pair_table(v, m, K, n_max=n_max)
     confirm = hg.compute_pair_table(v, m, 2 * K, n_max=n_max)
-    return hg.mark_converged(base, confirm)
+    return mark_converged(base, confirm)
 
 
 def test_criterion_01_unperturbed_spectrum():

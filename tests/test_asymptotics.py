@@ -17,7 +17,6 @@ from hillgap.eigensolver import (
     compute_pair_table,
     converge_truncation,
     localization_radius,
-    mark_converged,
 )
 from hillgap.seqspace import (
     FourierSequence, decay_exponent, rough_potential, weighted_norm,
@@ -112,7 +111,7 @@ class TestTauRemainder:
         # fit, which is stubbed out
         want = abs(mpmath_pair(TRIG, m, 16, n)[0])
         v = FourierSequence(TRIG)
-        tab = mark_converged(compute_pair_table(v, m, 16), compute_pair_table(v, m, 32))
+        tab = compute_pair_table(v, m, 16, bars=True)
         monkeypatch.setattr(asymptotics, "_fit", lambda *args: (math.nan, True))
         got = dict(tau_remainder(tab, v, m, 0.0).pairs())[n]
         assert got == pytest.approx(want, rel=1e-6)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import l_direct, window_spectrum
+from conftest import l_direct, mark_converged, window_spectrum
 
 from hillgap import asymptotics, cli, eigensolver, riesz
 from hillgap.cli import RunConfig, main
@@ -251,26 +251,50 @@ class TestConfirmWindow:
         assert len(rows) == 8 and all(r["converged"] == "true" for r in rows)
 
     def test_auto_reports_previous_window(self, tmp_path, trig_potential):
+        # the first window, max(64, 8 n_max), settles trig: one solve, whose
+        # bars the footer reports as for a fixed --K
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--n-max", "4", "--potential", trig_potential,
                      "--out", str(out)]) == 0
         footer = read_csv(out)[2]
-        assert footer["K"] == 64 and footer["confirm_K"] == 32
+        assert footer["K"] == 64 and footer["windows"] == [64] and "confirm_K" not in footer
+        assert float(footer["max_trunc_bar"]) < eigensolver.CONVERGENCE_TOL
 
-    @pytest.mark.parametrize("command, n_max, windows", [("spectrum", 10, [40, 80]),
-                                                         ("asymptotics", 12, [48, 96])])
+    @pytest.mark.parametrize("command, n_max, windows", [("spectrum", 10, [80]),
+                                                         ("asymptotics", 12, [96])])
     def test_auto_reports_windows_and_stop(self, tmp_path, trig_potential, command, n_max, windows):
         # --K auto lists every window it solved and why it stopped; a fixed
-        # --K solves no sequence of windows and reports neither
+        # --K solves no sequence of windows and reports neither.  Both
+        # report the largest truncation bar of the window they end at
         out = tmp_path / "s.csv"
         assert main([command, "--n-max", str(n_max), "--potential", trig_potential,
                      "--out", str(out)]) == 0
         footer = read_csv(out)[2]
         assert footer["windows"] == windows and footer["stop"] == "converged"
         assert footer["K"] == windows[-1]
+        bar = footer["max_trunc_bar"]
         assert main([command, "--K", str(windows[-1]), "--n-max", str(n_max),
                      "--potential", trig_potential, "--out", str(out)]) == 0
-        assert not {"windows", "stop", "confirm_K"} & set(read_csv(out)[2])
+        footer = read_csv(out)[2]
+        assert not {"windows", "stop", "confirm_K"} & set(footer)
+        assert footer["max_trunc_bar"] == bar
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_auto_settles_support_128_in_one_window(self, tmp_path, seed):
+        # a Hermitian rough potential of support 128 fits the first window
+        # 8 n_max = 256, whose bars settle every row: one solve, with the
+        # rows of --K 256 byte for byte
+        v = rough_potential(1, 0.0, 128, hermitian=True, seed=seed)
+        pot = write_potential(tmp_path / "v.json", v.coeffs)
+        lines = {}
+        for K in ("auto", "256"):
+            out = tmp_path / f"{K}.csv"
+            assert main(["spectrum", "--K", K, "--n-max", "32", "--potential", pot,
+                         "--out", str(out)]) == 0
+            lines[K] = [x for x in out.read_text().splitlines() if not x.startswith("#")]
+        footer = read_csv(tmp_path / "auto.csv")[2]
+        assert footer["windows"] == [256] and footer["stop"] == "converged"
+        assert len(lines["auto"]) == 33 and lines["auto"] == lines["256"]
 
     def test_m3_rows_match_oracle(self, mpmath_pair):
         # a non-Hermitian potential of support 16 at K = 16: the bars flag
@@ -298,7 +322,7 @@ class TestConfirmWindow:
         table = cli._spectrum_table(cfg, v)
         assert table.row(6).converged and table.row(6).bar < eigensolver.CONVERGENCE_TOL
         doubled = eigensolver.compute_pair_table(v, 3, 128, n_max=16)
-        assert eigensolver.mark_converged(table, doubled).row(6).converged
+        assert mark_converged(table, doubled).row(6).converged
         reach = eigensolver.compute_pair_table(v, 3, 72, n_max=16)  # K + S/2 holds the modes O
         for K, tab in ((64, table), (72, reach), (128, doubled)):
             r = tab.row(6)
@@ -518,6 +542,19 @@ class TestAsymptoticsCommand:
         assert footer["target_exponents"]["tau"] == f"{0.95:.17g}"
         assert footer["K"] == 96 and "confirm_K" not in footer
         assert float(footer["max_trunc_bar"]) < eigensolver.CONVERGENCE_TOL
+
+    def test_no_converged_rows_names_the_bar(self, tmp_path, capsys):
+        # at K = 128 the rough alpha = 1/2 class leaves every row's bar above
+        # CONVERGENCE_TOL: the message gives the window, the rows and the
+        # largest bar
+        v = rough_potential(1, 0.5, 510, 1.0, seed=0)
+        pot = write_potential(tmp_path / "v.json", v.coeffs)
+        code = main(["asymptotics", "--m", "1", "--alpha", "0.5", "--K", "128", "--n-max", "32",
+                     "--potential", pot, "--out", str(tmp_path / "a.csv")])
+        assert code == 2
+        assert ("no converged rows in the pair table at K = 128: its 32 rows carry the "
+                "largest truncation bar 1.2e-05, against CONVERGENCE_TOL = 1e-09"
+                ) in capsys.readouterr().err
 
     def test_m2_gap_remainders_resolved(self, tmp_path):
         # trig has no v(+-2(2n-1)) from n = 3 on, so rem_gamma is |gamma|: from

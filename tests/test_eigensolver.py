@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import conjugate_seq, lex_sorted, window_spectrum, with_entry
+from conftest import conjugate_seq, lex_sorted, mark_converged, window_spectrum, with_entry
 
 from hillgap import eigensolver
 from hillgap.eigensolver import (
@@ -12,7 +12,6 @@ from hillgap.eigensolver import (
     compute_pair_table,
     converge_truncation,
     low_block,
-    mark_converged,
     pair_eigenvalues,
     localization_radius,
 )
@@ -164,12 +163,14 @@ class TestConvergeTruncation:
     @pytest.mark.parametrize("m", [2, 3])
     def test_converged_rows_match_oracle(self, feshbach_pair, m):
         # on a complex potential the doubling from the window 32 stops on its
-        # own verdict; a converged flag compares two windows' solves, and each
-        # flagged row must also lie within the tolerance of the exact pair of
-        # the final window
+        # own verdict; a converged flag is the truncation bar of the final
+        # window's one solve, and each flagged row must also lie within the
+        # tolerance of the exact pair of that window
         K, tab = converge_truncation(FourierSequence(TRIG), m, 8, 32)
         assert tab.stop == "converged"
         assert [r.converged for r in tab.rows] == [True] * 8
+        bars = compute_pair_table(FourierSequence(TRIG), m, K, n_max=8, bars=True)
+        assert [r.bar for r in tab.rows] == [r.bar for r in bars.rows]
         for n in (1, 2, 3, 4, 8):
             r = tab.row(n)
             lo, hi = feshbach_pair(TRIG, m, K, n, (r.d_lo, r.d_hi))
@@ -256,11 +257,13 @@ class TestTruncationBars:
             assert not r.converged
 
     def test_other_paths_carry_no_bar(self):
-        # only the fixed-K verdict forms bars; auto windows compare tables
+        # only a table read with bars carries them: a fixed --K and each
+        # window that converge_truncation solves
         v = FourierSequence(TRIG)
         assert all(r.bar is None for r in compute_pair_table(v, 1, 32, n_max=8).rows)
+        assert all(r.bar is None for r in pair_eigenvalues(low_block(build_T(v, 1, 32), 8), 8).rows)
         _, auto = converge_truncation(v, 1, 8, 32)
-        assert all(r.bar is None for r in auto.rows)
+        assert all(r.converged == (r.bar < CONVERGENCE_TOL) for r in auto.rows)
 
 
 class TestLocalization:
@@ -508,7 +511,7 @@ class TestBatchedRefinement:
         assert all(r.d_tau == 0 and r.gamma == 0 for r in weak.rows)
         tab = compute_pair_table(FourierSequence({2: 20.0}), 1, 32)
         assert tab.unrefined == (1, 2) and len(tab.rows) == 8
-        conv = mark_converged(tab, compute_pair_table(FourierSequence({2: 20.0}), 1, 64))
+        conv = compute_pair_table(FourierSequence({2: 20.0}), 1, 32, bars=True)
         assert conv.unrefined == tab.unrefined
 
 

@@ -14,7 +14,8 @@ def test_every_export_resolves(name):
 
 
 @pytest.mark.parametrize("name", ["PotentialFamily", "PotentialSpec", "SobolevParams",
-                                  "make_potential", "convolve", "is_real_valued"])
+                                  "make_potential", "convolve", "is_real_valued",
+                                  "mark_converged"])
 def test_unexported_name_raises(name):
     with pytest.raises(AttributeError):
         getattr(hillgap, name)
