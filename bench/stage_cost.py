@@ -5,8 +5,11 @@
 
 Every measurement is a fresh process importing hillgap from one tree: SRC
 (default: the src/ next to this script) and, with --baseline, a second tree,
-the two taking turns to go first per repetition.  Per tree, repetition and K,
-with n = K/4, one child times each library call after the import:
+the two taking turns to go first per repetition.  Each tree must have the
+truncation bars: eigensolver._truncation_bars, and _pair_table(low,
+radius_rule, n_max) returning the table with its blocks and bases.  Per
+tree, repetition and K, with n = K/4, one child times each library call
+after the import:
 
     build_T, cut, pair    build_T, low_block(op, n) and pair_eigenvalues on the
                           rough input: complex, support |k| <= 128, m = 1,
@@ -14,7 +17,6 @@ with n = K/4, one child times each library call after the import:
     table, table_2K       compute_pair_table on the rough input at K and 2K
     bar                   _truncation_bars, the fixed-K verdict alone, on the
                           rough input's pairs and bases at K from _pair_table
-                          (null in a tree that has no _truncation_bars)
     table_support6        compute_pair_table at K on the rough input of support 6
     criterion09           compute_pair_table at K = 256 only (null at any other
                           K) with n_max = 64 and three times the contour radius,
@@ -91,12 +93,8 @@ def stages(K: int) -> None:
         ContourSpec, FourierSequence, build_T, compute_pair_table, localization_report, low_block,
         normalize_zero_mode, pair_eigenvalues, riesz_projector, rough_potential,
     )
+    from hillgap.eigensolver import _pair_table, _truncation_bars
     from hillgap.operator import MAX_HALF_WINDOW, contour_radius
-
-    try:
-        from hillgap.eigensolver import _pair_table, _truncation_bars
-    except ImportError:  # a tree from before the bars
-        _truncation_bars = None
 
     n, cases = K // 4, {}
 
@@ -124,16 +122,10 @@ def stages(K: int) -> None:
     low = timed("cut", lambda: low_block(op, n), lambda low: {"block": len(low.matrix)})
     timed("pair", lambda: pair_eigenvalues(low, n_max=n), rows)
     table("table", v, K)
-    if _truncation_bars is None:
-        cases["bar"] = [None, {}]
-    else:
-        try:
-            based = _pair_table(low, contour_radius, n)
-        except TypeError:  # a tree whose _pair_table takes a flag to build the bases
-            based = _pair_table(low, contour_radius, n, True)
-        timed("bar", lambda: _truncation_bars(based[0], v, low, *based[1:]), lambda t: rows(t) | {
-            "converged": sum(r.converged for r in t.rows),
-            "max_bar": max((r.bar for r in t.rows), default=0.0)})
+    based = _pair_table(low, contour_radius, n)
+    timed("bar", lambda: _truncation_bars(based[0], v, low, *based[1:]), lambda t: rows(t) | {
+        "converged": sum(r.converged for r in t.rows),
+        "max_bar": max((r.bar for r in t.rows), default=0.0)})
     table("table_2K", v, 2 * K)
     table("table_support6", rough(6), K)
     if K == 256:

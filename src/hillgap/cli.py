@@ -154,6 +154,15 @@ def _require_fit_rows(cfg: RunConfig, first: int, exact: bool):
         raise ConfigError(f"{cfg.command} needs --n-max >= {need} for its decay fit, got {cfg.n_max}")
 
 
+def _require_correction_window(v: FourierSequence) -> FourierSequence:
+    """v, refused before any solve when correction_values' window, half its
+    reach, would pass MAX_HALF_WINDOW."""
+    if v.reach > 2 * MAX_HALF_WINDOW:
+        raise ConfigError(f"the farthest coefficient, at index {v.reach}, lies past index "
+                          f"{2 * MAX_HALF_WINDOW}, the farthest the correction values l+- read")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # I/O
 # ---------------------------------------------------------------------------
@@ -310,7 +319,7 @@ ASYMPTOTICS_COLUMNS = [
 def run_asymptotics(cfg: RunConfig) -> int:
     from . import asymptotics
 
-    v = load_potential(cfg.potential)
+    v = _require_correction_window(load_potential(cfg.potential))
     _require_fit_rows(cfg, asymptotics.FIT_RANGE_START, normalize_zero_mode(v)[0].is_zero())
     table = _spectrum_table(cfg, v)
     rem_tau = asymptotics.tau_remainder(table, v, cfg.m, cfg.alpha, cfg.epsilon)
@@ -393,7 +402,7 @@ RIESZ_COLUMNS = [
 def run_riesz_check(cfg: RunConfig) -> int:
     from . import riesz
 
-    v, _ = normalize_zero_mode(load_potential(cfg.potential))
+    v, _ = normalize_zero_mode(_require_correction_window(load_potential(cfg.potential)))
     K = _window(cfg)
     low = low_block(build_T(v, cfg.m, K), cfg.n_max)
     table = pair_eigenvalues(low, n_max=cfg.n_max)

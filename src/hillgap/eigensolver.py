@@ -39,7 +39,7 @@ import numpy as np
 
 from .seqspace import FourierSequence, normalize_zero_mode
 from .operator import (
-    MAX_HALF_WINDOW, TruncatedOperator, build_B, build_T, center, contour_radius, modes,
+    MAX_HALF_WINDOW, TruncatedOperator, _convolution, build_T, center, contour_radius, modes,
     resonant_rows, unperturbed_eigenvalues,
 )
 
@@ -455,10 +455,12 @@ def _pair_split(b: np.ndarray, m: int, ns: np.ndarray, hop: int, hermitian: bool
 def correction_values(v: FourierSequence, m: int, ns) -> tuple[np.ndarray, np.ndarray]:
     """(l_+, l_-) at +-2(2n-1) for each n in ns: the off-diagonal of
     -B_PR B_RP / (mu_r - c_n), the second-order term of G_n at the start of
-    _settle_pairs, on B(v) over the window that holds every chain
-    +-(2n-1) -> p -> -+(2n-1), |p| <= S - (2n-1) for the support S of v."""
+    _settle_pairs, over the window j that holds every chain
+    +-(2n-1) -> p -> -+(2n-1), |p| <= v.reach - (2n-1).  B(v) is a view of
+    the table v.at(d) (operator._convolution), of which only the rows B_PR
+    and columns B_RP are copied: memory O(N j), not O(j^2)."""
     ns = np.asarray(ns, dtype=int).reshape(-1)
-    b = build_B(v, m, max(int(ns.max(initial=1)), max(map(abs, v.support()), default=0) // 2)).matrix
+    b = _convolution(v, m, max(int(ns.max(initial=1)), v.reach // 2))
     rows, gaps, cols = _pair_frame(b, m, ns)
     l2 = 0.0 - b[rows] @ (cols / gaps).transpose(1, 0, 2)  # 0 - x: a zero imaginary part is +0
     return l2[:, 1, 0], l2[:, 0, 1]
@@ -646,9 +648,9 @@ def _truncation_bars(table: EigenPairTable, v: FourierSequence, low: LowBlock,
     dG = Y^T T_WO (c - D_O)^{-1} T_OW X, from the right basis X of the pair
     (its basis in the low block, lifted through the cut by _lift) and the
     left basis Y = J X J_P that J T J = T^T gives, so that
-    Y^T T_WO = J_P (T_OW X)^T J_O.  T_OW is read from v's support in slabs
-    of O, each holding its mirror, so memory stays bounded however far the
-    support reaches.  The Neumann factor
+    Y^T T_WO = J_P (T_OW X)^T J_O.  T_OW is read by v.at in slabs of O,
+    each holding its mirror, so memory stays bounded however far v.reach
+    lies.  The Neumann factor
     1 / (1 - ||v||_l1 / (mu_{2K+1} - c)) stands for the orders it leaves
     out, the chains among the modes past the window (infinite bar when
     ||v||_l1 reaches the gap, or when v reaches past 2^62, where the modes
@@ -658,28 +660,23 @@ def _truncation_bars(table: EigenPairTable, v: FourierSequence, low: LowBlock,
     that holds every mode it reads on the inputs the tests measure."""
     m, K = low.op.m, low.op.K
     ns = np.array([r.n for r in table.rows], dtype=int)
-    reach = max((abs(k) for k, x in v.coeffs.items() if x), default=0)
-    bars = np.zeros(len(ns))
+    reach, bars = v.reach, np.zeros(len(ns))
     if reach >= 2**62:  # its modes leave the int64 range: no bar can be read
         bars[:] = np.inf
     elif reach and len(ns):
-        keys = np.array(sorted(k for k, x in v.coeffs.items() if x))
-        vals = np.array([v.coeffs[k] for k in keys], dtype=complex)
-        g, p, outer = g[ns - 1], modes(K), _outer_modes(K, keys)
+        g, p, outer = g[ns - 1], modes(K), _outer_modes(K, v.indices)
         top = np.flatnonzero(np.abs(p) > 2 * K - 1 - reach)  # the rows that reach past the window
         x = _lift(low.lift, K, u[:, ns - 1].reshape(len(u), -1), top)
         dg = np.zeros((len(ns), 2, 2), complex)
         step = max(1, 2**16 // len(top))  # a slab's T_OW holds about 2^17 entries
         for i in range(0, len(outer), step):
             o = np.concatenate([-outer[i : i + step][::-1], outer[i : i + step]])  # row -o mirrors o
-            diff = o[:, None] - p[top]
-            at = np.minimum(np.searchsorted(keys, diff), len(keys) - 1)
-            t_ow = np.where(keys[at] == diff, vals[at], 0.0)  # v(o - p)
+            t_ow = v.at(o[:, None] - p[top])  # v(o - p)
             live = t_ow.any(axis=0)
             q = (t_ow[:, live] @ x[live]).reshape(len(o), len(ns), 2)
             dg -= np.einsum("ona,onb->nab", q[::-1, :, ::-1], q / _gaps(m, o, 2 * ns - 1)[:, :, None])
         dist = _gaps(m, np.array([2 * K + 1]), 2 * ns - 1)[0]  # mu_{2K+1} - c_n
-        l1 = float(np.abs(vals).sum())
+        l1 = float(np.abs(v.at(v.indices)).sum())  # in the indices' order
         bars[:] = np.inf
         ok = dist > l1
         bars[ok] = BAR_SAFETY * _displacement(g[ok], dg[ok] * (dist / (dist - l1))[ok, None, None])

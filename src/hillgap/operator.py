@@ -75,37 +75,26 @@ class TruncatedOperator:
         self.matrix.setflags(write=False)
 
 
-def _coeff_lookup(v: FourierSequence, K: int) -> np.ndarray:
-    """Coefficients v(d) over even differences d in [-(4K-2), 4K-2]."""
-    span = 4 * K - 2
-    table = np.zeros(span + 1, dtype=complex)  # index (d + span) // 2
-    for k, val in v.coeffs.items():
-        if abs(k) <= span:
-            table[(k + span) // 2] = val
-    return table
-
-
-def _toeplitz(table: np.ndarray, K: int) -> np.ndarray:
-    """Dense matrix with entry (i, j) = table[i - j + 2K - 1]: each row is a
-    window of the reversed coefficient table, gathered without index arrays."""
-    windows = np.lib.stride_tricks.sliding_window_view(table[::-1], 2 * K)
-    return windows[::-1].copy()
+def _convolution(v: FourierSequence, m: int, K: int) -> np.ndarray:
+    """B(v) over the window K, checked as build_B is, as a read-only view with
+    entry (i, j) = v(p_i - p_j): each row is a window of the reversed table
+    v.at(d) at d = -(4K-2), ..., 4K-2, so the view holds O(K) memory.  Adding
+    +0.0 to the table turns -0.0 into +0.0 the way the zeros of A^m do, so
+    build_T's matrix is bit for bit the sum A^m + B(v)."""
+    _check_build_args(m, K)
+    table = v.at(np.arange(2 - 4 * K, 4 * K - 1, 2)) + 0.0
+    return np.lib.stride_tricks.sliding_window_view(table[::-1], 2 * K)[::-1]
 
 
 def build_B(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
     """The convolution operator B(v), Toeplitz along the odd lattice:
     entry (2k-1, 2j-1) = v(2k-2j)."""
-    _check_build_args(m, K)
-    return TruncatedOperator(m, K, _toeplitz(_coeff_lookup(v, K), K))
+    return TruncatedOperator(m, K, _convolution(v, m, K).copy())
 
 
 def build_T(v: FourierSequence, m: int, K: int) -> TruncatedOperator:
-    """T = A^m + B(v), with the diagonal of A^m added onto B(v) in place.
-
-    Adding +0.0 to the coefficient table turns -0.0 into +0.0 the way the
-    zeros of A^m do, so the matrix is bit for bit the sum A^m + B(v)."""
-    _check_build_args(m, K)
-    mat = _toeplitz(_coeff_lookup(v, K) + 0.0, K)
+    """T = A^m + B(v), with the diagonal of A^m added onto B(v) in place."""
+    mat = _convolution(v, m, K).copy()
     mat.flat[:: 2 * K + 1] += unperturbed_eigenvalues(m, K)
     return TruncatedOperator(m, K, mat)
 

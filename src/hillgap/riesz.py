@@ -29,9 +29,7 @@ from .seqspace import FourierSequence
 from .eigensolver import (
     ContourCollisionError, LowBlock, SolverError, _certified_band, _decouple, _shift_poles,
 )
-from .operator import (
-    _coeff_lookup, center, contour_radius, modes, resonant_rows, unperturbed_eigenvalues,
-)
+from .operator import center, contour_radius, modes, resonant_rows, unperturbed_eigenvalues
 
 __all__ = [
     "ContourCollisionError",
@@ -173,7 +171,7 @@ def riesz_projector(low: LowBlock, contour: ContourSpec) -> ProjectorPair:
 
 def _free_nodes(v: FourierSequence, m: int, n: int, K: int, nodes: int):
     """Contour, nodes lambda_j, weights, the rows B_PR of B(v) at the
-    resonant modes P = (2n-1, -(2n-1)), read from v(p - p'), and free node
+    resonant modes P = (2n-1, -(2n-1)), read by v.at(p - p'), and free node
     resolvents d[j, p] = 1 / (lambda_j - mu_p): what the quadratures below
     share."""
     if v(0) != 0:
@@ -183,8 +181,7 @@ def _free_nodes(v: FourierSequence, m: int, n: int, K: int, nodes: int):
         raise ValueError(f"resonant modes +-{2 * n - 1} fall outside the window (K = {K})")
     lams, ws = contour.points()
     d = 1.0 / (lams[:, None] - unperturbed_eigenvalues(m, K)[None, :])
-    q = 2 * n - 1  # v(k) sits at index (k + 4K - 2) / 2 of the lookup table
-    rows = _coeff_lookup(v, K)[(np.array([[q], [-q]]) - modes(K) + 4 * K - 2) // 2]
+    rows = v.at(np.array([[2 * n - 1], [1 - 2 * n]]) - modes(K))
     return contour, lams, ws, rows, d
 
 

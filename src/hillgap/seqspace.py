@@ -34,8 +34,11 @@ MEMBERSHIP_BOUND_FACTOR = 1.1
 @dataclass(frozen=True)
 class FourierSequence:
     """A potential: finite complex coefficients on the even lattice, every
-    index not in coeffs implicitly zero.  Instances are immutable and safe
-    to share across threads."""
+    index not in coeffs implicitly zero.  Code outside this module reads
+    them by v(k) and at; indices holds the indices |k| < 2^62 (whose modes
+    int64 holds) of the nonzero ones, ascending, and reach the farthest |k|
+    of a nonzero one, a Python int, 0 if none.  Instances are immutable and
+    safe to share across threads."""
 
     coeffs: Mapping[int, complex]
 
@@ -49,23 +52,32 @@ class FourierSequence:
                 raise ValueError(f"non-finite coefficient at index {k}: {val}")
             canon[k] = val
         object.__setattr__(self, "coeffs", MappingProxyType(canon))
+        live = sorted(k for k, x in canon.items() if x and abs(k) < 2**62)
+        for name, arr in (("indices", np.array(live, np.int64)),
+                          ("_values", np.array([canon[k] for k in live], complex))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "reach", max((abs(k) for k, x in canon.items() if x), default=0))
 
     def __call__(self, k: int) -> complex:
         return self.coeffs.get(k, 0.0 + 0.0j)
 
-    def support(self) -> tuple[int, ...]:
-        """Indices carrying a nonzero coefficient, ascending."""
-        return tuple(sorted(k for k, v in self.coeffs.items() if v != 0))
+    def at(self, k) -> np.ndarray:
+        """v(k) elementwise over an int64 array k: 0 off the indices, so at every |k| >= 2^62."""
+        keys = self.indices
+        if not len(keys):
+            return np.zeros(np.shape(k), dtype=complex)
+        i = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        return np.where(keys[i] == k, self._values[i], 0.0)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs.values())
+        return not self.reach
 
 
 def weighted_norm(a: FourierSequence, s: float) -> float:
-    """Weighted l2 norm (sum_k <k>^{2s} |a(k)|^2)^{1/2}.
-
-    The empty sequence has norm 0.
-    """
+    """Weighted l2 norm (sum_k <k>^{2s} |a(k)|^2)^{1/2}, 0 for the empty
+    sequence.  The sum keeps coeffs' insertion order, on which
+    rough_potential's rescaled coefficients depend bit for bit."""
     total = 0.0
     for k, v in a.coeffs.items():
         w = 1.0 + abs(k)

@@ -441,6 +441,26 @@ class TestConfigHandling:
         assert main([command, "--n-max", str(n_max - 1), "--print-config",
                      "--potential", trig_potential] + out) == 0
 
+    @pytest.mark.parametrize("command", ["asymptotics", "riesz-check"])
+    def test_reach_past_correction_window_exit_2_before_solve(self, tmp_path, monkeypatch,
+                                                               capsys, command):
+        # the correction values read every coefficient over the window
+        # v.reach / 2: a coefficient past 2 MAX_HALF_WINDOW is refused by its
+        # index right after the potential is read; at 2 MAX_HALF_WINDOW the
+        # command goes on to solve
+        def solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        for name in ("converge_truncation", "compute_pair_table", "build_T", "correction_values"):
+            monkeypatch.setattr(cli, name, solve)
+        argv = [command, "--K", "64", "--n-max", "16", "--out", str(tmp_path / "o.csv"), "--potential"]
+        for far in (2_000_000, 2**62):
+            assert main(argv + [write_potential(tmp_path / "far.json", TRIG | {far: 1e-12})]) == 2
+            assert (f"the farthest coefficient, at index {far}, lies past index "
+                    f"{2 * MAX_HALF_WINDOW}") in capsys.readouterr().err
+        with pytest.raises(AssertionError, match="solved"):
+            main(argv + [write_potential(tmp_path / "edge.json", TRIG | {2 * MAX_HALF_WINDOW: 1e-12})])
+
 
 # every option: its flag, the value given, and the value the config holds
 OPTION_FLAGS = {

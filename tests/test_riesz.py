@@ -10,6 +10,7 @@ from hillgap.eigensolver import (
     SolverError, correction_values, low_block, pair_eigenvalues,
 )
 from hillgap.operator import (
+    MAX_HALF_WINDOW,
     TruncatedOperator,
     build_B,
     build_T,
@@ -430,9 +431,10 @@ class TestCorrectionSequence:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_pair_truncation_matches_residue_sum(self, m):
         # the second-order truncation of the pair block, all n from one
-        # product, against the residue sum that shares no code with it
+        # product, against the residue sum that shares no code with it; the
+        # support 2048 is the largest correction_values' window holds
         ns = np.arange(1, 20)
-        for seed, window in ((8, 24), (10, 78), (11, 2), (3, 64)):
+        for seed, window in ((8, 24), (10, 78), (11, 2), (3, 64), (5, 2 * MAX_HALF_WINDOW)):
             v = rough_potential(1, 0.0, window, 0.8, seed=seed)
             for got, want in zip(correction_values(v, m, ns), l_direct(v, m, ns)):
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

@@ -1,6 +1,9 @@
-"""The package root resolves each name of its lazy export table, and only those."""
+"""The package root resolves each name of its lazy export table, and only
+those; and a potential's coefficients have one reader."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,11 @@ def test_every_export_resolves(name):
 def test_unexported_name_raises(name):
     with pytest.raises(AttributeError):
         getattr(hillgap, name)
+
+
+def test_only_seqspace_reads_coeffs():
+    # every other module reads a potential through v(k), v.at, v.indices and v.reach
+    readers = {path.name for path in Path(hillgap.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "coeffs"}
+    assert readers <= {"seqspace.py"}, sorted(readers)

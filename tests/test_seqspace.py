@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import conjugate_seq, reflect_seq
 
@@ -71,6 +71,31 @@ class TestFourierSequence:
         a = FourierSequence({2: 1.0})
         assert a(4) == 0
         assert a(-100) == 0
+
+    FAR = (2**62, -(2**62), 2**62 + 2, -(2**62) - 2, 2**63 - 2, 2**70)
+
+    @settings(max_examples=200)
+    @given(
+        st.dictionaries(
+            st.one_of(st.integers(-40, 40).map(lambda k: 2 * k), st.sampled_from(FAR)),
+            st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                                       allow_infinity=False)),
+            max_size=10,
+        ),
+        st.lists(st.one_of(st.integers(-90, 90), st.sampled_from(FAR[:5] + (2**63 - 1,))),
+                 max_size=24),
+    )
+    @example({}, [0, 2, 2**62])
+    @example({2**62: 1.0, -4: 1j, 6: 0j}, [-4, 6, 2**62, 2**63 - 1])
+    def test_at_reads_as_call_reads(self, coeffs, ks):
+        # the one vectorized reader: v(k) below 2^62, zero coefficients and
+        # odd indices included, and 0 at and past 2^62, where int64 ends
+        v = FourierSequence(coeffs)
+        got = v.at(np.array(ks, dtype=np.int64))
+        assert got.dtype == complex and got.shape == (len(ks),)
+        assert got.tolist() == [v(k) if abs(k) < 2**62 else 0 for k in ks]
+        assert v.indices.tolist() == sorted(k for k, x in coeffs.items() if x and abs(k) < 2**62)
+        assert v.reach == max((abs(k) for k, x in coeffs.items() if x), default=0)
 
 
 class TestWeightedNorm:
